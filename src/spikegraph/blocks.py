@@ -15,6 +15,7 @@ import numpy as np
 from .data import SkeletonTopology
 from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, sn_layer
+from .profiler import record_cost
 from .tensor import (DimensionError, InvalidInputError, Tensor, add, conv2d,
                      matmul, permute, reshape, scale, slice_)
 
@@ -146,8 +147,7 @@ class SaSgcLayer(Module):
         self.bn_k = BatchNorm(out_channels, axis=2)
         self.bn_v = BatchNorm(out_channels, axis=2)
 
-    def sgc(self, x: Tensor, adj: AdjacencySet, relaxed: bool = False,
-            probe=None) -> Tensor:
+    def sgc(self, x: Tensor, adj: AdjacencySet) -> Tensor:
         """H = SN(BN(x W_r)) + SN(BN(sum_k A_k x W_k)); values in {0,1,2}."""
         if x.ndim != 5:
             raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
@@ -157,42 +157,34 @@ class SaSgcLayer(Module):
         if adj.num_branches != self.num_branches:
             raise DimensionError(
                 f"adjacency has {adj.num_branches} branches, layer expects {self.num_branches}")
-        if probe is not None:
-            probe.graph_conv(self, x)
+        record_cost("sgc", self, x)
         agg = None
         for k in range(self.num_branches):
             mixed = _joint_mix(x, adj.matrices[k])
             term = _channel_map(mixed, self.w_branches[k])
             agg = term if agg is None else add(agg, term)
-        branch = sn_layer(self.bn_branches(agg), self.lif, relaxed=relaxed)
-        residual = sn_layer(self.bn_residual(_channel_map(x, self.w_residual)),
-                            self.lif, relaxed=relaxed)
+        branch = sn_layer(self.bn_branches(agg), self.lif)
+        residual = sn_layer(self.bn_residual(_channel_map(x, self.w_residual)), self.lif)
         return add(residual, branch)
 
-    def ssa(self, h: Tensor, relaxed: bool = False, probe=None) -> Tensor:
+    def ssa(self, h: Tensor) -> Tensor:
         """H_SA = H + SN((Q K^T) V * s), tokens = joints per (step, frame)."""
         if h.shape[2] != self.out_channels:
             raise DimensionError(
                 f"ssa channel extent {h.shape[2]} != weights {self.out_channels}")
-        q = sn_layer(self.bn_q(_channel_map(h, self.w_q)), self.lif, relaxed=relaxed)
-        k = sn_layer(self.bn_k(_channel_map(h, self.w_k)), self.lif, relaxed=relaxed)
-        v = sn_layer(self.bn_v(_channel_map(h, self.w_v)), self.lif, relaxed=relaxed)
-        if probe is not None:
-            probe.attention(self, h, q, k, v)
+        q = sn_layer(self.bn_q(_channel_map(h, self.w_q)), self.lif)
+        k = sn_layer(self.bn_k(_channel_map(h, self.w_k)), self.lif)
+        v = sn_layer(self.bn_v(_channel_map(h, self.w_v)), self.lif)
+        record_cost("ssa", self, h, q, k, v)
         # tokens are the V joints of each (spike step, frame) slice
         qt = permute(q, (0, 1, 4, 3, 2))  # [S,B,T,V,C]
         kt = permute(k, (0, 1, 4, 2, 3))  # [S,B,T,C,V]
         vt = permute(v, (0, 1, 4, 3, 2))  # [S,B,T,V,C]
         attn = matmul(matmul(qt, kt), vt)           # [S,B,T,V,C]
         attn = scale(attn, self.attention_scale)
-        attn = sn_layer(attn, self.lif, relaxed=relaxed)
+        attn = sn_layer(attn, self.lif)
         attn = permute(attn, (0, 1, 4, 3, 2))       # [S,B,C,V,T]
         return add(h, attn)
-
-    def forward(self, x: Tensor, adj: AdjacencySet, relaxed: bool = False,
-                probe=None) -> Tensor:
-        return self.ssa(self.sgc(x, adj, relaxed=relaxed, probe=probe),
-                        relaxed=relaxed, probe=probe)
 
 
 class StcLayer(Module):
@@ -222,7 +214,7 @@ class StcLayer(Module):
             self.w_proj = Parameter(
                 kaiming_normal(rng, (channels, self.out_channels), channels))
 
-    def forward(self, h_sa: Tensor, relaxed: bool = False, probe=None) -> Tensor:
+    def forward(self, h_sa: Tensor) -> Tensor:
         if h_sa.ndim != 5:
             raise DimensionError(f"stc expects [S,B,D,V,T], got {h_sa.shape}")
         s, b, d, v, t = h_sa.shape
@@ -231,25 +223,22 @@ class StcLayer(Module):
                 f"stc channel extent {d} != weights {self.channels}")
         if self.stride == 2 and t % 2 != 0:
             raise InvalidInputError(f"stride-2 temporal conv requires even T, got {t}")
-        if probe is not None:
-            probe.temporal_conv(self, h_sa)
+        record_cost("stc", self, h_sa)
         merged = reshape(h_sa, (s * b, d, v, t))
         pad_t = (self.kernel_t - 1) // 2
         y = conv2d(merged, self.weight, self.bias,
                    stride=(1, self.stride), padding=(0, pad_t))
         y = reshape(y, (s, b) + y.shape[1:])
-        main = sn_layer(self.bn(y), self.lif, relaxed=relaxed)
+        main = sn_layer(self.bn(y), self.lif)
         res = h_sa
         if self.stride == 2:
             res = slice_(res, (slice(None),) * 4 + (slice(0, None, 2),))
         if self.w_proj is not None:
             res = _channel_map(res, self.w_proj)
-        return add(main, sn_layer(res, self.lif, relaxed=relaxed))
+        return add(main, sn_layer(res, self.lif))
 
 
 def sa_sgc_stc_block(x: Tensor, sgc_layer: SaSgcLayer, stc_layer: StcLayer,
-                     adj: AdjacencySet, relaxed: bool = False, probe=None) -> Tensor:
+                     adj: AdjacencySet) -> Tensor:
     """One student block: graph conv -> self-attention -> temporal conv."""
-    h = sgc_layer.sgc(x, adj, relaxed=relaxed, probe=probe)
-    h_sa = sgc_layer.ssa(h, relaxed=relaxed, probe=probe)
-    return stc_layer(h_sa, relaxed=relaxed, probe=probe)
+    return stc_layer(sgc_layer.ssa(sgc_layer.sgc(x, adj)))

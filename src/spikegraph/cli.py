@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .data import (ModalityBundle, ParseError, FormatError, SkeletonTopology,
+from .data import (ParseError, FormatError, SkeletonTopology,
                    load_dataset, load_skeleton_dir, manifest_hash,
                    preprocess_sequences, save_synth_dataset, synthesize)
 from .tensor import InvalidInputError, NumericalError
@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--data", help="dataset directory (defaults to config)")
     p_train.add_argument("--teacher-ckpt", help="frozen teacher checkpoint")
-    p_train.add_argument("--teacher-outputs",
-                         help="precomputed teacher tap/logit file")
     p_train.add_argument("--dump-teacher-outputs",
                          help="write the frozen teacher's taps/logits here")
     p_train.add_argument("--resume", help="checkpoint to continue from")

@@ -8,8 +8,6 @@ from typing import Any, Optional
 
 import yaml
 
-from .tensor import InvalidInputError
-
 
 class ConfigError(ValueError):
     """Bad or inconsistent run configuration."""
@@ -58,7 +56,6 @@ DEFAULTS: dict[str, Any] = {
         "strides": None,
         "attention_scale": 0.125,
         "temporal_kernel": 5,
-        "branches": 3,
     },
     "teacher": {
         "preset": "toy",

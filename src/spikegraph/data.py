@@ -5,12 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .tensor import InvalidInputError, load_tensor, save_tensor, tensor_to_bytes
+from .tensor import InvalidInputError, load_tensor, save_tensor
 
 
 class ParseError(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 
 from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, sn_layer
+from .profiler import record_cost
 from .tensor import InvalidInputError, Tensor, conv2d, permute, repeat0, reshape
 
 
@@ -54,10 +55,11 @@ class SscEncoder(Module):
         self.bias = Parameter(np.zeros(cfg.hidden_channels, dtype=np.float32))
         self.bn = BatchNorm(cfg.hidden_channels)
 
-    def forward(self, x: Tensor, relaxed: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         """x[B, C, T, V] -> spikes [S, B, D, V, T]."""
         if x.ndim != 4:
             raise InvalidInputError(f"SscEncoder expects [B, C, T, V], got {x.shape}")
+        record_cost("encoder", self, x)
         s = self.cfg.spike_steps
         b = x.shape[0]
         expanded = ssc_expand(x, s)  # [S, B, C, V, T]
@@ -66,4 +68,4 @@ class SscEncoder(Module):
         y = conv2d(merged, self.weight, self.bias, stride=1, padding=pad)
         y = self.bn(y)
         y = reshape(y, (s, b) + y.shape[1:])
-        return sn_layer(y, self.lif, relaxed=relaxed)
+        return sn_layer(y, self.lif)

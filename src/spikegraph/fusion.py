@@ -15,11 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .module import Adam, BatchNorm, Module, Parameter, uniform_init
+from .module import Adam, Module, Parameter, uniform_init
 from .neurons import LifConfig, sn_layer
+from .profiler import record_cost
 from .tensor import (DimensionError, InvalidInputError, NumericalError, Tape,
                      Tensor, add, backward, concat, exp, log, matmul, mean,
-                     permute, reshape, scale, stack, sub, take0)
+                     permute, reshape, scale, sub, take0)
 
 MODALITY_ORDER = ("bone", "joint", "bone_motion", "joint_motion")
 
@@ -226,7 +227,9 @@ class SpikeMultimodalFusion(Module):
                 and self.mi_ema_count[0] >= self.freeze_after_steps)
 
     def train_step(self, spikes: list[Tensor]) -> dict[tuple[int, int], float]:
-        """One ascent step per pair; returns and smooths the achieved bounds."""
+        """One ascent step on every pair; returns and smooths the achieved
+        bounds.  The pairs own disjoint parameters, so one optimizer step
+        after all six backward passes updates each estimator once."""
         if self.frozen:
             return {}
         detached = [t.detach() for t in spikes]
@@ -239,8 +242,8 @@ class SpikeMultimodalFusion(Module):
                 loss = scale(bound, -1.0)
                 backward(loss, tape)
             bounds[(i, j)] = float(bound.data)
-            self._optim.step()
-            self._optim.zero_grad()
+        self._optim.step()
+        self._optim.zero_grad()
         fresh = MiMatrix.from_pairs(bounds).values.astype(np.float32)
         if self.mi_ema_count[0] == 0:
             self.mi_ema[:] = fresh
@@ -269,6 +272,7 @@ class SpikeMultimodalFusion(Module):
         uniform weights), which keeps the downstream input distribution
         stable while the estimators warm up.
         """
+        record_cost("smic", self, *spikes)
         if self.mi_ema_count[0] >= self.burn_in_steps:
             return compute_mi_weights(MiMatrix(self.mi_ema.astype(np.float64)))
         if self.mi_ema_count[0] > 0:

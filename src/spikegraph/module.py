@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import struct
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -222,25 +223,38 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(path, plan_hash: str, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        encoded = plan_hash.encode("utf-8")
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            name = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            blob = tensor_to_bytes(arrays[name])
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
+    """Write to a temporary file beside ``path``, then rename it into place,
+    so a failed save leaves no truncated checkpoint behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<I", _CKPT_VERSION))
+            encoded = plan_hash.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                blob = tensor_to_bytes(arrays[name])
+                fh.write(struct.pack("<Q", len(blob)))
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError as err:
+        raise InvalidInputError(f"checkpoint not found: {path}") from err
     if raw[:4] != _CKPT_MAGIC:
         raise InvalidInputError(f"not a checkpoint file: {path}")
     (version,) = struct.unpack_from("<I", raw, 4)

@@ -11,24 +11,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .blocks import (AdjacencySet, SaSgcLayer, StcLayer, channel_map,
-                     partition_branches)
+                     partition_branches, sa_sgc_stc_block)
 from .data import ModalityBundle, SkeletonTopology
 from .encoding import SscConfig, SscEncoder
 from .fusion import (MODALITY_ORDER, FusionWeights, SpikeMultimodalFusion,
                      fuse_modalities)
-from .module import (Adam, BatchNorm, Linear, Module, Parameter, SGD,
+from .module import (BatchNorm, Linear, Module, Parameter, SGD,
                      kaiming_normal, load_checkpoint, save_checkpoint)
 from .neurons import LifConfig, sn_layer
-from .tensor import (DimensionError, InvalidInputError, NumericalError, Tape,
-                     Tensor, add, backward, concat, conv2d, depthwise_conv2d,
-                     div, exp, log, matmul, max_, mean, mul, permute, relu,
-                     reshape, scale, slice_, softmax, sqrt, sub, sum_)
+from .profiler import record_cost
+from .tensor import (DimensionError, InvalidInputError, Tape, Tensor, add,
+                     backward, concat, conv2d, depthwise_conv2d, div, exp, log,
+                     matmul, max_, mean, mul, permute, relu, reshape, scale,
+                     slice_, sqrt, sub, sum_)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +253,14 @@ class MkSgnModel(Module):
         return [p for name, p in self.named_parameters()
                 if not name.startswith("smf.")]
 
-    def encode(self, bundle: dict[str, np.ndarray | Tensor],
-               relaxed: bool = False, probe=None) -> list[Tensor]:
+    def encode(self, bundle: dict[str, np.ndarray | Tensor]) -> list[Tensor]:
         """Run each modality through its own encoder, fusion order."""
         spikes = []
         for enc, name in zip(self.encoders, MODALITY_ORDER):
             x = bundle[name]
             if not isinstance(x, Tensor):
                 x = Tensor(x)
-            if probe is not None:
-                probe.encoder_conv(enc, x)
-            spikes.append(enc(x, relaxed=relaxed))
+            spikes.append(enc(x))
         return spikes
 
     def fusion_weights(self, spikes: list[Tensor]) -> FusionWeights:
@@ -275,10 +274,9 @@ class MkSgnModel(Module):
 
     def forward(self, bundle: dict[str, np.ndarray | Tensor],
                 weights: Optional[FusionWeights] = None,
-                relaxed: bool = False, probe=None,
                 ) -> tuple[Tensor, dict[int, Tensor], dict]:
         """Returns (logits [B, U], taps {layer -> feature}, run info)."""
-        spikes = self.encode(bundle, relaxed=relaxed, probe=probe)
+        spikes = self.encode(bundle)
         if weights is None:
             weights = self.fusion_weights(spikes)
         if self.smf_enabled:
@@ -288,13 +286,11 @@ class MkSgnModel(Module):
         rates = {"fused_input": float(np.abs(x.data).mean())}
         taps: dict[int, Tensor] = {}
         for i, (sgc, stc) in enumerate(zip(self.sgc_layers, self.stc_layers), start=1):
-            h = sgc.sgc(x, self.adjacency, relaxed=relaxed, probe=probe)
-            h_sa = sgc.ssa(h, relaxed=relaxed, probe=probe)
-            x = stc(h_sa, relaxed=relaxed, probe=probe)
+            x = sa_sgc_stc_block(x, sgc, stc, self.adjacency)
             rates[f"block{i}"] = float((x.data != 0).mean())
             if i in STUDENT_TAP_LAYERS:
                 taps[i] = x
-        final = sn_layer(x, self.lif, relaxed=relaxed)
+        final = sn_layer(x, self.lif)
         pooled = mean(final, axis=(3, 4))           # [S, B, D]
         if self.dropout > 0.0 and self.training:
             keep = 1.0 - self.dropout
@@ -302,8 +298,7 @@ class MkSgnModel(Module):
                     ).astype(np.float32) / keep
             pooled = mul(pooled, Tensor(mask))
         s, b, d = pooled.shape
-        if probe is not None:
-            probe.head_linear(self.head, final)
+        record_cost("head", self.head, final)
         logits = self.head(reshape(pooled, (s * b, d)))
         logits = mean(reshape(logits, (s, b, self.num_classes)), axis=0)
         info = {"rates": rates, "fusion_weights": weights}
@@ -344,9 +339,7 @@ class GcTcUnit(Module):
                 rng, (in_channels, out_channels), in_channels))
             self.bn_res = BatchNorm(out_channels, axis=1)
 
-    def forward(self, x: Tensor, adj: AdjacencySet, probe=None) -> Tensor:
-        if probe is not None:
-            probe.teacher_unit(self, x)
+    def forward(self, x: Tensor, adj: AdjacencySet) -> Tensor:
         agg = None
         for k in range(len(self.w_branches)):
             mixed = matmul(x, Tensor(adj.matrices[k].T))  # joints on the last axis
@@ -374,11 +367,10 @@ class GcTcStack(Module):
                       for (cin, cout), stride in zip(plan.pairs(), plan.strides)]
         self.fc = Linear(plan.widths[-1], num_classes, rng)
 
-    def forward(self, x: Tensor, adj: AdjacencySet, probe=None,
-                ) -> tuple[Tensor, dict[int, Tensor]]:
+    def forward(self, x: Tensor, adj: AdjacencySet) -> tuple[Tensor, dict[int, Tensor]]:
         taps: dict[int, Tensor] = {}
         for i, unit in enumerate(self.units, start=1):
-            x = unit(x, adj, probe=probe)
+            x = unit(x, adj)
             if i in TEACHER_TAP_LAYERS:
                 taps[i] = x
         pooled = mean(x, axis=(2, 3))
@@ -403,7 +395,7 @@ class TeacherModel(Module):
     def plan_hash(self) -> str:
         return plan_hash(self.plan, self.num_classes, 1, self.topo.num_joints, False)
 
-    def forward(self, bundle: dict[str, np.ndarray | Tensor], probe=None,
+    def forward(self, bundle: dict[str, np.ndarray | Tensor],
                 ) -> tuple[dict[str, Tensor], dict[str, dict[int, Tensor]]]:
         logits: dict[str, Tensor] = {}
         taps: dict[str, dict[int, Tensor]] = {}
@@ -411,7 +403,7 @@ class TeacherModel(Module):
             x = bundle[name]
             if not isinstance(x, Tensor):
                 x = Tensor(x)
-            logits[name], taps[name] = stream(x, self.adjacency, probe=probe)
+            logits[name], taps[name] = stream(x, self.adjacency)
         return logits, taps
 
 
@@ -441,8 +433,7 @@ class FtmBranch(Module):
         self.w_translate = Parameter(kaiming_normal(rng, (cat, target_channels), cat))
         self.bn_translate = BatchNorm(target_channels, axis=2)
 
-    def forward(self, taps: Sequence[Tensor], relaxed: bool = False,
-                probe=None) -> Tensor:
+    def forward(self, taps: Sequence[Tensor]) -> Tensor:
         shapes = {t.shape for t in taps}
         if len(shapes) != 1:
             raise DimensionError(f"teacher tap shapes differ: {sorted(shapes)}")
@@ -452,8 +443,6 @@ class FtmBranch(Module):
                 f"FTM expects {self.cat_channels} concatenated channels, "
                 f"got {cat.shape[1]}")
         cat = permute(cat, (0, 1, 3, 2))            # [B, 4C, V, T]
-        if probe is not None:
-            probe.ftm_branch(self, cat)
         fused = depthwise_conv2d(cat, self.w_depthwise, stride=1, padding=1)
         fused = channel_map(fused, self.w_pointwise, axis=1)
         fused = self.bn_fuse(fused)
@@ -462,7 +451,7 @@ class FtmBranch(Module):
             if self.spike_steps > 1 else expanded
         y = channel_map(expanded, self.w_translate, axis=2)
         y = self.bn_translate(y)
-        return sn_layer(y, self.lif, relaxed=relaxed)
+        return sn_layer(y, self.lif)
 
 
 class FtmModule(Module):
@@ -480,12 +469,10 @@ class FtmModule(Module):
         self.branch_mid = FtmBranch(t5, s3, spike_steps, lif, rng)
         self.branch_high = FtmBranch(t8, s5, spike_steps, lif, rng)
 
-    def translate(self, teacher_taps: dict[str, dict[int, Tensor]],
-                  relaxed: bool = False, probe=None) -> tuple[Tensor, Tensor]:
+    def translate(self, teacher_taps: dict[str, dict[int, Tensor]]) -> tuple[Tensor, Tensor]:
         mid = [teacher_taps[m][TEACHER_TAP_LAYERS[0]] for m in MODALITY_ORDER]
         high = [teacher_taps[m][TEACHER_TAP_LAYERS[1]] for m in MODALITY_ORDER]
-        return (self.branch_mid(mid, relaxed=relaxed, probe=probe),
-                self.branch_high(high, relaxed=relaxed, probe=probe))
+        return self.branch_mid(mid), self.branch_high(high)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +504,25 @@ class TrainSettings:
 
 def batch_tensors(bundle: ModalityBundle, idx: np.ndarray) -> dict[str, Tensor]:
     return {name: Tensor(arr[idx]) for name, arr in bundle.as_dict().items()}
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory in the process between training steps.
+
+    A step allocates and frees its whole tape (about 1 GB on the toy
+    plan).  glibc's adaptive thresholds hand the freed top of the heap back
+    to the kernel unless a live block happens to sit above it, and the next
+    step faults it in again: up to 220k minor faults and 0.5 s of system
+    time per toy step, flipping with unrelated changes to allocation order.
+    Fixed thresholds (mmap only above 32 MB, no trimming) make the reuse
+    unconditional.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+        mallopt(-1, 2 ** 31 - 1)    # M_TRIM_THRESHOLD
 
 
 class Trainer:
@@ -551,6 +557,7 @@ class Trainer:
         self.global_step = 0
         if teacher is not None:
             teacher.eval()
+        _keep_freed_memory()
 
     # -- one optimization step ----------------------------------------------
 
@@ -667,6 +674,7 @@ def train_teacher(teacher: TeacherModel, bundle: ModalityBundle,
                   early_stop_train_acc: Optional[float] = 0.995) -> list[dict]:
     """Supervised training of the four teacher streams (summed CE)."""
     labels = np.asarray(labels)
+    _keep_freed_memory()
     optimizer = SGD(teacher.parameters(), lr=lr, momentum=0.9, weight_decay=1e-4)
     rng = np.random.default_rng(seed)
     n = labels.shape[0]
@@ -736,26 +744,3 @@ def dump_teacher_outputs(path, teacher: TeacherModel, bundle: ModalityBundle,
                 for layer, tap in taps[m].items():
                     arrays[f"{i}/tap{layer}/{m}"] = tap.data[row]
     save_checkpoint(path, teacher.plan_hash(), arrays)
-
-
-def load_teacher_outputs(path) -> tuple[str, dict[str, np.ndarray]]:
-    return load_checkpoint(path)
-
-
-class StoredTeacher:
-    """File-backed stand-in for a frozen teacher (precomputed outputs)."""
-
-    def __init__(self, path):
-        self.plan_hash, self._arrays = load_teacher_outputs(path)
-
-    def __call__(self, batch_indices: np.ndarray,
-                 ) -> tuple[dict[str, Tensor], dict[str, dict[int, Tensor]]]:
-        logits = {}
-        taps: dict[str, dict[int, Tensor]] = {m: {} for m in MODALITY_ORDER}
-        for m in MODALITY_ORDER:
-            logits[m] = Tensor(np.stack(
-                [self._arrays[f"{i}/logits/{m}"] for i in batch_indices]))
-            for layer in TEACHER_TAP_LAYERS:
-                taps[m][layer] = Tensor(np.stack(
-                    [self._arrays[f"{i}/tap{layer}/{m}"] for i in batch_indices]))
-        return logits, taps

@@ -38,29 +38,6 @@ class LifConfig:
                 f"surrogate_window_a must be positive, got {self.surrogate_window_a}")
 
 
-class SpikeTensor(Tensor):
-    """Binary activation tensor with a cached firing rate.
-
-    Constructed from an existing tape tensor via an identity hop so
-    gradients still reach the producing op.
-    """
-
-    __slots__ = ("firing_rate",)
-
-    @classmethod
-    def from_tensor(cls, t: Tensor, trusted: bool = False) -> "SpikeTensor":
-        data = t.data
-        if not trusted and data.size and not ((data == 0.0) | (data == 1.0)).all():
-            raise InvalidInputError("SpikeTensor requires all elements in {0, 1}")
-        st = cls.__new__(cls)
-        st.data = data
-        st.requires_grad = False
-        st.grad = None
-        st.firing_rate = float(data.mean()) if data.size else 0.0
-        record_op((t,), (st,), lambda g: (g,))
-        return st
-
-
 def spike(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     """Threshold nonlinearity with rectangular surrogate gradient.
 
@@ -106,9 +83,8 @@ def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     """Unroll the LIF recurrence over the leading spike-step axis of ``x``.
 
     Membrane state starts at v_reset and is carried between steps; the S
-    binary maps are stacked back along axis 0.  Returns a SpikeTensor
-    unless running the relaxed (continuous) forward.  Forward and backward
-    are fused into one tape record (BPTT through the unrolled recurrence,
+    binary maps are stacked back along axis 0.  Forward and backward are
+    fused into one tape record (BPTT through the unrolled recurrence,
     reset path included), equivalent to composing lif_step S times.
     """
     if x.ndim < 1 or x.shape[0] == 0:
@@ -162,9 +138,7 @@ def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
         return (gx,)
 
     record_op((x,), (out,), backward)
-    if relaxed:
-        return out
-    return SpikeTensor.from_tensor(out, trusted=True)
+    return out
 
 
 def firing_rate(x: Tensor | np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Analytic FLOP counting, firing-rate measurement, SOP/energy accounting.
+"""Analytic FLOP counting, per-layer cost recording, SOP/energy accounting.
 
 Conventions anchored to the reproducible published rows: 1 MAC = 1 FLOP;
 BN, pooling, and elementwise ops are excluded from FLOP totals; FLOPs are
@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from .neurons import firing_rate
 from .tensor import InvalidInputError, Tensor
 
 E_MAC_PJ = 4.6
@@ -75,16 +77,6 @@ def count_flops(kind: str, **dims) -> int:
     if kind in ("bn", "pooling"):
         return 0
     raise InvalidInputError(f"unknown layer kind {kind!r}")
-
-
-def measure_firing_rate(x: Tensor | np.ndarray) -> float:
-    """Mean of a binary tensor over all axes."""
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if data.size == 0:
-        raise InvalidInputError("cannot measure firing rate of an empty tensor")
-    if not ((data == 0.0) | (data == 1.0)).all():
-        raise InvalidInputError("firing rate requires a binary tensor")
-    return float(data.mean())
 
 
 def active_fraction(x: Tensor | np.ndarray) -> float:
@@ -185,11 +177,17 @@ class EnergyReport:
         return buf.getvalue()
 
 
-class ForwardProbe:
-    """Collects per-layer FLOPs and input rates during one forward pass.
+# ---------------------------------------------------------------------------
+# Cost recording: layers report here during a forward pass
+# ---------------------------------------------------------------------------
 
-    Layers call the hooks with their batched inputs; FLOPs are normalized
-    to one sample.
+_RECORDERS: list["CostRecorder"] = []
+
+
+class CostRecorder:
+    """Per-layer costs reported during one forward pass, in report order.
+
+    FLOPs are normalized to one sample; ids number each layer prefix.
     """
 
     def __init__(self, spike_steps: int):
@@ -197,93 +195,101 @@ class ForwardProbe:
         self.layers: list[LayerCost] = []
         self._counts: dict[str, int] = {}
 
-    def _next_id(self, prefix: str) -> str:
+    def add(self, prefix: str, kind: str, flops: int, rate: float,
+            is_fire: bool = False) -> None:
         n = self._counts.get(prefix, 0)
         self._counts[prefix] = n + 1
-        return f"{prefix}{n}"
+        self.layers.append(LayerCost(f"{prefix}{n}", kind, int(flops), rate,
+                                     self.spike_steps, is_fire=is_fire))
 
-    def encoder_conv(self, enc, x: Tensor) -> None:
-        b, c, t, v = x.shape
-        k = enc.cfg.kernel_size
-        flops = count_flops("conv", cout=enc.cfg.hidden_channels, cin=c,
-                            kh=k, kw=k, hout=v, wout=t)
-        self.layers.append(LayerCost(self._next_id("encoder"), "conv", flops,
-                                     1.0, self.spike_steps, is_fire=True))
 
-    def graph_conv(self, layer, x: Tensor) -> None:
-        s, b, d, v, t = x.shape
-        k = layer.num_branches
-        mix = k * v * v * d * t
-        maps = (k + 1) * d * layer.out_channels * v * t
-        self.layers.append(LayerCost(self._next_id("sgc"), "conv",
-                                     int(mix + maps), active_fraction(x),
-                                     self.spike_steps))
+@contextmanager
+def recording(spike_steps: int) -> Iterator[CostRecorder]:
+    """Make a fresh recorder the target of ``record_cost`` inside the block."""
+    recorder = CostRecorder(spike_steps)
+    _RECORDERS.append(recorder)
+    try:
+        yield recorder
+    finally:
+        _RECORDERS.pop()
 
-    def attention(self, layer, h: Tensor, q: Tensor, k: Tensor, v: Tensor) -> None:
-        s, b, d, nv, t = h.shape
-        proj = 3 * d * d * nv * t
-        self.layers.append(LayerCost(self._next_id("ssa_proj"), "conv", int(proj),
-                                     active_fraction(h), self.spike_steps))
-        qk_rate = float(np.mean([measure_firing_rate(q), measure_firing_rate(k),
-                                 measure_firing_rate(v)]))
-        matmuls = count_flops("matmul-attention", m=nv, k=d, n=nv, batch=t) \
-            + count_flops("matmul-attention", m=nv, k=nv, n=d, batch=t)
-        self.layers.append(LayerCost(self._next_id("ssa_attn"), "matmul-attention",
-                                     int(matmuls), qk_rate, self.spike_steps))
 
-    def temporal_conv(self, layer, h_sa: Tensor) -> None:
-        s, b, d, v, t = h_sa.shape
-        t_out = t // layer.stride
-        flops = count_flops("conv", cout=layer.out_channels, cin=d,
-                            kh=1, kw=layer.kernel_t, hout=v, wout=t_out)
-        if layer.w_proj is not None:
-            flops += layer.channels * layer.out_channels * v * t_out
-        self.layers.append(LayerCost(self._next_id("stc"), "conv", int(flops),
-                                     active_fraction(h_sa), self.spike_steps))
+def record_cost(site: str, layer, *inputs: Tensor) -> None:
+    """Report one layer's cost to the innermost recorder, if one is active.
 
-    def head_linear(self, head, spikes: Tensor) -> None:
-        flops = count_flops("linear", in_features=head.in_features,
-                            out_features=head.out_features)
-        self.layers.append(LayerCost(self._next_id("head"), "linear", flops,
-                                     measure_firing_rate(spikes), self.spike_steps))
+    ``site`` selects the cost formula: encoder, smic, sgc, ssa, stc, head.
+    """
+    if _RECORDERS:
+        _SITES[site](_RECORDERS[-1], layer, *inputs)
 
-    def smic(self, channels: int, hidden: int, frames: int, rate: float) -> None:
-        flops = count_flops("lstm", hidden=hidden, in_features=2 * channels,
-                            steps=frames) \
-            + count_flops("linear", in_features=hidden, out_features=1) * frames
-        self.layers.append(LayerCost(self._next_id("smic"), "lstm", int(flops),
-                                     rate, self.spike_steps))
 
-    # teacher/FTM hooks exist so the same probe object can traverse the
-    # teacher for dense-plan comparisons; inference energy ignores them
-    def teacher_unit(self, unit, x: Tensor) -> None:
-        pass
+def _encoder_cost(rec: CostRecorder, enc, x: Tensor) -> None:
+    b, c, t, v = x.shape
+    k = enc.cfg.kernel_size
+    flops = count_flops("conv", cout=enc.cfg.hidden_channels, cin=c,
+                        kh=k, kw=k, hout=v, wout=t)
+    rec.add("encoder", "conv", flops, 1.0, is_fire=True)
 
-    def ftm_branch(self, branch, x: Tensor) -> None:
-        pass
+
+def _smic_cost(rec: CostRecorder, smf, *spikes: Tensor) -> None:
+    """One entry per unordered modality pair."""
+    hidden = smf.estimators[0].hidden
+    frames = spikes[0].shape[-1]
+    flops = count_flops("lstm", hidden=hidden, in_features=2 * smf.channels,
+                        steps=frames) \
+        + count_flops("linear", in_features=hidden, out_features=1) * frames
+    rates = [firing_rate(s) for s in spikes]
+    for i, j in smf.PAIRS:
+        rec.add("smic", "lstm", flops, float(np.mean([rates[i], rates[j]])))
+
+
+def _sgc_cost(rec: CostRecorder, layer, x: Tensor) -> None:
+    s, b, d, v, t = x.shape
+    k = layer.num_branches
+    mix = k * v * v * d * t
+    maps = (k + 1) * d * layer.out_channels * v * t
+    rec.add("sgc", "conv", mix + maps, active_fraction(x))
+
+
+def _ssa_cost(rec: CostRecorder, layer, h: Tensor, q: Tensor, k: Tensor,
+              v: Tensor) -> None:
+    s, b, d, nv, t = h.shape
+    rec.add("ssa_proj", "conv", 3 * d * d * nv * t, active_fraction(h))
+    qkv_rate = float(np.mean([firing_rate(q), firing_rate(k), firing_rate(v)]))
+    matmuls = count_flops("matmul-attention", m=nv, k=d, n=nv, batch=t) \
+        + count_flops("matmul-attention", m=nv, k=nv, n=d, batch=t)
+    rec.add("ssa_attn", "matmul-attention", matmuls, qkv_rate)
+
+
+def _stc_cost(rec: CostRecorder, layer, h_sa: Tensor) -> None:
+    s, b, d, v, t = h_sa.shape
+    t_out = t // layer.stride
+    flops = count_flops("conv", cout=layer.out_channels, cin=d,
+                        kh=1, kw=layer.kernel_t, hout=v, wout=t_out)
+    if layer.w_proj is not None:
+        flops += layer.channels * layer.out_channels * v * t_out
+    rec.add("stc", "conv", flops, active_fraction(h_sa))
+
+
+def _head_cost(rec: CostRecorder, head, spikes: Tensor) -> None:
+    flops = count_flops("linear", in_features=head.in_features,
+                        out_features=head.out_features)
+    rec.add("head", "linear", flops, firing_rate(spikes))
+
+
+_SITES = {"encoder": _encoder_cost, "smic": _smic_cost, "sgc": _sgc_cost,
+          "ssa": _ssa_cost, "stc": _stc_cost, "head": _head_cost}
 
 
 def profile_model(model, bundle_batch: dict, model_kind: str = "mk-sgn",
                   ) -> EnergyReport:
-    """One eval-mode forward pass with cost probes attached."""
+    """One eval-mode forward pass with a cost recorder active."""
     was_training = model.training
     model.eval()
-    probe = ForwardProbe(model.spike_steps)
-    spikes = model.encode(bundle_batch, probe=probe)
-    weights = model.fusion_weights(spikes)
-    if model.smf_enabled:
-        # pairwise estimator cost, one entry per unordered pair
-        sample = spikes[0]
-        frames = sample.shape[-1]
-        hidden = model.smf.estimators[0].hidden
-        channels = model.plan.in_channels
-        for (i, j) in model.smf.PAIRS:
-            rate = float(np.mean([measure_firing_rate(spikes[i]),
-                                  measure_firing_rate(spikes[j])]))
-            probe.smic(channels, hidden, frames, rate)
-    model(bundle_batch, weights=weights, probe=probe)
+    with recording(model.spike_steps) as rec:
+        model(bundle_batch)
     if was_training:
         model.train()
     n_m = 4 if model.smf_enabled else 1
     return EnergyReport(model=model_kind, n_m=n_m,
-                        spike_steps=model.spike_steps, layers=probe.layers)
+                        spike_steps=model.spike_steps, layers=rec.layers)

@@ -12,7 +12,7 @@ float32 by default; the finite-difference oracle promotes to float64.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from spikegraph.neurons import (LifConfig, SpikeTensor, firing_rate, lif_step,
-                                sn_layer, spike)
+from spikegraph.neurons import LifConfig, firing_rate, lif_step, sn_layer, spike
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor,
                                backward, grad_check, mean, mul, sum_)
 
@@ -86,15 +85,14 @@ class TestSnLayer:
     def test_all_zero_input(self):
         x = Tensor(np.zeros((4, 2, 3), dtype=np.float32))
         out = sn_layer(x, CFG)
-        assert isinstance(out, SpikeTensor)
-        assert out.firing_rate == 0.0
+        assert firing_rate(out) == 0.0
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_constant_two_fires_every_step(self):
         x = Tensor(np.full((4, 2, 3), 2.0, dtype=np.float32))
         out = sn_layer(x, CFG)
         np.testing.assert_array_equal(out.data, 1.0)
-        assert out.firing_rate == 1.0
+        assert firing_rate(out) == 1.0
 
     def test_binarity_for_random_inputs(self):
         rng = np.random.default_rng(0)
@@ -153,24 +151,6 @@ class TestSurrogateConsistency:
                 out = spike(x, CFG, relaxed=relaxed)
                 backward(sum_(out), tape)
             np.testing.assert_allclose(x.grad, [1.0, 1.0, 1.0, 1.0, 1.0])
-
-
-class TestSpikeTensor:
-    def test_rejects_non_binary(self):
-        with pytest.raises(InvalidInputError):
-            SpikeTensor.from_tensor(Tensor([0.0, 0.5, 1.0]))
-
-    def test_firing_rate_definition(self):
-        st = SpikeTensor.from_tensor(Tensor([1.0, 0.0, 1.0, 0.0]))
-        assert st.firing_rate == 0.5
-
-    def test_gradients_flow_through_wrapper(self):
-        x = Tensor(np.array([2.0, 0.0], dtype=np.float32), requires_grad=True)
-        with Tape() as tape:
-            s = spike(x, CFG)
-            st = SpikeTensor.from_tensor(s)
-            backward(sum_(st), tape)
-        assert x.grad is not None
 
 
 class TestFiringRateHelper:

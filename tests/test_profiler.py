@@ -1,0 +1,118 @@
+"""Energy report: one eval forward records each layer once, FLOPs follow the
+channel plan, and the energy total follows the MAC/AC split."""
+
+import json
+import os
+
+import jsonschema
+import numpy as np
+import pytest
+
+from spikegraph import profiler
+from spikegraph.config import RunConfig
+from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
+from spikegraph.network import batch_tensors
+
+FRAMES = 8
+CLASSES = 4
+SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
+                      "energy_report.schema.json")
+
+
+def _model_and_batch(smf_enabled=True):
+    cfg = RunConfig({"smf": {"enabled": smf_enabled}})
+    topo = SkeletonTopology.ntu25()
+    seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
+                         frames=24, seed=0)
+    bundle, _ = preprocess_sequences(seqs, FRAMES, topo)
+    model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+    return cfg, model, batch_tensors(bundle, np.arange(2))
+
+
+def _closed_forms(cfg, model):
+    """(id, kind, FLOPs per sample) of every layer in report order."""
+    plan = model.plan
+    v, t, c0 = 25, FRAMES, plan.in_channels
+    kt = cfg.get("blocks.temporal_kernel")
+    hidden = cfg.get("smf.smic_hidden")
+    layers = [(f"encoder{i}", "conv", c0 * 3 * 3 * 3 * v * t) for i in range(4)]
+    lstm = 4 * hidden * (2 * c0 + hidden) * t + hidden * t
+    layers += [(f"smic{i}", "lstm", lstm) for i in range(6)]
+    cin = c0
+    for i, (cout, stride) in enumerate(zip(plan.widths, plan.strides)):
+        layers.append((f"sgc{i}", "conv", 3 * v * v * cin * t + 4 * cin * cout * v * t))
+        layers.append((f"ssa_proj{i}", "conv", 3 * cout * cout * v * t))
+        layers.append((f"ssa_attn{i}", "matmul-attention", 2 * v * v * cout * t))
+        t //= stride
+        layers.append((f"stc{i}", "conv", cout * cout * kt * v * t))
+        cin = cout
+    layers.append(("head0", "linear", plan.widths[-1] * CLASSES))
+    return layers
+
+
+@pytest.fixture(scope="module")
+def profiled():
+    cfg, model, batch = _model_and_batch()
+    return cfg, model, profiler.profile_model(model, batch)
+
+
+class TestProfileModel:
+    def test_report_validates_against_schema(self, profiled):
+        _, _, report = profiled
+        with open(SCHEMA) as fh:
+            schema = json.load(fh)
+        jsonschema.validate(json.loads(report.to_json()), schema)
+
+    def test_each_encoder_listed_once(self, profiled):
+        _, _, report = profiled
+        ids = [c.layer_id for c in report.layers]
+        assert [i for i in ids if i.startswith("encoder")] == [
+            "encoder0", "encoder1", "encoder2", "encoder3"]
+
+    def test_layer_flops_match_closed_forms(self, profiled):
+        cfg, model, report = profiled
+        got = [(c.layer_id, c.kind, c.flops) for c in report.layers]
+        assert got == _closed_forms(cfg, model)
+
+    def test_only_encoders_are_mac_costed(self, profiled):
+        _, _, report = profiled
+        fire = [c for c in report.layers if c.is_fire]
+        assert [c.layer_id for c in fire] == [f"encoder{i}" for i in range(4)]
+        assert all(c.input_firing_rate == 1.0 for c in fire)
+
+    def test_energy_splits_macs_and_accumulates(self, profiled):
+        _, _, report = profiled
+        enc = [c for c in report.layers if c.layer_id.startswith("encoder")]
+        rest = [c for c in report.layers if not c.layer_id.startswith("encoder")]
+        want = (4 * 4.6 * enc[0].flops + 0.9 * sum(c.sops for c in rest)) * 1e-9
+        assert report.n_m == 4
+        assert report.energy_mj == pytest.approx(want, rel=1e-12)
+        totals = report.to_json_dict()["totals"]
+        assert totals["flops"] == sum(c.flops for c in report.layers)
+        assert totals["sops"] == sum(c.sops for c in report.layers)
+
+    def test_restores_training_mode(self):
+        _, model, batch = _model_and_batch()
+        model.train()
+        profiler.profile_model(model, batch)
+        assert model.training
+
+    def test_single_modality_has_no_smic_entries(self):
+        _, model, batch = _model_and_batch(smf_enabled=False)
+        report = profiler.profile_model(model, batch)
+        ids = [c.layer_id for c in report.layers]
+        assert report.n_m == 1
+        assert not any(i.startswith("smic") for i in ids)
+        assert ids.count("encoder0") == 1 and ids[-1] == "head0"
+
+
+class TestRecording:
+    def test_innermost_recorder_receives_the_costs(self):
+        cfg, model, batch = _model_and_batch()
+        model.eval()
+        with profiler.recording(model.spike_steps) as outer:
+            with profiler.recording(model.spike_steps) as inner:
+                model(batch)
+        assert outer.layers == []
+        assert [c.layer_id for c in inner.layers] == [
+            i for i, _, _ in _closed_forms(cfg, model)]
