@@ -254,9 +254,12 @@ class MkSgnModel(Module):
                 if not name.startswith("smf.")]
 
     def encode(self, bundle: dict[str, np.ndarray | Tensor]) -> list[Tensor]:
-        """Run each modality through its own encoder, fusion order."""
+        """Run each modality the forward uses through its own encoder: all
+        four in fusion order, or only the joint stream with the fusion off."""
         spikes = []
         for enc, name in zip(self.encoders, MODALITY_ORDER):
+            if not self.smf_enabled and name != "joint":
+                continue
             x = bundle[name]
             if not isinstance(x, Tensor):
                 x = Tensor(x)
@@ -273,16 +276,18 @@ class MkSgnModel(Module):
     # -- forward -------------------------------------------------------------
 
     def forward(self, bundle: dict[str, np.ndarray | Tensor],
-                weights: Optional[FusionWeights] = None,
                 ) -> tuple[Tensor, dict[int, Tensor], dict]:
-        """Returns (logits [B, U], taps {layer -> feature}, run info)."""
+        """Returns (logits [B, U], taps {layer -> feature}, run info).
+
+        In training mode the fusion first takes one SMIC ascent step on the
+        detached spikes (until it freezes), so a training step encodes its
+        batch once.
+        """
         spikes = self.encode(bundle)
-        if weights is None:
-            weights = self.fusion_weights(spikes)
-        if self.smf_enabled:
-            x = fuse_modalities(spikes, weights)
-        else:
-            x = spikes[MODALITY_ORDER.index("joint")]
+        if self.training and self.smf_enabled:
+            self.smf.train_step(spikes)
+        weights = self.fusion_weights(spikes)
+        x = fuse_modalities(spikes, weights) if self.smf_enabled else spikes[0]
         rates = {"fused_input": float(np.abs(x.data).mean())}
         taps: dict[int, Tensor] = {}
         for i, (sgc, stc) in enumerate(zip(self.sgc_layers, self.stc_layers), start=1):
@@ -566,13 +571,6 @@ class Trainer:
         settings = self.settings
         model.train()
 
-        if model.smf_enabled and not model.smf.frozen:
-            spikes = model.encode(batch)
-            model.smf.train_step(spikes)
-            weights = model.fusion_weights(spikes)
-        else:
-            weights = model.fusion_weights([])
-
         teacher_logits = teacher_taps = None
         if self.teacher is not None and settings.kd:
             logits_d, taps_d = self.teacher(batch)
@@ -581,7 +579,7 @@ class Trainer:
                             for m, d in taps_d.items()}
 
         with Tape() as tape:
-            logits, taps, info = model(batch, weights=weights)
+            logits, taps, info = model(batch)
             l_task = task_loss(logits, labels)
             l_sdk = l_fkd1 = l_fkd2 = None
             if "soft" in settings.kd and teacher_logits is not None:
