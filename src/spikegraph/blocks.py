@@ -106,17 +106,43 @@ def _channel_map(x: Tensor, w: Tensor) -> Tensor:
     return channel_map(x, w, axis=2)
 
 
-def _joint_mix(x: Tensor, a: np.ndarray) -> Tensor:
-    """Apply adjacency a[V, V] to the joint axis: out_v = sum_w a[v,w] x_w."""
+def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor, channel_axis: int,
+               joint_axis: int) -> Tensor:
+    """Partitioned graph convolution sum_k A_k x W_k, as one op.
+
+    adj[K, V, V] mixes the joint axis (out_v = sum_u A_k[v, u] x_u) and
+    w[K, D, D'] maps the channel axis.  The forward maps channels first, in
+    one GEMM to K*D' whose rows fold every other axis, then contracts
+    (u, k) against the stacked adjacency once per row group; no row's
+    result depends on the others, so a sample's output does not depend on
+    its batch.  Backward keeps only x.
+    """
     from .tensor import record_op
 
-    out_data = np.moveaxis(np.tensordot(x.data, a, axes=([3], [1])), -1, 3)
+    k, d, d_out = w.shape
+    v = x.shape[joint_axis]
+    if x.shape[channel_axis] != d or adj.shape != (k, v, v):
+        raise DimensionError(
+            f"graph conv of {x.shape} (channels at {channel_axis}, joints at "
+            f"{joint_axis}) with adjacency {adj.shape} and weights {w.shape}")
+    xm = np.moveaxis(x.data, (joint_axis, channel_axis), (-2, -1))  # [R.., V, D]
+    lead = xm.shape[:-2]
+    a_cat = adj.transpose(1, 2, 0).reshape(v, v * k)                # [v, (u, k)]
+    w_cat = w.data.transpose(1, 0, 2).reshape(d, k * d_out)         # [d, (k, d')]
+    y = np.tensordot(xm, w_cat, axes=([-1], [0])).reshape(-1, v * k, d_out)
+    out = np.matmul(a_cat, y).reshape(lead + (v, d_out))
+    out = Tensor._wrap(np.moveaxis(out, (-2, -1), (joint_axis, channel_axis)))
+    rows = tuple(range(len(lead) + 1))
 
     def backward(g):
-        return (np.moveaxis(np.tensordot(g, a, axes=([3], [0])), -1, 3),)
+        gm = np.ascontiguousarray(np.moveaxis(g, (joint_axis, channel_axis), (-2, -1)))
+        gy = np.matmul(a_cat.T, gm.reshape(-1, v, d_out))            # [R, (u, k), D']
+        gx = gy.reshape(-1, k * d_out) @ w.data.transpose(0, 2, 1).reshape(k * d_out, d)
+        gw = np.tensordot(xm, gy.reshape(lead + (v, k, d_out)), axes=(rows, rows))
+        return (np.moveaxis(gx.reshape(lead + (v, d)), (-2, -1), (joint_axis, channel_axis)),
+                gw.transpose(1, 0, 2))                                # [K, D, D']
 
-    out = Tensor._wrap(out_data)
-    record_op((x,), (out,), backward)
+    record_op((x, w), (out,), backward)
     return out
 
 
@@ -129,13 +155,11 @@ class SaSgcLayer(Module):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.num_branches = num_branches
         self.lif = lif
         self.attention_scale = attention_scale
-        self.w_branches = [
-            Parameter(kaiming_normal(rng, (in_channels, out_channels), in_channels))
-            for _ in range(num_branches)
-        ]
+        self.w_graph = Parameter(np.stack([
+            kaiming_normal(rng, (in_channels, out_channels), in_channels)
+            for _ in range(num_branches)]))
         self.w_residual = Parameter(
             kaiming_normal(rng, (in_channels, out_channels), in_channels))
         self.bn_branches = BatchNorm(out_channels, axis=2)
@@ -151,18 +175,8 @@ class SaSgcLayer(Module):
         """H = SN(BN(x W_r)) + SN(BN(sum_k A_k x W_k)); values in {0,1,2}."""
         if x.ndim != 5:
             raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
-        if x.shape[2] != self.in_channels:
-            raise DimensionError(
-                f"sgc channel extent {x.shape[2]} != weights {self.in_channels}")
-        if adj.num_branches != self.num_branches:
-            raise DimensionError(
-                f"adjacency has {adj.num_branches} branches, layer expects {self.num_branches}")
         record_cost("sgc", self, x)
-        agg = None
-        for k in range(self.num_branches):
-            mixed = _joint_mix(x, adj.matrices[k])
-            term = _channel_map(mixed, self.w_branches[k])
-            agg = term if agg is None else add(agg, term)
+        agg = graph_conv(x, adj.matrices, self.w_graph, channel_axis=2, joint_axis=3)
         branch = sn_layer(self.bn_branches(agg), self.lif)
         residual = sn_layer(self.bn_residual(_channel_map(x, self.w_residual)), self.lif)
         return add(residual, branch)

@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--data", help="dataset directory (defaults to config)")
     p_train.add_argument("--teacher-ckpt", help="frozen teacher checkpoint")
-    p_train.add_argument("--dump-teacher-outputs",
-                         help="write the frozen teacher's taps/logits here")
     p_train.add_argument("--resume", help="checkpoint to continue from")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -129,8 +127,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    from .network import (DivergenceError, FtmModule, Trainer, dump_teacher_outputs,
-                          evaluate, load_model, save_model, train_teacher)
+    from .network import (DivergenceError, FtmModule, Trainer, evaluate,
+                          load_model, save_model, train_teacher)
 
     cfg.override({"kd": args.kd, "optimizer.epochs": args.epochs,
                   "optimizer.lr": args.lr})
@@ -163,8 +161,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
             print(f"teacher trained: {hist[-1]}")
             save_model(os.path.join(out_dir, "teacher.ckpt"), teacher,
                        teacher.plan_hash())
-        if args.dump_teacher_outputs:
-            dump_teacher_outputs(args.dump_teacher_outputs, teacher, tr_bundle)
         if "feature" in kd:
             ftm = FtmModule(teacher.plan, model.plan, model.spike_steps,
                             model.lif, np.random.default_rng(seed + 2))

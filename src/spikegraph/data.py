@@ -59,7 +59,6 @@ class SkeletonTopology:
     name: str = "custom"
 
     def __post_init__(self):
-        parents = self.parents()
         seen = {self.root}
         # every non-root joint must have exactly one parent and the edges
         # must reach all joints (tree property)
@@ -78,7 +77,6 @@ class SkeletonTopology:
                     frontier.append(c)
         if len(seen) != self.num_joints:
             raise InvalidInputError("topology edges do not form a spanning tree")
-        del parents
 
     def parents(self) -> np.ndarray:
         par = np.full(self.num_joints, -1, dtype=np.int64)
@@ -142,15 +140,9 @@ class ModalityBundle:
     joint_motion: np.ndarray
     bone_motion: np.ndarray
 
-    ORDER = ("bone", "joint", "bone_motion", "joint_motion")
-
     def as_dict(self) -> dict[str, np.ndarray]:
         return {"joint": self.joint, "bone": self.bone,
                 "joint_motion": self.joint_motion, "bone_motion": self.bone_motion}
-
-    def ordered(self) -> list[np.ndarray]:
-        d = self.as_dict()
-        return [d[k] for k in self.ORDER]
 
 
 def derive_modalities(seq: SkeletonSequence, topo: SkeletonTopology) -> ModalityBundle:

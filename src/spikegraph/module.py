@@ -8,6 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .data import FormatError
 from .tensor import (InvalidInputError, Tensor, add, matmul, permute,
                      tensor_from_bytes, tensor_to_bytes)
 
@@ -82,21 +83,26 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load every parameter and buffer; nothing is changed unless the
+        state names exactly this module's entries with matching shapes."""
         params = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
+        buffers = {"buffer:" + name: arr for name, arr in self.named_buffers()}
+        missing = sorted((params.keys() | buffers.keys()) - state.keys())
+        if missing:
+            raise InvalidInputError(f"state dict is missing {len(missing)} entries: "
+                                    f"{', '.join(missing[:3])}")
         for key, arr in state.items():
-            if key.startswith("buffer:"):
-                target = buffers.get(key[len("buffer:"):])
-                if target is None:
-                    raise InvalidInputError(f"unknown buffer in state dict: {key}")
-                target[...] = arr
+            target = params[key].data if key in params else buffers.get(key)
+            if target is None:
+                raise InvalidInputError(f"unknown entry in state dict: {key}")
+            if target.shape != arr.shape:
+                raise InvalidInputError(
+                    f"shape mismatch for {key}: {target.shape} vs {arr.shape}")
+        for key, arr in state.items():
+            if key in params:
+                params[key].data = arr.astype(params[key].data.dtype)
             else:
-                if key not in params:
-                    raise InvalidInputError(f"unknown parameter in state dict: {key}")
-                if params[key].data.shape != arr.shape:
-                    raise InvalidInputError(
-                        f"shape mismatch for {key}: {params[key].data.shape} vs {arr.shape}")
-                params[key].data = arr.astype(params[key].data.dtype).copy()
+                buffers[key][...] = arr
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -257,24 +263,27 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         raise InvalidInputError(f"checkpoint not found: {path}") from err
     if raw[:4] != _CKPT_MAGIC:
         raise InvalidInputError(f"not a checkpoint file: {path}")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    offset = 4
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(raw):
+            raise FormatError(f"truncated checkpoint: {path}")
+        offset += n
+        return raw[offset - n:offset]
+
+    (version,) = struct.unpack("<I", take(4))
     if version != _CKPT_VERSION:
         raise InvalidInputError(f"unsupported checkpoint version {version}")
-    offset = 8
-    (hlen,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    plan_hash = raw[offset:offset + hlen].decode("utf-8")
-    offset += hlen
-    (count,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    (hlen,) = struct.unpack("<I", take(4))
+    plan_hash = take(hlen).decode("utf-8")
+    (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        name = raw[offset:offset + nlen].decode("utf-8")
-        offset += nlen
-        (blen,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        arrays[name] = tensor_from_bytes(raw[offset:offset + blen]).data
-        offset += blen
+        (nlen,) = struct.unpack("<I", take(4))
+        name = take(nlen).decode("utf-8")
+        (blen,) = struct.unpack("<Q", take(8))
+        arrays[name] = tensor_from_bytes(take(blen)).data
+    if offset != len(raw):
+        raise FormatError(f"{len(raw) - offset} trailing bytes in checkpoint: {path}")
     return plan_hash, arrays

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import (AdjacencySet, SaSgcLayer, StcLayer, channel_map,
-                     partition_branches, sa_sgc_stc_block)
+                     graph_conv, partition_branches, sa_sgc_stc_block)
 from .data import ModalityBundle, SkeletonTopology
 from .encoding import SscConfig, SscEncoder
 from .fusion import (MODALITY_ORDER, FusionWeights, SpikeMultimodalFusion,
@@ -29,8 +29,8 @@ from .neurons import LifConfig, sn_layer
 from .profiler import record_cost
 from .tensor import (DimensionError, InvalidInputError, Tape, Tensor, add,
                      backward, concat, conv2d, depthwise_conv2d, div, exp, log,
-                     matmul, max_, mean, mul, permute, relu, reshape, scale,
-                     slice_, sqrt, sub, sum_)
+                     max_, mean, mul, permute, relu, reshape, scale, slice_,
+                     sqrt, sub, sum_)
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +51,6 @@ class LayerPlan:
         ins = [self.in_channels] + list(self.widths[:-1])
         return list(zip(ins, self.widths))
 
-    def describe(self) -> list[str]:
-        return [f"{i}/{o}" + ("(stride=2)" if s == 2 else "")
-                for (i, o), s in zip(self.pairs(), self.strides)]
-
 
 STUDENT_PLAN_FULL = LayerPlan(3, (64, 64, 128, 128, 256, 256), (1, 1, 2, 1, 2, 1))
 STUDENT_PLAN_TOY = LayerPlan(3, (16, 16, 32, 32, 64, 64), (1, 1, 2, 1, 2, 1))
@@ -67,12 +63,12 @@ STUDENT_TAP_LAYERS = (3, 5)   # 1-indexed block outputs exposed for distillation
 TEACHER_TAP_LAYERS = (5, 8)
 
 
-def plan_hash(plan: LayerPlan, num_classes: int, spike_steps: int,
-              num_joints: int, smf_enabled: bool) -> str:
+def plan_hash(plan: LayerPlan, num_classes: int, **constants) -> str:
+    """Hash of what fixes the meaning of a model's weights beyond their
+    shapes: the channel plan, the class count and the forward's constants."""
     payload = json.dumps({
         "in": plan.in_channels, "widths": plan.widths, "strides": plan.strides,
-        "classes": num_classes, "spike_steps": spike_steps,
-        "joints": num_joints, "smf": smf_enabled,
+        "classes": num_classes, **constants,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -225,6 +221,7 @@ class MkSgnModel(Module):
         self.plan = plan
         self.lif = lif
         self.spike_steps = spike_steps
+        self.attention_scale = attention_scale
         self.dropout = dropout
         self.smf_enabled = smf_enabled
         self.adjacency = partition_branches(topo)
@@ -245,8 +242,11 @@ class MkSgnModel(Module):
     # -- plumbing ------------------------------------------------------------
 
     def plan_hash(self) -> str:
-        return plan_hash(self.plan, self.num_classes, self.spike_steps,
-                         self.topo.num_joints, self.smf_enabled)
+        return plan_hash(self.plan, self.num_classes, spike_steps=self.spike_steps,
+                         joints=self.topo.num_joints, smf=self.smf_enabled,
+                         v_threshold=self.lif.v_threshold, v_reset=self.lif.v_reset,
+                         decay_tau=self.lif.decay_tau,
+                         attention_scale=self.attention_scale)
 
     def task_parameters(self) -> list[Parameter]:
         """Everything the task optimizer owns (fusion estimators excluded)."""
@@ -328,10 +328,9 @@ class GcTcUnit(Module):
         self.out_channels = out_channels
         self.stride = stride
         self.kernel_t = kernel_t
-        self.w_branches = [
-            Parameter(kaiming_normal(rng, (in_channels, out_channels), in_channels))
-            for _ in range(num_branches)
-        ]
+        self.w_graph = Parameter(np.stack([
+            kaiming_normal(rng, (in_channels, out_channels), in_channels)
+            for _ in range(num_branches)]))
         self.bn_gc = BatchNorm(out_channels, axis=1)
         self.w_t = Parameter(kaiming_normal(
             rng, (out_channels, out_channels, kernel_t, 1), out_channels * kernel_t))
@@ -345,11 +344,7 @@ class GcTcUnit(Module):
             self.bn_res = BatchNorm(out_channels, axis=1)
 
     def forward(self, x: Tensor, adj: AdjacencySet) -> Tensor:
-        agg = None
-        for k in range(len(self.w_branches)):
-            mixed = matmul(x, Tensor(adj.matrices[k].T))  # joints on the last axis
-            term = channel_map(mixed, self.w_branches[k], axis=1)
-            agg = term if agg is None else add(agg, term)
+        agg = graph_conv(x, adj.matrices, self.w_graph, channel_axis=1, joint_axis=3)
         h = relu(self.bn_gc(agg))
         pad_t = (self.kernel_t - 1) // 2
         y = self.bn_tc(conv2d(h, self.w_t, self.b_t,
@@ -398,7 +393,7 @@ class TeacherModel(Module):
                                   rng, kernel_t) for _ in MODALITY_ORDER]
 
     def plan_hash(self) -> str:
-        return plan_hash(self.plan, self.num_classes, 1, self.topo.num_joints, False)
+        return plan_hash(self.plan, self.num_classes, joints=self.topo.num_joints)
 
     def forward(self, bundle: dict[str, np.ndarray | Tensor],
                 ) -> tuple[dict[str, Tensor], dict[str, dict[int, Tensor]]]:
@@ -710,7 +705,7 @@ def train_teacher(teacher: TeacherModel, bundle: ModalityBundle,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints and teacher-output files
+# Checkpoints
 # ---------------------------------------------------------------------------
 
 def save_model(path, model: Module, plan_hash_value: str) -> None:
@@ -725,20 +720,3 @@ def load_model(path, model: Module, expected_hash: Optional[str] = None) -> str:
             f"expected {expected_hash[:12]}")
     model.load_state_dict(arrays)
     return found_hash
-
-
-def dump_teacher_outputs(path, teacher: TeacherModel, bundle: ModalityBundle,
-                         batch_size: int = 32) -> None:
-    """Precompute per-sample teacher logits and taps into a blob container."""
-    teacher.eval()
-    n = next(iter(bundle.as_dict().values())).shape[0]
-    arrays: dict[str, np.ndarray] = {}
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        logits, taps = teacher(batch_tensors(bundle, idx))
-        for m in MODALITY_ORDER:
-            for row, i in enumerate(idx):
-                arrays[f"{i}/logits/{m}"] = logits[m].data[row]
-                for layer, tap in taps[m].items():
-                    arrays[f"{i}/tap{layer}/{m}"] = tap.data[row]
-    save_checkpoint(path, teacher.plan_hash(), arrays)

@@ -245,7 +245,7 @@ def _smic_cost(rec: CostRecorder, smf, *spikes: Tensor) -> None:
 
 def _sgc_cost(rec: CostRecorder, layer, x: Tensor) -> None:
     s, b, d, v, t = x.shape
-    k = layer.num_branches
+    k = layer.w_graph.shape[0]
     mix = k * v * v * d * t
     maps = (k + 1) * d * layer.out_channels * v * t
     rec.add("sgc", "conv", mix + maps, active_fraction(x))

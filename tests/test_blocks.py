@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from spikegraph.blocks import (AdjacencySet, SaSgcLayer, StcLayer,
+from spikegraph.blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv,
                                normalize_adjacency, partition_branches,
                                sa_sgc_stc_block)
 from spikegraph.data import SkeletonTopology
 from spikegraph.neurons import LifConfig
-from spikegraph.tensor import DimensionError, InvalidInputError, Tensor
+from spikegraph.tensor import (DimensionError, InvalidInputError, Tensor,
+                               grad_check, mul, sum_)
 
 
 LIF = LifConfig()
@@ -98,6 +99,75 @@ class TestPartitionBranches:
         assert adj.num_branches == 3
         for k in range(3):
             assert spectral_radius(adj.matrices[k]) <= 1.0 + 1e-6
+
+
+# (x shape, channel axis, joint axis, per-branch einsum) for the student's
+# [S, B, D, V, T] and the teacher's [B, C, T, V] layouts
+GRAPH_LAYOUTS = {
+    "student": ((2, 3, 4, 5, 3), 2, 3, "sbdut,vu,de->sbevt"),
+    "teacher": ((3, 4, 3, 5), 1, 3, "bdtu,vu,de->betv"),
+}
+
+
+def _weighted_sum(out, seed):
+    """Scalar with a distinct random weight per output element, so a
+    gradient routed to the wrong element cannot pass."""
+    coeff = np.random.default_rng(seed).uniform(-1.0, 1.0, size=out.shape)
+    return sum_(mul(out, Tensor(coeff, dtype=np.float64)))
+
+
+class TestGraphConv:
+    def _operands(self, layout, seed=0):
+        shape, c_ax, v_ax, _ = GRAPH_LAYOUTS[layout]
+        rng = np.random.default_rng(seed)
+        d, v, k, d_out = shape[c_ax], shape[v_ax], 3, 6
+        x = rng.normal(size=shape).astype(np.float32)
+        adj = rng.uniform(size=(k, v, v)).astype(np.float32)  # not symmetric
+        w = rng.normal(size=(k, d, d_out)).astype(np.float32)
+        return x, adj, w
+
+    @pytest.mark.parametrize("layout", sorted(GRAPH_LAYOUTS))
+    def test_matches_per_branch_reference(self, layout):
+        _, c_ax, v_ax, spec = GRAPH_LAYOUTS[layout]
+        x, adj, w = self._operands(layout)
+        got = graph_conv(Tensor(x), adj, Tensor(w), c_ax, v_ax).data
+        ref = sum(np.einsum(spec, x.astype(np.float64), adj[k].astype(np.float64),
+                            w[k].astype(np.float64)) for k in range(adj.shape[0]))
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("layout", sorted(GRAPH_LAYOUTS))
+    def test_gradient_matches_fd(self, layout):
+        _, c_ax, v_ax, _ = GRAPH_LAYOUTS[layout]
+        x0, adj, w0 = self._operands(layout, seed=1)
+        adj = adj.astype(np.float64)
+
+        def f(x, w):
+            return _weighted_sum(graph_conv(x, adj, w, c_ax, v_ax), seed=2)
+
+        report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
+        assert report.passed, report
+
+    def test_shape_mismatch_rejected(self):
+        x, adj, w = self._operands("student")
+        with pytest.raises(DimensionError):
+            graph_conv(Tensor(x), adj[:2], Tensor(w), 2, 3)
+        with pytest.raises(DimensionError):
+            graph_conv(Tensor(x), adj, Tensor(w), 3, 2)
+
+
+class TestChannelMap:
+    @pytest.mark.parametrize("axis,shape", [(1, (3, 4, 2, 5)), (2, (2, 3, 4, 5, 2))])
+    def test_gradient_matches_fd(self, axis, shape):
+        rng = np.random.default_rng(axis)
+        x0 = rng.normal(size=shape).astype(np.float32)
+        w0 = rng.normal(size=(4, 3)).astype(np.float32)
+
+        def f(x, w):
+            return _weighted_sum(channel_map(x, w, axis), seed=3)
+
+        report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
+        assert report.passed, report
 
 
 def make_layers(din, dout, rng, stride=1, kernel_t=5):

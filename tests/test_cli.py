@@ -4,11 +4,14 @@ import json
 import os
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 
 from spikegraph import cli, profiler
 from spikegraph.config import ConfigError, RunConfig
+from spikegraph.data import SkeletonTopology
+from spikegraph.network import save_model
 
 SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
                       "energy_report.schema.json")
@@ -47,16 +50,51 @@ def test_synth_train_eval_profile_chain(tmp_path):
     assert sum(e["id"].startswith("encoder") for e in report["layers"]) == 4
 
 
-def test_missing_checkpoint_is_a_clean_error(tmp_path, capsys):
-    data_dir = str(tmp_path / "data")
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """A 2-class synthetic dataset for the default configuration."""
+    data_dir = str(tmp_path_factory.mktemp("data"))
     assert cli.main(["--out", data_dir, "synth", "--classes", "2",
                      "--samples-per-class", "2"]) == cli.EXIT_OK
+    return data_dir
+
+
+def _eval(tmp_path, tiny_data, ckpt, capsys):
     capsys.readouterr()
-    code = cli.main(["--out", str(tmp_path / "run"), "eval",
-                     str(tmp_path / "absent.ckpt"), "--data", data_dir, "--split", "train"])
-    err = capsys.readouterr().err
+    code = cli.main(["--out", str(tmp_path / "run"), "eval", str(ckpt),
+                     "--data", tiny_data, "--split", "train"])
+    return code, capsys.readouterr().err
+
+
+def _save_student(path, values=None):
+    model = RunConfig(values).build_student(2, SkeletonTopology.ntu25(),
+                                            np.random.default_rng(0))
+    save_model(path, model, model.plan_hash())
+    return path
+
+
+def test_missing_checkpoint_is_a_clean_error(tmp_path, tiny_data, capsys):
+    code, err = _eval(tmp_path, tiny_data, tmp_path / "absent.ckpt", capsys)
     assert code == cli.EXIT_CONFIG
     assert "checkpoint not found" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cut", [slice(0, 10), slice(0, -5)], ids=["head", "tail"])
+def test_truncated_checkpoint_is_a_data_error(tmp_path, tiny_data, capsys, cut):
+    ckpt = _save_student(tmp_path / "student.ckpt")
+    ckpt.write_bytes(ckpt.read_bytes()[cut])
+    code, err = _eval(tmp_path, tiny_data, ckpt, capsys)
+    assert code == cli.EXIT_DATA
+    assert "truncated checkpoint" in err and "Traceback" not in err
+
+
+def test_threshold_mismatch_is_rejected(tmp_path, tiny_data, capsys):
+    same = _save_student(tmp_path / "same.ckpt")
+    assert _eval(tmp_path, tiny_data, same, capsys)[0] == cli.EXIT_OK
+    other = _save_student(tmp_path / "other.ckpt", {"neuron": {"v_threshold": 0.5}})
+    code, err = _eval(tmp_path, tiny_data, other, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "plan hash" in err and "Traceback" not in err
 
 
 def test_removed_branches_key_is_rejected(tmp_path, capsys):

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from spikegraph.config import RunConfig
-from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
-from spikegraph.module import load_checkpoint, save_checkpoint
-from spikegraph.network import Trainer, batch_tensors, load_model, save_model
+from spikegraph.data import (FormatError, SkeletonTopology, preprocess_sequences,
+                             synthesize)
+from spikegraph.encoding import SscEncoder
+from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
+from spikegraph.network import (GcTcUnit, Trainer, batch_tensors, load_model,
+                                save_model)
+from spikegraph.tensor import InvalidInputError
 
 CLASSES = 4
 
@@ -33,6 +37,33 @@ class TestTrainStep:
     def test_fusion_optimizer_steps_once_per_ascent(self, trained):
         _, _, model, _ = trained
         assert model.smf._optim._t == 1
+
+    @pytest.mark.parametrize("smf_enabled", [True, False])
+    def test_each_used_modality_encoded_once(self, trained, monkeypatch, smf_enabled):
+        cfg, topo, _, batch = trained
+        cfg = RunConfig({**cfg.values, "smf": {**cfg.values["smf"], "enabled": smf_enabled}})
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+        calls = []
+        forward = SscEncoder.forward
+        monkeypatch.setattr(SscEncoder, "forward",
+                            lambda enc, x: calls.append(enc) or forward(enc, x))
+        labels = np.arange(8) % CLASSES
+        trainer = Trainer(model, None, labels, cfg.train_settings(),
+                          loss_weights=cfg.loss_weights())
+        trainer.train_step(batch, labels)
+        want = model.encoders if smf_enabled else [model.encoders[1]]  # joint stream
+        assert calls == want
+
+
+class TestGraphWeights:
+    def test_one_stacked_weight_per_layer(self, trained):
+        _, _, model, _ = trained
+        unit = GcTcUnit(3, 5, 3, np.random.default_rng(0))
+        for layer, (cin, cout) in [(model.sgc_layers[0], model.plan.pairs()[0]),
+                                   (unit, (3, 5))]:
+            names = [n for n, _ in layer.named_parameters() if n.startswith("w_")]
+            assert "w_graph" in names and not any("branch" in n for n in names)
+            assert layer.w_graph.shape == (3, cin, cout)
 
 
 class TestCheckpoint:
@@ -62,3 +93,44 @@ class TestCheckpoint:
         plan_hash, arrays = load_checkpoint(path)
         assert plan_hash == "h"
         np.testing.assert_array_equal(arrays["w"], [0.0, 1.0, 2.0])
+
+    def test_truncated_or_padded_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, "h", {"a": np.ones(2, dtype=np.float32),
+                                    "b": np.zeros((2, 3), dtype=np.float32)})
+        raw = path.read_bytes()
+        for cut in range(4, len(raw)):  # every cut after the magic
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError, match="truncated"):
+                load_checkpoint(path)
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+
+class TestLoadStateDict:
+    def test_missing_entries_rejected(self):
+        bn = BatchNorm(4)
+        with pytest.raises(InvalidInputError, match="missing"):
+            bn.load_state_dict({})
+        state = bn.state_dict()
+        del state["buffer:running_var"]
+        with pytest.raises(InvalidInputError, match="buffer:running_var"):
+            bn.load_state_dict(state)
+
+    def test_buffer_shape_mismatch_rejected(self):
+        bn = BatchNorm(4)
+        state = bn.state_dict()
+        state["buffer:running_mean"] = np.array([7.0], dtype=np.float32)
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            bn.load_state_dict(state)
+        np.testing.assert_array_equal(bn.running_mean, np.zeros(4))
+
+    def test_failed_load_changes_nothing(self):
+        bn = BatchNorm(4)
+        state = {k: v + 1.0 for k, v in bn.state_dict().items()}
+        state["unknown"] = np.zeros(1, dtype=np.float32)
+        with pytest.raises(InvalidInputError, match="unknown"):
+            bn.load_state_dict(state)
+        for key, arr in BatchNorm(4).state_dict().items():
+            np.testing.assert_array_equal(bn.state_dict()[key], arr)
