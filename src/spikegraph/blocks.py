@@ -1,9 +1,10 @@
 """Graph blocks: adjacency branches, spiking graph conv with self-attention,
 and spiking temporal conv.
 
-Feature layout throughout is [S, B, D, V, T]: spike steps, batch, channels,
-joints, frames.  Channel maps are batched matmuls over the trailing channel
-axis; adjacency acts on the joint axis; the temporal conv slides over T.
+Every feature, student or teacher, is laid out [..., C, V, T]: channels at
+axis -3, joints at -2, frames at -1, behind any leading axes (the student's
+[S, B], the teacher's [B]).  Channel maps act on axis -3; adjacency acts on
+the joint axis; the temporal conv slides over T.
 """
 
 from __future__ import annotations
@@ -79,21 +80,20 @@ def partition_branches(topo: SkeletonTopology) -> AdjacencySet:
     return AdjacencySet(mats)
 
 
-def channel_map(x: Tensor, w: Tensor, axis: int) -> Tensor:
-    """Apply w[D, D'] to the channel axis of x (a 1x1 convolution), fused."""
+def channel_map(x: Tensor, w: Tensor) -> Tensor:
+    """Apply w[D, D'] to the channel axis (-3) of x (a 1x1 convolution), fused."""
     from .tensor import record_op
 
-    if x.shape[axis] != w.shape[0]:
-        raise DimensionError(
-            f"channel extent {x.shape[axis]} does not match weight {w.shape}")
-    out_data = np.moveaxis(np.tensordot(x.data, w.data, axes=([axis], [0])), -1, axis)
+    if x.ndim < 3 or x.shape[-3] != w.shape[0]:
+        raise DimensionError(f"channel map of {x.shape} with weight {w.shape}")
+    out_data = np.moveaxis(np.tensordot(x.data, w.data, axes=([-3], [0])), -1, -3)
     out = Tensor._wrap(out_data)
     reduce_axes = tuple(range(x.ndim - 1))
 
     def backward(g):
-        gm = np.moveaxis(g, axis, -1)
-        gx = np.moveaxis(np.tensordot(gm, w.data, axes=([-1], [1])), -1, axis)
-        xm = np.moveaxis(x.data, axis, -1)
+        gm = np.moveaxis(g, -3, -1)
+        gx = np.moveaxis(np.tensordot(gm, w.data, axes=([-1], [1])), -1, -3)
+        xm = np.moveaxis(x.data, -3, -1)
         gw = np.tensordot(xm, gm, axes=(reduce_axes, reduce_axes))
         return gx, gw
 
@@ -101,45 +101,38 @@ def channel_map(x: Tensor, w: Tensor, axis: int) -> Tensor:
     return out
 
 
-def _channel_map(x: Tensor, w: Tensor) -> Tensor:
-    """Apply w[D, D'] to the channel axis of x[S, B, D, V, T]."""
-    return channel_map(x, w, axis=2)
-
-
-def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor, channel_axis: int,
-               joint_axis: int) -> Tensor:
+def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     """Partitioned graph convolution sum_k A_k x W_k, as one op.
 
-    adj[K, V, V] mixes the joint axis (out_v = sum_u A_k[v, u] x_u) and
-    w[K, D, D'] maps the channel axis.  The forward maps channels first, in
-    one GEMM to K*D' whose rows fold every other axis, then contracts
-    (u, k) against the stacked adjacency once per row group; no row's
-    result depends on the others, so a sample's output does not depend on
-    its batch.  Backward keeps only x.
+    adj[K, V, V] mixes the joint axis (-2; out_v = sum_u A_k[v, u] x_u) and
+    w[K, D, D'] maps the channel axis (-3).  The forward maps channels
+    first, in one GEMM to K*D' whose rows fold every other axis, then
+    contracts (u, k) against the stacked adjacency once per row group; no
+    row's result depends on the others, so a sample's output does not
+    depend on its batch.  Backward keeps only x.
     """
     from .tensor import record_op
 
     k, d, d_out = w.shape
-    v = x.shape[joint_axis]
-    if x.shape[channel_axis] != d or adj.shape != (k, v, v):
+    if x.ndim < 3 or x.shape[-3] != d or adj.shape != (k, x.shape[-2], x.shape[-2]):
         raise DimensionError(
-            f"graph conv of {x.shape} (channels at {channel_axis}, joints at "
-            f"{joint_axis}) with adjacency {adj.shape} and weights {w.shape}")
-    xm = np.moveaxis(x.data, (joint_axis, channel_axis), (-2, -1))  # [R.., V, D]
+            f"graph conv of {x.shape} with adjacency {adj.shape} and weights {w.shape}")
+    v = x.shape[-2]
+    xm = np.moveaxis(x.data, (-2, -3), (-2, -1))                    # [R.., V, D]
     lead = xm.shape[:-2]
     a_cat = adj.transpose(1, 2, 0).reshape(v, v * k)                # [v, (u, k)]
     w_cat = w.data.transpose(1, 0, 2).reshape(d, k * d_out)         # [d, (k, d')]
     y = np.tensordot(xm, w_cat, axes=([-1], [0])).reshape(-1, v * k, d_out)
     out = np.matmul(a_cat, y).reshape(lead + (v, d_out))
-    out = Tensor._wrap(np.moveaxis(out, (-2, -1), (joint_axis, channel_axis)))
+    out = Tensor._wrap(np.moveaxis(out, (-2, -1), (-2, -3)))
     rows = tuple(range(len(lead) + 1))
 
     def backward(g):
-        gm = np.ascontiguousarray(np.moveaxis(g, (joint_axis, channel_axis), (-2, -1)))
+        gm = np.ascontiguousarray(np.moveaxis(g, (-2, -3), (-2, -1)))
         gy = np.matmul(a_cat.T, gm.reshape(-1, v, d_out))            # [R, (u, k), D']
         gx = gy.reshape(-1, k * d_out) @ w.data.transpose(0, 2, 1).reshape(k * d_out, d)
         gw = np.tensordot(xm, gy.reshape(lead + (v, k, d_out)), axes=(rows, rows))
-        return (np.moveaxis(gx.reshape(lead + (v, d)), (-2, -1), (joint_axis, channel_axis)),
+        return (np.moveaxis(gx.reshape(lead + (v, d)), (-2, -1), (-2, -3)),
                 gw.transpose(1, 0, 2))                                # [K, D, D']
 
     record_op((x, w), (out,), backward)
@@ -162,23 +155,23 @@ class SaSgcLayer(Module):
             for _ in range(num_branches)]))
         self.w_residual = Parameter(
             kaiming_normal(rng, (in_channels, out_channels), in_channels))
-        self.bn_branches = BatchNorm(out_channels, axis=2)
-        self.bn_residual = BatchNorm(out_channels, axis=2)
+        self.bn_branches = BatchNorm(out_channels)
+        self.bn_residual = BatchNorm(out_channels)
         self.w_q = Parameter(kaiming_normal(rng, (out_channels, out_channels), out_channels))
         self.w_k = Parameter(kaiming_normal(rng, (out_channels, out_channels), out_channels))
         self.w_v = Parameter(kaiming_normal(rng, (out_channels, out_channels), out_channels))
-        self.bn_q = BatchNorm(out_channels, axis=2)
-        self.bn_k = BatchNorm(out_channels, axis=2)
-        self.bn_v = BatchNorm(out_channels, axis=2)
+        self.bn_q = BatchNorm(out_channels)
+        self.bn_k = BatchNorm(out_channels)
+        self.bn_v = BatchNorm(out_channels)
 
     def sgc(self, x: Tensor, adj: AdjacencySet) -> Tensor:
         """H = SN(BN(x W_r)) + SN(BN(sum_k A_k x W_k)); values in {0,1,2}."""
         if x.ndim != 5:
             raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
         record_cost("sgc", self, x)
-        agg = graph_conv(x, adj.matrices, self.w_graph, channel_axis=2, joint_axis=3)
+        agg = graph_conv(x, adj.matrices, self.w_graph)
         branch = sn_layer(self.bn_branches(agg), self.lif)
-        residual = sn_layer(self.bn_residual(_channel_map(x, self.w_residual)), self.lif)
+        residual = sn_layer(self.bn_residual(channel_map(x, self.w_residual)), self.lif)
         return add(residual, branch)
 
     def ssa(self, h: Tensor) -> Tensor:
@@ -186,9 +179,9 @@ class SaSgcLayer(Module):
         if h.shape[2] != self.out_channels:
             raise DimensionError(
                 f"ssa channel extent {h.shape[2]} != weights {self.out_channels}")
-        q = sn_layer(self.bn_q(_channel_map(h, self.w_q)), self.lif)
-        k = sn_layer(self.bn_k(_channel_map(h, self.w_k)), self.lif)
-        v = sn_layer(self.bn_v(_channel_map(h, self.w_v)), self.lif)
+        q = sn_layer(self.bn_q(channel_map(h, self.w_q)), self.lif)
+        k = sn_layer(self.bn_k(channel_map(h, self.w_k)), self.lif)
+        v = sn_layer(self.bn_v(channel_map(h, self.w_v)), self.lif)
         record_cost("ssa", self, h, q, k, v)
         # tokens are the V joints of each (spike step, frame) slice
         qt = permute(q, (0, 1, 4, 3, 2))  # [S,B,T,V,C]
@@ -204,29 +197,24 @@ class SaSgcLayer(Module):
 class StcLayer(Module):
     """Spiking temporal convolution with a spiking residual path.
 
-    T_out = SN(BN(W_t * h)) + SN(residual(h)); on stride 2 the residual is
-    subsampled (and 1x1-projected if the channel extent changes) before SN.
+    T_out = SN(BN(W_t * h)) + SN(residual(h)); the channel extent is kept
+    and on stride 2 the residual is subsampled before SN.
     """
 
     def __init__(self, channels: int, lif: LifConfig, rng: np.random.Generator,
-                 kernel_t: int = 5, stride: int = 1, out_channels: int | None = None):
+                 kernel_t: int = 5, stride: int = 1):
         super().__init__()
         if stride not in (1, 2):
             raise InvalidInputError(f"stride must be 1 or 2, got {stride}")
         self.channels = channels
-        self.out_channels = out_channels or channels
         self.kernel_t = kernel_t
         self.stride = stride
         self.lif = lif
         fan_in = channels * kernel_t
         self.weight = Parameter(
-            kaiming_normal(rng, (self.out_channels, channels, 1, kernel_t), fan_in))
-        self.bias = Parameter(np.zeros(self.out_channels, dtype=np.float32))
-        self.bn = BatchNorm(self.out_channels, axis=2)
-        self.w_proj = None
-        if self.out_channels != channels:
-            self.w_proj = Parameter(
-                kaiming_normal(rng, (channels, self.out_channels), channels))
+            kaiming_normal(rng, (channels, channels, 1, kernel_t), fan_in))
+        self.bias = Parameter(np.zeros(channels, dtype=np.float32))
+        self.bn = BatchNorm(channels)
 
     def forward(self, h_sa: Tensor) -> Tensor:
         if h_sa.ndim != 5:
@@ -246,9 +234,7 @@ class StcLayer(Module):
         main = sn_layer(self.bn(y), self.lif)
         res = h_sa
         if self.stride == 2:
-            res = slice_(res, (slice(None),) * 4 + (slice(0, None, 2),))
-        if self.w_proj is not None:
-            res = _channel_map(res, self.w_proj)
+            res = slice_(res, (..., slice(0, None, 2)))
         return add(main, sn_layer(res, self.lif))
 
 

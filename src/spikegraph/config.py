@@ -161,12 +161,10 @@ class RunConfig:
     def student_plan(self):
         from .network import LayerPlan, STUDENT_PLAN_FULL, STUDENT_PLAN_TOY
         b = self.values["blocks"]
-        if b["widths"] is not None:
-            strides = b["strides"] or STUDENT_PLAN_TOY.strides
-            return LayerPlan(self.values["ssc"]["hidden_channels"],
-                             tuple(b["widths"]), tuple(strides))
         base = STUDENT_PLAN_FULL if b["preset"] == "paper" else STUDENT_PLAN_TOY
-        return base
+        return LayerPlan(self.values["ssc"]["hidden_channels"],
+                         tuple(b["widths"] or base.widths),
+                         tuple(b["strides"] or base.strides))
 
     def teacher_plan(self):
         from .network import TEACHER_PLAN_FULL, TEACHER_PLAN_TOY

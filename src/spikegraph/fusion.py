@@ -25,19 +25,11 @@ from .tensor import (DimensionError, InvalidInputError, NumericalError, Tape,
 MODALITY_ORDER = ("bone", "joint", "bone_motion", "joint_motion")
 
 
-def _channel_axis(x: Tensor) -> int:
-    if x.ndim == 4:   # [S, D, V, T]
-        return 1
-    if x.ndim == 5:   # [S, B, D, V, T]
-        return 2
-    raise DimensionError(f"expected rank 4 or 5 spike feature, got {x.shape}")
-
-
 def make_joint(p_a: Tensor, p_b: Tensor) -> Tensor:
-    """Concatenate two spike features along the channel axis."""
+    """Concatenate two [S, (B,) D, V, T] spike features along the channels."""
     if p_a.shape != p_b.shape:
         raise DimensionError(f"modality shapes differ: {p_a.shape} vs {p_b.shape}")
-    return concat([p_a, p_b], axis=_channel_axis(p_a))
+    return concat([p_a, p_b], axis=-3)
 
 
 def make_marginal(p_a: Tensor, p_b: Tensor, rng_seed: int) -> Tensor:
@@ -46,7 +38,7 @@ def make_marginal(p_a: Tensor, p_b: Tensor, rng_seed: int) -> Tensor:
         raise DimensionError(f"modality shapes differ: {p_a.shape} vs {p_b.shape}")
     s = p_b.shape[0]
     perm = np.random.default_rng(rng_seed).permutation(s)
-    return concat([p_a, take0(p_b, perm)], axis=_channel_axis(p_a))
+    return concat([p_a, take0(p_b, perm)], axis=-3)
 
 
 class SmicNet(Module):

@@ -139,13 +139,11 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Channel batch norm over arbitrary-rank inputs (channel at ``axis``)."""
+    """Channel batch norm over [..., C, V, T] features (channels at -3)."""
 
-    def __init__(self, num_features: int, axis: int = 1,
-                 momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
         self.num_features = num_features
-        self.axis = axis
         self.momentum = momentum
         self.eps = eps
         self.gamma = Parameter(np.ones(num_features, dtype=np.float32))
@@ -159,7 +157,7 @@ class BatchNorm(Module):
         from .tensor import batch_norm
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
                           self.running_var, self.training,
-                          momentum=self.momentum, eps=self.eps, axis=self.axis)
+                          momentum=self.momentum, eps=self.eps, axis=x.ndim - 3)
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +270,27 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         offset += n
         return raw[offset - n:offset]
 
+    def text(n: int) -> str:
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"corrupt checkpoint {path}: {err}") from err
+
     (version,) = struct.unpack("<I", take(4))
     if version != _CKPT_VERSION:
         raise InvalidInputError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<I", take(4))
-    plan_hash = take(hlen).decode("utf-8")
+    plan_hash = text(hlen)
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
+        name = text(nlen)
         (blen,) = struct.unpack("<Q", take(8))
-        arrays[name] = tensor_from_bytes(take(blen)).data
+        try:
+            arrays[name] = tensor_from_bytes(take(blen)).data
+        except InvalidInputError as err:
+            raise FormatError(f"corrupt checkpoint {path}, entry {name}: {err}") from err
     if offset != len(raw):
         raise FormatError(f"{len(raw) - offset} trailing bytes in checkpoint: {path}")
     return plan_hash, arrays

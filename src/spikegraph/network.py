@@ -226,9 +226,12 @@ class MkSgnModel(Module):
         self.smf_enabled = smf_enabled
         self.adjacency = partition_branches(topo)
         ssc_cfg = SscConfig(spike_steps=spike_steps, hidden_channels=plan.in_channels)
-        self.encoders = [SscEncoder(3, ssc_cfg, lif, rng) for _ in MODALITY_ORDER]
+        # with the fusion off only the joint stream is encoded and nothing fuses
+        self.modalities = MODALITY_ORDER if smf_enabled else ("joint",)
+        self.encoders = [SscEncoder(3, ssc_cfg, lif, rng) for _ in self.modalities]
         self.smf = SpikeMultimodalFusion(plan.in_channels, smic_hidden, lif, rng,
-                                         lr=smic_lr, shuffle_seed=shuffle_seed)
+                                         lr=smic_lr, shuffle_seed=shuffle_seed) \
+            if smf_enabled else None
         self.sgc_layers = []
         self.stc_layers = []
         for (cin, cout), stride in zip(plan.pairs(), plan.strides):
@@ -254,12 +257,9 @@ class MkSgnModel(Module):
                 if not name.startswith("smf.")]
 
     def encode(self, bundle: dict[str, np.ndarray | Tensor]) -> list[Tensor]:
-        """Run each modality the forward uses through its own encoder: all
-        four in fusion order, or only the joint stream with the fusion off."""
+        """Run each modality of ``self.modalities`` through its own encoder."""
         spikes = []
-        for enc, name in zip(self.encoders, MODALITY_ORDER):
-            if not self.smf_enabled and name != "joint":
-                continue
+        for enc, name in zip(self.encoders, self.modalities):
             x = bundle[name]
             if not isinstance(x, Tensor):
                 x = Tensor(x)
@@ -317,8 +317,9 @@ class MkSgnModel(Module):
 class GcTcUnit(Module):
     """Graph conv + temporal conv with a residual, ReLU activations.
 
-    Teacher layout is [B, C, T, V]; the temporal conv slides over T and
-    carries the stride, the residual projects when shape changes.
+    Takes and returns [B, C, V, T], the student's layout; the temporal conv
+    slides over T and carries the stride, the residual projects when the
+    shape changes.
     """
 
     def __init__(self, in_channels: int, out_channels: int, num_branches: int,
@@ -331,29 +332,29 @@ class GcTcUnit(Module):
         self.w_graph = Parameter(np.stack([
             kaiming_normal(rng, (in_channels, out_channels), in_channels)
             for _ in range(num_branches)]))
-        self.bn_gc = BatchNorm(out_channels, axis=1)
+        self.bn_gc = BatchNorm(out_channels)
         self.w_t = Parameter(kaiming_normal(
-            rng, (out_channels, out_channels, kernel_t, 1), out_channels * kernel_t))
+            rng, (out_channels, out_channels, 1, kernel_t), out_channels * kernel_t))
         self.b_t = Parameter(np.zeros(out_channels, dtype=np.float32))
-        self.bn_tc = BatchNorm(out_channels, axis=1)
+        self.bn_tc = BatchNorm(out_channels)
         self.w_res = None
         self.bn_res = None
         if in_channels != out_channels or stride != 1:
             self.w_res = Parameter(kaiming_normal(
                 rng, (in_channels, out_channels), in_channels))
-            self.bn_res = BatchNorm(out_channels, axis=1)
+            self.bn_res = BatchNorm(out_channels)
 
     def forward(self, x: Tensor, adj: AdjacencySet) -> Tensor:
-        agg = graph_conv(x, adj.matrices, self.w_graph, channel_axis=1, joint_axis=3)
+        agg = graph_conv(x, adj.matrices, self.w_graph)
         h = relu(self.bn_gc(agg))
         pad_t = (self.kernel_t - 1) // 2
         y = self.bn_tc(conv2d(h, self.w_t, self.b_t,
-                              stride=(self.stride, 1), padding=(pad_t, 0)))
+                              stride=(1, self.stride), padding=(0, pad_t)))
         res = x
         if self.stride == 2:
-            res = slice_(res, (slice(None), slice(None), slice(0, None, 2), slice(None)))
+            res = slice_(res, (..., slice(0, None, 2)))
         if self.w_res is not None:
-            res = self.bn_res(channel_map(res, self.w_res, axis=1))
+            res = self.bn_res(channel_map(res, self.w_res))
         return relu(add(y, res))
 
 
@@ -378,7 +379,11 @@ class GcTcStack(Module):
 
 
 class TeacherModel(Module):
-    """Per-modality GC-TC stacks sharing the adjacency, separate heads."""
+    """Per-modality GC-TC stacks sharing the adjacency, separate heads.
+
+    Each [B, C, T, V] stream is transposed to [B, C, V, T] at entry, so the
+    taps have the student's layout.
+    """
 
     def __init__(self, num_classes: int, topo: SkeletonTopology,
                  plan: LayerPlan = TEACHER_PLAN_TOY,
@@ -403,7 +408,7 @@ class TeacherModel(Module):
             x = bundle[name]
             if not isinstance(x, Tensor):
                 x = Tensor(x)
-            logits[name], taps[name] = stream(x, self.adjacency)
+            logits[name], taps[name] = stream(permute(x, (0, 1, 3, 2)), self.adjacency)
         return logits, taps
 
 
@@ -429,27 +434,26 @@ class FtmBranch(Module):
         self.lif = lif
         self.w_depthwise = Parameter(kaiming_normal(rng, (cat, 3, 3), 9))
         self.w_pointwise = Parameter(kaiming_normal(rng, (cat, cat), cat))
-        self.bn_fuse = BatchNorm(cat, axis=1)
+        self.bn_fuse = BatchNorm(cat)
         self.w_translate = Parameter(kaiming_normal(rng, (cat, target_channels), cat))
-        self.bn_translate = BatchNorm(target_channels, axis=2)
+        self.bn_translate = BatchNorm(target_channels)
 
     def forward(self, taps: Sequence[Tensor]) -> Tensor:
         shapes = {t.shape for t in taps}
         if len(shapes) != 1:
             raise DimensionError(f"teacher tap shapes differ: {sorted(shapes)}")
-        cat = concat(list(taps), axis=1)            # [B, 4C, T, V]
+        cat = concat(list(taps), axis=1)            # [B, 4C, V, T]
         if cat.shape[1] != self.cat_channels:
             raise DimensionError(
                 f"FTM expects {self.cat_channels} concatenated channels, "
                 f"got {cat.shape[1]}")
-        cat = permute(cat, (0, 1, 3, 2))            # [B, 4C, V, T]
         fused = depthwise_conv2d(cat, self.w_depthwise, stride=1, padding=1)
-        fused = channel_map(fused, self.w_pointwise, axis=1)
-        fused = self.bn_fuse(fused)
+        fused = channel_map(fused, self.w_pointwise)
+        fused = self.bn_fuse(fused)                 # [B, 4C, V, T]
         expanded = reshape(fused, (1,) + fused.shape)
         expanded = concat([expanded] * self.spike_steps, axis=0) \
-            if self.spike_steps > 1 else expanded
-        y = channel_map(expanded, self.w_translate, axis=2)
+            if self.spike_steps > 1 else expanded   # [S, B, 4C, V, T]
+        y = channel_map(expanded, self.w_translate)
         y = self.bn_translate(y)
         return sn_layer(y, self.lif)
 

@@ -264,10 +264,7 @@ def _ssa_cost(rec: CostRecorder, layer, h: Tensor, q: Tensor, k: Tensor,
 def _stc_cost(rec: CostRecorder, layer, h_sa: Tensor) -> None:
     s, b, d, v, t = h_sa.shape
     t_out = t // layer.stride
-    flops = count_flops("conv", cout=layer.out_channels, cin=d,
-                        kh=1, kw=layer.kernel_t, hout=v, wout=t_out)
-    if layer.w_proj is not None:
-        flops += layer.channels * layer.out_channels * v * t_out
+    flops = count_flops("conv", cout=d, cin=d, kh=1, kw=layer.kernel_t, hout=v, wout=t_out)
     rec.add("stc", "conv", flops, active_fraction(h_sa))
 
 
@@ -290,6 +287,6 @@ def profile_model(model, bundle_batch: dict, model_kind: str = "mk-sgn",
         model(bundle_batch)
     if was_training:
         model.train()
-    n_m = 4 if model.smf_enabled else 1
+    n_m = len(model.encoders)
     return EnergyReport(model=model_kind, n_m=n_m,
                         spike_steps=model.spike_steps, layers=rec.layers)

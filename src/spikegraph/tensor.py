@@ -826,16 +826,19 @@ def tensor_to_bytes(t: Tensor | np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(blob: bytes) -> Tensor:
-    if blob[:4] != _MAGIC:
-        raise InvalidInputError("bad tensor blob: missing SGT1 magic")
+    """Parse one blob; it must hold exactly the payload its header declares."""
+    if blob[:4] != _MAGIC or len(blob) < 8:
+        raise InvalidInputError("bad tensor blob: missing SGT1 magic or rank")
     (rank,) = struct.unpack_from("<I", blob, 4)
-    shape = struct.unpack_from(f"<{rank}I", blob, 8)
     offset = 8 + 4 * rank
-    count = int(np.prod(shape)) if rank else 1
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    if data.size != count:
-        raise InvalidInputError("bad tensor blob: truncated payload")
-    return Tensor(data.reshape(shape).copy())
+    if len(blob) < offset:
+        raise InvalidInputError(f"bad tensor blob: truncated rank-{rank} shape")
+    shape = struct.unpack_from(f"<{rank}I", blob, 8)
+    count = int(np.prod(shape, dtype=np.int64))
+    if len(blob) - offset != 4 * count:
+        raise InvalidInputError(
+            f"bad tensor blob: {len(blob) - offset} payload bytes for shape {shape}")
+    return Tensor(np.frombuffer(blob, dtype="<f4", offset=offset).reshape(shape).copy())
 
 
 def save_tensor(path, t: Tensor | np.ndarray) -> None:

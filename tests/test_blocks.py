@@ -101,11 +101,11 @@ class TestPartitionBranches:
             assert spectral_radius(adj.matrices[k]) <= 1.0 + 1e-6
 
 
-# (x shape, channel axis, joint axis, per-branch einsum) for the student's
-# [S, B, D, V, T] and the teacher's [B, C, T, V] layouts
+# (x shape, per-branch einsum) for the two ranks of the one feature layout
+# [..., C, V, T]: the student's [S, B, C, V, T] and the teacher's [B, C, V, T]
 GRAPH_LAYOUTS = {
-    "student": ((2, 3, 4, 5, 3), 2, 3, "sbdut,vu,de->sbevt"),
-    "teacher": ((3, 4, 3, 5), 1, 3, "bdtu,vu,de->betv"),
+    "student": ((2, 3, 4, 5, 3), "sbdut,vu,de->sbevt"),
+    "teacher": ((3, 4, 5, 3), "bdut,vu,de->bevt"),
 }
 
 
@@ -118,9 +118,9 @@ def _weighted_sum(out, seed):
 
 class TestGraphConv:
     def _operands(self, layout, seed=0):
-        shape, c_ax, v_ax, _ = GRAPH_LAYOUTS[layout]
+        shape, _ = GRAPH_LAYOUTS[layout]
         rng = np.random.default_rng(seed)
-        d, v, k, d_out = shape[c_ax], shape[v_ax], 3, 6
+        d, v, k, d_out = shape[-3], shape[-2], 3, 6
         x = rng.normal(size=shape).astype(np.float32)
         adj = rng.uniform(size=(k, v, v)).astype(np.float32)  # not symmetric
         w = rng.normal(size=(k, d, d_out)).astype(np.float32)
@@ -128,9 +128,9 @@ class TestGraphConv:
 
     @pytest.mark.parametrize("layout", sorted(GRAPH_LAYOUTS))
     def test_matches_per_branch_reference(self, layout):
-        _, c_ax, v_ax, spec = GRAPH_LAYOUTS[layout]
+        _, spec = GRAPH_LAYOUTS[layout]
         x, adj, w = self._operands(layout)
-        got = graph_conv(Tensor(x), adj, Tensor(w), c_ax, v_ax).data
+        got = graph_conv(Tensor(x), adj, Tensor(w)).data
         ref = sum(np.einsum(spec, x.astype(np.float64), adj[k].astype(np.float64),
                             w[k].astype(np.float64)) for k in range(adj.shape[0]))
         assert got.shape == ref.shape
@@ -138,12 +138,11 @@ class TestGraphConv:
 
     @pytest.mark.parametrize("layout", sorted(GRAPH_LAYOUTS))
     def test_gradient_matches_fd(self, layout):
-        _, c_ax, v_ax, _ = GRAPH_LAYOUTS[layout]
         x0, adj, w0 = self._operands(layout, seed=1)
         adj = adj.astype(np.float64)
 
         def f(x, w):
-            return _weighted_sum(graph_conv(x, adj, w, c_ax, v_ax), seed=2)
+            return _weighted_sum(graph_conv(x, adj, w), seed=2)
 
         report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
         assert report.passed, report
@@ -151,20 +150,21 @@ class TestGraphConv:
     def test_shape_mismatch_rejected(self):
         x, adj, w = self._operands("student")
         with pytest.raises(DimensionError):
-            graph_conv(Tensor(x), adj[:2], Tensor(w), 2, 3)
+            graph_conv(Tensor(x), adj[:2], Tensor(w))
         with pytest.raises(DimensionError):
-            graph_conv(Tensor(x), adj, Tensor(w), 3, 2)
+            graph_conv(Tensor(x.swapaxes(-3, -2)), adj, Tensor(w))
 
 
 class TestChannelMap:
-    @pytest.mark.parametrize("axis,shape", [(1, (3, 4, 2, 5)), (2, (2, 3, 4, 5, 2))])
-    def test_gradient_matches_fd(self, axis, shape):
-        rng = np.random.default_rng(axis)
+    @pytest.mark.parametrize("layout", sorted(GRAPH_LAYOUTS))
+    def test_gradient_matches_fd(self, layout):
+        shape, _ = GRAPH_LAYOUTS[layout]
+        rng = np.random.default_rng(len(shape))
         x0 = rng.normal(size=shape).astype(np.float32)
-        w0 = rng.normal(size=(4, 3)).astype(np.float32)
+        w0 = rng.normal(size=(shape[-3], 3)).astype(np.float32)
 
         def f(x, w):
-            return _weighted_sum(channel_map(x, w, axis), seed=3)
+            return _weighted_sum(channel_map(x, w), seed=3)
 
         report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
         assert report.passed, report

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import jsonschema
 import numpy as np
@@ -86,6 +87,33 @@ def test_truncated_checkpoint_is_a_data_error(tmp_path, tiny_data, capsys, cut):
     code, err = _eval(tmp_path, tiny_data, ckpt, capsys)
     assert code == cli.EXIT_DATA
     assert "truncated checkpoint" in err and "Traceback" not in err
+
+
+def _flip_plan_hash(raw):
+    raw[12] = 0xFF                  # magic, version, hash length, then the hash
+
+
+def _flip_name(raw):
+    raw[raw.index(b"head.bias")] = 0xFF
+
+
+def _grow_first_blob(raw):
+    """Declare one more row than the first blob's payload holds."""
+    shape_at = raw.index(b"SGT1") + 8
+    (rows,) = struct.unpack_from("<I", raw, shape_at)
+    struct.pack_into("<I", raw, shape_at, rows + 1)
+
+
+@pytest.mark.parametrize("corrupt", [_flip_plan_hash, _flip_name, _grow_first_blob],
+                         ids=["plan_hash", "name", "blob_shape"])
+def test_corrupt_checkpoint_is_a_data_error(tmp_path, tiny_data, capsys, corrupt):
+    ckpt = _save_student(tmp_path / "student.ckpt")
+    raw = bytearray(ckpt.read_bytes())
+    corrupt(raw)
+    ckpt.write_bytes(bytes(raw))
+    code, err = _eval(tmp_path, tiny_data, ckpt, capsys)
+    assert code == cli.EXIT_DATA
+    assert "corrupt checkpoint" in err and "Traceback" not in err
 
 
 def test_threshold_mismatch_is_rejected(tmp_path, tiny_data, capsys):

@@ -10,8 +10,8 @@ from spikegraph.data import (FormatError, SkeletonTopology, preprocess_sequences
                              synthesize)
 from spikegraph.encoding import SscEncoder
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
-from spikegraph.network import (GcTcUnit, Trainer, batch_tensors, load_model,
-                                save_model)
+from spikegraph.network import (TEACHER_TAP_LAYERS, GcTcUnit, TeacherModel, Trainer,
+                                batch_tensors, load_model, save_model)
 from spikegraph.tensor import InvalidInputError
 
 CLASSES = 4
@@ -51,8 +51,9 @@ class TestTrainStep:
         trainer = Trainer(model, None, labels, cfg.train_settings(),
                           loss_weights=cfg.loss_weights())
         trainer.train_step(batch, labels)
-        want = model.encoders if smf_enabled else [model.encoders[1]]  # joint stream
-        assert calls == want
+        assert calls == model.encoders
+        assert len(model.encoders) == (4 if smf_enabled else 1)  # the joint stream
+        assert (model.smf is None) == (not smf_enabled)
 
 
 class TestGraphWeights:
@@ -64,6 +65,19 @@ class TestGraphWeights:
             names = [n for n, _ in layer.named_parameters() if n.startswith("w_")]
             assert "w_graph" in names and not any("branch" in n for n in names)
             assert layer.w_graph.shape == (3, cin, cout)
+
+
+class TestTeacherLayout:
+    def test_taps_have_the_student_layout(self, trained):
+        _, topo, _, batch = trained
+        teacher = TeacherModel(CLASSES, topo, rng=np.random.default_rng(0))
+        unit = teacher.streams[0].units[0]
+        assert unit.w_t.shape == (unit.out_channels, unit.out_channels, 1, unit.kernel_t)
+        b, _, t, v = batch["joint"].shape
+        _, taps = teacher(batch)
+        for layer, frames in zip(TEACHER_TAP_LAYERS, (t // 2, t // 4)):
+            width = teacher.plan.widths[layer - 1]
+            assert taps["joint"][layer].shape == (b, width, v, frames)
 
 
 class TestCheckpoint:

@@ -435,3 +435,9 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(InvalidInputError):
             tensor_from_bytes(b"NOPE" + b"\x00" * 16)
+
+    def test_payload_must_match_header(self):
+        blob = tensor_to_bytes(Tensor(rand(3, 4, seed=51)))
+        for bad in (blob[:6], blob[:10], blob[:-4], blob + b"\0" * 4):
+            with pytest.raises(InvalidInputError, match="bad tensor blob"):
+                tensor_from_bytes(bad)
