@@ -3,13 +3,12 @@ and spiking temporal conv.
 
 Every feature, student or teacher, is laid out [..., C, V, T]: channels at
 axis -3, joints at -2, frames at -1, behind any leading axes (the student's
-[S, B], the teacher's [B]).  Channel maps act on axis -3; adjacency acts on
-the joint axis; the temporal conv slides over T.
+[S, B], the teacher's [B]).  Channel maps act on axis -3; the adjacency,
+one adj[K, V, V] array of K normalized branches, acts on the joint axis;
+the temporal conv slides over T.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,29 +38,9 @@ def normalize_adjacency(adj: np.ndarray, add_self_loops: bool = True) -> np.ndar
     return d_inv_sqrt[:, None] * a_tilde * d_inv_sqrt[None, :]
 
 
-@dataclass(frozen=True)
-class AdjacencySet:
-    """K normalized V x V branch matrices: [self, inward, outward]."""
-
-    matrices: np.ndarray  # [K, V, V]
-    branch_names: tuple[str, ...] = ("self", "inward", "outward")
-
-    @property
-    def num_branches(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def num_joints(self) -> int:
-        return self.matrices.shape[1]
-
-    def permuted(self, perm: np.ndarray) -> "AdjacencySet":
-        """Conjugate every branch by a joint relabeling."""
-        mats = self.matrices[:, perm][:, :, perm]
-        return AdjacencySet(np.ascontiguousarray(mats), self.branch_names)
-
-
-def partition_branches(topo: SkeletonTopology) -> AdjacencySet:
-    """Self / inward (child->parent) / outward branch split, each normalized.
+def partition_branches(topo: SkeletonTopology) -> np.ndarray:
+    """Self / inward (child->parent) / outward branches, each normalized,
+    stacked as adj[K=3, V, V].
 
     The self branch is the normalized identity; the directional branches
     are normalized without extra self-loops (identity is its own branch),
@@ -72,12 +51,11 @@ def partition_branches(topo: SkeletonTopology) -> AdjacencySet:
     for child, parent in topo.edges:
         inward[parent, child] = 1.0  # message flows child -> parent
     outward = inward.T.copy()
-    mats = np.stack([
+    return np.stack([
         normalize_adjacency(np.zeros((v, v), dtype=np.float32), add_self_loops=True),
         normalize_adjacency(inward, add_self_loops=False),
         normalize_adjacency(outward, add_self_loops=False),
     ])
-    return AdjacencySet(mats)
 
 
 def channel_map(x: Tensor, w: Tensor) -> Tensor:
@@ -164,12 +142,12 @@ class SaSgcLayer(Module):
         self.bn_k = BatchNorm(out_channels)
         self.bn_v = BatchNorm(out_channels)
 
-    def sgc(self, x: Tensor, adj: AdjacencySet) -> Tensor:
+    def sgc(self, x: Tensor, adj: np.ndarray) -> Tensor:
         """H = SN(BN(x W_r)) + SN(BN(sum_k A_k x W_k)); values in {0,1,2}."""
         if x.ndim != 5:
             raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
         record_cost("sgc", self, x)
-        agg = graph_conv(x, adj.matrices, self.w_graph)
+        agg = graph_conv(x, adj, self.w_graph)
         branch = sn_layer(self.bn_branches(agg), self.lif)
         residual = sn_layer(self.bn_residual(channel_map(x, self.w_residual)), self.lif)
         return add(residual, branch)
@@ -239,6 +217,6 @@ class StcLayer(Module):
 
 
 def sa_sgc_stc_block(x: Tensor, sgc_layer: SaSgcLayer, stc_layer: StcLayer,
-                     adj: AdjacencySet) -> Tensor:
+                     adj: np.ndarray) -> Tensor:
     """One student block: graph conv -> self-attention -> temporal conv."""
     return stc_layer(sgc_layer.ssa(sgc_layer.sgc(x, adj)))

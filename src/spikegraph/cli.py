@@ -166,23 +166,20 @@ def cmd_train(cfg: RunConfig, args) -> int:
                             model.lif, np.random.default_rng(seed + 2))
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    metrics_fh = open(metrics_path, "w")
+    with open(metrics_path, "w") as metrics_fh:
+        def write_metrics(m):
+            record = {k: v for k, v in m.items() if k != "rates"}
+            record["rates"] = {k: round(v, 6) for k, v in m["rates"].items()}
+            metrics_fh.write(json.dumps(record) + "\n")
 
-    def write_metrics(m):
-        record = {k: v for k, v in m.items() if k != "rates"}
-        record["rates"] = {k: round(v, 6) for k, v in m["rates"].items()}
-        metrics_fh.write(json.dumps(record) + "\n")
-
-    trainer = Trainer(model, tr_bundle, tr_labels, cfg.train_settings(kd),
-                      loss_weights=cfg.loss_weights(), teacher=teacher,
-                      ftm=ftm, metrics_writer=write_metrics)
-    try:
-        history = trainer.run()
-    except DivergenceError as err:
-        metrics_fh.close()
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    metrics_fh.close()
+        trainer = Trainer(model, tr_bundle, tr_labels, cfg.train_settings(kd),
+                          loss_weights=cfg.loss_weights(), teacher=teacher,
+                          ftm=ftm, metrics_writer=write_metrics)
+        try:
+            history = trainer.run()
+        except DivergenceError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_DIVERGED
 
     ckpt_path = os.path.join(out_dir, "student.ckpt")
     save_model(ckpt_path, model, model.plan_hash())

@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -370,18 +370,6 @@ def preprocess_sequences(sequences: Sequence[SkeletonSequence], target_t: int,
     return ModalityBundle(**batched), np.asarray(labels, dtype=np.int64)
 
 
-def preprocess_batch(sequences: Sequence[SkeletonSequence], target_t: int,
-                     batch_size: int, topo: Optional[SkeletonTopology] = None,
-                     ) -> Iterator[tuple[ModalityBundle, np.ndarray]]:
-    """Yield fixed-size batches of modality tensors in input order."""
-    bundle, labels = preprocess_sequences(sequences, target_t, topo)
-    n = labels.shape[0]
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        yield (ModalityBundle(**{k: v[sl] for k, v in bundle.as_dict().items()}),
-               labels[sl])
-
-
 # ---------------------------------------------------------------------------
 # Dataset on disk + cache
 # ---------------------------------------------------------------------------
@@ -425,13 +413,16 @@ def load_dataset(in_dir: str) -> tuple[list[SkeletonSequence], list[SkeletonSequ
     manifest_path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise InvalidInputError(f"no manifest.json under {in_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
     train, test = [], []
-    for entry in manifest["samples"]:
-        joints = load_tensor(os.path.join(in_dir, entry["file"])).data
-        seq = SkeletonSequence(joints=joints, label=entry["label"])
-        (train if entry["split"] == "train" else test).append(seq)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        for entry in manifest["samples"]:
+            joints = load_tensor(os.path.join(in_dir, entry["file"])).data
+            seq = SkeletonSequence(joints=joints, label=entry["label"])
+            (train if entry["split"] == "train" else test).append(seq)
+    except (ValueError, KeyError, TypeError, OSError) as err:
+        raise FormatError(f"corrupt dataset {in_dir}: {err!r}") from err
     return train, test, manifest
 
 
@@ -453,6 +444,8 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
     Parsed joint tensors are cached as SGT1 blobs keyed by the file content
     hash when a cache directory is configured.
     """
+    if not os.path.isdir(data_dir):
+        raise InvalidInputError(f"no such dataset directory: {data_dir}")
     cache_dir = default_cache_dir(cache_dir)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)

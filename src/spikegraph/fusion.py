@@ -4,8 +4,9 @@ Six recurrent estimators (one per unordered modality pair) score joint
 versus spike-step-shuffled concatenations; the Donsker-Varadhan bound per
 pair fills a symmetric 4x4 matrix whose row averages are min-max scaled
 into fusion weights.  Estimators train by gradient ascent on the bound
-through their own optimizer; the weights enter the task network as
-constants.
+through their own optimizer, and a running average of the bounds drives
+the weights: uniform during a burn-in of ascent steps, then the min-max
+scaled row averages.  The weights enter the task network as constants.
 """
 
 from __future__ import annotations
@@ -67,12 +68,10 @@ class SmicNet(Module):
         self.fc_w = Parameter(uniform_init(rng, (hidden, 1), hidden))
         self.fc_b = Parameter(np.zeros(1, dtype=np.float32))
 
-    def forward(self, x: Tensor, exponential: bool = False) -> Tensor:
-        """x[S, B, 2D, V, T] (or unbatched rank 4) -> per-sample scalar [B]."""
+    def forward(self, x: Tensor) -> Tensor:
+        """x[S, B, 2D, V, T] -> per-sample scalar [B]."""
         from .tensor import lstm_cell
 
-        if x.ndim == 4:
-            x = reshape(x, (x.shape[0], 1) + x.shape[1:])
         s, b, c, v, t = x.shape
         if c != self.in_channels:
             raise DimensionError(
@@ -90,10 +89,7 @@ class SmicNet(Module):
         spikes = sn_layer(hidden_seq, self.lif)
         tokens = permute(spikes, (0, 1, 3, 2))         # [S,B,T,H]
         logits = add(matmul(tokens, self.fc_w), self.fc_b)  # [S,B,T,1]
-        pooled_out = mean(logits, axis=(0, 2, 3))      # [B]
-        if exponential:
-            return exp(pooled_out)
-        return pooled_out
+        return mean(logits, axis=(0, 2, 3))            # [B]
 
 
 def mi_lower_bound(t_vals: Tensor, et_vals: Tensor) -> Tensor:
@@ -143,7 +139,7 @@ class FusionWeights:
 def compute_mi_weights(mi: MiMatrix) -> FusionWeights:
     """Row-average the MI matrix, then min-max scale to [0, 1].
 
-    When all averaged values coincide (e.g. untrained estimators) the
+    When all averaged values coincide (e.g. an all-zero matrix) the
     min-max step is undefined; uniform weights of 1 are returned with the
     degenerate flag set, reducing the fusion to an unweighted sum.
     """
@@ -209,7 +205,7 @@ class SpikeMultimodalFusion(Module):
     def pair_bound(self, p_a: Tensor, p_b: Tensor, estimator: SmicNet,
                    seed: int) -> Tensor:
         t_vals = estimator(make_joint(p_a, p_b))
-        et_vals = estimator(make_marginal(p_a, p_b, seed), exponential=True)
+        et_vals = exp(estimator(make_marginal(p_a, p_b, seed)))
         return mi_lower_bound(t_vals, et_vals)
 
     @property
@@ -245,28 +241,16 @@ class SpikeMultimodalFusion(Module):
         self.mi_ema_count[0] += 1
         return bounds
 
-    def mi_matrix(self, spikes: list[Tensor], seed: int | None = None) -> MiMatrix:
-        """Evaluate all pairwise bounds without touching gradients."""
-        detached = [t.detach() for t in spikes]
-        if seed is None:
-            seed = self._shuffle_seed + self._counter
-        pair_values = {}
-        for est, (i, j) in zip(self.estimators, self.PAIRS):
-            bound = self.pair_bound(detached[i], detached[j], est, seed)
-            pair_values[(i, j)] = float(bound.data)
-        return MiMatrix.from_pairs(pair_values)
+    def weights(self, spikes: list[Tensor]) -> FusionWeights:
+        """Fusion weights in two phases.
 
-    def weights(self, spikes: list[Tensor], seed: int | None = None) -> FusionWeights:
-        """Fusion weights from the smoothed matrix.
-
-        Until the estimators have taken ``burn_in_steps`` ascent steps
-        their bounds are treated as uninformative (degenerate case:
-        uniform weights), which keeps the downstream input distribution
-        stable while the estimators warm up.
+        Until the estimators have taken ``burn_in_steps`` ascent steps their
+        bounds are uninformative, so the weights are uniform and flagged
+        degenerate, which keeps the downstream input distribution stable
+        while the estimators warm up.  From then on they come from the
+        smoothed matrix ``mi_ema``.  ``spikes`` only feed the cost recorder.
         """
         record_cost("smic", self, *spikes)
         if self.mi_ema_count[0] >= self.burn_in_steps:
             return compute_mi_weights(MiMatrix(self.mi_ema.astype(np.float64)))
-        if self.mi_ema_count[0] > 0:
-            return FusionWeights(np.ones(4, dtype=np.float32), degenerate=True)
-        return compute_mi_weights(self.mi_matrix(spikes, seed))
+        return FusionWeights(np.ones(4, dtype=np.float32), degenerate=True)

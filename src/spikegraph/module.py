@@ -73,10 +73,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: p.data.copy() for name, p in self.named_parameters()}
         state.update({"buffer:" + name: arr.copy() for name, arr in self.named_buffers()})
@@ -124,18 +120,15 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, bias: bool = True):
+                 rng: np.random.Generator):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(uniform_init(rng, (out_features, in_features), in_features))
-        self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
+        self.bias = Parameter(np.zeros(out_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = matmul(x, permute(self.weight, (1, 0)))
-        if self.bias is not None:
-            out = add(out, self.bias)
-        return out
+        return add(matmul(x, permute(self.weight, (1, 0))), self.bias)
 
 
 class BatchNorm(Module):

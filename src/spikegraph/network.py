@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import (AdjacencySet, SaSgcLayer, StcLayer, channel_map,
-                     graph_conv, partition_branches, sa_sgc_stc_block)
+from .blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv,
+                     partition_branches, sa_sgc_stc_block)
 from .data import ModalityBundle, SkeletonTopology
 from .encoding import SscConfig, SscEncoder
 from .fusion import (MODALITY_ORDER, FusionWeights, SpikeMultimodalFusion,
@@ -26,11 +26,11 @@ from .fusion import (MODALITY_ORDER, FusionWeights, SpikeMultimodalFusion,
 from .module import (BatchNorm, Linear, Module, Parameter, SGD,
                      kaiming_normal, load_checkpoint, save_checkpoint)
 from .neurons import LifConfig, sn_layer
-from .profiler import record_cost
+from .profiler import active_fraction, record_cost
 from .tensor import (DimensionError, InvalidInputError, Tape, Tensor, add,
                      backward, concat, conv2d, depthwise_conv2d, div, exp, log,
-                     max_, mean, mul, permute, relu, reshape, scale, slice_,
-                     sqrt, sub, sum_)
+                     max_, mean, mul, permute, relu, repeat0, reshape, scale,
+                     slice_, sqrt, sub, sum_)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +129,7 @@ def aggregate_soft_labels(y_b: Tensor, y_j: Tensor, y_bm: Tensor, y_jm: Tensor,
     shapes = {y.shape for y in ys}
     if len(shapes) != 1:
         raise DimensionError(f"soft label shapes differ: {sorted(shapes)}")
-    a = ys[0] if weights.alpha[0] == 1.0 else scale(ys[0], weights.alpha[0])
-    b = ys[1] if weights.alpha[1] == 1.0 else scale(ys[1], weights.alpha[1])
-    c = ys[2] if weights.alpha[2] == 1.0 else scale(ys[2], weights.alpha[2])
-    d = ys[3] if weights.alpha[3] == 1.0 else scale(ys[3], weights.alpha[3])
+    a, b, c, d = (scale(y, w) for y, w in zip(ys, weights.alpha))
     return add(add(a, b), add(c, d))
 
 
@@ -183,7 +180,7 @@ def total_loss(l_task: Tensor, l_sdk: Optional[Tensor],
     """gamma-weighted combination; zero-weighted terms are skipped so the
     task-only configuration is bit-identical to gamma1 * task loss."""
     g1, g2, g3 = weights.gamma
-    out = l_task if g1 == 1.0 else scale(l_task, g1)
+    out = scale(l_task, g1)
     if g2 != 0.0 and l_sdk is not None:
         out = add(out, scale(l_sdk, g2))
     if g3 != 0.0 and (l_fkd1 is not None or l_fkd2 is not None):
@@ -195,7 +192,7 @@ def total_loss(l_task: Tensor, l_sdk: Optional[Tensor],
             term = scale(l_fkd2, b2)
             fkd = term if fkd is None else add(fkd, term)
         if fkd is not None:
-            out = add(out, fkd if g3 == 1.0 else scale(fkd, g3))
+            out = add(out, scale(fkd, g3))
     return out
 
 
@@ -235,7 +232,7 @@ class MkSgnModel(Module):
         self.sgc_layers = []
         self.stc_layers = []
         for (cin, cout), stride in zip(plan.pairs(), plan.strides):
-            self.sgc_layers.append(SaSgcLayer(cin, cout, self.adjacency.num_branches,
+            self.sgc_layers.append(SaSgcLayer(cin, cout, len(self.adjacency),
                                               lif, rng, attention_scale))
             self.stc_layers.append(StcLayer(cout, lif, rng, kernel_t=temporal_kernel,
                                             stride=stride))
@@ -292,7 +289,7 @@ class MkSgnModel(Module):
         taps: dict[int, Tensor] = {}
         for i, (sgc, stc) in enumerate(zip(self.sgc_layers, self.stc_layers), start=1):
             x = sa_sgc_stc_block(x, sgc, stc, self.adjacency)
-            rates[f"block{i}"] = float((x.data != 0).mean())
+            rates[f"block{i}"] = active_fraction(x)
             if i in STUDENT_TAP_LAYERS:
                 taps[i] = x
         final = sn_layer(x, self.lif)
@@ -344,8 +341,8 @@ class GcTcUnit(Module):
                 rng, (in_channels, out_channels), in_channels))
             self.bn_res = BatchNorm(out_channels)
 
-    def forward(self, x: Tensor, adj: AdjacencySet) -> Tensor:
-        agg = graph_conv(x, adj.matrices, self.w_graph)
+    def forward(self, x: Tensor, adj: np.ndarray) -> Tensor:
+        agg = graph_conv(x, adj, self.w_graph)
         h = relu(self.bn_gc(agg))
         pad_t = (self.kernel_t - 1) // 2
         y = self.bn_tc(conv2d(h, self.w_t, self.b_t,
@@ -368,7 +365,7 @@ class GcTcStack(Module):
                       for (cin, cout), stride in zip(plan.pairs(), plan.strides)]
         self.fc = Linear(plan.widths[-1], num_classes, rng)
 
-    def forward(self, x: Tensor, adj: AdjacencySet) -> tuple[Tensor, dict[int, Tensor]]:
+    def forward(self, x: Tensor, adj: np.ndarray) -> tuple[Tensor, dict[int, Tensor]]:
         taps: dict[int, Tensor] = {}
         for i, unit in enumerate(self.units, start=1):
             x = unit(x, adj)
@@ -394,7 +391,7 @@ class TeacherModel(Module):
         self.plan = plan
         self.topo = topo
         self.adjacency = partition_branches(topo)
-        self.streams = [GcTcStack(num_classes, plan, self.adjacency.num_branches,
+        self.streams = [GcTcStack(num_classes, plan, len(self.adjacency),
                                   rng, kernel_t) for _ in MODALITY_ORDER]
 
     def plan_hash(self) -> str:
@@ -450,9 +447,7 @@ class FtmBranch(Module):
         fused = depthwise_conv2d(cat, self.w_depthwise, stride=1, padding=1)
         fused = channel_map(fused, self.w_pointwise)
         fused = self.bn_fuse(fused)                 # [B, 4C, V, T]
-        expanded = reshape(fused, (1,) + fused.shape)
-        expanded = concat([expanded] * self.spike_steps, axis=0) \
-            if self.spike_steps > 1 else expanded   # [S, B, 4C, V, T]
+        expanded = repeat0(fused, self.spike_steps)  # [S, B, 4C, V, T]
         y = channel_map(expanded, self.w_translate)
         y = self.bn_translate(y)
         return sn_layer(y, self.lif)
@@ -546,12 +541,10 @@ class Trainer:
         self.teacher = teacher
         self.ftm = ftm
         self.metrics_writer = metrics_writer
-        if settings.kd and (teacher is None or ftm is None) and \
-                ("feature" in settings.kd or "soft" in settings.kd):
-            if teacher is None:
-                raise InvalidInputError("distillation requested but no teacher given")
-            if "feature" in settings.kd and ftm is None:
-                raise InvalidInputError("feature distillation requested but no FTM")
+        if settings.kd and teacher is None:
+            raise InvalidInputError("distillation requested but no teacher given")
+        if "feature" in settings.kd and ftm is None:
+            raise InvalidInputError("feature distillation requested but no FTM")
         params = model.task_parameters()
         if ftm is not None and "feature" in settings.kd:
             params = params + ftm.parameters()

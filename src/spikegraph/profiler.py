@@ -104,19 +104,18 @@ def energy_ann(flops_total: float) -> float:
     return float(flops_total) * E_MAC_PJ * 1e-9
 
 
-def energy_snn(layers: list[LayerCost], model_kind: str = "mk-sgn",
-               n_m: int = 4) -> float:
+def energy_snn(layers: list[LayerCost], n_m: int) -> float:
     """Mixed MAC/AC energy in millijoules.
 
-    The spike-encoding conv is MAC-costed once (scaled by the modality
-    count for the fused model); every other layer contributes
-    spike-gated accumulates at 0.9 pJ.
+    The spike-encoding conv is MAC-costed once per encoded modality
+    (``n_m``); every other layer contributes spike-gated accumulates at
+    0.9 pJ.
     """
     fire = [c for c in layers if c.is_fire]
     if not fire:
         raise InvalidInputError("layer list has no first-encoding-layer marker")
     fl1 = fire[0].flops
-    mac_term = (n_m if model_kind == "mk-sgn" else 1) * E_MAC_PJ * fl1
+    mac_term = n_m * E_MAC_PJ * fl1
     ac_sops = sum(c.sops for c in layers if not c.is_fire)
     return (mac_term + E_AC_PJ * ac_sops) * 1e-9
 
@@ -140,7 +139,7 @@ class EnergyReport:
 
     @property
     def energy_mj(self) -> float:
-        return energy_snn(self.layers, self.model, self.n_m)
+        return energy_snn(self.layers, self.n_m)
 
     @property
     def ann_equivalent_mj(self) -> float:
@@ -278,8 +277,7 @@ _SITES = {"encoder": _encoder_cost, "smic": _smic_cost, "sgc": _sgc_cost,
           "ssa": _ssa_cost, "stc": _stc_cost, "head": _head_cost}
 
 
-def profile_model(model, bundle_batch: dict, model_kind: str = "mk-sgn",
-                  ) -> EnergyReport:
+def profile_model(model, bundle_batch: dict) -> EnergyReport:
     """One eval-mode forward pass with a cost recorder active."""
     was_training = model.training
     model.eval()
@@ -288,5 +286,5 @@ def profile_model(model, bundle_batch: dict, model_kind: str = "mk-sgn",
     if was_training:
         model.train()
     n_m = len(model.encoders)
-    return EnergyReport(model=model_kind, n_m=n_m,
+    return EnergyReport(model="mk-sgn", n_m=n_m,
                         spike_steps=model.spike_steps, layers=rec.layers)

@@ -2,8 +2,8 @@
 
 The operator vocabulary is deliberately closed: matmul, conv2d (plus a
 depthwise variant), batch_norm, lstm_cell, elementwise arithmetic
-(add/sub/mul/div/scale/exp/log/sqrt/relu), reductions (sum/mean/max),
-shape ops (reshape/permute/concat/slice/repeat/take), and softmax.
+(add/sub/mul/div/scale/exp/log/sqrt/relu), reductions (sum/mean/max)
+and shape ops (reshape/permute/concat/slice/repeat/take).
 Modules may register further ops through ``record_op`` (the spiking
 threshold lives in ``neurons``).  Everything runs on numpy arrays,
 float32 by default; the finite-difference oracle promotes to float64.
@@ -140,78 +140,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor._wrap(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{req})"
 
-    # -- operator sugar -----------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims=False):
-        return max_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def permute(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return permute(self, axes)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -393,10 +330,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    out2 = out
-    record_op(inputs, (out2,), backward)
-    return out2
+    record_op((x, w) if bias is None else (x, w, bias), (out,), backward)
+    return out
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
@@ -655,11 +590,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
-
-
 def slice_(x: Tensor, key) -> Tensor:
     out = Tensor._wrap(x.data[key])
 
@@ -688,24 +618,6 @@ def take0(x: Tensor, indices: np.ndarray) -> Tensor:
         gx = np.zeros_like(x.data)
         np.add.at(gx, indices, g)
         return (gx,)
-
-    record_op((x,), (out,), backward)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# softmax
-# ---------------------------------------------------------------------------
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._wrap(y.astype(x.data.dtype))
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((y * (g - dot)).astype(x.data.dtype),)
 
     record_op((x,), (out,), backward)
     return out

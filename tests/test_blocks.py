@@ -72,7 +72,7 @@ class TestPartitionBranches:
     def test_self_branch_is_identity(self):
         for topo in (SkeletonTopology.ntu25(), SkeletonTopology.ucla20()):
             adj = partition_branches(topo)
-            np.testing.assert_allclose(adj.matrices[0], np.eye(topo.num_joints),
+            np.testing.assert_allclose(adj[0], np.eye(topo.num_joints),
                                        atol=1e-7)
 
     def test_two_joint_chain_inward_single_edge(self):
@@ -96,9 +96,9 @@ class TestPartitionBranches:
 
     def test_branch_count_and_radius(self):
         adj = partition_branches(SkeletonTopology.ntu25())
-        assert adj.num_branches == 3
+        assert adj.shape == (3, 25, 25)
         for k in range(3):
-            assert spectral_radius(adj.matrices[k]) <= 1.0 + 1e-6
+            assert spectral_radius(adj[k]) <= 1.0 + 1e-6
 
 
 # (x shape, per-branch einsum) for the two ranks of the one feature layout
@@ -307,7 +307,7 @@ class TestFullBlock:
         base = sa_sgc_stc_block(Tensor(x_np), sgc, stc, adj).data
         for _ in range(5):
             perm = rng.permutation(20)
-            adj_p = adj.permuted(perm)
+            adj_p = adj[:, perm][:, :, perm]
             x_p = Tensor(x_np[:, :, :, perm, :])
             out_p = sa_sgc_stc_block(x_p, sgc, stc, adj_p).data
             np.testing.assert_array_equal(out_p, base[:, :, :, perm, :])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import struct
 
 import jsonschema
@@ -114,6 +115,50 @@ def test_corrupt_checkpoint_is_a_data_error(tmp_path, tiny_data, capsys, corrupt
     code, err = _eval(tmp_path, tiny_data, ckpt, capsys)
     assert code == cli.EXIT_DATA
     assert "corrupt checkpoint" in err and "Traceback" not in err
+
+
+def _not_json(data_dir):
+    (data_dir / "manifest.json").write_text("{not json")
+
+
+def _no_samples(data_dir):
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    del manifest["samples"]
+    (data_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _missing_sample(data_dir):
+    sample = sorted((data_dir / "samples").iterdir())[0]
+    sample.unlink()
+
+
+def _truncated_sample(data_dir):
+    sample = sorted((data_dir / "samples").iterdir())[0]
+    sample.write_bytes(sample.read_bytes()[:-4])
+
+
+@pytest.mark.parametrize("corrupt", [_not_json, _no_samples, _missing_sample,
+                                     _truncated_sample],
+                         ids=["not_json", "no_samples", "missing_sample",
+                              "truncated_sample"])
+def test_corrupt_dataset_is_a_data_error(tmp_path, tiny_data, capsys, corrupt):
+    data_dir = tmp_path / "data"
+    shutil.copytree(tiny_data, data_dir)
+    corrupt(data_dir)
+    ckpt = _save_student(tmp_path / "student.ckpt")
+    code, err = _eval(tmp_path, str(data_dir), ckpt, capsys)
+    assert code == cli.EXIT_DATA
+    assert "corrupt dataset" in err and "Traceback" not in err
+
+
+def test_missing_skeleton_dir_is_a_clean_error(tmp_path, capsys):
+    config = _write_config(tmp_path / "ntu.yaml", {"dataset": {"kind": "ntu_dir"}})
+    ckpt = _save_student(tmp_path / "student.ckpt")
+    code = cli.main(["--config", config, "--out", str(tmp_path / "run"), "eval",
+                     str(ckpt), "--data", str(tmp_path / "absent")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "no such dataset directory" in err and "Traceback" not in err
 
 
 def test_threshold_mismatch_is_rejected(tmp_path, tiny_data, capsys):

@@ -8,7 +8,7 @@ from spikegraph.data import (FormatError, ModalityBundle, ParseError,
                              center_sequence, derive_modalities,
                              label_from_filename, load_dataset,
                              load_skeleton_dir, manifest_hash, parse_ntu,
-                             preprocess_batch, preprocess_sequences,
+                             preprocess_sequences,
                              resample_frames, save_synth_dataset, synthesize)
 from spikegraph.tensor import InvalidInputError, tensor_to_bytes, tensor_from_bytes
 
@@ -207,14 +207,13 @@ class TestPreprocess:
         bundle, labels = preprocess_sequences(seqs, target_t=8, topo=topo)
         np.testing.assert_allclose(bundle.joint[:, :, 0, topo.root], 0.0, atol=1e-5)
 
-    def test_batching_shapes_and_no_nans(self):
+    def test_stacked_shapes_and_no_nans(self):
         seqs, _ = synthesize(3, samples_per_class=4, frames=20, seed=5)
-        batches = list(preprocess_batch(seqs, target_t=16, batch_size=5))
-        assert sum(lbl.shape[0] for _, lbl in batches) == 12
-        for bundle, labels in batches:
-            for arr in bundle.as_dict().values():
-                assert arr.shape[1:] == (3, 16, 25)
-                assert np.isfinite(arr).all()
+        bundle, labels = preprocess_sequences(seqs, target_t=16)
+        assert labels.shape == (12,)
+        for arr in bundle.as_dict().values():
+            assert arr.shape == (12, 3, 16, 25)
+            assert np.isfinite(arr).all()
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -10,7 +10,8 @@ from spikegraph.fusion import (MODALITY_ORDER, FusionWeights, MiMatrix,
 from spikegraph.module import Adam
 from spikegraph.neurons import LifConfig
 from spikegraph.tensor import (DimensionError, InvalidInputError,
-                               NumericalError, Tape, Tensor, backward, scale)
+                               NumericalError, Tape, Tensor, backward, exp,
+                               scale)
 
 LIF = LifConfig()
 
@@ -191,7 +192,7 @@ class TestSmicNet:
         x = spikes((4, 3, 8, 5, 6), 16)
         t_vals = net(x)
         np.testing.assert_allclose(t_vals.data, 0.0, atol=1e-7)
-        et_vals = net(x, exponential=True)
+        et_vals = exp(net(x))
         np.testing.assert_allclose(et_vals.data, 1.0, rtol=1e-6)
 
     def test_finite_scalar_outputs(self):
@@ -237,8 +238,7 @@ def train_smic_on_stream(copied: bool, seed: int, steps: int = 150) -> float:
         pa, pb = _stream_batch(rng, copied)
         with Tape() as tape:
             bound = mi_lower_bound(net(make_joint(pa, pb)),
-                                   net(make_marginal(pa, pb, seed * 100000 + step),
-                                       exponential=True))
+                                   exp(net(make_marginal(pa, pb, seed * 100000 + step))))
             backward(scale(bound, -1.0), tape)
         opt.step()
         opt.zero_grad()
@@ -247,7 +247,7 @@ def train_smic_on_stream(copied: bool, seed: int, steps: int = 150) -> float:
         pa, pb = _stream_batch(rng, copied)
         evals.append(float(mi_lower_bound(
             net(make_joint(pa, pb)),
-            net(make_marginal(pa, pb, seed * 999983 + k), exponential=True)).data))
+            exp(net(make_marginal(pa, pb, seed * 999983 + k)))).data))
     return float(np.mean(evals))
 
 
@@ -266,9 +266,12 @@ class TestSpikeMultimodalFusion:
 
     def test_matrix_symmetric_zero_diagonal(self):
         smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(23))
-        m = smf.mi_matrix(self._mods(50))
-        np.testing.assert_array_equal(np.diag(m.values), 0.0)
-        np.testing.assert_array_equal(m.values, m.values.T)
+        bounds = smf.train_step(self._mods(50))
+        m = smf.mi_ema
+        np.testing.assert_array_equal(np.diag(m), 0.0)
+        np.testing.assert_array_equal(m, m.T)
+        for (i, j), value in bounds.items():
+            assert m[i, j] == np.float32(value)
 
     def test_train_step_moves_bounds_and_keeps_determinism(self):
         smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(24))
@@ -290,6 +293,5 @@ class TestSpikeMultimodalFusion:
     def test_weights_from_fresh_estimators(self):
         smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(26))
         w = smf.weights(self._mods(80))
-        assert w.w.shape == (4,)
-        if not w.degenerate:
-            assert w.w.min() == 0.0 and w.w.max() == 1.0
+        assert w.degenerate
+        np.testing.assert_array_equal(w.w, np.ones(4, dtype=np.float32))

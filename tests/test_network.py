@@ -9,6 +9,7 @@ from spikegraph.config import RunConfig
 from spikegraph.data import (FormatError, SkeletonTopology, preprocess_sequences,
                              synthesize)
 from spikegraph.encoding import SscEncoder
+from spikegraph.fusion import SmicNet
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
 from spikegraph.network import (TEACHER_TAP_LAYERS, GcTcUnit, TeacherModel, Trainer,
                                 batch_tensors, load_model, save_model)
@@ -54,6 +55,31 @@ class TestTrainStep:
         assert calls == model.encoders
         assert len(model.encoders) == (4 if smf_enabled else 1)  # the joint stream
         assert (model.smf is None) == (not smf_enabled)
+
+
+    @pytest.mark.parametrize("kd, with_teacher", [({"soft"}, False), ({"feature"}, True)],
+                             ids=["no_teacher", "no_ftm"])
+    def test_distillation_needs_its_models(self, trained, kd, with_teacher):
+        cfg, topo, model, _ = trained
+        teacher = TeacherModel(CLASSES, topo, rng=np.random.default_rng(1)) \
+            if with_teacher else None
+        with pytest.raises(InvalidInputError):
+            Trainer(model, None, np.arange(8) % CLASSES,
+                    cfg.train_settings(frozenset(kd)), teacher=teacher)
+
+
+class TestFusionBurnIn:
+    def test_untrained_eval_forward_runs_no_estimator(self, trained, monkeypatch):
+        cfg, topo, _, batch = trained
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(3))
+        model.eval()
+        calls = []
+        monkeypatch.setattr(SmicNet, "forward", lambda net, x: calls.append(net))
+        _, _, info = model(batch)
+        assert calls == []
+        weights = info["fusion_weights"]
+        assert weights.degenerate
+        np.testing.assert_array_equal(weights.w, np.ones(4, dtype=np.float32))
 
 
 class TestGraphWeights:

@@ -5,7 +5,7 @@ import pytest
 
 from spikegraph.neurons import LifConfig, firing_rate, lif_step, sn_layer, spike
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor,
-                               backward, grad_check, mean, mul, sum_)
+                               add, backward, grad_check, mean, mul, sum_)
 
 
 CFG = LifConfig()
@@ -123,6 +123,47 @@ class TestSnLayer:
         s_lo, _ = lif_step(Tensor(lo), v_prev, CFG)
         s_hi, _ = lif_step(Tensor(hi), v_prev, CFG)
         assert np.all(s_lo.data <= s_hi.data)
+
+
+class TestSnLayerMatchesLifSteps:
+    """The fused ``sn_layer`` against S composed ``lif_step`` calls."""
+
+    CONFIGS = {
+        "default": LifConfig(),
+        "custom": LifConfig(v_threshold=0.7, v_reset=-0.2, decay_tau=0.6,
+                            surrogate_window_a=0.5),
+    }
+
+    @staticmethod
+    def _grads(cfg, relaxed, x0, weights):
+        fused = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            out = sn_layer(fused, cfg, relaxed=relaxed)
+            backward(sum_(mul(out, Tensor(weights))), tape)
+        ref = Tensor(x0, requires_grad=True)
+        v = Tensor(np.full(x0.shape[1:], cfg.v_reset, dtype=np.float32))
+        steps = []
+        with Tape() as tape:
+            loss = None
+            for s in range(x0.shape[0]):
+                spk, v = lif_step(ref[s], v, cfg, relaxed=relaxed)
+                steps.append(spk.data)
+                term = sum_(mul(spk, Tensor(weights[s])))
+                loss = term if loss is None else add(loss, term)
+            backward(loss, tape)
+        return out.data, np.stack(steps), fused.grad, ref.grad
+
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["hard", "relaxed"])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_spikes_identical_and_gradients_close(self, name, relaxed):
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(0.6, 0.8, size=(6, 3, 5, 4)).astype(np.float32)
+        weights = rng.normal(size=x0.shape).astype(np.float32)
+        out, ref_out, grad, ref_grad = self._grads(self.CONFIGS[name], relaxed,
+                                                   x0, weights)
+        np.testing.assert_array_equal(out, ref_out)
+        assert np.abs(ref_grad).max() > 0
+        assert np.abs(grad - ref_grad).max() <= 1e-6 * np.abs(ref_grad).max()
 
 
 class TestSurrogateConsistency:

@@ -7,8 +7,8 @@ from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
                                add, backward, batch_norm, concat, conv2d,
                                depthwise_conv2d, div, exp, grad_check, log,
                                lstm_cell, matmul, max_, mean, mul, permute,
-                               relu, reshape, repeat0, scale, slice_, softmax,
-                               sqrt, stack, sub, sum_, take0, tensor_from_bytes,
+                               relu, reshape, repeat0, scale, slice_, sqrt,
+                               sub, sum_, take0, tensor_from_bytes,
                                tensor_to_bytes, load_tensor, save_tensor)
 
 
@@ -343,8 +343,7 @@ class TestElementwiseAndShape:
                 c = log(add(b, Tensor(np.ones(shape))))
                 d = permute(c, (2, 0, 1))
                 e = reshape(d, (shape[2], -1))
-                sm = softmax(e, axis=1)
-                return add(sum_(sm), mean(mul(e, e)))
+                return add(sum_(e), mean(mul(e, e)))
 
             report = grad_check(f, [Tensor(x0), Tensor(y0)], h=1e-4, tol=1e-5)
             assert report.passed, (trial, report)
@@ -359,14 +358,13 @@ class TestElementwiseAndShape:
         report = grad_check(f, [Tensor(x0), Tensor(y0)], h=1e-4, tol=1e-4)
         assert report.passed, report
 
-    def test_concat_slice_stack_take(self):
+    def test_concat_slice_take_repeat(self):
         x0, y0 = rand(2, 3, seed=44), rand(2, 3, seed=45)
 
         def f(x, y):
             c = concat([x, y], axis=0)
             s = slice_(c, (slice(1, 3), slice(None)))
-            st = stack([s, s], axis=0)
-            tk = take0(st, np.array([1, 0]))
+            tk = take0(s, np.array([1, 0, 1]))
             r = repeat0(tk, 2)
             return sum_(mul(r, r))
 
@@ -381,11 +379,6 @@ class TestElementwiseAndShape:
 
         report = grad_check(f, [Tensor(x0)], h=1e-5, tol=1e-3)
         assert report.passed, report
-
-    def test_softmax_rows_sum_to_one(self):
-        x = Tensor(rand(6, 9, seed=47, scale_=4.0))
-        y = softmax(x, axis=1)
-        np.testing.assert_allclose(y.data.sum(axis=1), 1.0, rtol=1e-5)
 
 
 class TestLargerRandomizedChains:
