@@ -1,8 +1,10 @@
 """Command-line entry point: synth, train, eval, profile.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-divergence.  Every command writes its effective configuration next to its
-outputs so a run can be reproduced from one file.
+divergence.  ``synth`` and ``train`` write their effective configuration
+next to their outputs so a run can be reproduced from one file; ``eval`` and
+``profile`` do not, so that pointing them at a training run's ``--out`` leaves
+its record alone.
 """
 
 from __future__ import annotations
@@ -55,12 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=("train", "test"), default="test")
 
     p_profile = sub.add_parser("profile", help="emit the energy report")
-    p_profile.add_argument("--checkpoint")
+    p_profile.add_argument("--checkpoint", required=True)
     p_profile.add_argument("--data", help="dataset directory (defaults to config)")
-    p_profile.add_argument("--ann-equivalent", action="store_true",
-                           help="also emit the dense-plan MAC energy")
-    p_profile.add_argument("--flops-only", type=float,
-                           help="print the dense energy of a raw FLOP count")
     return parser
 
 
@@ -222,15 +220,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 def cmd_profile(cfg: RunConfig, args) -> int:
     from .network import load_model
-    from .profiler import energy_ann, profile_model
+    from .profiler import profile_model
 
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
-    if args.flops_only is not None:
-        print(f"{energy_ann(args.flops_only):.3f} mJ")
-        return EXIT_OK
-    if not args.checkpoint:
-        raise ConfigError("profile requires --checkpoint (or --flops-only)")
     data_dir = _dataset_dir(cfg, args.data)
     topo, classes, (tr_bundle, tr_labels), _ = _load_splits(cfg, data_dir)
     model = cfg.build_student(classes, topo, np.random.default_rng(cfg.get("seed")))
@@ -246,8 +239,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
         fh.write(report.to_csv())
     print(f"model energy: {report.energy_mj:.6f} mJ "
           f"(flops={report.flops_total}, sops={report.sops_total})")
-    if args.ann_equivalent:
-        print(f"ann-equivalent energy: {report.ann_equivalent_mj:.6f} mJ")
+    print(f"ann-equivalent energy: {report.ann_equivalent_mj:.6f} mJ")
     print(f"report: {json_path} / {csv_path}")
     return EXIT_OK
 

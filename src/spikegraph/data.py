@@ -442,7 +442,8 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
     """Scan a directory of `.skeleton` files; labels decoded from filenames.
 
     Parsed joint tensors are cached as SGT1 blobs keyed by the file content
-    hash when a cache directory is configured.
+    hash when a cache directory is configured.  An entry that is missing or
+    does not load is a miss: the file is parsed again and the entry rewritten.
     """
     if not os.path.isdir(data_dir):
         raise InvalidInputError(f"no such dataset directory: {data_dir}")
@@ -461,8 +462,10 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
         if cache_dir:
             key = _cache_key(raw, {"parser": "ntu", "version": 1})
             cache_path = os.path.join(cache_dir, key + ".sgt")
-            if os.path.exists(cache_path):
+            try:
                 joints = load_tensor(cache_path).data
+            except (OSError, InvalidInputError):
+                pass
         if joints is None:
             joints = parse_ntu(raw).joints
             if cache_path:

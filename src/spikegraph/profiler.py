@@ -1,10 +1,17 @@
-"""Analytic FLOP counting, per-layer cost recording, SOP/energy accounting.
+"""Per-layer cost recording and theoretical energy accounting.
 
-Conventions anchored to the reproducible published rows: 1 MAC = 1 FLOP;
-BN, pooling, and elementwise ops are excluded from FLOP totals; FLOPs are
-per action sample (batch and spike-step factors enter through the SOP
-product).  Energy constants assume 45nm hardware: 4.6 pJ per MAC,
-0.9 pJ per spike-gated accumulate.
+One eval-mode forward with a recorder active lists each layer once, with
+its FLOPs per action sample and the firing rate ``r`` of its input.  1 MAC
+counts as 1 FLOP; BatchNorm, pooling and elementwise ops count zero.  With
+``S`` spike steps, the energy in millijoules is
+
+    SOPs = round(FLOPs * r * S)
+    E    = (4.6 pJ * sum of FLOPs of the spike-encoding convs
+            + 0.9 pJ * sum of SOPs of every other layer) * 1e-9
+
+using the 45 nm figures of Horowitz (ISSCC 2014): 4.6 pJ per
+multiply-accumulate, 0.9 pJ per spike-gated accumulate.  The
+ANN-equivalent energy prices every FLOP of the same plan at 4.6 pJ.
 """
 
 from __future__ import annotations
@@ -19,64 +26,20 @@ from typing import Iterator
 import numpy as np
 
 from .neurons import firing_rate
-from .tensor import InvalidInputError, Tensor
+from .tensor import Tensor
 
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
 
-_KINDS = ("conv", "linear", "matmul-attention", "lstm", "bn", "pooling")
-
 
 @dataclass
 class LayerCost:
-    layer_id: str
+    id: str
     kind: str
     flops: int
-    input_firing_rate: float
-    spike_steps: int
-    is_fire: bool = False
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidInputError(f"unknown layer kind {self.kind!r}")
-        if not 0.0 <= self.input_firing_rate <= 1.0:
-            raise InvalidInputError(
-                f"firing rate must be in [0, 1], got {self.input_firing_rate}")
-
-    @property
-    def sops(self) -> int:
-        return compute_sops(self.flops, self.input_firing_rate, self.spike_steps)
-
-
-def count_flops(kind: str, **dims) -> int:
-    """MAC counts for the supported layer kinds.
-
-    conv: cout*cin*kh*kw*hout*wout; linear: in*out; matmul-attention by
-    matrix extents; lstm: gate GEMMs over the scan length.  BN and pooling
-    count zero by convention.
-    """
-    if kind == "conv":
-        required = ("cout", "cin", "kh", "kw", "hout", "wout")
-        if any(k not in dims for k in required):
-            raise InvalidInputError(f"conv FLOPs need {required}, got {sorted(dims)}")
-        return int(dims["cout"] * dims["cin"] * dims["kh"] * dims["kw"]
-                   * dims["hout"] * dims["wout"])
-    if kind == "linear":
-        if "in_features" not in dims or "out_features" not in dims:
-            raise InvalidInputError("linear FLOPs need in_features/out_features")
-        return int(dims["in_features"] * dims["out_features"])
-    if kind == "matmul-attention":
-        if any(k not in dims for k in ("m", "k", "n")):
-            raise InvalidInputError("attention FLOPs need m/k/n extents")
-        return int(dims["m"] * dims["k"] * dims["n"] * dims.get("batch", 1))
-    if kind == "lstm":
-        if any(k not in dims for k in ("hidden", "in_features", "steps")):
-            raise InvalidInputError("lstm FLOPs need hidden/in_features/steps")
-        return int(4 * dims["hidden"] * (dims["in_features"] + dims["hidden"])
-                   * dims["steps"])
-    if kind in ("bn", "pooling"):
-        return 0
-    raise InvalidInputError(f"unknown layer kind {kind!r}")
+    rate: float
+    sops: int
+    is_fire: bool
 
 
 def active_fraction(x: Tensor | np.ndarray) -> float:
@@ -89,73 +52,42 @@ def active_fraction(x: Tensor | np.ndarray) -> float:
     return float((data != 0).mean()) if data.size else 0.0
 
 
-def compute_sops(flops: float, rate: float, spike_steps: int) -> int:
-    if not 0.0 <= rate <= 1.0:
-        raise InvalidInputError(f"rate must be in [0, 1], got {rate}")
-    if spike_steps < 1:
-        raise InvalidInputError(f"spike_steps must be >= 1, got {spike_steps}")
-    return int(round(float(flops) * rate * spike_steps))
-
-
-def energy_ann(flops_total: float) -> float:
-    """Dense MAC energy in millijoules (4.6 pJ per FLOP)."""
-    if flops_total < 0:
-        raise InvalidInputError("FLOP count must be nonnegative")
-    return float(flops_total) * E_MAC_PJ * 1e-9
-
-
-def energy_snn(layers: list[LayerCost], n_m: int) -> float:
-    """Mixed MAC/AC energy in millijoules.
-
-    The spike-encoding conv is MAC-costed once per encoded modality
-    (``n_m``); every other layer contributes spike-gated accumulates at
-    0.9 pJ.
-    """
-    fire = [c for c in layers if c.is_fire]
-    if not fire:
-        raise InvalidInputError("layer list has no first-encoding-layer marker")
-    fl1 = fire[0].flops
-    mac_term = n_m * E_MAC_PJ * fl1
-    ac_sops = sum(c.sops for c in layers if not c.is_fire)
-    return (mac_term + E_AC_PJ * ac_sops) * 1e-9
-
-
 @dataclass
 class EnergyReport:
-    model: str
-    n_m: int
     spike_steps: int
     layers: list[LayerCost]
-    e_mac_pj: float = E_MAC_PJ
-    e_ac_pj: float = E_AC_PJ
+
+    @property
+    def n_m(self) -> int:
+        """Encoded modalities: one spike-encoding conv each."""
+        return sum(c.is_fire for c in self.layers)
 
     @property
     def flops_total(self) -> int:
-        return int(sum(c.flops for c in self.layers))
+        return sum(c.flops for c in self.layers)
 
     @property
     def sops_total(self) -> int:
-        return int(sum(c.sops for c in self.layers))
+        return sum(c.sops for c in self.layers)
 
     @property
     def energy_mj(self) -> float:
-        return energy_snn(self.layers, self.n_m)
+        mac_flops = sum(c.flops for c in self.layers if c.is_fire)
+        ac_sops = sum(c.sops for c in self.layers if not c.is_fire)
+        return (E_MAC_PJ * mac_flops + E_AC_PJ * ac_sops) * 1e-9
 
     @property
     def ann_equivalent_mj(self) -> float:
         """The same layer plan evaluated densely, MAC-costed throughout."""
-        return energy_ann(self.flops_total)
+        return self.flops_total * E_MAC_PJ * 1e-9
 
     def to_json_dict(self) -> dict:
         return {
-            "model": self.model,
+            "model": "mk-sgn",
             "n_m": self.n_m,
             "S": self.spike_steps,
-            "layers": [
-                {"id": c.layer_id, "kind": c.kind, "flops": c.flops,
-                 "r": c.input_firing_rate, "sops": c.sops}
-                for c in self.layers
-            ],
+            "layers": [{"id": c.id, "kind": c.kind, "flops": c.flops,
+                        "r": c.rate, "sops": c.sops} for c in self.layers],
             "totals": {"flops": self.flops_total, "sops": self.sops_total,
                        "energy_mJ": self.energy_mj},
         }
@@ -168,8 +100,7 @@ class EnergyReport:
         writer = csv.writer(buf)
         writer.writerow(["id", "kind", "flops", "r", "sops"])
         for c in self.layers:
-            writer.writerow([c.layer_id, c.kind, c.flops,
-                             f"{c.input_firing_rate:.6f}", c.sops])
+            writer.writerow([c.id, c.kind, c.flops, f"{c.rate:.6f}", c.sops])
         writer.writerow(["TOTALS", "", self.flops_total, "",
                         self.sops_total])
         writer.writerow(["ENERGY_MJ", "", "", "", f"{self.energy_mj:.6f}"])
@@ -198,8 +129,8 @@ class CostRecorder:
             is_fire: bool = False) -> None:
         n = self._counts.get(prefix, 0)
         self._counts[prefix] = n + 1
-        self.layers.append(LayerCost(f"{prefix}{n}", kind, int(flops), rate,
-                                     self.spike_steps, is_fire=is_fire))
+        sops = round(flops * rate * self.spike_steps)
+        self.layers.append(LayerCost(f"{prefix}{n}", kind, flops, rate, sops, is_fire))
 
 
 @contextmanager
@@ -225,18 +156,16 @@ def record_cost(site: str, layer, *inputs: Tensor) -> None:
 def _encoder_cost(rec: CostRecorder, enc, x: Tensor) -> None:
     b, c, t, v = x.shape
     k = enc.cfg.kernel_size
-    flops = count_flops("conv", cout=enc.cfg.hidden_channels, cin=c,
-                        kh=k, kw=k, hout=v, wout=t)
-    rec.add("encoder", "conv", flops, 1.0, is_fire=True)
+    rec.add("encoder", "conv", enc.cfg.hidden_channels * c * k * k * v * t, 1.0,
+            is_fire=True)
 
 
 def _smic_cost(rec: CostRecorder, smf, *spikes: Tensor) -> None:
-    """One entry per unordered modality pair."""
+    """One entry per unordered modality pair: the LSTM gate GEMMs and the
+    hidden-to-score readout, every frame."""
     hidden = smf.estimators[0].hidden
     frames = spikes[0].shape[-1]
-    flops = count_flops("lstm", hidden=hidden, in_features=2 * smf.channels,
-                        steps=frames) \
-        + count_flops("linear", in_features=hidden, out_features=1) * frames
+    flops = (4 * hidden * (2 * smf.channels + hidden) + hidden) * frames
     rates = [firing_rate(s) for s in spikes]
     for i, j in smf.PAIRS:
         rec.add("smic", "lstm", flops, float(np.mean([rates[i], rates[j]])))
@@ -252,25 +181,22 @@ def _sgc_cost(rec: CostRecorder, layer, x: Tensor) -> None:
 
 def _ssa_cost(rec: CostRecorder, layer, h: Tensor, q: Tensor, k: Tensor,
               v: Tensor) -> None:
+    """Q/K/V projections, then Q·K^T and (Q·K^T)·V per frame."""
     s, b, d, nv, t = h.shape
     rec.add("ssa_proj", "conv", 3 * d * d * nv * t, active_fraction(h))
     qkv_rate = float(np.mean([firing_rate(q), firing_rate(k), firing_rate(v)]))
-    matmuls = count_flops("matmul-attention", m=nv, k=d, n=nv, batch=t) \
-        + count_flops("matmul-attention", m=nv, k=nv, n=d, batch=t)
-    rec.add("ssa_attn", "matmul-attention", matmuls, qkv_rate)
+    rec.add("ssa_attn", "matmul-attention", 2 * nv * nv * d * t, qkv_rate)
 
 
 def _stc_cost(rec: CostRecorder, layer, h_sa: Tensor) -> None:
     s, b, d, v, t = h_sa.shape
-    t_out = t // layer.stride
-    flops = count_flops("conv", cout=d, cin=d, kh=1, kw=layer.kernel_t, hout=v, wout=t_out)
-    rec.add("stc", "conv", flops, active_fraction(h_sa))
+    rec.add("stc", "conv", d * d * layer.kernel_t * v * (t // layer.stride),
+            active_fraction(h_sa))
 
 
 def _head_cost(rec: CostRecorder, head, spikes: Tensor) -> None:
-    flops = count_flops("linear", in_features=head.in_features,
-                        out_features=head.out_features)
-    rec.add("head", "linear", flops, firing_rate(spikes))
+    rec.add("head", "linear", head.in_features * head.out_features,
+            firing_rate(spikes))
 
 
 _SITES = {"encoder": _encoder_cost, "smic": _smic_cost, "sgc": _sgc_cost,
@@ -285,6 +211,4 @@ def profile_model(model, bundle_batch: dict) -> EnergyReport:
         model(bundle_batch)
     if was_training:
         model.train()
-    n_m = len(model.encoders)
-    return EnergyReport(model="mk-sgn", n_m=n_m,
-                        spike_steps=model.spike_steps, layers=rec.layers)
+    return EnergyReport(rec.spike_steps, rec.layers)

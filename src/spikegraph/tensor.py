@@ -279,9 +279,8 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
-           stride=1, padding=0) -> Tensor:
-    """Cross-correlation of x[B,Cin,H,W] with w[Cout,Cin,kh,kw]."""
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
+    """Cross-correlation of x[B,Cin,H,W] with w[Cout,Cin,kh,kw], plus bias[Cout]."""
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     if x.ndim != 4 or w.ndim != 4:
@@ -311,8 +310,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     w2d = np.ascontiguousarray(wd.transpose(0, 2, 3, 1)).reshape(Cout, k_total * Cin)
     out_data = np.ascontiguousarray(
         (cols2d @ w2d.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
-    if bias is not None:
-        out_data += bias.data[None, :, None, None]
+    out_data += bias.data[None, :, None, None]
     out = Tensor._wrap(out_data)
 
     def backward(g):
@@ -326,11 +324,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
                     gcols[:, :, :, i * kw + j, :]
         gxp = gxp_cl.transpose(0, 3, 1, 2)
         gx = gxp[:, :, ph:ph + H, pw:pw + W] if (ph or pw) else gxp
-        if bias is not None:
-            return gx, gw, g.sum(axis=(0, 2, 3))
-        return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
-    record_op((x, w) if bias is None else (x, w, bias), (out,), backward)
+    record_op((x, w, bias), (out,), backward)
     return out
 
 

@@ -25,7 +25,7 @@ def _write_config(path, values):
     return str(path)
 
 
-def test_synth_train_eval_profile_chain(tmp_path):
+def test_synth_train_eval_profile_chain(tmp_path, capsys):
     data_dir = str(tmp_path / "data")
     run_dir = str(tmp_path / "run")
     config = _write_config(tmp_path / "run.yaml", {
@@ -43,6 +43,7 @@ def test_synth_train_eval_profile_chain(tmp_path):
     assert cli.main(common + ["eval", ckpt, "--data", data_dir]) == cli.EXIT_OK
     with open(os.path.join(run_dir, "eval.json")) as fh:
         assert 0.0 <= json.load(fh)["accuracy"] <= 1.0
+    capsys.readouterr()
     assert cli.main(common + ["profile", "--checkpoint", ckpt,
                               "--data", data_dir]) == cli.EXIT_OK
     with open(os.path.join(run_dir, "energy_report.json")) as fh:
@@ -50,6 +51,11 @@ def test_synth_train_eval_profile_chain(tmp_path):
     with open(SCHEMA) as fh:
         jsonschema.validate(report, json.load(fh))
     assert sum(e["id"].startswith("encoder") for e in report["layers"]) == 4
+    totals = report["totals"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"model energy: {totals['energy_mJ']:.6f} mJ "
+                        f"(flops={totals['flops']}, sops={totals['sops']})")
+    assert lines[1] == f"ann-equivalent energy: {totals['flops'] * 4.6e-9:.6f} mJ"
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,8 @@ from spikegraph.data import (FormatError, ModalityBundle, ParseError,
                              load_skeleton_dir, manifest_hash, parse_ntu,
                              preprocess_sequences,
                              resample_frames, save_synth_dataset, synthesize)
-from spikegraph.tensor import InvalidInputError, tensor_to_bytes, tensor_from_bytes
+from spikegraph.tensor import (InvalidInputError, load_tensor, tensor_from_bytes,
+                               tensor_to_bytes)
 
 
 def make_skeleton_text(frames, bodies_per_frame=1, joints=25, coords=None):
@@ -255,6 +256,21 @@ class TestSkeletonDirLoader:
         assert len(list(cache.glob("*.sgt"))) == 2
         again = load_skeleton_dir(str(data_dir), cache_dir=str(cache))
         np.testing.assert_array_equal(again[0].joints, seqs[0].joints)
+
+    def test_damaged_cache_entry_is_reparsed(self, tmp_path):
+        data_dir = tmp_path / "raw"
+        data_dir.mkdir()
+        text = make_skeleton_text(frames=3, coords=lambda t, b, j: (j * 0.3, t * 0.1, 1))
+        (data_dir / "S001C001P001R001A007.skeleton").write_text(text)
+        cache = tmp_path / "cache"
+        seqs = load_skeleton_dir(str(data_dir), cache_dir=str(cache))
+        (blob,) = cache.glob("*.sgt")
+        raw = blob.read_bytes()
+        blob.write_bytes(raw[:-4])
+        again = load_skeleton_dir(str(data_dir), cache_dir=str(cache))
+        np.testing.assert_array_equal(again[0].joints, seqs[0].joints)
+        assert blob.read_bytes() == raw
+        np.testing.assert_array_equal(load_tensor(str(blob)).data, seqs[0].joints)
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         from spikegraph.data import default_cache_dir

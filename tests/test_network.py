@@ -1,5 +1,7 @@
-"""Checkpoint round trip and the training step's optimizer bookkeeping."""
+"""Checkpoint round trip, the training step's optimizer bookkeeping and the
+epoch loop's LR step and early stop."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -66,6 +68,29 @@ class TestTrainStep:
         with pytest.raises(InvalidInputError):
             Trainer(model, None, np.arange(8) % CLASSES,
                     cfg.train_settings(frozenset(kd)), teacher=teacher)
+
+
+class TestRun:
+    def _trainer(self, trained, **settings):
+        cfg, topo, _, _ = trained
+        seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
+                             frames=24, seed=1)
+        bundle, labels = preprocess_sequences(seqs, 8, topo)
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+        return Trainer(model, bundle, labels,
+                       dataclasses.replace(cfg.train_settings(), **settings),
+                       loss_weights=cfg.loss_weights())
+
+    def test_lr_steps_at_its_epoch(self, trained):
+        trainer = self._trainer(trained, epochs=2, lr_step_epoch=1,
+                                early_stop_train_acc=None)
+        settings = trainer.settings
+        assert len(trainer.run()) == 2
+        assert trainer.optimizer.lr == settings.lr * settings.lr_decay
+
+    def test_early_stop_ends_the_run(self, trained):
+        trainer = self._trainer(trained, epochs=3, early_stop_train_acc=0.0)
+        assert [h["epoch"] for h in trainer.run()] == [0]
 
 
 class TestFusionBurnIn:

@@ -65,31 +65,37 @@ class TestProfileModel:
 
     def test_each_encoder_listed_once(self, profiled):
         _, _, report = profiled
-        ids = [c.layer_id for c in report.layers]
+        ids = [c.id for c in report.layers]
         assert [i for i in ids if i.startswith("encoder")] == [
             "encoder0", "encoder1", "encoder2", "encoder3"]
 
     def test_layer_flops_match_closed_forms(self, profiled):
         cfg, model, report = profiled
-        got = [(c.layer_id, c.kind, c.flops) for c in report.layers]
+        got = [(c.id, c.kind, c.flops) for c in report.layers]
         assert got == _closed_forms(cfg, model)
 
     def test_only_encoders_are_mac_costed(self, profiled):
         _, _, report = profiled
         fire = [c for c in report.layers if c.is_fire]
-        assert [c.layer_id for c in fire] == [f"encoder{i}" for i in range(4)]
-        assert all(c.input_firing_rate == 1.0 for c in fire)
+        assert [c.id for c in fire] == [f"encoder{i}" for i in range(4)]
+        assert all(c.rate == 1.0 for c in fire)
 
     def test_energy_splits_macs_and_accumulates(self, profiled):
         _, _, report = profiled
-        enc = [c for c in report.layers if c.layer_id.startswith("encoder")]
-        rest = [c for c in report.layers if not c.layer_id.startswith("encoder")]
+        enc = [c for c in report.layers if c.id.startswith("encoder")]
+        rest = [c for c in report.layers if not c.id.startswith("encoder")]
         want = (4 * 4.6 * enc[0].flops + 0.9 * sum(c.sops for c in rest)) * 1e-9
         assert report.n_m == 4
-        assert report.energy_mj == pytest.approx(want, rel=1e-12)
+        assert report.energy_mj == want
         totals = report.to_json_dict()["totals"]
         assert totals["flops"] == sum(c.flops for c in report.layers)
         assert totals["sops"] == sum(c.sops for c in report.layers)
+        assert report.ann_equivalent_mj == totals["flops"] * 4.6 * 1e-9
+
+    def test_sops_scale_flops_by_rate_and_steps(self, profiled):
+        _, model, report = profiled
+        for c in report.layers:
+            assert c.sops == round(c.flops * c.rate * model.spike_steps), c.id
 
     def test_restores_training_mode(self):
         _, model, batch = _model_and_batch()
@@ -100,7 +106,7 @@ class TestProfileModel:
     def test_single_modality_has_no_smic_entries(self):
         _, model, batch = _model_and_batch(smf_enabled=False)
         report = profiler.profile_model(model, batch)
-        ids = [c.layer_id for c in report.layers]
+        ids = [c.id for c in report.layers]
         assert report.n_m == 1
         assert not any(i.startswith("smic") for i in ids)
         assert [i for i in ids if i.startswith("encoder")] == ["encoder0"]
@@ -115,5 +121,5 @@ class TestRecording:
             with profiler.recording(model.spike_steps) as inner:
                 model(batch)
         assert outer.layers == []
-        assert [c.layer_id for c in inner.layers] == [
+        assert [c.id for c in inner.layers] == [
             i for i, _, _ in _closed_forms(cfg, model)]

@@ -17,6 +17,10 @@ def rand(*shape, seed=0, scale_=1.0):
     return rng.normal(0.0, scale_, size=shape).astype(np.float32)
 
 
+def zero_bias(cout):
+    return Tensor(np.zeros(cout, dtype=np.float32))
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[1, 0], [0, 1]])
@@ -52,7 +56,7 @@ class TestConv2d:
     def test_full_overlap_center(self):
         x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-        out = conv2d(x, w, stride=1, padding=1)
+        out = conv2d(x, w, zero_bias(1), stride=1, padding=1)
         assert out.shape == (1, 1, 3, 3)
         assert out.data[0, 0, 1, 1] == 9.0
 
@@ -62,14 +66,14 @@ class TestConv2d:
             w = np.zeros((3, 3, 3, 3), dtype=np.float32)
             for c in range(3):
                 w[c, c, 1, 1] = 1.0
-            out = conv2d(x, Tensor(w), stride=1, padding=1)
+            out = conv2d(x, Tensor(w), zero_bias(3), stride=1, padding=1)
             np.testing.assert_array_equal(out.data, x.data)
 
     def test_gradient_matches_fd_strided(self):
         x0, w0 = rand(2, 3, 5, 5, seed=5), rand(4, 3, 3, 3, seed=6)
 
         def f(x, w):
-            return sum_(conv2d(x, w, stride=2, padding=1))
+            return sum_(conv2d(x, w, zero_bias(4), stride=2, padding=1))
 
         report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
         assert report.passed, report
@@ -86,10 +90,11 @@ class TestConv2d:
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(DimensionError, match="kernel"):
-            conv2d(Tensor(rand(1, 1, 2, 2)), Tensor(rand(1, 1, 5, 5)), padding=0)
+            conv2d(Tensor(rand(1, 1, 2, 2)), Tensor(rand(1, 1, 5, 5)), zero_bias(1),
+                   padding=0)
 
     def test_output_extent_formula(self):
-        out = conv2d(Tensor(rand(1, 1, 11, 9)), Tensor(rand(2, 1, 3, 3)),
+        out = conv2d(Tensor(rand(1, 1, 11, 9)), Tensor(rand(2, 1, 3, 3)), zero_bias(2),
                      stride=2, padding=1)
         assert out.shape == (1, 2, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
 
@@ -101,7 +106,7 @@ class TestDepthwiseConv2d:
         out = depthwise_conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
         ref = np.zeros_like(out.data)
         for c in range(3):
-            full = conv2d(Tensor(x[:, c:c + 1]), Tensor(w[c][None, None]),
+            full = conv2d(Tensor(x[:, c:c + 1]), Tensor(w[c][None, None]), zero_bias(1),
                           stride=1, padding=1)
             ref[:, c] = full.data[:, 0]
         np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-6)
@@ -256,7 +261,7 @@ class TestBackward:
         def f(x, w, g, b, m):
             rm = np.zeros(3, dtype=np.float64)
             rv = np.ones(3, dtype=np.float64)
-            y = conv2d(x, w, stride=1, padding=1)
+            y = conv2d(x, w, zero_bias(3), stride=1, padding=1)
             y = batch_norm(y, g, b, rm, rv, True)
             y = mean(y, axis=(2, 3))
             return sum_(mul(matmul(y, m), matmul(y, m)))
@@ -394,7 +399,7 @@ class TestLargerRandomizedChains:
             wconv = Tensor(rng.normal(size=(4, c, 3, 3)).astype(np.float32) * 0.2,
                            requires_grad=True)
             with Tape() as tape:
-                y = conv2d(x, wconv, stride=1, padding=1)
+                y = conv2d(x, wconv, zero_bias(4), stride=1, padding=1)
                 loss = mean(mul(y, y))
                 backward(loss, tape)
             assert x.grad is not None and np.isfinite(x.grad).all()
