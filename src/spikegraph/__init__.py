@@ -1,5 +1,6 @@
 """Spiking graph network engine for skeleton-based action recognition."""
 
+from .network import _keep_freed_memory
 from .tensor import (DimensionError, InvalidInputError, NumericalError,
                      Tape, Tensor, backward, grad_check)
 
@@ -14,3 +15,5 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_keep_freed_memory()

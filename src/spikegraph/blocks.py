@@ -17,7 +17,7 @@ from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, sn_layer
 from .profiler import record_cost
 from .tensor import (DimensionError, InvalidInputError, Tensor, add, conv2d,
-                     matmul, permute, reshape, scale, slice_)
+                     matmul, mul, permute, reshape, scale, slice_, sub)
 
 
 def normalize_adjacency(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
@@ -117,6 +117,33 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     return out
 
 
+def linear_bn(op, x: Tensor, w: Tensor, bn: BatchNorm,
+              bias: Tensor | None = None) -> Tensor:
+    """bn(op(x, w[, bias])) for an ``op`` linear in ``w`` and ``bias`` whose
+    output channels sit at axis -3.
+
+    In training this is exactly that composition.  In eval, BatchNorm is
+    the per-channel affine map y*s + t with s = gamma / sqrt(var + eps) and
+    t = beta - mean*s, so it is folded: ``op`` runs once with w scaled by s
+    along its output channels (axis 0 of a conv2d kernel, the last axis of
+    a channel or graph map), and t joins the bias or, without one, is added
+    to the output.  The fold is C x C work built from tape ops on every
+    call, so gradients still reach w, gamma and beta, and no folded copy
+    can outlive a change to the weights or the statistics.
+    """
+    extra = () if bias is None else (bias,)
+    if bn.training:
+        return bn(op(x, w, *extra))
+    dtype = w.data.dtype
+    inv_std = (1.0 / np.sqrt(bn.running_var.astype(dtype) + bn.eps)).astype(dtype)
+    s = mul(bn.gamma, Tensor._wrap(inv_std))
+    t = sub(bn.beta, mul(s, Tensor._wrap(bn.running_mean.astype(dtype))))
+    w_folded = mul(w, reshape(s, (-1, 1, 1, 1) if w.ndim == 4 else (-1,)))
+    if bias is None:
+        return add(op(x, w_folded), reshape(t, (-1, 1, 1)))
+    return op(x, w_folded, add(mul(bias, s), t))
+
+
 class SaSgcLayer(Module):
     """Multi-branch spiking graph convolution plus spiking self-attention."""
 
@@ -147,9 +174,10 @@ class SaSgcLayer(Module):
         if x.ndim != 5:
             raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
         record_cost("sgc", self, x)
-        agg = graph_conv(x, adj, self.w_graph)
-        branch = sn_layer(self.bn_branches(agg), self.lif)
-        residual = sn_layer(self.bn_residual(channel_map(x, self.w_residual)), self.lif)
+        branch = sn_layer(linear_bn(lambda x, w: graph_conv(x, adj, w), x, self.w_graph,
+                                    self.bn_branches), self.lif)
+        residual = sn_layer(linear_bn(channel_map, x, self.w_residual, self.bn_residual),
+                            self.lif)
         return add(residual, branch)
 
     def ssa(self, h: Tensor) -> Tensor:
@@ -157,9 +185,9 @@ class SaSgcLayer(Module):
         if h.shape[2] != self.out_channels:
             raise DimensionError(
                 f"ssa channel extent {h.shape[2]} != weights {self.out_channels}")
-        q = sn_layer(self.bn_q(channel_map(h, self.w_q)), self.lif)
-        k = sn_layer(self.bn_k(channel_map(h, self.w_k)), self.lif)
-        v = sn_layer(self.bn_v(channel_map(h, self.w_v)), self.lif)
+        q = sn_layer(linear_bn(channel_map, h, self.w_q, self.bn_q), self.lif)
+        k = sn_layer(linear_bn(channel_map, h, self.w_k, self.bn_k), self.lif)
+        v = sn_layer(linear_bn(channel_map, h, self.w_v, self.bn_v), self.lif)
         record_cost("ssa", self, h, q, k, v)
         # tokens are the V joints of each (spike step, frame) slice
         qt = permute(q, (0, 1, 4, 3, 2))  # [S,B,T,V,C]
@@ -206,10 +234,13 @@ class StcLayer(Module):
         record_cost("stc", self, h_sa)
         merged = reshape(h_sa, (s * b, d, v, t))
         pad_t = (self.kernel_t - 1) // 2
-        y = conv2d(merged, self.weight, self.bias,
-                   stride=(1, self.stride), padding=(0, pad_t))
-        y = reshape(y, (s, b) + y.shape[1:])
-        main = sn_layer(self.bn(y), self.lif)
+
+        def temporal_conv(m, w, bias):
+            y = conv2d(m, w, bias, stride=(1, self.stride), padding=(0, pad_t))
+            return reshape(y, (s, b) + y.shape[1:])
+
+        main = sn_layer(linear_bn(temporal_conv, merged, self.weight, self.bn, self.bias),
+                        self.lif)
         res = h_sa
         if self.stride == 2:
             res = slice_(res, (..., slice(0, None, 2)))

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import linear_bn
 from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, sn_layer
 from .profiler import record_cost
@@ -65,7 +66,7 @@ class SscEncoder(Module):
         expanded = ssc_expand(x, s)  # [S, B, C, V, T]
         merged = reshape(expanded, (s * b,) + expanded.shape[2:])
         pad = self.cfg.kernel_size // 2
-        y = conv2d(merged, self.weight, self.bias, stride=1, padding=pad)
-        y = self.bn(y)
+        y = linear_bn(lambda m, w, bias: conv2d(m, w, bias, stride=1, padding=pad),
+                      merged, self.weight, self.bn, self.bias)
         y = reshape(y, (s, b) + y.shape[1:])
         return sn_layer(y, self.lif)

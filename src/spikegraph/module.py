@@ -132,7 +132,13 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Channel batch norm over [..., C, V, T] features (channels at -3)."""
+    """Channel batch norm over [..., C, V, T] features (channels at -3).
+
+    Every BatchNorm in the models follows a linear map and is applied
+    through ``blocks.linear_bn``, which calls ``forward`` in training and,
+    in eval, folds the running statistics, gamma and beta into that map
+    instead; ``forward`` in eval is the unfolded reference.
+    """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()

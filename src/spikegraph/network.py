@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv,
+from .blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv, linear_bn,
                      partition_branches, sa_sgc_stc_block)
 from .data import ModalityBundle, SkeletonTopology
 from .encoding import SscConfig, SscEncoder
@@ -342,16 +342,17 @@ class GcTcUnit(Module):
             self.bn_res = BatchNorm(out_channels)
 
     def forward(self, x: Tensor, adj: np.ndarray) -> Tensor:
-        agg = graph_conv(x, adj, self.w_graph)
-        h = relu(self.bn_gc(agg))
+        h = relu(linear_bn(lambda x, w: graph_conv(x, adj, w), x, self.w_graph,
+                           self.bn_gc))
         pad_t = (self.kernel_t - 1) // 2
-        y = self.bn_tc(conv2d(h, self.w_t, self.b_t,
-                              stride=(1, self.stride), padding=(0, pad_t)))
+        y = linear_bn(lambda h, w, b: conv2d(h, w, b, stride=(1, self.stride),
+                                             padding=(0, pad_t)),
+                      h, self.w_t, self.bn_tc, self.b_t)
         res = x
         if self.stride == 2:
             res = slice_(res, (..., slice(0, None, 2)))
         if self.w_res is not None:
-            res = self.bn_res(channel_map(res, self.w_res))
+            res = linear_bn(channel_map, res, self.w_res, self.bn_res)
         return relu(add(y, res))
 
 
@@ -445,11 +446,9 @@ class FtmBranch(Module):
                 f"FTM expects {self.cat_channels} concatenated channels, "
                 f"got {cat.shape[1]}")
         fused = depthwise_conv2d(cat, self.w_depthwise, stride=1, padding=1)
-        fused = channel_map(fused, self.w_pointwise)
-        fused = self.bn_fuse(fused)                 # [B, 4C, V, T]
+        fused = linear_bn(channel_map, fused, self.w_pointwise, self.bn_fuse)  # [B, 4C, V, T]
         expanded = repeat0(fused, self.spike_steps)  # [S, B, 4C, V, T]
-        y = channel_map(expanded, self.w_translate)
-        y = self.bn_translate(y)
+        y = linear_bn(channel_map, expanded, self.w_translate, self.bn_translate)
         return sn_layer(y, self.lif)
 
 
@@ -506,15 +505,18 @@ def batch_tensors(bundle: ModalityBundle, idx: np.ndarray) -> dict[str, Tensor]:
 
 
 def _keep_freed_memory() -> None:
-    """Keep freed heap memory in the process between training steps.
+    """Keep freed heap memory in the process, for every entry point.
 
-    A step allocates and frees its whole tape (about 1 GB on the toy
-    plan).  glibc's adaptive thresholds hand the freed top of the heap back
-    to the kernel unless a live block happens to sit above it, and the next
-    step faults it in again: up to 220k minor faults and 0.5 s of system
-    time per toy step, flipping with unrelated changes to allocation order.
-    Fixed thresholds (mmap only above 32 MB, no trimming) make the reuse
-    unconditional.
+    Called once when the package is imported, so training, ``evaluate``,
+    ``profile_model`` and a bare forward all run under it.  A training
+    step allocates and frees its whole tape (about 1 GB on the toy plan),
+    and a paper-plan eval forward frees its full-size transients.  glibc's
+    adaptive thresholds hand the freed top of the heap back to the kernel
+    unless a live block happens to sit above it, and the next step or clip
+    faults it in again: up to 220k minor faults and 0.5 s of system time
+    per toy step, and about 20k faults and 55 ms per paper-plan clip,
+    flipping with unrelated changes to allocation order.  Fixed thresholds
+    (mmap only above 32 MB, no trimming) make the reuse unconditional.
     """
     if sys.platform.startswith("linux"):
         import ctypes
@@ -554,7 +556,6 @@ class Trainer:
         self.global_step = 0
         if teacher is not None:
             teacher.eval()
-        _keep_freed_memory()
 
     # -- one optimization step ----------------------------------------------
 
@@ -664,7 +665,6 @@ def train_teacher(teacher: TeacherModel, bundle: ModalityBundle,
                   early_stop_train_acc: Optional[float] = 0.995) -> list[dict]:
     """Supervised training of the four teacher streams (summed CE)."""
     labels = np.asarray(labels)
-    _keep_freed_memory()
     optimizer = SGD(teacher.parameters(), lr=lr, momentum=0.9, weight_decay=1e-4)
     rng = np.random.default_rng(seed)
     n = labels.shape[0]

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from spikegraph.blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv,
-                               normalize_adjacency, partition_branches,
+                               linear_bn, normalize_adjacency, partition_branches,
                                sa_sgc_stc_block)
 from spikegraph.data import SkeletonTopology
+from spikegraph.module import BatchNorm
 from spikegraph.neurons import LifConfig
 from spikegraph.tensor import (DimensionError, InvalidInputError, Tensor,
-                               grad_check, mul, sum_)
+                               conv2d, grad_check, mul, sum_)
 
 
 LIF = LifConfig()
@@ -167,6 +168,73 @@ class TestChannelMap:
             return _weighted_sum(channel_map(x, w), seed=3)
 
         report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
+        assert report.passed, report
+
+
+# op kind -> (x shape, w shape, bias length or None, op); every op writes
+# its output channels (4 of them) to axis -3
+LINEAR_OPS = {
+    "conv2d": ((2, 3, 5, 6), (4, 3, 1, 3), 4,
+               lambda x, w, b: conv2d(x, w, b, stride=(1, 2), padding=(0, 1))),
+    "graph_conv": ((2, 2, 3, 5, 6), (3, 3, 4), None,
+                   lambda x, w: graph_conv(x, ADJ_5, w)),
+    "channel_map": ((2, 2, 3, 5, 6), (3, 4), None, channel_map),
+}
+ADJ_5 = np.random.default_rng(30).uniform(size=(3, 5, 5)).astype(np.float32)
+
+
+def random_bn(channels, seed):
+    """A BatchNorm with random non-identity gamma, beta, mean and variance."""
+    rng = np.random.default_rng(seed)
+    bn = BatchNorm(channels)
+    bn.gamma.data = rng.uniform(0.5, 1.5, channels).astype(np.float32)
+    bn.beta.data = rng.normal(0.0, 0.5, channels).astype(np.float32)
+    bn.running_mean[:] = rng.normal(0.0, 1.0, channels)
+    bn.running_var[:] = rng.uniform(0.2, 3.0, channels)
+    return bn
+
+
+class TestLinearBn:
+    def _operands(self, kind, seed):
+        x_shape, w_shape, bias_len, op = LINEAR_OPS[kind]
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=x_shape).astype(np.float32))
+        w = Tensor(rng.normal(size=w_shape).astype(np.float32))
+        extra = () if bias_len is None else (
+            Tensor(rng.normal(size=bias_len).astype(np.float32)),)
+        return op, x, w, extra
+
+    @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
+    def test_eval_fold_matches_batch_norm(self, kind):
+        """The fold reassociates a per-channel scale into the map's sums:
+        within 1e-6 of the largest output magnitude of ``bn(op(x, w))`` in
+        float32 (measured: at most 3e-7 of it over 30 seeds)."""
+        op, x, w, extra = self._operands(kind, seed=31)
+        bn = random_bn(4, seed=32).eval()
+        got = linear_bn(op, x, w, bn, *extra).data
+        ref = bn(op(x, w, *extra)).data
+        assert got.shape == ref.shape and got.dtype == np.float32
+        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
+    def test_training_is_the_unfolded_composition(self, kind):
+        op, x, w, extra = self._operands(kind, seed=33)
+        bn, ref_bn = random_bn(4, seed=34), random_bn(4, seed=34)
+        np.testing.assert_array_equal(linear_bn(op, x, w, bn, *extra).data,
+                                      ref_bn(op(x, w, *extra)).data)
+        np.testing.assert_array_equal(bn.running_mean, ref_bn.running_mean)
+        np.testing.assert_array_equal(bn.running_var, ref_bn.running_var)
+
+    @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
+    def test_eval_fold_gradient_matches_fd(self, kind):
+        op, x, w, extra = self._operands(kind, seed=35)
+        bn = random_bn(4, seed=36).eval()
+
+        def f(x, w, gamma, beta, *bias):
+            bn.gamma, bn.beta = gamma, beta
+            return _weighted_sum(linear_bn(op, x, w, bn, *bias), seed=37)
+
+        report = grad_check(f, [x, w, bn.gamma, bn.beta, *extra], h=1e-4, tol=1e-5)
         assert report.passed, report
 
 

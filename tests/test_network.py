@@ -1,20 +1,25 @@
-"""Checkpoint round trip, the training step's optimizer bookkeeping and the
-epoch loop's LR step and early stop."""
+"""Checkpoint round trip, the training step's optimizer bookkeeping, the
+epoch loop's LR step and early stop, the eval-mode BatchNorm fold and the
+eval forward's page faults."""
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spikegraph
+from spikegraph import blocks, encoding, network, neurons
 from spikegraph.config import RunConfig
 from spikegraph.data import (FormatError, SkeletonTopology, preprocess_sequences,
                              synthesize)
 from spikegraph.encoding import SscEncoder
 from spikegraph.fusion import SmicNet
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
-from spikegraph.network import (TEACHER_TAP_LAYERS, GcTcUnit, TeacherModel, Trainer,
-                                batch_tensors, load_model, save_model)
+from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, TeacherModel,
+                                Trainer, batch_tensors, load_model, save_model)
 from spikegraph.tensor import InvalidInputError
 
 CLASSES = 4
@@ -199,3 +204,165 @@ class TestLoadStateDict:
             bn.load_state_dict(state)
         for key, arr in BatchNorm(4).state_dict().items():
             np.testing.assert_array_equal(bn.state_dict()[key], arr)
+
+
+def _modules(module):
+    for _, child in module._children():
+        yield child
+        yield from _modules(child)
+
+
+def randomize_bn(model, seed):
+    """Random non-identity gamma, beta, running mean and variance in every
+    BatchNorm; at the toy plan the student's layers then fire 12-73%."""
+    rng = np.random.default_rng(seed)
+    for bn in _modules(model):
+        if isinstance(bn, BatchNorm):
+            c = bn.num_features
+            bn.gamma.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
+            bn.beta.data = rng.normal(0.0, 0.3, c).astype(np.float32)
+            bn.running_mean[:] = rng.normal(0.0, 0.3, c)
+            bn.running_var[:] = rng.uniform(0.5, 2.0, c)
+
+
+def unfolded_linear_bn(op, x, w, bn, bias=None):
+    return bn(op(x, w, *(() if bias is None else (bias,))))
+
+
+def spikes_of(run, monkeypatch, unfolded=False):
+    """(result of ``run()``, every sn_layer output in call order), through
+    the eval fold or, with ``unfolded``, through BatchNorm's own forward."""
+    spikes = []
+
+    def recording(x, cfg, relaxed=False):
+        out = neurons.sn_layer(x, cfg, relaxed)
+        spikes.append(out.data)
+        return out
+
+    with monkeypatch.context() as patch:
+        for mod in (blocks, encoding, network):
+            patch.setattr(mod, "sn_layer", recording)
+            if unfolded:
+                patch.setattr(mod, "linear_bn", unfolded_linear_bn)
+        result = run()
+    return result, spikes
+
+
+class TestEvalFold:
+    def test_student_fold_against_unfolded(self, trained, monkeypatch):
+        """Folding reassociates sums, so a membrane at the threshold can
+        flip a spike.  Measured with these statistics: at the toy plan
+        (16 clips, seeds 0-3) 0 of 2.5e7 spikes flipped and the logits were
+        bit-identical; at the paper plan (4 clips of T=64, seeds 0-1) 0 and
+        24,764 of 1.0e8 flipped, at most 0.22% in one layer, with logits
+        within 7.5e-3.  The bounds, 0.3% per layer and 1e-2 on the logits,
+        cover the paper-plan figures."""
+        cfg, topo, _, batch = trained
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+        randomize_bn(model, seed=0)
+        model.eval()
+        folded, spikes = spikes_of(lambda: model(batch)[0].data, monkeypatch)
+        ref, ref_spikes = spikes_of(lambda: model(batch)[0].data, monkeypatch,
+                                    unfolded=True)
+        assert len(spikes) == len(ref_spikes) > 30
+        for got, want in zip(spikes, ref_spikes):
+            assert want.any()
+            assert np.count_nonzero(got != want) <= 3e-3 * want.size
+        np.testing.assert_allclose(folded, ref, rtol=0, atol=1e-2)
+
+    def test_identity_statistics_are_bit_identical(self, trained, monkeypatch):
+        cfg, topo, _, batch = trained
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0)).eval()
+        folded, spikes = spikes_of(lambda: model(batch)[0].data, monkeypatch)
+        ref, ref_spikes = spikes_of(lambda: model(batch)[0].data, monkeypatch,
+                                    unfolded=True)
+        assert len(spikes) == len(ref_spikes)
+        for got, want in zip(spikes, ref_spikes):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(folded, ref)
+
+    def test_teacher_and_ftm_fold_against_unfolded(self, trained, monkeypatch):
+        """Real-valued teacher logits agree within 1e-4 relative; the FTM's
+        translated spikes, as the student's, may flip only at the threshold."""
+        cfg, topo, _, batch = trained
+        teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
+        student = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+        ftm = FtmModule(teacher.plan, student.plan, student.spike_steps, student.lif,
+                        np.random.default_rng(2))
+        for seed, module in enumerate((teacher, ftm)):
+            randomize_bn(module, seed)
+            module.eval()
+
+        def run():
+            logits, taps = teacher(batch)
+            return logits, ftm.translate(taps)
+
+        (logits, translated), _ = spikes_of(run, monkeypatch)
+        (ref_logits, ref_translated), _ = spikes_of(run, monkeypatch, unfolded=True)
+        for name, ref in ref_logits.items():
+            np.testing.assert_allclose(logits[name].data, ref.data, rtol=1e-4,
+                                       atol=1e-4 * np.abs(ref.data).max())
+        for got, want in zip(translated, ref_translated):
+            assert np.count_nonzero(got.data != want.data) <= 3e-3 * want.size
+
+    def test_no_stale_fold(self, trained):
+        """An eval forward after a training step, or after load_state_dict
+        into a model that already ran in eval, equals a fresh model's."""
+        cfg, topo, _, batch = trained
+        labels = np.arange(8) % CLASSES
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+        model.eval()
+        model(batch)
+        before = model.state_dict()
+        Trainer(model, None, labels, cfg.train_settings(),
+                loss_weights=cfg.loss_weights()).train_step(batch, labels)
+        state = model.state_dict()
+        for key in ("encoders.1.bn.gamma", "encoders.1.bn.beta",
+                    "buffer:encoders.1.bn.running_mean", "buffer:encoders.1.bn.running_var"):
+            assert not np.array_equal(state[key], before[key]), key
+        model.eval()
+        after_step = model(batch)[0].data
+
+        fresh = cfg.build_student(CLASSES, topo, np.random.default_rng(5))
+        fresh.load_state_dict(state)
+        np.testing.assert_array_equal(after_step, fresh.eval()(batch)[0].data)
+
+        reloaded = cfg.build_student(CLASSES, topo, np.random.default_rng(6)).eval()
+        reloaded(batch)
+        reloaded.load_state_dict(state)
+        np.testing.assert_array_equal(after_step, reloaded(batch)[0].data)
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+import spikegraph
+from spikegraph.config import RunConfig
+from spikegraph.data import SkeletonTopology
+from spikegraph.tensor import Tensor
+model = RunConfig().build_student(4, SkeletonTopology.ntu25(),
+                                  np.random.default_rng(0)).eval()
+rng = np.random.default_rng(1)
+clip = {m: Tensor(rng.normal(size=(1, 3, 16, 25)).astype(np.float32))
+        for m in ("joint", "bone", "joint_motion", "bone_motion")}
+for _ in range(2):
+    model(clip)
+r0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    model(clip)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - r0) / 4)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap thresholds")
+def test_eval_forward_does_not_fault_its_heap_back_in():
+    """A toy-plan eval forward of one T=16 clip, in a process that builds
+    no Trainer, after 2 warm-up forwards.  Without fixed heap thresholds it
+    took about 1,900 minor faults per forward (glibc returned the freed
+    transients to the kernel); with them, 0-1."""
+    src = os.path.dirname(os.path.dirname(spikegraph.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 50
