@@ -17,7 +17,8 @@ from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, sn_layer
 from .profiler import record_cost
 from .tensor import (DimensionError, InvalidInputError, Tensor, add, conv2d,
-                     matmul, mul, permute, reshape, scale, slice_, sub)
+                     matmul, mul, permute, record_op, reshape, scale, slice_,
+                     sub)
 
 
 def normalize_adjacency(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
@@ -60,8 +61,6 @@ def partition_branches(topo: SkeletonTopology) -> np.ndarray:
 
 def channel_map(x: Tensor, w: Tensor) -> Tensor:
     """Apply w[D, D'] to the channel axis (-3) of x (a 1x1 convolution), fused."""
-    from .tensor import record_op
-
     if x.ndim < 3 or x.shape[-3] != w.shape[0]:
         raise DimensionError(f"channel map of {x.shape} with weight {w.shape}")
     out_data = np.moveaxis(np.tensordot(x.data, w.data, axes=([-3], [0])), -1, -3)
@@ -89,8 +88,6 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     row's result depends on the others, so a sample's output does not
     depend on its batch.  Backward keeps only x.
     """
-    from .tensor import record_op
-
     k, d, d_out = w.shape
     if x.ndim < 3 or x.shape[-3] != d or adj.shape != (k, x.shape[-2], x.shape[-2]):
         raise DimensionError(

@@ -74,7 +74,6 @@ DEFAULTS: dict[str, Any] = {
         "epochs": 60,
         "lr_step_epoch": 50,
         "lr_decay": 0.1,
-        "dropout": 0.0,
         "early_stop_train_acc": 0.995,
     },
     "kd": "none",                   # none | soft | feature | soft,feature
@@ -208,7 +207,6 @@ class RunConfig:
             smic_lr=self.values["smf"]["smic_lr"],
             attention_scale=b["attention_scale"],
             temporal_kernel=b["temporal_kernel"],
-            dropout=self.values["optimizer"]["dropout"],
             smf_enabled=self.values["smf"]["enabled"], rng=rng,
             shuffle_seed=self.values["smf"]["shuffle_seed"])
 

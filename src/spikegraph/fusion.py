@@ -1,12 +1,14 @@
 """Spike-based multimodal fusion driven by mutual-information lower bounds.
 
-Six recurrent estimators (one per unordered modality pair) score joint
-versus spike-step-shuffled concatenations; the Donsker-Varadhan bound per
-pair fills a symmetric 4x4 matrix whose row averages are min-max scaled
-into fusion weights.  Estimators train by gradient ascent on the bound
-through their own optimizer, and a running average of the bounds drives
-the weights: uniform during a burn-in of ascent steps, then the min-max
-scaled row averages.  The weights enter the task network as constants.
+One recurrent estimator, stacked over the six unordered modality pairs
+(a leading pair axis on every weight), scores joint versus
+spike-step-shuffled concatenations of joint-pooled spikes; the
+Donsker-Varadhan bound per pair fills a symmetric 4x4 matrix whose row
+averages are min-max scaled into fusion weights.  The estimator trains by
+gradient ascent on the bounds through its own optimizer, and a running
+average of the bounds drives the weights: uniform during a burn-in of
+ascent steps, then the min-max scaled row averages.  The weights enter the
+task network as constants.
 """
 
 from __future__ import annotations
@@ -20,83 +22,93 @@ from .module import Adam, Module, Parameter, uniform_init
 from .neurons import LifConfig, sn_layer
 from .profiler import record_cost
 from .tensor import (DimensionError, InvalidInputError, NumericalError, Tape,
-                     Tensor, add, backward, concat, exp, log, matmul, mean,
-                     permute, reshape, scale, sub, take0)
+                     Tensor, add, backward, concat, exp, log, lstm_cell, matmul,
+                     mean, permute, reshape, scale, sub, sum_)
 
 MODALITY_ORDER = ("bone", "joint", "bone_motion", "joint_motion")
 
 
-def make_joint(p_a: Tensor, p_b: Tensor) -> Tensor:
-    """Concatenate two [S, (B,) D, V, T] spike features along the channels."""
-    if p_a.shape != p_b.shape:
-        raise DimensionError(f"modality shapes differ: {p_a.shape} vs {p_b.shape}")
-    return concat([p_a, p_b], axis=-3)
+def smic_inputs(spikes: list[Tensor], seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Estimator inputs for every modality pair, built outside the tape.
 
-
-def make_marginal(p_a: Tensor, p_b: Tensor, rng_seed: int) -> Tensor:
-    """Concatenate p_a with p_b whose spike-step slices are permuted."""
-    if p_a.shape != p_b.shape:
-        raise DimensionError(f"modality shapes differ: {p_a.shape} vs {p_b.shape}")
-    s = p_b.shape[0]
-    perm = np.random.default_rng(rng_seed).permutation(s)
-    return concat([p_a, take0(p_b, perm)], axis=-3)
+    Each [S, B, D, V, T] modality is mean-pooled over joints once; pair
+    (i, j) then concatenates pooled i with pooled j along the channels,
+    as is for the joint input and with j's spike-step slices permuted by
+    ``seed`` for the marginal input.  Returns joint and marginal, each
+    [P, S, B, 2D, T], the pairs in ``SpikeMultimodalFusion.PAIRS`` order.
+    """
+    shapes = {t.shape for t in spikes}
+    if len(shapes) != 1:
+        raise DimensionError(f"modality shapes differ: {sorted(shapes)}")
+    pooled = np.stack([t.data.mean(axis=-2) for t in spikes])     # [M, S, B, D, T]
+    first, second = (pooled[list(side)] for side in zip(*SpikeMultimodalFusion.PAIRS))
+    perm = np.random.default_rng(seed).permutation(pooled.shape[1])
+    joint = np.concatenate([first, second], axis=-2)
+    marginal = np.concatenate([first, second[:, perm]], axis=-2)
+    return joint, marginal
 
 
 class SmicNet(Module):
-    """LSTM -> SN -> FC -> GAP scorer for one modality pair.
+    """LSTM -> SN -> FC -> GAP scorer, stacked over modality pairs.
 
-    The LSTM scans the frame axis with inputs mean-pooled over joints,
-    batching the spike-step slices; hidden states are binarized before the
-    scalar head.
+    Every weight has a leading pair axis, so the pairs share no parameter
+    and one batched forward scores them all.  The LSTM scans the frame
+    axis of joint-pooled inputs, batching the spike-step slices; hidden
+    states are binarized before the scalar head.
     """
 
-    def __init__(self, in_channels: int, hidden: int, lif: LifConfig,
+    def __init__(self, pairs: int, in_channels: int, hidden: int, lif: LifConfig,
                  rng: np.random.Generator):
         super().__init__()
+        self.pairs = pairs
         self.in_channels = in_channels
         self.hidden = hidden
         self.lif = lif
         # gain 2 + unit forget bias push hidden states into the surrogate
         # window at init; with smaller activity no gradient reaches the
-        # recurrent weights and the estimator never leaves bound zero
-        self.w_ih = Parameter(2.0 * uniform_init(rng, (4 * hidden, in_channels), in_channels))
-        self.w_hh = Parameter(2.0 * uniform_init(rng, (4 * hidden, hidden), hidden))
-        b_ih = np.zeros(4 * hidden, dtype=np.float32)
-        b_ih[hidden:2 * hidden] = 1.0
+        # recurrent weights and the estimator never leaves bound zero.
+        # Drawn pair by pair, in the order of separate estimators.
+        w_ih, w_hh, fc_w = zip(*[
+            (2.0 * uniform_init(rng, (4 * hidden, in_channels), in_channels),
+             2.0 * uniform_init(rng, (4 * hidden, hidden), hidden),
+             uniform_init(rng, (hidden, 1), hidden)) for _ in range(pairs)])
+        self.w_ih = Parameter(np.stack(w_ih))
+        self.w_hh = Parameter(np.stack(w_hh))
+        b_ih = np.zeros((pairs, 4 * hidden), dtype=np.float32)
+        b_ih[:, hidden:2 * hidden] = 1.0
         self.b_ih = Parameter(b_ih)
-        self.b_hh = Parameter(np.zeros(4 * hidden, dtype=np.float32))
-        self.fc_w = Parameter(uniform_init(rng, (hidden, 1), hidden))
-        self.fc_b = Parameter(np.zeros(1, dtype=np.float32))
+        self.b_hh = Parameter(np.zeros((pairs, 4 * hidden), dtype=np.float32))
+        self.fc_w = Parameter(np.stack(fc_w))
+        self.fc_b = Parameter(np.zeros((pairs, 1), dtype=np.float32))
 
-    def forward(self, x: Tensor) -> Tensor:
-        """x[S, B, 2D, V, T] -> per-sample scalar [B]."""
-        from .tensor import lstm_cell
-
-        s, b, c, v, t = x.shape
-        if c != self.in_channels:
+    def forward(self, x: np.ndarray) -> Tensor:
+        """x[P, S, B, 2D, T] (joint-pooled, no gradient) -> scores [P, B]."""
+        p, s, b, c, t = x.shape
+        if (p, c) != (self.pairs, self.in_channels):
             raise DimensionError(
-                f"SMIC expects {self.in_channels} channels (two modalities), got {c}")
-        pooled = mean(x, axis=3)                       # [S,B,C,T]
-        h = Tensor(np.zeros((s * b, self.hidden), dtype=np.float32))
-        cstate = Tensor(np.zeros((s * b, self.hidden), dtype=np.float32))
+                f"SMIC expects {self.pairs} pairs of {self.in_channels} channels "
+                f"(two modalities), got {p} of {c}")
+        frames = np.moveaxis(x, -1, 0).reshape(t, p, s * b, c)
+        h = Tensor(np.zeros((p, s * b, self.hidden), dtype=np.float32))
+        cstate = Tensor(np.zeros((p, s * b, self.hidden), dtype=np.float32))
         hs = []
-        for step in range(t):
-            xt = reshape(pooled[:, :, :, step], (s * b, c))
-            h, cstate = lstm_cell(xt, h, cstate, self.w_ih, self.w_hh,
+        for xt in frames:
+            h, cstate = lstm_cell(Tensor(xt), h, cstate, self.w_ih, self.w_hh,
                                   self.b_ih, self.b_hh)
-            hs.append(reshape(h, (s, b, self.hidden, 1)))
-        hidden_seq = concat(hs, axis=3)                # [S,B,H,T]
+            hs.append(reshape(h, (p, s, b, self.hidden, 1)))
+        hidden_seq = permute(concat(hs, axis=-1), (1, 0, 2, 3, 4))   # [S,P,B,H,T]
         spikes = sn_layer(hidden_seq, self.lif)
-        tokens = permute(spikes, (0, 1, 3, 2))         # [S,B,T,H]
-        logits = add(matmul(tokens, self.fc_w), self.fc_b)  # [S,B,T,1]
-        return mean(logits, axis=(0, 2, 3))            # [B]
+        tokens = permute(spikes, (0, 1, 2, 4, 3))                    # [S,P,B,T,H]
+        logits = add(matmul(tokens, reshape(self.fc_w, (p, 1, self.hidden, 1))),
+                     reshape(self.fc_b, (p, 1, 1, 1)))               # [S,P,B,T,1]
+        return mean(logits, axis=(0, 3, 4))                          # [P,B]
 
 
 def mi_lower_bound(t_vals: Tensor, et_vals: Tensor) -> Tensor:
-    """Donsker-Varadhan form: mean(t) - log(mean(et))."""
+    """Donsker-Varadhan form over the last axis: mean(t) - log(mean(et))."""
     if (et_vals.data <= 0).any():
         raise NumericalError("marginal-path values must be positive")
-    return sub(mean(t_vals), log(mean(et_vals)))
+    return sub(mean(t_vals, axis=-1), log(mean(et_vals, axis=-1)))
 
 
 @dataclass
@@ -170,31 +182,29 @@ def fuse_modalities(spikes: list[Tensor], weights: FusionWeights) -> Tensor:
 
 
 class SpikeMultimodalFusion(Module):
-    """Pairwise SMIC estimators plus the weight/fusion plumbing.
+    """The stacked SMIC estimator plus the weight/fusion plumbing.
 
-    Estimators are trained by gradient ascent on the pairwise bounds with
-    their own Adam optimizer; inputs are detached so no gradient leaks
-    into the encoders.  The marginal shuffle seed advances with an
-    internal per-batch counter.
+    The estimator is trained by gradient ascent on the pairwise bounds with
+    its own Adam optimizer; its inputs are built from the spikes' data, so
+    no gradient leaks into the encoders.  The marginal shuffle seed
+    advances with an internal per-batch counter.
     """
 
     PAIRS = tuple(combinations(range(4), 2))
+    # smoothing of the bound matrix, the ascent steps before the weights
+    # leave uniform, and the steps after which the weights stop moving
+    ema_momentum = 0.98
+    burn_in_steps = 50
+    freeze_after_steps = 150
 
     def __init__(self, channels: int, hidden: int, lif: LifConfig,
-                 rng: np.random.Generator, lr: float = 1e-3,
-                 shuffle_seed: int = 0, ema_momentum: float = 0.98,
-                 burn_in_steps: int = 50, freeze_after_steps: int = 150):
+                 rng: np.random.Generator, lr: float = 1e-3, shuffle_seed: int = 0):
         super().__init__()
         self.channels = channels
-        self.estimators = [SmicNet(2 * channels, hidden, lif, rng)
-                           for _ in self.PAIRS]
-        self._optim = Adam([p for est in self.estimators for p in est.parameters()],
-                           lr=lr)
+        self.estimator = SmicNet(len(self.PAIRS), 2 * channels, hidden, lif, rng)
+        self._optim = Adam(self.estimator.parameters(), lr=lr)
         self._shuffle_seed = shuffle_seed
         self._counter = 0
-        self.ema_momentum = ema_momentum
-        self.burn_in_steps = burn_in_steps
-        self.freeze_after_steps = freeze_after_steps
         # smoothed pairwise bounds: per-batch DV estimates at desk-scale
         # batch sizes are too noisy to min-max directly, so the weight
         # computation reads this running average (stored with the model)
@@ -202,36 +212,31 @@ class SpikeMultimodalFusion(Module):
         self.mi_ema_count = self.register_buffer(
             "mi_ema_count", np.zeros(1, dtype=np.float32))
 
-    def pair_bound(self, p_a: Tensor, p_b: Tensor, estimator: SmicNet,
-                   seed: int) -> Tensor:
-        t_vals = estimator(make_joint(p_a, p_b))
-        et_vals = exp(estimator(make_marginal(p_a, p_b, seed)))
-        return mi_lower_bound(t_vals, et_vals)
-
     @property
     def frozen(self) -> bool:
         """True once the ascent budget is exhausted; weights stop moving."""
-        return (self.freeze_after_steps is not None
-                and self.mi_ema_count[0] >= self.freeze_after_steps)
+        return self.mi_ema_count[0] >= self.freeze_after_steps
 
     def train_step(self, spikes: list[Tensor]) -> dict[tuple[int, int], float]:
         """One ascent step on every pair; returns and smooths the achieved
-        bounds.  The pairs own disjoint parameters, so one optimizer step
-        after all six backward passes updates each estimator once."""
+        bounds.
+
+        The objective is minus the sum of the six bounds.  Pair k's bound
+        depends only on slice k of every estimator weight and the pairs
+        share no parameter, so the gradient of the sum on slice k is the
+        gradient of bound k alone: one backward and one Adam step move each
+        pair exactly as a separate ascent on its own bound would.
+        """
         if self.frozen:
             return {}
-        detached = [t.detach() for t in spikes]
-        seed = self._shuffle_seed + self._counter
+        joint, marginal = smic_inputs(spikes, self._shuffle_seed + self._counter)
         self._counter += 1
-        bounds = {}
-        for est, (i, j) in zip(self.estimators, self.PAIRS):
-            with Tape() as tape:
-                bound = self.pair_bound(detached[i], detached[j], est, seed)
-                loss = scale(bound, -1.0)
-                backward(loss, tape)
-            bounds[(i, j)] = float(bound.data)
+        with Tape() as tape:
+            bound = mi_lower_bound(self.estimator(joint), exp(self.estimator(marginal)))
+            backward(scale(sum_(bound), -1.0), tape)
         self._optim.step()
         self._optim.zero_grad()
+        bounds = dict(zip(self.PAIRS, bound.data.tolist()))
         fresh = MiMatrix.from_pairs(bounds).values.astype(np.float32)
         if self.mi_ema_count[0] == 0:
             self.mi_ema[:] = fresh

@@ -9,7 +9,7 @@ from typing import Iterator
 import numpy as np
 
 from .data import FormatError
-from .tensor import (InvalidInputError, Tensor, add, matmul, permute,
+from .tensor import (InvalidInputError, Tensor, add, batch_norm, matmul, permute,
                      tensor_from_bytes, tensor_to_bytes)
 
 
@@ -153,10 +153,9 @@ class BatchNorm(Module):
             "running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        from .tensor import batch_norm
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
                           self.running_var, self.training,
-                          momentum=self.momentum, eps=self.eps, axis=x.ndim - 3)
+                          momentum=self.momentum, eps=self.eps)
 
 
 # ---------------------------------------------------------------------------

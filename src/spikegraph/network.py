@@ -118,14 +118,14 @@ def accuracy(logits: Tensor | np.ndarray, labels: np.ndarray) -> float:
     return float((data.argmax(axis=1) == labels).mean())
 
 
-def aggregate_soft_labels(y_b: Tensor, y_j: Tensor, y_bm: Tensor, y_jm: Tensor,
-                          weights: LossWeights) -> Tensor:
-    """Weighted sum of the per-modality teacher logits.
+def aggregate_soft_labels(logits: dict[str, Tensor], weights: LossWeights) -> Tensor:
+    """Weighted sum of the per-modality teacher logits, ``weights.alpha``
+    in ``MODALITY_ORDER``.
 
     Summed pairwise so the equal-weight case collapses to the input
     bit-exactly.
     """
-    ys = (y_b, y_j, y_bm, y_jm)
+    ys = [logits[m] for m in MODALITY_ORDER]
     shapes = {y.shape for y in ys}
     if len(shapes) != 1:
         raise DimensionError(f"soft label shapes differ: {sorted(shapes)}")
@@ -175,24 +175,17 @@ def fkd_loss(t_translated: Tensor, t_student: Tensor) -> Tensor:
 
 
 def total_loss(l_task: Tensor, l_sdk: Optional[Tensor],
-               l_fkd1: Optional[Tensor], l_fkd2: Optional[Tensor],
-               weights: LossWeights) -> Tensor:
-    """gamma-weighted combination; zero-weighted terms are skipped so the
+               l_fkd: Optional[tuple[Tensor, Tensor]], weights: LossWeights) -> Tensor:
+    """gamma-weighted combination of the task, soft-label and the two
+    beta-weighted feature terms; a zero-gamma term is skipped so the
     task-only configuration is bit-identical to gamma1 * task loss."""
     g1, g2, g3 = weights.gamma
     out = scale(l_task, g1)
     if g2 != 0.0 and l_sdk is not None:
         out = add(out, scale(l_sdk, g2))
-    if g3 != 0.0 and (l_fkd1 is not None or l_fkd2 is not None):
-        b1, b2 = weights.beta
-        fkd = None
-        if l_fkd1 is not None and b1 != 0.0:
-            fkd = scale(l_fkd1, b1)
-        if l_fkd2 is not None and b2 != 0.0:
-            term = scale(l_fkd2, b2)
-            fkd = term if fkd is None else add(fkd, term)
-        if fkd is not None:
-            out = add(out, scale(fkd, g3))
+    if g3 != 0.0 and l_fkd is not None:
+        (l_fkd1, l_fkd2), (b1, b2) = l_fkd, weights.beta
+        out = add(out, scale(add(scale(l_fkd1, b1), scale(l_fkd2, b2)), g3))
     return out
 
 
@@ -208,7 +201,7 @@ class MkSgnModel(Module):
                  lif: LifConfig = LifConfig(), spike_steps: int = 4,
                  smic_hidden: int = 64, smic_lr: float = 1e-3,
                  attention_scale: float = 0.125, temporal_kernel: int = 5,
-                 dropout: float = 0.0, smf_enabled: bool = True,
+                 smf_enabled: bool = True,
                  rng: Optional[np.random.Generator] = None,
                  shuffle_seed: int = 0):
         super().__init__()
@@ -219,7 +212,6 @@ class MkSgnModel(Module):
         self.lif = lif
         self.spike_steps = spike_steps
         self.attention_scale = attention_scale
-        self.dropout = dropout
         self.smf_enabled = smf_enabled
         self.adjacency = partition_branches(topo)
         ssc_cfg = SscConfig(spike_steps=spike_steps, hidden_channels=plan.in_channels)
@@ -237,7 +229,6 @@ class MkSgnModel(Module):
             self.stc_layers.append(StcLayer(cout, lif, rng, kernel_t=temporal_kernel,
                                             stride=stride))
         self.head = Linear(plan.widths[-1], num_classes, rng)
-        self._dropout_rng = np.random.default_rng(rng.integers(2 ** 32))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -294,11 +285,6 @@ class MkSgnModel(Module):
                 taps[i] = x
         final = sn_layer(x, self.lif)
         pooled = mean(final, axis=(3, 4))           # [S, B, D]
-        if self.dropout > 0.0 and self.training:
-            keep = 1.0 - self.dropout
-            mask = (self._dropout_rng.uniform(size=pooled.shape) < keep
-                    ).astype(np.float32) / keep
-            pooled = mul(pooled, Tensor(mask))
         s, b, d = pooled.shape
         record_cost("head", self.head, final)
         logits = self.head(reshape(pooled, (s * b, d)))
@@ -574,18 +560,15 @@ class Trainer:
         with Tape() as tape:
             logits, taps, info = model(batch)
             l_task = task_loss(logits, labels)
-            l_sdk = l_fkd1 = l_fkd2 = None
+            l_sdk = l_fkd = None
             if "soft" in settings.kd and teacher_logits is not None:
-                y_mm = aggregate_soft_labels(
-                    teacher_logits["bone"], teacher_logits["joint"],
-                    teacher_logits["bone_motion"], teacher_logits["joint_motion"],
-                    self.loss_weights)
-                l_sdk = sdk_loss(logits, y_mm)
+                l_sdk = sdk_loss(logits, aggregate_soft_labels(teacher_logits,
+                                                               self.loss_weights))
             if "feature" in settings.kd and teacher_taps is not None:
                 t_mid, t_high = self.ftm.translate(teacher_taps)
-                l_fkd1 = fkd_loss(t_mid, taps[STUDENT_TAP_LAYERS[0]])
-                l_fkd2 = fkd_loss(t_high, taps[STUDENT_TAP_LAYERS[1]])
-            loss = total_loss(l_task, l_sdk, l_fkd1, l_fkd2, self.loss_weights)
+                l_fkd = (fkd_loss(t_mid, taps[STUDENT_TAP_LAYERS[0]]),
+                         fkd_loss(t_high, taps[STUDENT_TAP_LAYERS[1]]))
+            loss = total_loss(l_task, l_sdk, l_fkd, self.loss_weights)
             if not np.isfinite(loss.data).all():
                 raise DivergenceError("training loss is non-finite", info["rates"])
             backward(loss, tape)
@@ -597,9 +580,9 @@ class Trainer:
             "step": self.global_step,
             "l_task": float(l_task.data),
             "l_sdk": float(l_sdk.data) if l_sdk is not None else 0.0,
-            "l_fkd": float(l_fkd1.data * self.loss_weights.beta[0]
-                           + l_fkd2.data * self.loss_weights.beta[1])
-            if l_fkd1 is not None else 0.0,
+            "l_fkd": float(l_fkd[0].data * self.loss_weights.beta[0]
+                           + l_fkd[1].data * self.loss_weights.beta[1])
+            if l_fkd is not None else 0.0,
             "loss": float(loss.data),
             "acc": accuracy(logits, labels),
             "rates": info["rates"],

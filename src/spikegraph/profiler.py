@@ -162,8 +162,8 @@ def _encoder_cost(rec: CostRecorder, enc, x: Tensor) -> None:
 
 def _smic_cost(rec: CostRecorder, smf, *spikes: Tensor) -> None:
     """One entry per unordered modality pair: the LSTM gate GEMMs and the
-    hidden-to-score readout, every frame."""
-    hidden = smf.estimators[0].hidden
+    hidden-to-score readout, every frame, at ``smf.estimator.hidden``."""
+    hidden = smf.estimator.hidden
     frames = spikes[0].shape[-1]
     flops = (4 * hidden * (2 * smf.channels + hidden) + hidden) * frames
     rates = [firing_rate(s) for s in spikes]

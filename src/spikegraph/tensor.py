@@ -3,7 +3,7 @@
 The operator vocabulary is deliberately closed: matmul, conv2d (plus a
 depthwise variant), batch_norm, lstm_cell, elementwise arithmetic
 (add/sub/mul/div/scale/exp/log/sqrt/relu), reductions (sum/mean/max)
-and shape ops (reshape/permute/concat/slice/repeat/take).
+and shape ops (reshape/permute/concat/slice/repeat).
 Modules may register further ops through ``record_op`` (the spiking
 threshold lives in ``neurons``).  Everything runs on numpy arrays,
 float32 by default; the finite-difference oracle promotes to float64.
@@ -374,20 +374,22 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5,
-               axis: int = 1) -> Tensor:
-    """Normalize per channel (extent at ``axis``) over all other axes.
+               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """Normalize x[..., C, V, T] per channel (axis -3) over all other axes.
 
     Training mode uses batch statistics and updates the running buffers
     in place (momentum convention: new = (1-m)*old + m*batch); eval mode
     normalizes with the running buffers.
     """
+    if x.ndim < 3:
+        raise DimensionError(f"batch_norm expects [..., C, V, T], got {x.shape}")
+    axis = x.ndim - 3
     C = x.shape[axis]
     if gamma.size != C or beta.size != C:
         raise DimensionError(
             f"batch_norm gamma/beta length {gamma.size}/{beta.size} != channels {C}")
     red_axes = tuple(i for i in range(x.ndim) if i != axis)
-    n = int(np.prod([x.shape[i] for i in red_axes])) if red_axes else 1
+    n = int(np.prod([x.shape[i] for i in red_axes]))
     bshape = tuple(C if i == axis else 1 for i in range(x.ndim))
 
     xd = x.data
@@ -443,19 +445,25 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               b_ih: Tensor, b_hh: Tensor) -> tuple[Tensor, Tensor]:
     """Gated recurrence step; gate order (input, forget, cell, output).
 
-    x[N,In], h_prev/c_prev[N,H], w_ih[4H,In], w_hh[4H,H], biases[4H].
+    x[..., N, In], h_prev/c_prev[..., N, H], w_ih[..., 4H, In],
+    w_hh[..., 4H, H], biases[..., 4H]; leading axes batch independent
+    cells, one weight set each.
     """
-    N, In = x.shape
+    N, In = x.shape[-2:]
     H = h_prev.shape[-1]
-    if w_ih.shape != (4 * H, In) or w_hh.shape != (4 * H, H):
+    lead = x.shape[:-2]
+    if w_ih.shape != lead + (4 * H, In) or w_hh.shape != lead + (4 * H, H) \
+            or b_ih.shape != lead + (4 * H,) or b_hh.shape != lead + (4 * H,):
         raise DimensionError(
             f"lstm_cell weight extents {w_ih.shape}/{w_hh.shape} do not match "
-            f"input {In} / hidden {H}")
-    if h_prev.shape != (N, H) or c_prev.shape != (N, H):
+            f"input {x.shape} / hidden {H}")
+    if h_prev.shape != lead + (N, H) or c_prev.shape != lead + (N, H):
         raise DimensionError(
-            f"lstm_cell state extents {h_prev.shape}/{c_prev.shape} != ({N},{H})")
-    z = x.data @ w_ih.data.T + h_prev.data @ w_hh.data.T + b_ih.data + b_hh.data
-    zi, zf, zg, zo = np.split(z, 4, axis=1)
+            f"lstm_cell state extents {h_prev.shape}/{c_prev.shape} != {lead + (N, H)}")
+    z = (np.matmul(x.data, np.swapaxes(w_ih.data, -1, -2))
+         + np.matmul(h_prev.data, np.swapaxes(w_hh.data, -1, -2))
+         + b_ih.data[..., None, :] + b_hh.data[..., None, :])
+    zi, zf, zg, zo = np.split(z, 4, axis=-1)
     i = _sigmoid(zi)
     f = _sigmoid(zf)
     gcell = np.tanh(zg)
@@ -478,12 +486,13 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
             gf * f * (1.0 - f),
             gg * (1.0 - gcell * gcell),
             go * o * (1.0 - o),
-        ], axis=1)
-        gx = gz @ w_ih.data
-        gh_prev = gz @ w_hh.data
-        gw_ih = gz.T @ x.data
-        gw_hh = gz.T @ h_prev.data
-        gb = gz.sum(axis=0)
+        ], axis=-1)
+        gz_t = np.swapaxes(gz, -1, -2)
+        gx = np.matmul(gz, w_ih.data)
+        gh_prev = np.matmul(gz, w_hh.data)
+        gw_ih = np.matmul(gz_t, x.data)
+        gw_hh = np.matmul(gz_t, h_prev.data)
+        gb = gz.sum(axis=-2)
         return gx, gh_prev, gc_prev, gw_ih, gw_hh, gb, gb.copy()
 
     record_op((x, h_prev, c_prev, w_ih, w_hh, b_ih, b_hh), (h, c), backward)
@@ -602,20 +611,6 @@ def repeat0(x: Tensor, count: int) -> Tensor:
     """Replicate x along a new leading axis (broadcast copy)."""
     out = Tensor._wrap(np.broadcast_to(x.data, (count,) + x.data.shape).copy())
     record_op((x,), (out,), lambda g: (g.sum(axis=0),))
-    return out
-
-
-def take0(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Permute/select slices along the leading axis."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = Tensor._wrap(x.data[indices])
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, indices, g)
-        return (gx,)
-
-    record_op((x,), (out,), backward)
     return out
 
 

@@ -13,6 +13,7 @@ import yaml
 from spikegraph import cli, profiler
 from spikegraph.config import ConfigError, RunConfig
 from spikegraph.data import SkeletonTopology
+from spikegraph.module import save_checkpoint
 from spikegraph.network import save_model
 
 SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
@@ -183,3 +184,25 @@ def test_removed_branches_key_is_rejected(tmp_path, capsys):
     assert cli.main(["--config", config, "--out", str(tmp_path / "data"),
                      "synth"]) == cli.EXIT_CONFIG
     assert "blocks.branches" in capsys.readouterr().err
+
+
+def test_removed_dropout_key_is_rejected(tmp_path, capsys):
+    config = _write_config(tmp_path / "old.yaml", {"optimizer": {"dropout": 0.0}})
+    assert cli.main(["--config", config, "--out", str(tmp_path / "data"),
+                     "synth"]) == cli.EXIT_CONFIG
+    assert "optimizer.dropout" in capsys.readouterr().err
+
+
+def test_per_pair_estimator_checkpoint_is_rejected(tmp_path, tiny_data, capsys):
+    """A student saved with one SMIC estimator per modality pair, as before
+    the estimators were stacked, fails the strict load."""
+    model = RunConfig().build_student(2, SkeletonTopology.ntu25(), np.random.default_rng(0))
+    state = model.state_dict()
+    for name in ("w_ih", "w_hh", "b_ih", "b_hh", "fc_w", "fc_b"):
+        stacked = state.pop(f"smf.estimator.{name}")
+        state.update({f"smf.estimators.{k}.{name}": w for k, w in enumerate(stacked)})
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, model.plan_hash(), state)
+    code, err = _eval(tmp_path, tiny_data, ckpt, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "smf.estimator" in err and "Traceback" not in err

@@ -5,8 +5,8 @@ import pytest
 
 from spikegraph.fusion import (MODALITY_ORDER, FusionWeights, MiMatrix,
                                SmicNet, SpikeMultimodalFusion,
-                               compute_mi_weights, fuse_modalities, make_joint,
-                               make_marginal, mi_lower_bound)
+                               compute_mi_weights, fuse_modalities, mi_lower_bound,
+                               smic_inputs)
 from spikegraph.module import Adam
 from spikegraph.neurons import LifConfig
 from spikegraph.tensor import (DimensionError, InvalidInputError,
@@ -14,6 +14,7 @@ from spikegraph.tensor import (DimensionError, InvalidInputError,
                                scale)
 
 LIF = LifConfig()
+PAIRS = SpikeMultimodalFusion.PAIRS
 
 
 def spikes(shape, seed, p=0.5):
@@ -21,57 +22,74 @@ def spikes(shape, seed, p=0.5):
     return Tensor((rng.uniform(size=shape) < p).astype(np.float32))
 
 
+def four(shape, seed):
+    return [spikes(shape, seed + k) for k in range(4)]
+
+
 class TestMakeJoint:
+    """The joint input of ``smic_inputs``: pooled pair concatenations."""
+
     def test_shape_contract(self):
-        a = spikes((4, 64, 25, 16), 0)
-        b = spikes((4, 64, 25, 16), 1)
-        assert make_joint(a, b).shape == (4, 128, 25, 16)
+        joint, marginal = smic_inputs(four((4, 2, 64, 25, 16), 0), 0)
+        assert joint.shape == marginal.shape == (6, 4, 2, 128, 16)
 
     def test_preserves_binarity_and_ordering(self):
-        a = spikes((4, 8, 5, 6), 2)
-        b = spikes((4, 8, 5, 6), 3)
-        out = make_joint(a, b)
-        assert np.isin(out.data, (0.0, 1.0)).all()
-        np.testing.assert_array_equal(out.data[:, :8], a.data)
+        # one joint, so pooling is the identity
+        mods = four((4, 8, 5, 1, 6), 2)
+        joint, _ = smic_inputs(mods, 0)
+        assert np.isin(joint, (0.0, 1.0)).all()
+        for k, (i, j) in enumerate(PAIRS):
+            np.testing.assert_array_equal(joint[k, ..., :5, :], mods[i].data[..., 0, :])
+            np.testing.assert_array_equal(joint[k, ..., 5:, :], mods[j].data[..., 0, :])
+
+    def test_pooling_commutes_with_concat(self):
+        # bit-identical to pooling the full-size channel concatenation
+        mods = four((4, 16, 3, 25, 16), 3)
+        joint, _ = smic_inputs(mods, 0)
+        for k, (i, j) in enumerate(PAIRS):
+            cat = np.concatenate([mods[i].data, mods[j].data], axis=-3)
+            np.testing.assert_array_equal(joint[k], cat.mean(axis=-2))
 
     def test_shape_mismatch(self):
+        mods = four((4, 8, 5, 6, 3), 4)
+        mods[3] = spikes((4, 8, 5, 7, 3), 5)
         with pytest.raises(DimensionError):
-            make_joint(spikes((4, 8, 5, 6), 4), spikes((4, 8, 5, 7), 5))
+            smic_inputs(mods, 0)
 
 
 class TestMakeMarginal:
+    """The marginal input of ``smic_inputs``: the second modality's
+    spike-step slices permuted by the seed."""
+
     def test_single_step_equals_joint(self):
-        a = spikes((1, 8, 5, 6), 6)
-        b = spikes((1, 8, 5, 6), 7)
-        np.testing.assert_array_equal(make_marginal(a, b, 0).data,
-                                      make_joint(a, b).data)
+        joint, marginal = smic_inputs(four((1, 8, 5, 4, 6), 6), 0)
+        np.testing.assert_array_equal(marginal, joint)
 
     def test_multiset_preserved(self):
-        a = spikes((4, 8, 5, 6), 8)
-        b = spikes((4, 8, 5, 6), 9)
-        out = make_marginal(a, b, 123)
-        shuffled = out.data[:, 8:]
-        orig_slices = {b.data[s].tobytes() for s in range(4)}
-        new_slices = {shuffled[s].tobytes() for s in range(4)}
-        assert orig_slices == new_slices
+        joint, marginal = smic_inputs(four((4, 8, 5, 3, 6), 8), 123)
+        np.testing.assert_array_equal(marginal[..., :5, :], joint[..., :5, :])
+        for k in range(len(PAIRS)):
+            orig_slices = {joint[k, s, :, 5:].tobytes() for s in range(4)}
+            new_slices = {marginal[k, s, :, 5:].tobytes() for s in range(4)}
+            assert orig_slices == new_slices
 
     def test_same_seed_same_permutation(self):
-        a = spikes((4, 8, 5, 6), 10)
-        b = spikes((4, 8, 5, 6), 11)
-        np.testing.assert_array_equal(make_marginal(a, b, 42).data,
-                                      make_marginal(a, b, 42).data)
+        mods = four((4, 8, 5, 3, 6), 10)
+        np.testing.assert_array_equal(smic_inputs(mods, 42)[1], smic_inputs(mods, 42)[1])
 
     def test_fuzzed_multiset_preservation(self):
         rng = np.random.default_rng(12)
         for trial in range(200):
             s = int(rng.integers(2, 6))
-            shape = (s, int(rng.integers(1, 5)), 3, 4)
-            b = Tensor((rng.uniform(size=shape) < 0.5).astype(np.float32))
-            a = Tensor((rng.uniform(size=shape) < 0.5).astype(np.float32))
-            out = make_marginal(a, b, trial)
-            got = sorted(out.data[:, shape[1]:][s_].tobytes() for s_ in range(s))
-            want = sorted(b.data[s_].tobytes() for s_ in range(s))
-            assert got == want
+            d = int(rng.integers(1, 5))
+            shape = (s, int(rng.integers(1, 4)), d, 3, 4)
+            mods = [Tensor((rng.uniform(size=shape) < 0.5).astype(np.float32))
+                    for _ in range(4)]
+            joint, marginal = smic_inputs(mods, trial)
+            for k in range(len(PAIRS)):
+                got = sorted(marginal[k, s_, :, d:].tobytes() for s_ in range(s))
+                want = sorted(joint[k, s_, :, d:].tobytes() for s_ in range(s))
+                assert got == want
 
 
 class TestMiLowerBound:
@@ -184,36 +202,59 @@ class TestFuseModalities:
             fuse_modalities(mods, FusionWeights(np.ones(4)))
 
 
+def pooled(shape, seed):
+    """One pair's input [1, S, B, C, T]: spikes mean-pooled over joints."""
+    return spikes(shape, seed).data.mean(axis=-2)[None]
+
+
 class TestSmicNet:
     def test_zero_network_outputs(self):
-        net = SmicNet(8, 16, LIF, np.random.default_rng(15))
+        net = SmicNet(1, 8, 16, LIF, np.random.default_rng(15))
         for p in net.parameters():
             p.data[:] = 0.0
-        x = spikes((4, 3, 8, 5, 6), 16)
+        x = pooled((4, 3, 8, 5, 6), 16)
         t_vals = net(x)
         np.testing.assert_allclose(t_vals.data, 0.0, atol=1e-7)
         et_vals = exp(net(x))
         np.testing.assert_allclose(et_vals.data, 1.0, rtol=1e-6)
 
     def test_finite_scalar_outputs(self):
-        net = SmicNet(8, 16, LIF, np.random.default_rng(17))
-        x = spikes((4, 5, 8, 5, 6), 18)
-        out = net(x)
-        assert out.shape == (5,)
+        net = SmicNet(1, 8, 16, LIF, np.random.default_rng(17))
+        out = net(pooled((4, 5, 8, 5, 6), 18))
+        assert out.shape == (1, 5)
         assert np.isfinite(out.data).all()
 
     def test_gap_of_constant_is_constant(self):
-        net = SmicNet(8, 16, LIF, np.random.default_rng(19))
+        net = SmicNet(1, 8, 16, LIF, np.random.default_rng(19))
         c = 0.37
         net.fc_w.data[:] = 0.0
         net.fc_b.data[:] = c
-        out = net(spikes((4, 3, 8, 5, 6), 20))
+        out = net(pooled((4, 3, 8, 5, 6), 20))
         np.testing.assert_allclose(out.data, c, rtol=1e-6)
 
     def test_wrong_channels_rejected(self):
-        net = SmicNet(8, 16, LIF, np.random.default_rng(21))
+        net = SmicNet(1, 8, 16, LIF, np.random.default_rng(21))
         with pytest.raises(DimensionError):
-            net(spikes((4, 3, 6, 5, 6), 22))
+            net(pooled((4, 3, 6, 5, 6), 22))
+
+    def test_pairs_are_independent_estimators(self):
+        # slice k of the stacked estimator scores pair k exactly as a
+        # one-pair estimator holding slice k's weights does
+        stacked = SmicNet(3, 8, 16, LIF, np.random.default_rng(23))
+        x = np.concatenate([pooled((4, 3, 8, 5, 6), 24 + k) for k in range(3)])
+        out = stacked(x)
+        for k in range(3):
+            np.testing.assert_array_equal(one_pair(stacked, k)(x[k:k + 1]).data,
+                                          out.data[k:k + 1])
+
+
+def one_pair(stacked: SmicNet, k: int) -> SmicNet:
+    """A one-pair estimator holding a copy of slice k of ``stacked``."""
+    single = SmicNet(1, stacked.in_channels, stacked.hidden, stacked.lif,
+                     np.random.default_rng(0))
+    for name, p in single.named_parameters():
+        p.data = getattr(stacked, name).data[k:k + 1].copy()
+    return single
 
 
 def _stream_batch(rng, copied, s=4, d=4, v=3, t=6, b=64):
@@ -229,25 +270,28 @@ def _stream_batch(rng, copied, s=4, d=4, v=3, t=6, b=64):
     return Tensor(pa), Tensor(pb)
 
 
+def pair_bound(net: SmicNet, pa: Tensor, pb: Tensor, seed: int) -> Tensor:
+    """DV bound of one modality pair under a one-pair estimator."""
+    joint, marginal = smic_inputs([pa, pb, pa, pb], seed)  # PAIRS[0] is (0, 1)
+    return mi_lower_bound(net(joint[:1]), exp(net(marginal[:1])))
+
+
 def train_smic_on_stream(copied: bool, seed: int, steps: int = 150) -> float:
     """Frozen empirical oracle: fixed budget, fixed shapes, eval on fresh draws."""
     rng = np.random.default_rng(seed)
-    net = SmicNet(8, 32, LIF, np.random.default_rng(seed + 1000))
+    net = SmicNet(1, 8, 32, LIF, np.random.default_rng(seed + 1000))
     opt = Adam(net.parameters(), lr=3e-3)
     for step in range(steps):
         pa, pb = _stream_batch(rng, copied)
         with Tape() as tape:
-            bound = mi_lower_bound(net(make_joint(pa, pb)),
-                                   exp(net(make_marginal(pa, pb, seed * 100000 + step))))
+            bound = pair_bound(net, pa, pb, seed * 100000 + step)
             backward(scale(bound, -1.0), tape)
         opt.step()
         opt.zero_grad()
     evals = []
     for k in range(5):
         pa, pb = _stream_batch(rng, copied)
-        evals.append(float(mi_lower_bound(
-            net(make_joint(pa, pb)),
-            exp(net(make_marginal(pa, pb, seed * 999983 + k)))).data))
+        evals.append(float(pair_bound(net, pa, pb, seed * 999983 + k).data[0]))
     return float(np.mean(evals))
 
 
@@ -276,11 +320,34 @@ class TestSpikeMultimodalFusion:
     def test_train_step_moves_bounds_and_keeps_determinism(self):
         smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(24))
         mods = self._mods(60)
-        before = [p.data.copy() for p in smf.estimators[0].parameters()]
+        before = [p.data[0].copy() for p in smf.estimator.parameters()]
         bounds = smf.train_step(mods)
         assert set(bounds) == set(SpikeMultimodalFusion.PAIRS)
-        after = [p.data for p in smf.estimators[0].parameters()]
+        after = [p.data[0] for p in smf.estimator.parameters()]
         assert any(not np.array_equal(b, a) for b, a in zip(before, after))
+
+    def test_summed_objective_gives_each_pair_its_own_gradient(self):
+        # a low threshold lets the hidden states fire, so every bound and
+        # every weight's gradient is nonzero
+        smf = SpikeMultimodalFusion(4, 16, LifConfig(v_threshold=0.3),
+                                    np.random.default_rng(27))
+        mods = self._mods(90)
+        joint, marginal = smic_inputs(mods, 0)   # the first ascent's shuffle seed
+        singles, single_bounds = [], []
+        for k in range(len(PAIRS)):
+            net = one_pair(smf.estimator, k)
+            with Tape() as tape:
+                bound = mi_lower_bound(net(joint[k:k + 1]), exp(net(marginal[k:k + 1])))
+                backward(scale(bound, -1.0), tape)
+            singles.append(net)
+            single_bounds.append(float(bound.data[0]))
+        smf._optim.zero_grad = lambda: None      # keep the ascent's gradients
+        bounds = smf.train_step(mods)
+        assert [bounds[pair] for pair in PAIRS] == single_bounds
+        for k, net in enumerate(singles):
+            for name, p in net.named_parameters():
+                np.testing.assert_array_equal(getattr(smf.estimator, name).grad[k:k + 1],
+                                              p.grad)
 
     def test_no_gradient_leaks_into_inputs(self):
         smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(25))

@@ -1,4 +1,6 @@
-"""Every module-level import in ``src/spikegraph`` is referenced by its module."""
+"""Every module-level import in ``src/spikegraph`` is referenced by its
+module, and no function re-imports from a module that the file already
+imports from at top level."""
 
 import ast
 import os
@@ -29,6 +31,33 @@ def unused_imports(source: str) -> list[str]:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= {e.value for e in node.value.elts}
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def redundant_local_imports(source: str) -> list[str]:
+    """Function-level ``from .m import`` statements in a module that also
+    imports from ``.m`` at top level.  No import cycle needs them, and they
+    hide the names from ``unused_imports``."""
+    tree = ast.parse(source)
+    top = {(n.level, n.module) for n in tree.body if isinstance(n, ast.ImportFrom)}
+    local = {n for f in ast.walk(tree)
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for n in ast.walk(f) if isinstance(n, ast.ImportFrom)}
+    return [f"line {n.lineno}: from {'.' * n.level}{n.module}"
+            for n in sorted(local, key=lambda n: n.lineno)
+            if (n.level, n.module) in top]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_local_import_from_a_top_level_source(module):
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert redundant_local_imports(fh.read()) == []
+
+
+def test_checker_sees_a_redundant_local_import():
+    source = ("from .x import a\nimport os\n\n"
+              "def f():\n    from .x import b\n    from .y import c\n"
+              "    from os import path\n    return a, b, c, path\n")
+    assert redundant_local_imports(source) == ["line 5: from .x"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -8,7 +8,7 @@ from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
                                depthwise_conv2d, div, exp, grad_check, log,
                                lstm_cell, matmul, max_, mean, mul, permute,
                                relu, reshape, repeat0, scale, slice_, sqrt,
-                               sub, sum_, take0, tensor_from_bytes,
+                               sub, sum_, tensor_from_bytes,
                                tensor_to_bytes, load_tensor, save_tensor)
 
 
@@ -134,44 +134,45 @@ class TestBatchNorm:
 
     def test_unit_variance_pair(self):
         rm, rv = self._stats(1)
-        x = Tensor(np.array([-1.0, 1.0], dtype=np.float32).reshape(2, 1))
+        x = Tensor(np.array([-1.0, 1.0], dtype=np.float32).reshape(2, 1, 1, 1))
         out = batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), rm, rv, True)
         np.testing.assert_allclose(out.data.reshape(-1), [-1.0, 1.0], atol=1e-4)
 
     def test_gamma_zero_collapses_to_beta(self):
         rm, rv = self._stats(2)
-        x = Tensor(rand(5, 2, 3, seed=14))
+        x = Tensor(rand(5, 2, 3, 2, seed=14))
         out = batch_norm(x, Tensor(np.zeros(2)), Tensor(np.full(2, 0.7)), rm, rv, True)
         np.testing.assert_allclose(out.data, 0.7, rtol=1e-6)
 
     def test_batch_statistics_invariant(self):
         rm, rv = self._stats(4)
-        x = Tensor(rand(16, 4, 5, seed=15, scale_=3.0))
+        x = Tensor(rand(16, 4, 5, 3, seed=15, scale_=3.0))
         out = batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), rm, rv, True)
-        mu = out.data.mean(axis=(0, 2))
-        var = out.data.var(axis=(0, 2))
+        mu = out.data.mean(axis=(0, 2, 3))
+        var = out.data.var(axis=(0, 2, 3))
         assert np.all(np.abs(mu) < 1e-5)
         assert np.all(np.abs(var - 1.0) < 1e-4)
 
     def test_running_stats_update_and_eval(self):
         rm, rv = self._stats(2)
-        x = rand(8, 2, 4, seed=16, scale_=2.0)
+        x = rand(8, 2, 4, 3, seed=16, scale_=2.0)
         batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, True)
-        mu = x.mean(axis=(0, 2))
+        mu = x.mean(axis=(0, 2, 3))
         np.testing.assert_allclose(rm, 0.1 * mu, rtol=1e-5, atol=1e-6)
         out = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
                          rm, rv, False)
-        expected = (x - rm[None, :, None]) / np.sqrt(rv[None, :, None] + 1e-5)
+        stat = (slice(None), None, None)
+        expected = (x - rm[stat]) / np.sqrt(rv[stat] + 1e-5)
         np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-5)
 
     def test_zero_batch_rejected(self):
         rm, rv = self._stats(2)
         with pytest.raises(InvalidInputError):
-            batch_norm(Tensor(np.zeros((0, 2, 3), dtype=np.float32)),
+            batch_norm(Tensor(np.zeros((0, 2, 3, 3), dtype=np.float32)),
                        Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, True)
 
     def test_gradient_matches_fd_training(self):
-        x0 = rand(6, 3, 4, seed=17)
+        x0 = rand(6, 3, 4, 1, seed=17)
         g0 = np.ones(3, dtype=np.float32) + 0.1 * rand(3, seed=18)
         b0 = 0.1 * rand(3, seed=19)
 
@@ -234,6 +235,42 @@ class TestLstmCell:
         with pytest.raises(DimensionError):
             lstm_cell(Tensor(rand(2, 5)), Tensor(np.zeros((2, 4))),
                       Tensor(np.zeros((2, 4))), *w)
+
+    def _stacked(self, p, n, in_f, hidden, seed):
+        """Inputs and states [P, N, .] and weights [P, 4H, .] of p cells."""
+        leaves = [rand(p, n, in_f, seed=seed), rand(p, n, hidden, seed=seed + 1),
+                  rand(p, n, hidden, seed=seed + 2)]
+        per_cell = [[w.data for w in self._weights(in_f, hidden, seed=seed + 3 + 4 * k)]
+                    for k in range(p)]
+        return [Tensor(a) for a in leaves + [np.stack(w) for w in zip(*per_cell)]]
+
+    def test_leading_axis_batches_independent_cells(self):
+        # each slice of a batched cell is bit-identical to a cell of its own
+        p, n, in_f, hidden = 3, 5, 6, 4
+        leaves = self._stacked(p, n, in_f, hidden, seed=40)
+
+        def run(args):
+            args = [Tensor(a.data, requires_grad=True) for a in args]
+            with Tape() as tape:
+                h, c = lstm_cell(*args)
+                backward(add(sum_(mul(h, h)), sum_(c)), tape)
+            return [h.data, c.data] + [a.grad for a in args]
+
+        batched = run(leaves)
+        for k in range(p):
+            single = run([Tensor(t.data[k]) for t in leaves])
+            for got, want in zip(batched, single):
+                np.testing.assert_array_equal(got[k], want)
+
+    def test_batched_gradient_matches_fd(self):
+        leaves = self._stacked(2, 3, 3, 2, seed=60)
+
+        def f(*args):
+            h, c = lstm_cell(*args)
+            return add(sum_(h), sum_(mul(c, c)))
+
+        report = grad_check(f, leaves, h=1e-4, tol=1e-4)
+        assert report.passed, report
 
 
 class TestBackward:
@@ -363,14 +400,13 @@ class TestElementwiseAndShape:
         report = grad_check(f, [Tensor(x0), Tensor(y0)], h=1e-4, tol=1e-4)
         assert report.passed, report
 
-    def test_concat_slice_take_repeat(self):
+    def test_concat_slice_repeat(self):
         x0, y0 = rand(2, 3, seed=44), rand(2, 3, seed=45)
 
         def f(x, y):
             c = concat([x, y], axis=0)
             s = slice_(c, (slice(1, 3), slice(None)))
-            tk = take0(s, np.array([1, 0, 1]))
-            r = repeat0(tk, 2)
+            r = repeat0(s, 2)
             return sum_(mul(r, r))
 
         report = grad_check(f, [Tensor(x0), Tensor(y0)], h=1e-4, tol=1e-5)
