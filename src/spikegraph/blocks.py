@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import SkeletonTopology
 from .module import BatchNorm, Module, Parameter, kaiming_normal
-from .neurons import LifConfig, sn_layer
+from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import record_cost
 from .tensor import (DimensionError, InvalidInputError, Tensor, add, conv2d,
                      matmul, mul, permute, record_op, reshape, scale, slice_,
@@ -126,7 +126,8 @@ def linear_bn(op, x: Tensor, w: Tensor, bn: BatchNorm,
     a channel or graph map), and t joins the bias or, without one, is added
     to the output.  The fold is C x C work built from tape ops on every
     call, so gradients still reach w, gamma and beta, and no folded copy
-    can outlive a change to the weights or the statistics.
+    can outlive a change to the weights or the statistics.  Spiking sites
+    train through the fused ``spiking_linear_bn`` and fold here in eval.
     """
     extra = () if bias is None else (bias,)
     if bn.training:
@@ -139,6 +140,16 @@ def linear_bn(op, x: Tensor, w: Tensor, bn: BatchNorm,
     if bias is None:
         return add(op(x, w_folded), reshape(t, (-1, 1, 1)))
     return op(x, w_folded, add(mul(bias, s), t))
+
+
+def spiking_linear_bn(op, x: Tensor, w: Tensor, bn: BatchNorm, lif: LifConfig,
+                      bias: Tensor | None = None) -> Tensor:
+    """sn_layer(linear_bn(op, x, w, bn, bias)): in training BatchNorm and
+    the spiking neurons run as the one op ``bn_sn_layer``, which keeps
+    neither x-hat nor the normalized input; in eval, exactly the fold."""
+    if bn.training:
+        return bn_sn_layer(op(x, w, *(() if bias is None else (bias,))), bn, lif)
+    return sn_layer(linear_bn(op, x, w, bn, bias), lif)
 
 
 class SaSgcLayer(Module):
@@ -171,10 +182,10 @@ class SaSgcLayer(Module):
         if x.ndim != 5:
             raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
         record_cost("sgc", self, x)
-        branch = sn_layer(linear_bn(lambda x, w: graph_conv(x, adj, w), x, self.w_graph,
-                                    self.bn_branches), self.lif)
-        residual = sn_layer(linear_bn(channel_map, x, self.w_residual, self.bn_residual),
-                            self.lif)
+        branch = spiking_linear_bn(lambda x, w: graph_conv(x, adj, w), x, self.w_graph,
+                                   self.bn_branches, self.lif)
+        residual = spiking_linear_bn(channel_map, x, self.w_residual, self.bn_residual,
+                                     self.lif)
         return add(residual, branch)
 
     def ssa(self, h: Tensor) -> Tensor:
@@ -182,9 +193,9 @@ class SaSgcLayer(Module):
         if h.shape[2] != self.out_channels:
             raise DimensionError(
                 f"ssa channel extent {h.shape[2]} != weights {self.out_channels}")
-        q = sn_layer(linear_bn(channel_map, h, self.w_q, self.bn_q), self.lif)
-        k = sn_layer(linear_bn(channel_map, h, self.w_k, self.bn_k), self.lif)
-        v = sn_layer(linear_bn(channel_map, h, self.w_v, self.bn_v), self.lif)
+        q = spiking_linear_bn(channel_map, h, self.w_q, self.bn_q, self.lif)
+        k = spiking_linear_bn(channel_map, h, self.w_k, self.bn_k, self.lif)
+        v = spiking_linear_bn(channel_map, h, self.w_v, self.bn_v, self.lif)
         record_cost("ssa", self, h, q, k, v)
         # tokens are the V joints of each (spike step, frame) slice
         qt = permute(q, (0, 1, 4, 3, 2))  # [S,B,T,V,C]
@@ -236,8 +247,8 @@ class StcLayer(Module):
             y = conv2d(m, w, bias, stride=(1, self.stride), padding=(0, pad_t))
             return reshape(y, (s, b) + y.shape[1:])
 
-        main = sn_layer(linear_bn(temporal_conv, merged, self.weight, self.bn, self.bias),
-                        self.lif)
+        main = spiking_linear_bn(temporal_conv, merged, self.weight, self.bn, self.lif,
+                                 self.bias)
         res = h_sa
         if self.stride == 2:
             res = slice_(res, (..., slice(0, None, 2)))

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import linear_bn
+from .blocks import spiking_linear_bn
 from .module import BatchNorm, Module, Parameter, kaiming_normal
-from .neurons import LifConfig, sn_layer
+from .neurons import LifConfig
 from .profiler import record_cost
 from .tensor import InvalidInputError, Tensor, conv2d, permute, repeat0, reshape
 
@@ -66,7 +66,7 @@ class SscEncoder(Module):
         expanded = ssc_expand(x, s)  # [S, B, C, V, T]
         merged = reshape(expanded, (s * b,) + expanded.shape[2:])
         pad = self.cfg.kernel_size // 2
-        y = linear_bn(lambda m, w, bias: conv2d(m, w, bias, stride=1, padding=pad),
-                      merged, self.weight, self.bn, self.bias)
-        y = reshape(y, (s, b) + y.shape[1:])
-        return sn_layer(y, self.lif)
+        return spiking_linear_bn(  # the conv keeps (V, T); its output splits S from B
+            lambda m, w, bias: reshape(conv2d(m, w, bias, stride=1, padding=pad),
+                                       (s, b, -1) + expanded.shape[-2:]),
+            merged, self.weight, self.bn, self.lif, self.bias)

@@ -134,10 +134,10 @@ class Linear(Module):
 class BatchNorm(Module):
     """Channel batch norm over [..., C, V, T] features (channels at -3).
 
-    Every BatchNorm in the models follows a linear map and is applied
-    through ``blocks.linear_bn``, which calls ``forward`` in training and,
-    in eval, folds the running statistics, gamma and beta into that map
-    instead; ``forward`` in eval is the unfolded reference.
+    Every BatchNorm in the models follows a linear map.  In eval it is
+    folded into that map (``blocks.linear_bn``); ``forward`` in eval is the
+    unfolded reference.  In training, one feeding spiking neurons runs in
+    ``neurons.bn_sn_layer`` with them, and the others call ``forward``.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv, linear_bn,
-                     partition_branches, sa_sgc_stc_block)
+                     partition_branches, sa_sgc_stc_block, spiking_linear_bn)
 from .data import ModalityBundle, SkeletonTopology
 from .encoding import SscConfig, SscEncoder
 from .fusion import (MODALITY_ORDER, FusionWeights, SpikeMultimodalFusion,
@@ -434,8 +434,8 @@ class FtmBranch(Module):
         fused = depthwise_conv2d(cat, self.w_depthwise, stride=1, padding=1)
         fused = linear_bn(channel_map, fused, self.w_pointwise, self.bn_fuse)  # [B, 4C, V, T]
         expanded = repeat0(fused, self.spike_steps)  # [S, B, 4C, V, T]
-        y = linear_bn(channel_map, expanded, self.w_translate, self.bn_translate)
-        return sn_layer(y, self.lif)
+        return spiking_linear_bn(channel_map, expanded, self.w_translate,
+                                 self.bn_translate, self.lif)
 
 
 class FtmModule(Module):

@@ -381,6 +381,23 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     in place (momentum convention: new = (1-m)*old + m*batch); eval mode
     normalizes with the running buffers.
     """
+    red_axes, n, bshape, mu, inv_std = _bn_stats(x, gamma, beta, running_mean, running_var,
+                                                 training, momentum, eps)
+    xhat = _bn_xhat(x.data, mu, inv_std, bshape)
+    out = Tensor._wrap(gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape))
+
+    def backward(g):  # the tape casts each gradient to its input's dtype
+        return _bn_backward(g, xhat, gamma.data, inv_std, n, red_axes, bshape, training)
+
+    record_op((x, gamma, beta), (out,), backward)
+    return out
+
+
+def _bn_stats(x, gamma, beta, running_mean, running_var, training, momentum, eps):
+    """(reduced axes, elements per channel, broadcast shape of a channel
+    vector, mean, 1/sqrt(var + eps)); training takes batch statistics and
+    updates the running buffers, the variance unbiased by n/(n-1).  This
+    and the two helpers below are shared with ``neurons.bn_sn_layer``."""
     if x.ndim < 3:
         raise DimensionError(f"batch_norm expects [..., C, V, T], got {x.shape}")
     axis = x.ndim - 3
@@ -391,45 +408,38 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     red_axes = tuple(i for i in range(x.ndim) if i != axis)
     n = int(np.prod([x.shape[i] for i in red_axes]))
     bshape = tuple(C if i == axis else 1 for i in range(x.ndim))
-
     xd = x.data
+    if not training:
+        return (red_axes, n, bshape, running_mean.astype(xd.dtype),
+                (1.0 / np.sqrt(running_var.astype(xd.dtype) + eps)).astype(xd.dtype))
+    if n == 0 or xd.size == 0:
+        raise InvalidInputError("batch_norm training mode requires a non-empty batch")
+    mu = xd.mean(axis=red_axes)
+    var = xd.var(axis=red_axes)
+    running_mean[:] = (1.0 - momentum) * running_mean + momentum * mu
+    var_runtime = var * (n / (n - 1)) if n > 1 else var
+    running_var[:] = (1.0 - momentum) * running_var + momentum * var_runtime
+    return red_axes, n, bshape, mu, (1.0 / np.sqrt(var + eps)).astype(xd.dtype)
+
+
+def _bn_xhat(xd, mu, inv_std, bshape):
+    """(x - mu) * inv_std in a new array laid out in memory as x is."""
+    xhat = np.subtract(xd, mu.reshape(bshape).astype(xd.dtype))
+    xhat *= inv_std.reshape(bshape)
+    return xhat
+
+
+def _bn_backward(g, xhat, gamma_d, inv_std, n, red_axes, bshape, training=True, out=None):
+    """(gx, ggamma, gbeta); gx is written into ``out`` when given (it may be g)."""
+    gb = g.sum(axis=red_axes)
+    gg = (g * xhat).sum(axis=red_axes)
+    gx = np.multiply(g, (gamma_d * inv_std).reshape(bshape), out=out)
     if training:
-        if n == 0 or xd.size == 0:
-            raise InvalidInputError("batch_norm training mode requires a non-empty batch")
-        mu = xd.mean(axis=red_axes)
-        var = xd.var(axis=red_axes)
-        running_mean[:] = (1.0 - momentum) * running_mean + momentum * mu
-        var_runtime = var * (n / (n - 1)) if n > 1 else var
-        running_var[:] = (1.0 - momentum) * running_var + momentum * var_runtime
-    else:
-        mu = running_mean.astype(xd.dtype)
-        var = running_var.astype(xd.dtype)
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(xd.dtype)
-    xhat = (xd - mu.reshape(bshape).astype(xd.dtype)) * inv_std.reshape(bshape)
-    out_data = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
-    out = Tensor._wrap(out_data)
-
-    def backward(g):
-        gb = g.sum(axis=red_axes)
-        gg = (g * xhat).sum(axis=red_axes)
-        gamma_d = gamma.data
-        if training:
-            # sum(dxhat) = gamma*gb and sum(dxhat*xhat) = gamma*gg per channel,
-            # so dx collapses to g*A + xhat*C + B with per-channel scalars
-            a_coef = (gamma_d * inv_std).reshape(bshape)
-            c_coef = (-gamma_d * gg * inv_std / n).reshape(bshape).astype(xd.dtype)
-            b_coef = (-gamma_d * gb * inv_std / n).reshape(bshape).astype(xd.dtype)
-            gx = g * a_coef
-            gx += xhat * c_coef
-            gx += b_coef
-        else:
-            gx = g * (gamma_d * inv_std).reshape(bshape)
-        if gx.dtype != xd.dtype:
-            gx = gx.astype(xd.dtype)
-        return gx, gg.astype(gamma_d.dtype, copy=False), gb.astype(beta.data.dtype, copy=False)
-
-    record_op((x, gamma, beta), (out,), backward)
-    return out
+        # sum(dxhat) = gamma*gb and sum(dxhat*xhat) = gamma*gg per channel,
+        # so dx collapses to g*A + xhat*C + B with per-channel scalars
+        gx += xhat * (-gamma_d * gg * inv_std / n).reshape(bshape).astype(xhat.dtype)
+        gx += (-gamma_d * gb * inv_std / n).reshape(bshape).astype(xhat.dtype)
+    return gx, gg, gb
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 
 from spikegraph.blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv,
                                linear_bn, normalize_adjacency, partition_branches,
-                               sa_sgc_stc_block)
+                               sa_sgc_stc_block, spiking_linear_bn)
 from spikegraph.data import SkeletonTopology
 from spikegraph.module import BatchNorm
-from spikegraph.neurons import LifConfig
-from spikegraph.tensor import (DimensionError, InvalidInputError, Tensor,
-                               conv2d, grad_check, mul, sum_)
+from spikegraph.neurons import LifConfig, sn_layer
+from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
+                               backward, conv2d, grad_check, mul, sum_)
 
 
 LIF = LifConfig()
@@ -224,6 +224,27 @@ class TestLinearBn:
                                       ref_bn(op(x, w, *extra)).data)
         np.testing.assert_array_equal(bn.running_mean, ref_bn.running_mean)
         np.testing.assert_array_equal(bn.running_var, ref_bn.running_var)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
+    def test_spiking_is_sn_layer_of_linear_bn(self, kind, training):
+        """Bit-identical spikes, gradients and statistics: the fused op in
+        training, the same fold in eval."""
+        results = []
+        for fused in (True, False):
+            op, x, w, extra = self._operands(kind, seed=38)
+            bn = random_bn(4, seed=39).train(training)
+            for t in (x, w, *extra):
+                t.requires_grad = True
+            with Tape() as tape:
+                out = (spiking_linear_bn(op, x, w, bn, LIF, *extra) if fused
+                       else sn_layer(linear_bn(op, x, w, bn, *extra), LIF))
+                backward(_weighted_sum(out, seed=40), tape)
+            assert out.data.any() and not out.data.all()
+            results.append([out.data, bn.running_mean, bn.running_var, bn.gamma.grad,
+                            bn.beta.grad, *(t.grad for t in (x, w, *extra))])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
     def test_eval_fold_gradient_matches_fd(self, kind):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spikegraph
-from spikegraph import blocks, encoding, network, neurons
+from spikegraph import blocks, module, network, neurons, tensor
 from spikegraph.config import RunConfig
 from spikegraph.data import (FormatError, SkeletonTopology, preprocess_sequences,
                              synthesize)
@@ -20,7 +20,7 @@ from spikegraph.fusion import SmicNet
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
 from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, TeacherModel,
                                 Trainer, batch_tensors, load_model, save_model)
-from spikegraph.tensor import InvalidInputError
+from spikegraph.tensor import InvalidInputError, Tape
 
 CLASSES = 4
 
@@ -63,6 +63,25 @@ class TestTrainStep:
         assert len(model.encoders) == (4 if smf_enabled else 1)  # the joint stream
         assert (model.smf is None) == (not smf_enabled)
 
+
+    def test_student_forward_runs_no_batch_norm(self, trained, monkeypatch):
+        # every student BatchNorm feeds spiking neurons, so in training it
+        # runs inside neurons.bn_sn_layer, never as tensor.batch_norm
+        cfg, topo, _, batch = trained
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+        calls = []
+        batch_norm = module.batch_norm
+        for mod in (module, tensor):
+            monkeypatch.setattr(mod, "batch_norm",
+                                lambda *a, **k: calls.append(a) or batch_norm(*a, **k))
+        fused = []
+        bn_sn_layer = blocks.bn_sn_layer
+        monkeypatch.setattr(blocks, "bn_sn_layer",
+                            lambda *a: fused.append(a) or bn_sn_layer(*a))
+        with Tape():
+            model(batch)
+        assert calls == []
+        assert len(fused) == 4 + 6 * len(model.sgc_layers)
 
     @pytest.mark.parametrize("kd, with_teacher", [({"soft"}, False), ({"feature"}, True)],
                              ids=["no_teacher", "no_ftm"])
@@ -240,7 +259,7 @@ def spikes_of(run, monkeypatch, unfolded=False):
         return out
 
     with monkeypatch.context() as patch:
-        for mod in (blocks, encoding, network):
+        for mod in (blocks, network):
             patch.setattr(mod, "sn_layer", recording)
             if unfolded:
                 patch.setattr(mod, "linear_bn", unfolded_linear_bn)

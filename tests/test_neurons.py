@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from spikegraph.neurons import LifConfig, firing_rate, lif_step, sn_layer, spike
+from spikegraph.blocks import channel_map
+from spikegraph.module import BatchNorm
+from spikegraph.neurons import (LifConfig, bn_sn_layer, firing_rate, lif_step, sn_layer,
+                                spike)
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor,
-                               add, backward, grad_check, mean, mul, sum_)
+                               add, backward, conv2d, grad_check, mean, mul, reshape,
+                               sum_)
 
 
 CFG = LifConfig()
@@ -164,6 +168,95 @@ class TestSnLayerMatchesLifSteps:
         np.testing.assert_array_equal(out, ref_out)
         assert np.abs(ref_grad).max() > 0
         assert np.abs(grad - ref_grad).max() <= 1e-6 * np.abs(ref_grad).max()
+
+
+def _bn(channels, momentum, seed):
+    """A training-mode BatchNorm with non-identity gamma, beta and buffers."""
+    rng = np.random.default_rng(seed)
+    bn = BatchNorm(channels, momentum=momentum)
+    bn.gamma.data = rng.uniform(0.5, 1.5, channels).astype(np.float32)
+    bn.beta.data = rng.normal(0.0, 0.3, channels).astype(np.float32)
+    bn.running_mean[:] = rng.normal(0.0, 0.3, channels)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, channels)
+    return bn
+
+
+def _channel_map_input(s, rng):
+    """[S, 2, 4, 5, 6] from a channel map: channels last in memory."""
+    x = Tensor(rng.normal(size=(s, 2, 3, 5, 6)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    return (x, w), lambda: channel_map(x, w)
+
+
+def _conv2d_input(s, rng):
+    """[S, 2, 4, 5, 6] from a conv2d over the merged S*B axis: contiguous."""
+    x = Tensor(rng.normal(size=(s * 2, 3, 5, 6)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, 1, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+    return (x, w, b), lambda: reshape(conv2d(x, w, b, padding=(0, 1)), (s, 2, 4, 5, 6))
+
+
+class TestBnSnLayer:
+    """``bn_sn_layer`` against ``sn_layer(tensor.batch_norm(x))``: spikes,
+    gradients and running statistics must be bit-identical."""
+
+    @staticmethod
+    def _run(fused, make_input, s, momentum=0.3, seed=0):
+        rng = np.random.default_rng(seed)
+        bn = _bn(4, momentum, seed + 1)
+        leaves, produce = make_input(s, rng)
+        weights = Tensor(rng.normal(size=(s, 2, 4, 5, 6)).astype(np.float32))
+        with Tape() as tape:
+            x = produce()
+            out = bn_sn_layer(x, bn, CFG) if fused else sn_layer(bn(x), CFG)
+            backward(sum_(mul(out, weights)), tape)
+        assert out.data.any() and not out.data.all()
+        return [out.data, bn.running_mean, bn.running_var, bn.gamma.grad, bn.beta.grad,
+                *(t.grad for t in leaves)]
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("make_input", [_channel_map_input, _conv2d_input],
+                             ids=["channel_map", "conv2d"])
+    def test_bit_identical_to_composition(self, make_input, steps):
+        got = self._run(True, make_input, steps)
+        want = self._run(False, make_input, steps)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_layouts_reach_the_op_as_built(self):
+        rng = np.random.default_rng(0)
+        assert not _channel_map_input(2, rng)[1]().data.flags.c_contiguous
+        assert _conv2d_input(2, rng)[1]().data.flags.c_contiguous
+
+    def test_two_elements_per_channel_unbiased_variance(self):
+        # n = 2: the running variance takes var * 2 / (2 - 1)
+        x0 = np.random.default_rng(5).normal(size=(2, 1, 3, 1, 1)).astype(np.float32)
+        results = []
+        for fused in (True, False):
+            bn = _bn(3, 0.05, 6)
+            x = Tensor(x0, requires_grad=True)
+            with Tape() as tape:
+                out = bn_sn_layer(x, bn, CFG) if fused else sn_layer(bn(x), CFG)
+                backward(sum_(out), tape)
+            results.append([out.data, x.grad, bn.running_mean, bn.running_var])
+        for g, w in zip(*results):
+            assert g.tobytes() == w.tobytes()
+        var = x0.var(axis=(0, 1, 3, 4))
+        want = 0.95 * _bn(3, 0.05, 6).running_var + 0.05 * (2.0 * var)
+        np.testing.assert_allclose(results[0][3], want, rtol=1e-6)
+
+    def test_nonfinite_input_raises(self):
+        bn = _bn(4, 0.1, 7)
+        before = bn.running_mean.copy()
+        x = np.zeros((2, 2, 4, 3, 3), dtype=np.float32)
+        x[1, 0, 2, 1, 1] = np.nan
+        with pytest.raises(NumericalError):
+            bn_sn_layer(Tensor(x), bn, CFG)
+        np.testing.assert_array_equal(bn.running_mean, before)
+
+    def test_empty_step_axis_rejected(self):
+        with pytest.raises(InvalidInputError):
+            bn_sn_layer(Tensor(np.zeros((0, 2, 4, 3, 3))), _bn(4, 0.1, 8), CFG)
 
 
 class TestSurrogateConsistency:
