@@ -2,7 +2,7 @@
 
 from .network import _keep_freed_memory
 from .tensor import (DimensionError, InvalidInputError, NumericalError,
-                     Tape, Tensor, backward, grad_check)
+                     Tape, Tensor, backward)
 
 __all__ = [
     "DimensionError",
@@ -11,7 +11,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "backward",
-    "grad_check",
 ]
 
 __version__ = "0.1.0"

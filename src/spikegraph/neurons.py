@@ -6,8 +6,8 @@ resets to v_reset.  The backward rule for the threshold is a rectangular
 window of width ``a`` centered at the threshold with height 1/a; setting
 ``relaxed=True`` swaps the Heaviside forward for its clipped-linear
 relaxation sigma_a(x) = clamp((x - v_th)/a + 0.5, 0, 1), whose true
-derivative equals the same window, which is what the gradient oracle runs
-against.
+derivative equals the same window, so a finite-difference check can reach
+the surrogate gradient.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (InvalidInputError, NumericalError, Tensor, _bn_backward,
-                     _bn_stats, _bn_xhat, add, mul, record_op, scale)
+                     _bn_stats, _bn_xhat, record_op)
 
 
 @dataclass(frozen=True)
@@ -38,54 +38,13 @@ class LifConfig:
                 f"surrogate_window_a must be positive, got {self.surrogate_window_a}")
 
 
-def spike(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
-    """Threshold nonlinearity with rectangular surrogate gradient.
-
-    Forward: Heaviside(x - v_threshold), inclusive at the boundary.
-    Backward: 1/a where |x - v_threshold| <= a/2, else 0.  With
-    ``relaxed=True`` the forward becomes the clipped-linear relaxation and
-    the backward rule is its exact derivative almost everywhere.
-    """
-    if not np.isfinite(x.data).all():
-        raise NumericalError("spike input contains non-finite values")
-    vth = cfg.v_threshold
-    a = cfg.surrogate_window_a
-    if relaxed:
-        out_data = np.clip((x.data - vth) / a + 0.5, 0.0, 1.0).astype(x.data.dtype)
-    else:
-        out_data = (x.data >= vth).astype(x.data.dtype)
-    out = Tensor._wrap(out_data)
-    window = (np.abs(x.data - vth) <= a / 2.0)
-
-    def backward(g):
-        return ((g * window / a).astype(x.data.dtype),)
-
-    record_op((x,), (out,), backward)
-    return out
-
-
-def lif_step(input_current: Tensor, v_prev: Tensor, cfg: LifConfig,
-             relaxed: bool = False) -> tuple[Tensor, Tensor]:
-    """One membrane update: h = tau*v + I; fire at h >= v_th; hard reset."""
-    if input_current.shape != v_prev.shape:
-        raise InvalidInputError(
-            f"input {input_current.shape} and membrane {v_prev.shape} shapes differ")
-    h = add(scale(v_prev, cfg.decay_tau), input_current)
-    if not np.isfinite(h.data).all():
-        raise NumericalError("membrane potential became non-finite")
-    s = spike(h, cfg, relaxed=relaxed)
-    # v_next = h where no spike, v_reset where spiked: h - s*h + s*v_reset
-    v_next = add(add(h, scale(mul(s, h), -1.0)), scale(s, cfg.v_reset))
-    return s, v_next
-
-
 def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     """Unroll the LIF recurrence over the leading spike-step axis of ``x``.
 
     Membrane state starts at v_reset and is carried between steps; the S
     binary maps are stacked back along axis 0.  Forward and backward are
     fused into one tape record (BPTT through the unrolled recurrence,
-    reset path included), equivalent to composing lif_step S times.
+    reset path included), equivalent to composing the one-step update S times.
     """
     if x.ndim < 1 or x.shape[0] == 0:
         raise InvalidInputError("sn_layer requires a non-empty leading spike-step axis")

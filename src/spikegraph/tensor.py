@@ -5,8 +5,8 @@ depthwise variant), batch_norm, lstm_cell, elementwise arithmetic
 (add/sub/mul/div/scale/exp/log/sqrt/relu), reductions (sum/mean/max)
 and shape ops (reshape/permute/concat/slice/repeat).
 Modules may register further ops through ``record_op`` (the spiking
-threshold lives in ``neurons``).  Everything runs on numpy arrays,
-float32 by default; the finite-difference oracle promotes to float64.
+neurons live in ``neurons``).  Everything runs on numpy arrays, float32
+by default.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def reset(self) -> None:
-        self._records.clear()
 
     def _owns(self, t: "Tensor") -> bool:
         return any(out is t for rec in self._records for out in rec.outputs)
@@ -317,7 +314,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
         gt2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, Cout)
         gw = (gt2d.T @ cols2d).reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
         gcols = (gt2d @ w2d).reshape(B, Ho, Wo, k_total, Cin)
-        gxp_cl = np.zeros((B, Hp, Wp, Cin), dtype=xp.dtype)
+        gxp_cl = np.zeros((B, Hp, Wp, Cin), dtype=x.data.dtype)
         for i in range(kh):
             for j in range(kw):
                 gxp_cl[:, i:i + sh * Ho:sh, j:j + sw * Wo:sw, :] += \
@@ -632,95 +629,42 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep over the tape, populating ``grad`` on leaves.
 
     The loss must be scalar and produced by an op recorded on this tape.
-    The tape is reset afterwards.
+    The sweep empties the tape: each record is popped as it is visited and
+    each output's ``grad`` is cleared once read, so a record's saved arrays
+    and the gradient it consumed are freed as the sweep goes.  After a
+    successful sweep only leaves (tensors no record on the tape produced)
+    keep a ``grad``.  A backward closure must not write into its incoming
+    gradient: the same array may reach several inputs.
     """
     if loss.size != 1:
         raise InvalidInputError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not tape._owns(loss):
         raise InvalidInputError("loss is not reachable from this tape's outputs")
     loss.grad = np.ones_like(loss.data)
-    for rec in reversed(tape._records):
-        gouts = [out.grad for out in rec.outputs]
-        if all(g is None for g in gouts):
+    records = tape._records
+    while records:
+        _sweep(records.pop())
+
+
+def _sweep(rec: _Record) -> None:
+    """Back-propagate one popped record; what it held is freed on return."""
+    gouts = [out.grad for out in rec.outputs]
+    for out in rec.outputs:
+        out.grad = None
+    if all(g is None for g in gouts):
+        return
+    gouts = [np.zeros_like(out.data) if g is None else g
+             for g, out in zip(gouts, rec.outputs)]
+    gins = rec.backward(*gouts)
+    if not isinstance(gins, tuple):
+        gins = (gins,)
+    for t, g in zip(rec.inputs, gins):
+        if g is None or not t.requires_grad:
             continue
-        gouts = [np.zeros_like(out.data) if g is None else g
-                 for g, out in zip(gouts, rec.outputs)]
-        gins = rec.backward(*gouts)
-        if not isinstance(gins, tuple):
-            gins = (gins,)
-        for t, g in zip(rec.inputs, gins):
-            if g is None or not t.requires_grad:
-                continue
-            if g.dtype != t.data.dtype:
-                g = g.astype(t.data.dtype)
-            # grads are never mutated in place, so holding a view is safe
-            t.grad = g if t.grad is None else t.grad + g
-    tape.reset()
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient oracle
-# ---------------------------------------------------------------------------
-
-class GradCheckReport:
-    def __init__(self, max_rel_error: float, passed: bool, failures: int,
-                 checked: int, note: str = ""):
-        self.max_rel_error = max_rel_error
-        self.passed = passed
-        self.failures = failures
-        self.checked = checked
-        self.note = note
-
-    def __repr__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (f"GradCheckReport({status}, max_rel={self.max_rel_error:.3e}, "
-                f"failures={self.failures}/{self.checked}{', ' + self.note if self.note else ''})")
-
-
-def grad_check(f: Callable[..., Tensor], leaves: Sequence[Tensor],
-               h: float = 1e-4, tol: float = 1e-3,
-               min_pass_fraction: float = 1.0) -> GradCheckReport:
-    """Compare analytic gradients of scalar ``f(*leaves)`` with central differences.
-
-    The check runs in float64 regardless of the leaves' dtype so the
-    difference quotient is trustworthy at h=1e-4.
-    """
-    if h <= 0:
-        raise InvalidInputError("grad_check requires h > 0")
-    work = [Tensor(t.data.astype(np.float64), requires_grad=True, dtype=np.float64)
-            for t in leaves]
-    with Tape() as tape:
-        out = f(*work)
-        if out.size != 1:
-            raise InvalidInputError("grad_check target must be scalar")
-        backward(out, tape)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in work]
-    if any(not np.isfinite(a).all() for a in analytic):
-        return GradCheckReport(np.inf, False, -1, -1, note="non-finite analytic gradient")
-
-    max_rel = 0.0
-    failures = 0
-    checked = 0
-    for t, a in zip(work, analytic):
-        flat = t.data.reshape(-1)
-        aflat = a.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            fp = f(*work).item()
-            flat[idx] = orig - h
-            fm = f(*work).item()
-            flat[idx] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            denom = max(abs(aflat[idx]), abs(numeric))
-            err = abs(aflat[idx] - numeric)
-            rel = err / denom if denom > 1e-8 else err
-            max_rel = max(max_rel, rel)
-            if rel > tol:
-                failures += 1
-            checked += 1
-    passed = checked > 0 and (checked - failures) >= min_pass_fraction * checked
-    return GradCheckReport(max_rel, passed, failures, checked)
+        if g.dtype != t.data.dtype:
+            g = g.astype(t.data.dtype)
+        # grads are never mutated in place, so holding a view is safe
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,118 @@
+"""Reference implementations that only the tests use.
+
+``spike`` and ``lif_step`` are the composed, one-op-per-step LIF update
+that the fused ``neurons.sn_layer`` is checked against; ``grad_check``
+compares analytic tape gradients with central finite differences.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from spikegraph.neurons import LifConfig
+from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor, add,
+                               backward, mul, record_op, scale)
+
+
+def spike(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
+    """Threshold nonlinearity with rectangular surrogate gradient.
+
+    Forward: Heaviside(x - v_threshold), inclusive at the boundary.
+    Backward: 1/a where |x - v_threshold| <= a/2, else 0.  With
+    ``relaxed=True`` the forward becomes the clipped-linear relaxation and
+    the backward rule is its exact derivative almost everywhere.
+    """
+    if not np.isfinite(x.data).all():
+        raise NumericalError("spike input contains non-finite values")
+    vth = cfg.v_threshold
+    a = cfg.surrogate_window_a
+    if relaxed:
+        out_data = np.clip((x.data - vth) / a + 0.5, 0.0, 1.0).astype(x.data.dtype)
+    else:
+        out_data = (x.data >= vth).astype(x.data.dtype)
+    out = Tensor._wrap(out_data)
+    window = (np.abs(x.data - vth) <= a / 2.0)
+
+    def backward(g):
+        return ((g * window / a).astype(x.data.dtype),)
+
+    record_op((x,), (out,), backward)
+    return out
+
+
+def lif_step(input_current: Tensor, v_prev: Tensor, cfg: LifConfig,
+             relaxed: bool = False) -> tuple[Tensor, Tensor]:
+    """One membrane update: h = tau*v + I; fire at h >= v_th; hard reset."""
+    if input_current.shape != v_prev.shape:
+        raise InvalidInputError(
+            f"input {input_current.shape} and membrane {v_prev.shape} shapes differ")
+    h = add(scale(v_prev, cfg.decay_tau), input_current)
+    if not np.isfinite(h.data).all():
+        raise NumericalError("membrane potential became non-finite")
+    s = spike(h, cfg, relaxed=relaxed)
+    # v_next = h where no spike, v_reset where spiked: h - s*h + s*v_reset
+    v_next = add(add(h, scale(mul(s, h), -1.0)), scale(s, cfg.v_reset))
+    return s, v_next
+
+
+class GradCheckReport:
+    def __init__(self, max_rel_error: float, passed: bool, failures: int,
+                 checked: int, note: str = ""):
+        self.max_rel_error = max_rel_error
+        self.passed = passed
+        self.failures = failures
+        self.checked = checked
+        self.note = note
+
+    def __repr__(self):
+        status = "PASS" if self.passed else "FAIL"
+        return (f"GradCheckReport({status}, max_rel={self.max_rel_error:.3e}, "
+                f"failures={self.failures}/{self.checked}{', ' + self.note if self.note else ''})")
+
+
+def grad_check(f: Callable[..., Tensor], leaves: Sequence[Tensor],
+               h: float = 1e-4, tol: float = 1e-3,
+               min_pass_fraction: float = 1.0) -> GradCheckReport:
+    """Compare analytic gradients of scalar ``f(*leaves)`` with central differences.
+
+    The check runs in float64 regardless of the leaves' dtype so the
+    difference quotient is trustworthy at h=1e-4.
+    """
+    if h <= 0:
+        raise InvalidInputError("grad_check requires h > 0")
+    work = [Tensor(t.data.astype(np.float64), requires_grad=True, dtype=np.float64)
+            for t in leaves]
+    with Tape() as tape:
+        out = f(*work)
+        if out.size != 1:
+            raise InvalidInputError("grad_check target must be scalar")
+        backward(out, tape)
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in work]
+    if any(not np.isfinite(a).all() for a in analytic):
+        return GradCheckReport(np.inf, False, -1, -1, note="non-finite analytic gradient")
+
+    max_rel = 0.0
+    failures = 0
+    checked = 0
+    for t, a in zip(work, analytic):
+        flat = t.data.reshape(-1)
+        aflat = a.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            fp = f(*work).item()
+            flat[idx] = orig - h
+            fm = f(*work).item()
+            flat[idx] = orig
+            numeric = (fp - fm) / (2.0 * h)
+            denom = max(abs(aflat[idx]), abs(numeric))
+            err = abs(aflat[idx] - numeric)
+            rel = err / denom if denom > 1e-8 else err
+            max_rel = max(max_rel, rel)
+            if rel > tol:
+                failures += 1
+            checked += 1
+    passed = checked > 0 and (checked - failures) >= min_pass_fraction * checked
+    return GradCheckReport(max_rel, passed, failures, checked)

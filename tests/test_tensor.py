@@ -1,15 +1,18 @@
 """Tensor core: ops, tape backward, finite-difference oracle, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
                                add, backward, batch_norm, concat, conv2d,
-                               depthwise_conv2d, div, exp, grad_check, log,
+                               depthwise_conv2d, div, exp, log,
                                lstm_cell, matmul, max_, mean, mul, permute,
                                relu, reshape, repeat0, scale, slice_, sqrt,
                                sub, sum_, tensor_from_bytes,
                                tensor_to_bytes, load_tensor, save_tensor)
+from oracles import grad_check
 
 
 def rand(*shape, seed=0, scale_=1.0):
@@ -335,6 +338,77 @@ class TestBackward:
             loss = sum_(add(mul(x, x), x))
             backward(loss, tape)
         np.testing.assert_allclose(x.grad, [5.0])
+
+
+def sweep_keeping_tape(loss, tape):
+    """The reverse sweep without freeing: every record and every
+    intermediate ``grad`` is kept until the sweep ends."""
+    loss.grad = np.ones_like(loss.data)
+    for rec in reversed(tape._records):
+        gouts = [out.grad for out in rec.outputs]
+        if all(g is None for g in gouts):
+            continue
+        gouts = [np.zeros_like(out.data) if g is None else g
+                 for g, out in zip(gouts, rec.outputs)]
+        gins = rec.backward(*gouts)
+        for t, g in zip(rec.inputs, gins if isinstance(gins, tuple) else (gins,)):
+            if g is not None and t.requires_grad:
+                g = g.astype(t.data.dtype, copy=False)
+                t.grad = g if t.grad is None else t.grad + g
+
+
+class TestSweepFreesTape:
+    @staticmethod
+    def fan_out_graph(sweep):
+        """Leaf gradients and intermediate outputs of a graph with fan-out:
+        ``add(x, x)``, a weight shared by two matmuls and an LSTM state
+        whose cell output is unused."""
+        rng = np.random.default_rng(47)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        w_ih = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
+        w_hh = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=12), requires_grad=True)
+        zeros = Tensor(np.zeros((4, 3)))
+        with Tape() as tape:
+            h = matmul(add(x, x), w)
+            h = matmul(relu(h), w)
+            hs, _ = lstm_cell(h, zeros, zeros, w_ih, w_hh, b, b)
+            loss = sum_(mul(slice_(hs, (slice(1, 3),)), hs[1:3]))
+            outputs = [out for rec in tape._records for out in rec.outputs]
+            sweep(loss, tape)
+        return [t.grad for t in (x, w, w_ih, w_hh, b)], outputs, tape
+
+    def test_leaf_grads_bit_identical_and_tape_emptied(self):
+        want, _, _ = self.fan_out_graph(sweep_keeping_tape)
+        got, outputs, tape = self.fan_out_graph(backward)
+        assert len(tape) == 0
+        assert outputs and all(out.grad is None for out in outputs)
+        for g, ref in zip(got, want):
+            assert g.dtype == ref.dtype
+            assert g.tobytes() == ref.tobytes()
+
+    def test_backward_peak_stays_near_forward_size(self):
+        # 32 chained 1 MiB activations; a sweep that kept every
+        # intermediate gradient would need another 32 MiB on top
+        mib = 1 << 20
+        x = Tensor(np.ones(mib // 4, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y = x
+                for _ in range(32):
+                    y = mul(y, Tensor(1.0))
+                loss = sum_(y)
+                del y
+                forward, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                backward(loss, tape)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forward >= 32 * mib
+        assert peak <= forward + 4 * mib, (forward / mib, peak / mib)
 
 
 class TestGradCheckOracle:
