@@ -25,7 +25,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .neurons import firing_rate
 from .tensor import Tensor
 
 E_MAC_PJ = 4.6
@@ -166,7 +165,7 @@ def _smic_cost(rec: CostRecorder, smf, *spikes: Tensor) -> None:
     hidden = smf.estimator.hidden
     frames = spikes[0].shape[-1]
     flops = (4 * hidden * (2 * smf.channels + hidden) + hidden) * frames
-    rates = [firing_rate(s) for s in spikes]
+    rates = [active_fraction(s) for s in spikes]
     for i, j in smf.PAIRS:
         rec.add("smic", "lstm", flops, float(np.mean([rates[i], rates[j]])))
 
@@ -184,7 +183,7 @@ def _ssa_cost(rec: CostRecorder, layer, h: Tensor, q: Tensor, k: Tensor,
     """Q/K/V projections, then Q·K^T and (Q·K^T)·V per frame."""
     s, b, d, nv, t = h.shape
     rec.add("ssa_proj", "conv", 3 * d * d * nv * t, active_fraction(h))
-    qkv_rate = float(np.mean([firing_rate(q), firing_rate(k), firing_rate(v)]))
+    qkv_rate = float(np.mean([active_fraction(q), active_fraction(k), active_fraction(v)]))
     rec.add("ssa_attn", "matmul-attention", 2 * nv * nv * d * t, qkv_rate)
 
 
@@ -196,7 +195,7 @@ def _stc_cost(rec: CostRecorder, layer, h_sa: Tensor) -> None:
 
 def _head_cost(rec: CostRecorder, head, spikes: Tensor) -> None:
     rec.add("head", "linear", head.in_features * head.out_features,
-            firing_rate(spikes))
+            active_fraction(spikes))
 
 
 _SITES = {"encoder": _encoder_cost, "smic": _smic_cost, "sgc": _sgc_cost,

@@ -11,6 +11,7 @@ by default.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -369,6 +370,63 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
 # batch_norm
 # ---------------------------------------------------------------------------
 
+# elements that a kernel works through at a time, so that its scratch and
+# the slices it reads more than once stay in cache (the BatchNorm chunks of
+# rows and the LIF tiles, which the recurrence carries through every step);
+# 2^16 and 2^17 ran alike, 2^12 and 2^22 slower
+_TILE = 1 << 17
+
+
+def _memory_view(a: np.ndarray, axis: int, order=None):
+    """(``a`` as [P, a.shape[axis], Q], the axis order used).
+
+    The axes are put in ``order``, by default ``a``'s memory order
+    (outermost first); those ahead of ``axis`` merge into P and those
+    behind it into Q.  That is a view when ``a`` is laid out in the order,
+    which every op's output is in its own memory order, and a copy
+    otherwise.  A contiguous conv2d output [S, B, C, V, T] reads as
+    [S*B, C, V*T]; a channel-last one ([S, B, V, T, C] in memory) as
+    [S*B*V*T, C, 1].
+    """
+    if order is None:
+        order = tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
+    m = a.transpose(order)
+    k = order.index(axis)
+    return m.reshape(math.prod(m.shape[:k]), a.shape[axis], math.prod(m.shape[k + 1:])), order
+
+
+def _from_view(v: np.ndarray, shape, order) -> np.ndarray:
+    """The array of logical ``shape`` whose ``_memory_view`` in ``order`` is ``v``."""
+    return v.reshape([shape[i] for i in order]).transpose(np.argsort(order))
+
+
+def _row_chunks(v: np.ndarray):
+    """Slices of the rows of a [P, C, Q] view, about ``_TILE`` elements each."""
+    p = v.shape[0]
+    rows = max(1, _TILE // (v.shape[1] * v.shape[2]))
+    return [slice(r, min(r + rows, p)) for r in range(0, p, rows)]
+
+
+def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sum of ``a`` (or of a*b) over [P, C, Q] views, in float64.
+
+    Runs along Q and blocks of about sqrt(P) rows are summed in the input's
+    dtype and their partial sums in float64, so the rounding error grows
+    with Q + sqrt(P) terms rather than with the P*Q of a running sum.
+    """
+    p, c, q = a.shape
+    if q > 1:
+        a = np.einsum("pcq,pcq->pc", a, b) if b is not None else np.einsum("pcq->pc", a)
+        b = None
+    rows = math.isqrt(p)
+    while p % rows:
+        rows -= 1
+    blocks = (rows, p // rows, c)
+    part = (np.einsum("abc->bc", a.reshape(blocks)) if b is None
+            else np.einsum("abc,abc->bc", a.reshape(blocks), b.reshape(blocks)))
+    return part.sum(axis=0, dtype=np.float64)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -376,25 +434,32 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Training mode uses batch statistics and updates the running buffers
     in place (momentum convention: new = (1-m)*old + m*batch); eval mode
-    normalizes with the running buffers.
+    normalizes with the running buffers.  The output is laid out in memory
+    as x is.
     """
-    red_axes, n, bshape, mu, inv_std = _bn_stats(x, gamma, beta, running_mean, running_var,
-                                                 training, momentum, eps)
-    xhat = _bn_xhat(x.data, mu, inv_std, bshape)
-    out = Tensor._wrap(gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape))
+    xv, order, mu, std, affine = _bn_setup(x, gamma, beta, running_mean, running_var,
+                                           training, momentum, eps)
+    ov = np.empty(xv.shape, dtype=xv.dtype)
+    for rows in _row_chunks(xv):
+        _bn_normalize(xv[rows], ov[rows], affine)
+    out = Tensor._wrap(_from_view(ov, x.shape, order))
 
     def backward(g):  # the tape casts each gradient to its input's dtype
-        return _bn_backward(g, xhat, gamma.data, inv_std, n, red_axes, bshape, training)
+        return _bn_backward(g, xv, order, mu, std, gamma.data, training)
 
     record_op((x, gamma, beta), (out,), backward)
     return out
 
 
-def _bn_stats(x, gamma, beta, running_mean, running_var, training, momentum, eps):
-    """(reduced axes, elements per channel, broadcast shape of a channel
-    vector, mean, 1/sqrt(var + eps)); training takes batch statistics and
-    updates the running buffers, the variance unbiased by n/(n-1).  This
-    and the two helpers below are shared with ``neurons.bn_sn_layer``."""
+def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps):
+    """(x's [P, C, Q] view, its axis order, mean, sqrt(var + eps), affine).
+
+    ``affine`` holds the per-channel (mean, gamma / std, beta) of
+    ``_bn_normalize``, shaped to broadcast over [..., C, Q] chunks.
+    Training takes the batch statistics, which must be finite, before it
+    updates the running buffers, the variance unbiased by n/(n-1).  Shared
+    with ``neurons.bn_sn_layer``.
+    """
     if x.ndim < 3:
         raise DimensionError(f"batch_norm expects [..., C, V, T], got {x.shape}")
     axis = x.ndim - 3
@@ -402,41 +467,85 @@ def _bn_stats(x, gamma, beta, running_mean, running_var, training, momentum, eps
     if gamma.size != C or beta.size != C:
         raise DimensionError(
             f"batch_norm gamma/beta length {gamma.size}/{beta.size} != channels {C}")
-    red_axes = tuple(i for i in range(x.ndim) if i != axis)
-    n = int(np.prod([x.shape[i] for i in red_axes]))
-    bshape = tuple(C if i == axis else 1 for i in range(x.ndim))
     xd = x.data
-    if not training:
-        return (red_axes, n, bshape, running_mean.astype(xd.dtype),
-                (1.0 / np.sqrt(running_var.astype(xd.dtype) + eps)).astype(xd.dtype))
-    if n == 0 or xd.size == 0:
+    xv, order = _memory_view(xd, axis)
+    if training:
+        mu, var = _bn_stats(xv)
+        n = xv.shape[0] * xv.shape[2]
+        running_mean[:] = (1.0 - momentum) * running_mean + momentum * mu
+        var_runtime = var * (n / (n - 1)) if n > 1 else var
+        running_var[:] = (1.0 - momentum) * running_var + momentum * var_runtime
+    else:
+        mu, var = running_mean.astype(xd.dtype), running_var.astype(xd.dtype)
+    std = np.sqrt(var + eps).astype(xd.dtype)
+    return xv, order, mu, std, (mu[:, None], (gamma.data / std)[:, None], beta.data[:, None])
+
+
+def _bn_normalize(x: np.ndarray, out: np.ndarray, affine) -> None:
+    """out = (x - mean) * (gamma / std) + beta, one chunk of [..., C, Q]
+    rows: one subtract, one multiply and one add per element."""
+    mu, scale_, shift = affine
+    np.subtract(x, mu, out=out)
+    out *= scale_
+    out += shift
+
+
+def _bn_stats(xv: np.ndarray):
+    """Per-channel mean and biased variance of a [P, C, Q] view, two-pass:
+    the variance is the mean square of x - mean, taken a chunk at a time.
+    A non-finite input shows in them, and raises."""
+    n = xv.shape[0] * xv.shape[2]
+    if n == 0:
         raise InvalidInputError("batch_norm training mode requires a non-empty batch")
-    mu = xd.mean(axis=red_axes)
-    var = xd.var(axis=red_axes)
-    running_mean[:] = (1.0 - momentum) * running_mean + momentum * mu
-    var_runtime = var * (n / (n - 1)) if n > 1 else var
-    running_var[:] = (1.0 - momentum) * running_var + momentum * var_runtime
-    return red_axes, n, bshape, mu, (1.0 / np.sqrt(var + eps)).astype(xd.dtype)
+    mu = (_channel_sum(xv) / n).astype(xv.dtype)
+    if not np.isfinite(mu).all():
+        raise NumericalError("batch_norm batch mean is non-finite")
+    chunks = _row_chunks(xv)
+    scratch = np.empty_like(xv[chunks[0]])
+    sq = 0.0
+    for rows in chunks:
+        d = np.subtract(xv[rows], mu[:, None], out=scratch[:rows.stop - rows.start])
+        sq = sq + _channel_sum(d, d)
+    var = (sq / n).astype(xv.dtype)
+    if not np.isfinite(var).all():
+        raise NumericalError("batch_norm batch variance is non-finite")
+    return mu, var
 
 
-def _bn_xhat(xd, mu, inv_std, bshape):
-    """(x - mu) * inv_std in a new array laid out in memory as x is."""
-    xhat = np.subtract(xd, mu.reshape(bshape).astype(xd.dtype))
-    xhat *= inv_std.reshape(bshape)
-    return xhat
+def _bn_backward(g, xv, order, mu, std, gamma_d, training=True, out=None):
+    """(gx, ggamma, gbeta); gx is laid out as x and written into ``out``
+    when given (an array laid out as x; it may be g).
 
-
-def _bn_backward(g, xhat, gamma_d, inv_std, n, red_axes, bshape, training=True, out=None):
-    """(gx, ggamma, gbeta); gx is written into ``out`` when given (it may be g)."""
-    gb = g.sum(axis=red_axes)
-    gg = (g * xhat).sum(axis=red_axes)
-    gx = np.multiply(g, (gamma_d * inv_std).reshape(bshape), out=out)
+    The per-channel sums of g and g*x come first.  Then gx = g*a + x*c + b
+    with per-channel a, b, c, applied a chunk of rows at a time, so the
+    only other array is one chunk of scratch.
+    """
+    gv = _memory_view(g, g.ndim - 3, order)[0]
+    ov = (np.empty(xv.shape, dtype=xv.dtype) if out is None
+          else _memory_view(out, out.ndim - 3, order)[0])
+    p, c, q = xv.shape
+    n = p * q
+    gb = _channel_sum(gv)
+    gg = (_channel_sum(gv, xv) - mu * gb) / std             # sum of g * xhat
+    a = (gamma_d / std)[:, None]
     if training:
         # sum(dxhat) = gamma*gb and sum(dxhat*xhat) = gamma*gg per channel,
-        # so dx collapses to g*A + xhat*C + B with per-channel scalars
-        gx += xhat * (-gamma_d * gg * inv_std / n).reshape(bshape).astype(xhat.dtype)
-        gx += (-gamma_d * gb * inv_std / n).reshape(bshape).astype(xhat.dtype)
-    return gx, gg, gb
+        # so dx = g*a + xhat*k*gg + k*gb with k = -gamma/(std*n)
+        k = -gamma_d / (std.astype(np.float64) * n)
+        cx = k * gg / std
+        b = (k * gb - mu * cx).astype(xv.dtype)[:, None]
+        cx = cx.astype(xv.dtype)[:, None]
+    chunks = _row_chunks(xv)
+    scratch = np.empty_like(xv[chunks[0]])
+    for rows in chunks:
+        o = ov[rows]
+        np.multiply(gv[rows], a, out=o)
+        if training:
+            t = np.multiply(xv[rows], cx, out=scratch[:rows.stop - rows.start])
+            t += b
+            o += t
+    gx = _from_view(ov, g.shape, order) if out is None else out
+    return gx, gg.astype(xv.dtype), gb.astype(xv.dtype)
 
 
 # ---------------------------------------------------------------------------

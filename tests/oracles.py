@@ -1,8 +1,12 @@
 """Reference implementations that only the tests use.
 
 ``spike`` and ``lif_step`` are the composed, one-op-per-step LIF update
-that the fused ``neurons.sn_layer`` is checked against; ``grad_check``
-compares analytic tape gradients with central finite differences.
+that the fused ``neurons.sn_layer`` is checked against; ``_lif_forward``
+and ``_lif_backward`` are the earlier whole-step loop of ``sn_layer``,
+kept unchanged, against which its spikes and gradients must stay
+byte-identical; ``firing_rate`` is the binary-checked rate;
+``grad_check`` compares analytic tape gradients with central finite
+differences.
 """
 
 from __future__ import annotations
@@ -42,6 +46,14 @@ def spike(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     return out
 
 
+def firing_rate(x: Tensor | np.ndarray) -> float:
+    """Fraction of ones in a binary tensor."""
+    data = x.data if isinstance(x, Tensor) else np.asarray(x)
+    if data.size and not np.isin(data, (0.0, 1.0)).all():
+        raise InvalidInputError("firing_rate requires a binary tensor")
+    return float(data.mean()) if data.size else 0.0
+
+
 def lif_step(input_current: Tensor, v_prev: Tensor, cfg: LifConfig,
              relaxed: bool = False) -> tuple[Tensor, Tensor]:
     """One membrane update: h = tau*v + I; fire at h >= v_th; hard reset."""
@@ -55,6 +67,54 @@ def lif_step(input_current: Tensor, v_prev: Tensor, cfg: LifConfig,
     # v_next = h where no spike, v_reset where spiked: h - s*h + s*v_reset
     v_next = add(add(h, scale(mul(s, h), -1.0)), scale(s, cfg.v_reset))
     return s, v_next
+
+
+def _lif_forward(x: np.ndarray, h_hist: np.ndarray, cfg: LifConfig,
+                 relaxed: bool) -> np.ndarray:
+    """Run the recurrence over axis 0 of the currents ``x``, writing the
+    membrane potentials into ``h_hist`` (may be x); returns the spikes."""
+    tau, vth, vr, a = map(x.dtype.type, (cfg.decay_tau, cfg.v_threshold, cfg.v_reset,
+                                         cfg.surrogate_window_a))
+    out_data = np.empty_like(h_hist)
+    v = np.full_like(h_hist[0], vr)   # in h's memory order
+    for s in range(x.shape[0]):
+        h = h_hist[s]
+        v *= tau
+        np.add(x[s], v, out=h)
+        if relaxed:
+            out_data[s] = np.clip((h - vth) / a + 0.5, 0.0, 1.0)
+        else:
+            out_data[s] = h >= vth
+        sig = out_data[s]
+        v = h - sig * h + vr * sig
+    return out_data
+
+
+def _lif_backward(g: np.ndarray, h_hist: np.ndarray, out_data: np.ndarray,
+                  cfg: LifConfig) -> np.ndarray:
+    """BPTT through the recurrence, reset path included, into a new array."""
+    tau, vth, vr, half_a, inv_a = map(h_hist.dtype.type, (
+        cfg.decay_tau, cfg.v_threshold, cfg.v_reset, cfg.surrogate_window_a / 2,
+        1.0 / cfg.surrogate_window_a))
+    gx = np.empty_like(h_hist)
+    gv = None
+    for s in range(h_hist.shape[0] - 1, -1, -1):
+        h = h_hist[s]
+        mask = np.abs(h - vth) <= half_a
+        gh = gx[s]
+        if gv is None:
+            np.multiply(g[s], mask, out=gh)
+            gh *= inv_a
+        else:
+            g_sig = gv * (vr - h)
+            g_sig += g[s]
+            g_sig *= mask
+            g_sig *= inv_a
+            np.multiply(gv, out_data[s], out=gh)
+            np.subtract(gv, gh, out=gh)
+            gh += g_sig
+        gv = tau * gh
+    return gx
 
 
 class GradCheckReport:

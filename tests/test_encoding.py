@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from spikegraph.encoding import SscConfig, SscEncoder, ssc_expand
-from spikegraph.neurons import LifConfig, firing_rate
+from spikegraph.neurons import LifConfig
 from spikegraph.tensor import InvalidInputError, Tensor
+from oracles import firing_rate
 
 
 LIF = LifConfig()

@@ -1,14 +1,18 @@
 """LIF dynamics, surrogate gradient, spike-step unrolling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spikegraph.blocks import channel_map
+from spikegraph.blocks import channel_map, graph_conv
 from spikegraph.module import BatchNorm
-from spikegraph.neurons import LifConfig, bn_sn_layer, firing_rate, sn_layer
+from spikegraph.neurons import LifConfig, bn_sn_layer, sn_layer
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor,
-                               add, backward, conv2d, mean, mul, reshape, sum_)
-from oracles import grad_check, lif_step, spike
+                               add, backward, concat, conv2d, mean, mul, permute,
+                               record_op, reshape, sum_)
+from oracles import (_lif_backward, _lif_forward, firing_rate, grad_check, lif_step,
+                     spike)
 
 
 CFG = LifConfig()
@@ -108,6 +112,33 @@ class TestSnLayer:
         with pytest.raises(InvalidInputError):
             sn_layer(Tensor(np.zeros((0, 3))), CFG)
 
+    def test_no_tape_keeps_no_membrane_history(self):
+        x = Tensor(np.random.default_rng(9).normal(0.5, 1.0, size=(4, 1, 256, 25, 64))
+                   .astype(np.float32))
+        step = x.data[0].nbytes
+        for requires_grad, taped in ((False, False), (True, False), (False, True)):
+            x.requires_grad = requires_grad
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                if taped:
+                    with Tape():
+                        out = sn_layer(x, CFG)
+                else:
+                    out = sn_layer(x, CFG)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < out.data.nbytes + 3 * step, (requires_grad, taped)
+
+    def test_nonfinite_input_raises(self):
+        for value in (np.nan, np.inf, -np.inf):
+            for step in (0, -1):
+                x = np.zeros((3, 2, 4, 3, 3), dtype=np.float32)
+                x[step, 1, 2, 0, 1] = value
+                with pytest.raises(NumericalError):
+                    sn_layer(Tensor(x), CFG)
+
     def test_reset_is_exact(self):
         # after any spike the carried potential is exactly v_reset
         rng = np.random.default_rng(1)
@@ -169,6 +200,77 @@ class TestSnLayerMatchesLifSteps:
         assert np.abs(grad - ref_grad).max() <= 1e-6 * np.abs(ref_grad).max()
 
 
+def _sn_layouts(s, rng):
+    """[S, ...] currents in each memory order that reaches ``sn_layer``."""
+    x = Tensor(rng.normal(0.3, 1.0, size=(s, 2, 3, 5, 6)).astype(np.float32))
+    w = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+    adj = np.abs(rng.normal(size=(2, 5, 5))).astype(np.float32)
+    wg = Tensor(rng.normal(0.0, 0.6, size=(2, 3, 4)).astype(np.float32))
+    frames = [Tensor(rng.normal(0.6, 1.0, size=(3, s, 2, 4, 1)).astype(np.float32))
+              for _ in range(6)]
+    return {
+        "contiguous": rng.normal(0.6, 1.0, size=(s, 2, 4, 5, 6)).astype(np.float32),
+        "channel_map": channel_map(x, w).data,              # [S, B, V, T, C] in memory
+        "graph_conv": graph_conv(x, adj, wg).data,          # [S, B, T, V, C] in memory
+        # SMIC's spike input [S, P, B, H, T], laid out [P, S, B, H, T]
+        "smic": permute(concat(frames, axis=-1), (1, 0, 2, 3, 4)).data,
+    }
+
+
+def _handing_on(t, g):
+    """Identity op whose backward hands ``g`` on in its own memory order."""
+    out = Tensor._wrap(t.data)
+    record_op((t,), (out,), lambda _: (g,))
+    return out
+
+
+def _as_layout(a, like):
+    """``a``'s values in an array laid out in memory as ``like``."""
+    out = np.empty_like(like)
+    out[...] = a
+    return out
+
+
+class TestSnLayerMatchesParentLoop:
+    """``sn_layer`` against the earlier whole-step loop (``oracles``) in
+    every input layout: spikes and input gradients byte-identical, and
+    the spikes laid out in memory as the input is."""
+
+    LAYOUTS = ("contiguous", "channel_map", "graph_conv", "smic")
+
+    def test_layouts_are_as_named(self):
+        xs = _sn_layouts(3, np.random.default_rng(0))
+        assert xs["contiguous"].flags.c_contiguous
+        for name in ("channel_map", "graph_conv"):
+            assert xs[name].strides[2] == 4, name                 # channels innermost
+        assert xs["graph_conv"].strides[4] > xs["graph_conv"].strides[3]
+        assert xs["smic"].strides[1] > xs["smic"].strides[0]    # S is not outermost
+
+    @pytest.mark.parametrize("grad_layout", ["c_order", "as_input"])
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["hard", "relaxed"])
+    @pytest.mark.parametrize("name", sorted(TestSnLayerMatchesLifSteps.CONFIGS))
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_byte_identical_in_input_layout(self, layout, name, relaxed, grad_layout):
+        cfg = TestSnLayerMatchesLifSteps.CONFIGS[name]
+        rng = np.random.default_rng(5)
+        xd = _sn_layouts(4, rng)[layout]
+        g = rng.normal(size=xd.shape).astype(np.float32)
+        if grad_layout == "as_input":
+            g = _as_layout(g, xd)
+        x = Tensor(xd, requires_grad=True)
+        with Tape() as tape:
+            out = sn_layer(x, cfg, relaxed=relaxed)
+            backward(sum_(_handing_on(out, g)), tape)
+        h_hist = np.empty_like(xd)
+        ref_out = _lif_forward(xd, h_hist, cfg, relaxed)
+        ref_grad = _lif_backward(g, h_hist, ref_out, cfg)
+        assert out.data.any() and not out.data.all()
+        assert np.abs(ref_grad).max() > 0
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert x.grad.tobytes() == ref_grad.tobytes()
+        assert out.data.strides == xd.strides
+
+
 def _bn(channels, momentum, seed):
     """A training-mode BatchNorm with non-identity gamma, beta and buffers."""
     rng = np.random.default_rng(seed)
@@ -195,6 +297,20 @@ def _conv2d_input(s, rng):
     return (x, w, b), lambda: reshape(conv2d(x, w, b, padding=(0, 1)), (s, 2, 4, 5, 6))
 
 
+def _graph_conv_input(s, rng):
+    """[S, 2, 4, 5, 6] from a graph conv: laid out [S, B, T, V, C] in memory."""
+    x = Tensor(rng.normal(size=(s, 2, 3, 5, 6)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32), requires_grad=True)
+    adj = np.abs(rng.normal(size=(2, 5, 5))).astype(np.float32)
+    return (x, w), lambda: graph_conv(x, adj, w)
+
+
+def _steps_inner_input(s, rng):
+    """[S, 2, 4, 5, 6] whose steps are not outermost in memory ([B, S, ...])."""
+    x = Tensor(rng.normal(size=(2, s, 4, 5, 6)).astype(np.float32), requires_grad=True)
+    return (x,), lambda: permute(x, (1, 0, 2, 3, 4))
+
+
 class TestBnSnLayer:
     """``bn_sn_layer`` against ``sn_layer(tensor.batch_norm(x))``: spikes,
     gradients and running statistics must be bit-identical."""
@@ -214,8 +330,9 @@ class TestBnSnLayer:
                 *(t.grad for t in leaves)]
 
     @pytest.mark.parametrize("steps", [1, 4])
-    @pytest.mark.parametrize("make_input", [_channel_map_input, _conv2d_input],
-                             ids=["channel_map", "conv2d"])
+    @pytest.mark.parametrize("make_input", [_channel_map_input, _conv2d_input,
+                                            _graph_conv_input, _steps_inner_input],
+                             ids=["channel_map", "conv2d", "graph_conv", "steps_inner"])
     def test_bit_identical_to_composition(self, make_input, steps):
         got = self._run(True, make_input, steps)
         want = self._run(False, make_input, steps)
@@ -226,6 +343,8 @@ class TestBnSnLayer:
         rng = np.random.default_rng(0)
         assert not _channel_map_input(2, rng)[1]().data.flags.c_contiguous
         assert _conv2d_input(2, rng)[1]().data.flags.c_contiguous
+        graph = _graph_conv_input(2, rng)[1]().data
+        assert graph.strides[2] == 4 and graph.strides[4] > graph.strides[3]
 
     def test_two_elements_per_channel_unbiased_variance(self):
         # n = 2: the running variance takes var * 2 / (2 - 1)
@@ -245,13 +364,16 @@ class TestBnSnLayer:
         np.testing.assert_allclose(results[0][3], want, rtol=1e-6)
 
     def test_nonfinite_input_raises(self):
-        bn = _bn(4, 0.1, 7)
-        before = bn.running_mean.copy()
-        x = np.zeros((2, 2, 4, 3, 3), dtype=np.float32)
-        x[1, 0, 2, 1, 1] = np.nan
-        with pytest.raises(NumericalError):
-            bn_sn_layer(Tensor(x), bn, CFG)
-        np.testing.assert_array_equal(bn.running_mean, before)
+        for value in (np.nan, np.inf, -np.inf):
+            for step in (0, -1):
+                bn = _bn(4, 0.1, 7)
+                before = bn.running_mean.copy(), bn.running_var.copy()
+                x = np.zeros((2, 2, 4, 3, 3), dtype=np.float32)
+                x[step, 0, 2, 1, 1] = value
+                with pytest.raises(NumericalError):
+                    bn_sn_layer(Tensor(x), bn, CFG)
+                np.testing.assert_array_equal(bn.running_mean, before[0])
+                np.testing.assert_array_equal(bn.running_var, before[1])
 
     def test_empty_step_axis_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -123,3 +123,13 @@ class TestRecording:
         assert outer.layers == []
         assert [c.id for c in inner.layers] == [
             i for i, _, _ in _closed_forms(cfg, model)]
+
+
+def test_active_fraction_is_the_firing_rate_on_spikes():
+    # the one rate helper: on binary spikes it reads the exact share of
+    # ones, which the binary-checked oracle gives up to float32 rounding
+    from oracles import firing_rate
+    spikes = (np.random.default_rng(0).random((4, 2, 8, 5, 6)) < 0.3).astype(np.float32)
+    rate = profiler.active_fraction(spikes)
+    assert rate == np.count_nonzero(spikes) / spikes.size
+    assert rate == pytest.approx(firing_rate(spikes), rel=1e-6)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
+                               _bn_stats, _memory_view,
                                add, backward, batch_norm, concat, conv2d,
                                depthwise_conv2d, div, exp, log,
                                lstm_cell, matmul, max_, mean, mul, permute,
@@ -173,6 +174,22 @@ class TestBatchNorm:
         with pytest.raises(InvalidInputError):
             batch_norm(Tensor(np.zeros((0, 2, 3, 3), dtype=np.float32)),
                        Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, True)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "channel_last"])
+    def test_statistics_at_least_as_accurate_as_numpy(self, layout):
+        # paper-plan scale: 102,400 elements per channel around a nonzero
+        # mean; against float64, the batch statistics may err at most twice
+        # as much as np.mean / np.var on the same float32 array
+        rng = np.random.default_rng(23)
+        x = rng.normal(3.0, 0.5, size=(4, 16, 4, 25, 64)).astype(np.float32)
+        if layout == "channel_last":
+            x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 2, -1)), -1, 2)
+        axes = (0, 1, 3, 4)
+        mu64, var64 = x.astype(np.float64).mean(axis=axes), x.astype(np.float64).var(axis=axes)
+        mu, var = _bn_stats(_memory_view(x, 2)[0])
+        assert mu.dtype == var.dtype == np.float32
+        assert np.abs(mu - mu64).max() <= 2 * np.abs(x.mean(axis=axes) - mu64).max()
+        assert np.abs(var - var64).max() <= 2 * np.abs(x.var(axis=axes) - var64).max()
 
     def test_gradient_matches_fd_training(self):
         x0 = rand(6, 3, 4, 1, seed=17)
