@@ -151,11 +151,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             load_model(args.teacher_ckpt, teacher, teacher.plan_hash())
         else:
             print("no teacher checkpoint given; training the teacher first")
-            hist = train_teacher(teacher, tr_bundle, tr_labels,
-                                 epochs=cfg.get("teacher.epochs"),
-                                 lr=cfg.get("teacher.lr"),
-                                 batch_size=cfg.get("preprocess.batch_size"),
-                                 seed=seed + 1)
+            hist = train_teacher(teacher, tr_bundle, tr_labels, cfg.teacher_settings())
             print(f"teacher trained: {hist[-1]}")
             save_model(os.path.join(out_dir, "teacher.ckpt"), teacher,
                        teacher.plan_hash())
@@ -170,7 +166,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             record["rates"] = {k: round(v, 6) for k, v in m["rates"].items()}
             metrics_fh.write(json.dumps(record) + "\n")
 
-        trainer = Trainer(model, tr_bundle, tr_labels, cfg.train_settings(kd),
+        trainer = Trainer(model, tr_bundle, tr_labels, cfg.train_settings(),
                           loss_weights=cfg.loss_weights(), teacher=teacher,
                           ftm=ftm, metrics_writer=write_metrics)
         try:

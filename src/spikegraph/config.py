@@ -186,16 +186,28 @@ class RunConfig:
             raise ConfigError(f"unknown kd modes: {sorted(unknown)}")
         return modes
 
-    def train_settings(self, kd: Optional[frozenset] = None):
+    def train_settings(self):
+        """The student's schedule, all of it from ``optimizer``."""
         from .network import TrainSettings
         o = self.values["optimizer"]
         return TrainSettings(
             lr=o["lr"], momentum=o["momentum"], weight_decay=o["weight_decay"],
             epochs=o["epochs"], batch_size=self.values["preprocess"]["batch_size"],
             lr_step_epoch=o["lr_step_epoch"], lr_decay=o["lr_decay"],
-            kd=self.kd_modes() if kd is None else kd,
-            early_stop_train_acc=o["early_stop_train_acc"],
+            kd=self.kd_modes(), early_stop_train_acc=o["early_stop_train_acc"],
             seed=self.values["seed"])
+
+    def teacher_settings(self):
+        """The teacher's schedule: ``teacher.lr`` and ``teacher.epochs`` at
+        the student's batch size, a constant LR and fixed SGD constants (it
+        does not follow ``optimizer``), its batch order seeded ``seed + 1``."""
+        from .network import TrainSettings
+        epochs = self.values["teacher"]["epochs"]
+        return TrainSettings(
+            lr=self.values["teacher"]["lr"], momentum=0.9, weight_decay=1e-4,
+            epochs=epochs, batch_size=self.values["preprocess"]["batch_size"],
+            lr_step_epoch=epochs, lr_decay=1.0, kd=frozenset(),
+            early_stop_train_acc=0.995, seed=self.values["seed"] + 1)
 
     def build_student(self, num_classes: int, topo, rng):
         from .network import MkSgnModel

@@ -145,26 +145,23 @@ class ModalityBundle:
                 "joint_motion": self.joint_motion, "bone_motion": self.bone_motion}
 
 
-def derive_modalities(seq: SkeletonSequence, topo: SkeletonTopology) -> ModalityBundle:
-    """Bones along the tree, frame differences for the motions.
+def derive_modalities(joints: np.ndarray, topo: SkeletonTopology) -> ModalityBundle:
+    """Bones along the tree, frame differences for the motions, for
+    joints[..., C, T, V] (one sequence or a stack of them).
 
-    bone[:, t, v] = joint[:, t, v] - joint[:, t, parent(v)] with the root
-    bone zero; motions are forward differences zero-padded at the final
-    frame.
+    bone[..., t, v] = joint[..., t, v] - joint[..., t, parent(v)] with the
+    root bone zero; motions are forward differences zero-padded at the
+    final frame.
     """
-    if seq.num_joints != topo.num_joints:
+    if joints.shape[-1] != topo.num_joints:
         raise InvalidInputError(
-            f"sequence has {seq.num_joints} joints, topology covers {topo.num_joints}")
-    joints = seq.joints
-    parents = topo.parents()
-    bone = np.zeros_like(joints)
-    for v in range(topo.num_joints):
-        if parents[v] >= 0:
-            bone[:, :, v] = joints[:, :, v] - joints[:, :, parents[v]]
+            f"sequence has {joints.shape[-1]} joints, topology covers {topo.num_joints}")
+    bone = joints - joints[..., topo.parents()]
+    bone[..., topo.root] = 0.0
     joint_motion = np.zeros_like(joints)
-    joint_motion[:, :-1] = joints[:, 1:] - joints[:, :-1]
+    joint_motion[..., :-1, :] = joints[..., 1:, :] - joints[..., :-1, :]
     bone_motion = np.zeros_like(bone)
-    bone_motion[:, :-1] = bone[:, 1:] - bone[:, :-1]
+    bone_motion[..., :-1, :] = bone[..., 1:, :] - bone[..., :-1, :]
     return ModalityBundle(joint=joints.copy(), bone=bone,
                           joint_motion=joint_motion, bone_motion=bone_motion)
 
@@ -349,25 +346,23 @@ def center_sequence(joints: np.ndarray, root: int) -> np.ndarray:
 def preprocess_sequences(sequences: Sequence[SkeletonSequence], target_t: int,
                          topo: Optional[SkeletonTopology] = None,
                          ) -> tuple[ModalityBundle, np.ndarray]:
-    """Center, resample, derive modalities, and stack along a batch axis."""
+    """Center, resample and stack along a batch axis, then derive modalities."""
     if not sequences:
         raise InvalidInputError("preprocess requires a non-empty sequence set")
     if topo is None:
         topo = SkeletonTopology.for_joint_count(sequences[0].num_joints)
-    stacks = {k: [] for k in ("joint", "bone", "joint_motion", "bone_motion")}
-    labels = []
-    for seq in sequences:
-        joints = center_sequence(seq.joints, topo.root)
-        joints = resample_frames(joints, target_t)
-        bundle = derive_modalities(SkeletonSequence(joints=joints, label=seq.label), topo)
-        for k, arr in bundle.as_dict().items():
-            stacks[k].append(arr)
-        labels.append(-1 if seq.label is None else seq.label)
-    batched = {k: np.stack(v, axis=0) for k, v in stacks.items()}
-    for arr in batched.values():
+    counts = {seq.num_joints for seq in sequences}
+    if counts != {topo.num_joints}:
+        raise InvalidInputError(
+            f"sequences have {sorted(counts)} joints, topology covers {topo.num_joints}")
+    joints = np.stack([resample_frames(center_sequence(seq.joints, topo.root), target_t)
+                       for seq in sequences])
+    bundle = derive_modalities(joints, topo)
+    for arr in bundle.as_dict().values():
         if not np.isfinite(arr).all():
             raise InvalidInputError("preprocessed batch contains NaN/Inf")
-    return ModalityBundle(**batched), np.asarray(labels, dtype=np.int64)
+    labels = [-1 if seq.label is None else seq.label for seq in sequences]
+    return bundle, np.asarray(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

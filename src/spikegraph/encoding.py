@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -15,9 +16,9 @@ from .tensor import InvalidInputError, Tensor, conv2d, permute, repeat0, reshape
 
 @dataclass(frozen=True)
 class SscConfig:
-    spike_steps: int = 4
-    hidden_channels: int = 64
-    kernel_size: int = 3  # fixed by the encoder design
+    spike_steps: int
+    hidden_channels: int
+    kernel_size: ClassVar[int] = 3  # fixed by the encoder design
 
     def __post_init__(self):
         if self.spike_steps < 1 or self.hidden_channels < 1:

@@ -196,16 +196,11 @@ def total_loss(l_task: Tensor, l_sdk: Optional[Tensor],
 class MkSgnModel(Module):
     """4x SSC -> MI fusion -> 6 SA-SGC+STC blocks -> SN -> GAP -> FC head."""
 
-    def __init__(self, num_classes: int, topo: SkeletonTopology,
-                 plan: LayerPlan = STUDENT_PLAN_TOY,
-                 lif: LifConfig = LifConfig(), spike_steps: int = 4,
-                 smic_hidden: int = 64, smic_lr: float = 1e-3,
-                 attention_scale: float = 0.125, temporal_kernel: int = 5,
-                 smf_enabled: bool = True,
-                 rng: Optional[np.random.Generator] = None,
-                 shuffle_seed: int = 0):
+    def __init__(self, num_classes: int, topo: SkeletonTopology, plan: LayerPlan,
+                 lif: LifConfig, spike_steps: int, smic_hidden: int, smic_lr: float,
+                 attention_scale: float, temporal_kernel: int, smf_enabled: bool,
+                 rng: np.random.Generator, shuffle_seed: int):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.num_classes = num_classes
         self.topo = topo
         self.plan = plan
@@ -474,16 +469,46 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainSettings:
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    epochs: int = 60
-    batch_size: int = 16
-    lr_step_epoch: int = 50
-    lr_decay: float = 0.1
-    kd: frozenset = frozenset()          # subset of {"soft", "feature"}
-    early_stop_train_acc: Optional[float] = None
-    seed: int = 0
+    """One training run's schedule; ``RunConfig`` builds both models' own."""
+
+    lr: float
+    momentum: float
+    weight_decay: float
+    epochs: int
+    batch_size: int
+    lr_step_epoch: int                   # the LR is multiplied by lr_decay here
+    lr_decay: float
+    kd: frozenset                        # subset of {"soft", "feature"}
+    early_stop_train_acc: Optional[float]
+    seed: int                            # seeds the batch order
+
+
+def run_epochs(step, optimizer, n: int, settings: TrainSettings,
+               rng: np.random.Generator) -> list[dict]:
+    """Shuffled epochs over ``n`` samples, the one loop both models train in.
+
+    ``step(idx)`` trains on the samples ``idx`` and returns their ``acc``
+    and ``loss``; an epoch's summary weights them by batch size.  The LR
+    steps when epoch ``lr_step_epoch`` begins, and the run ends after the
+    first epoch whose train accuracy reaches ``early_stop_train_acc``.
+    """
+    history = []
+    for epoch in range(settings.epochs):
+        if epoch == settings.lr_step_epoch:
+            optimizer.lr *= settings.lr_decay
+        order = rng.permutation(n)
+        accs, losses = [], []
+        for start in range(0, n, settings.batch_size):
+            idx = order[start:start + settings.batch_size]
+            metrics = step(idx)
+            accs.append(metrics["acc"] * len(idx))
+            losses.append(metrics["loss"] * len(idx))
+        history.append({"epoch": epoch, "train_acc": float(np.sum(accs) / n),
+                        "train_loss": float(np.sum(losses) / n)})
+        stop_at = settings.early_stop_train_acc
+        if stop_at is not None and history[-1]["train_acc"] >= stop_at:
+            break
+    return history
 
 
 def batch_tensors(bundle: ModalityBundle, idx: np.ndarray) -> dict[str, Tensor]:
@@ -593,31 +618,10 @@ class Trainer:
 
     # -- epochs ---------------------------------------------------------------
 
-    def run(self, epochs: Optional[int] = None) -> list[dict]:
-        settings = self.settings
-        epochs = epochs if epochs is not None else settings.epochs
-        n = self.labels.shape[0]
-        history = []
-        for epoch in range(epochs):
-            if epoch == settings.lr_step_epoch:
-                self.optimizer.lr *= settings.lr_decay
-            order = self._rng.permutation(n)
-            epoch_acc = []
-            epoch_loss = []
-            for start in range(0, n, settings.batch_size):
-                idx = order[start:start + settings.batch_size]
-                metrics = self.train_step(batch_tensors(self.bundle, idx),
-                                          self.labels[idx])
-                epoch_acc.append(metrics["acc"] * len(idx))
-                epoch_loss.append(metrics["loss"] * len(idx))
-            summary = {"epoch": epoch,
-                       "train_acc": float(np.sum(epoch_acc) / n),
-                       "train_loss": float(np.sum(epoch_loss) / n)}
-            history.append(summary)
-            stop_at = settings.early_stop_train_acc
-            if stop_at is not None and summary["train_acc"] >= stop_at:
-                break
-        return history
+    def run(self) -> list[dict]:
+        return run_epochs(lambda idx: self.train_step(batch_tensors(self.bundle, idx),
+                                                      self.labels[idx]),
+                          self.optimizer, self.labels.shape[0], self.settings, self._rng)
 
 
 def evaluate(model: MkSgnModel, bundle: ModalityBundle, labels: np.ndarray,
@@ -643,43 +647,31 @@ def evaluate(model: MkSgnModel, bundle: ModalityBundle, labels: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def train_teacher(teacher: TeacherModel, bundle: ModalityBundle,
-                  labels: np.ndarray, epochs: int = 20, batch_size: int = 16,
-                  lr: float = 0.05, seed: int = 0,
-                  early_stop_train_acc: Optional[float] = 0.995) -> list[dict]:
-    """Supervised training of the four teacher streams (summed CE)."""
+                  labels: np.ndarray, settings: TrainSettings) -> list[dict]:
+    """Supervised training of the four teacher streams (mean of their CEs)."""
     labels = np.asarray(labels)
-    optimizer = SGD(teacher.parameters(), lr=lr, momentum=0.9, weight_decay=1e-4)
-    rng = np.random.default_rng(seed)
-    n = labels.shape[0]
-    history = []
+    optimizer = SGD(teacher.parameters(), lr=settings.lr, momentum=settings.momentum,
+                    weight_decay=settings.weight_decay)
+
+    def step(idx: np.ndarray) -> dict:
+        with Tape() as tape:
+            logits, _ = teacher(batch_tensors(bundle, idx))
+            loss = None
+            for name in MODALITY_ORDER:
+                term = task_loss(logits[name], labels[idx])
+                loss = term if loss is None else add(loss, term)
+            loss = scale(loss, 0.25)
+            if not np.isfinite(loss.data).all():
+                raise DivergenceError("teacher loss is non-finite", {})
+            backward(loss, tape)
+        optimizer.step()
+        optimizer.zero_grad()
+        fused = np.mean([logits[m].data for m in MODALITY_ORDER], axis=0)
+        return {"acc": accuracy(fused, labels[idx]), "loss": float(loss.data)}
+
     teacher.train()
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        accs, losses = [], []
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            batch = batch_tensors(bundle, idx)
-            with Tape() as tape:
-                logits, _ = teacher(batch)
-                loss = None
-                for name in MODALITY_ORDER:
-                    term = task_loss(logits[name], labels[idx])
-                    loss = term if loss is None else add(loss, term)
-                loss = scale(loss, 0.25)
-                if not np.isfinite(loss.data).all():
-                    raise DivergenceError("teacher loss is non-finite", {})
-                backward(loss, tape)
-            optimizer.step()
-            optimizer.zero_grad()
-            fused = np.mean([logits[m].data for m in MODALITY_ORDER], axis=0)
-            accs.append(accuracy(fused, labels[idx]) * len(idx))
-            losses.append(float(loss.data) * len(idx))
-        summary = {"epoch": epoch, "train_acc": float(np.sum(accs) / n),
-                   "train_loss": float(np.sum(losses) / n)}
-        history.append(summary)
-        if early_stop_train_acc is not None and \
-                summary["train_acc"] >= early_stop_train_acc:
-            break
+    history = run_epochs(step, optimizer, labels.shape[0], settings,
+                         np.random.default_rng(settings.seed))
     teacher.eval()
     return history
 

@@ -59,6 +59,29 @@ def test_synth_train_eval_profile_chain(tmp_path, capsys):
     assert lines[1] == f"ann-equivalent energy: {totals['flops'] * 4.6e-9:.6f} mJ"
 
 
+def test_train_with_teacher_is_deterministic(tmp_path):
+    """Two runs at one seed write the same teacher, student and metrics,
+    byte for byte: 2 teacher and 2 student epochs of 2 batches each."""
+    config = _write_config(tmp_path / "run.yaml", {
+        "dataset": {"frames": 16},
+        "preprocess": {"target_T": 8, "batch_size": 2},
+        "teacher": {"epochs": 2},
+        "optimizer": {"epochs": 2, "lr_step_epoch": 1},
+    })
+    data_dir = str(tmp_path / "data")
+    assert cli.main(["--config", config, "--out", data_dir, "synth", "--classes", "2",
+                     "--samples-per-class", "2"]) == cli.EXIT_OK
+    outputs = []
+    for run in ("a", "b"):
+        run_dir = tmp_path / run
+        assert cli.main(["--config", config, "--seed", "3", "--out", str(run_dir),
+                         "train", "--data", data_dir, "--kd", "soft,feature"]) == cli.EXIT_OK
+        outputs.append({name: (run_dir / name).read_bytes()
+                        for name in ("teacher.ckpt", "student.ckpt", "metrics.jsonl")})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]["metrics.jsonl"].splitlines()) == 4
+
+
 @pytest.fixture(scope="module")
 def tiny_data(tmp_path_factory):
     """A 2-class synthetic dataset for the default configuration."""

@@ -111,15 +111,14 @@ class TestParseNtu:
 
 
 class TestDeriveModalities:
-    def _static_seq(self, topo, frames=4):
+    def _static_joints(self, topo, frames=4):
         rng = np.random.default_rng(5)
         pose = rng.normal(size=(3, 1, topo.num_joints)).astype(np.float32)
-        joints = np.repeat(pose, frames, axis=1)
-        return SkeletonSequence(joints=joints, label=0)
+        return np.repeat(pose, frames, axis=1)
 
     def test_static_sequence_zero_motion(self):
         topo = SkeletonTopology.ntu25()
-        bundle = derive_modalities(self._static_seq(topo), topo)
+        bundle = derive_modalities(self._static_joints(topo), topo)
         np.testing.assert_array_equal(bundle.joint_motion, 0.0)
         np.testing.assert_array_equal(bundle.bone_motion, 0.0)
 
@@ -127,7 +126,7 @@ class TestDeriveModalities:
         topo = SkeletonTopology.ntu25()
         joints = np.zeros((3, 5, 25), dtype=np.float32)
         joints[0] = np.arange(5, dtype=np.float32)[:, None]  # +1 in x per frame
-        bundle = derive_modalities(SkeletonSequence(joints=joints), topo)
+        bundle = derive_modalities(joints, topo)
         np.testing.assert_array_equal(bundle.joint_motion[0, :-1], 1.0)
         np.testing.assert_array_equal(bundle.joint_motion[:, -1], 0.0)
 
@@ -135,7 +134,7 @@ class TestDeriveModalities:
         topo = SkeletonTopology.ntu25()
         rng = np.random.default_rng(6)
         joints = rng.normal(size=(3, 4, 25)).astype(np.float32)
-        bundle = derive_modalities(SkeletonSequence(joints=joints), topo)
+        bundle = derive_modalities(joints, topo)
         np.testing.assert_array_equal(bundle.bone[:, :, topo.root], 0.0)
 
     def test_shift_invariance(self):
@@ -143,8 +142,8 @@ class TestDeriveModalities:
         rng = np.random.default_rng(7)
         joints = rng.normal(size=(3, 6, 25)).astype(np.float32)
         shifted = joints + np.array([1.0, -2.0, 0.5], dtype=np.float32)[:, None, None]
-        b1 = derive_modalities(SkeletonSequence(joints=joints), topo)
-        b2 = derive_modalities(SkeletonSequence(joints=shifted), topo)
+        b1 = derive_modalities(joints, topo)
+        b2 = derive_modalities(shifted, topo)
         np.testing.assert_allclose(b1.bone, b2.bone, atol=1e-6)
         np.testing.assert_allclose(b1.joint_motion, b2.joint_motion, atol=1e-6)
         np.testing.assert_allclose(b1.bone_motion, b2.bone_motion, atol=1e-6)
@@ -153,7 +152,7 @@ class TestDeriveModalities:
         topo = SkeletonTopology.ucla20()
         rng = np.random.default_rng(8)
         joints = rng.normal(size=(3, 4, 20)).astype(np.float32)
-        bundle = derive_modalities(SkeletonSequence(joints=joints), topo)
+        bundle = derive_modalities(joints, topo)
         shapes = {arr.shape for arr in bundle.as_dict().values()}
         assert shapes == {(3, 4, 20)}
 
@@ -219,6 +218,12 @@ class TestPreprocess:
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
             preprocess_sequences([], target_t=8)
+
+    def test_mixed_joint_counts_rejected(self):
+        seqs = synthesize(2, samples_per_class=1, frames=8, seed=6)[0]
+        seqs += synthesize(2, samples_per_class=1, num_joints=20, frames=8, seed=6)[0]
+        with pytest.raises(InvalidInputError, match="joints"):
+            preprocess_sequences(seqs, target_t=8, topo=SkeletonTopology.ntu25())
 
 
 class TestDatasetOnDisk:

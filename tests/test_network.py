@@ -19,7 +19,8 @@ from spikegraph.encoding import SscEncoder
 from spikegraph.fusion import SmicNet
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
 from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, TeacherModel,
-                                Trainer, batch_tensors, load_model, save_model)
+                                Trainer, batch_tensors, load_model, save_model,
+                                train_teacher)
 from spikegraph.tensor import InvalidInputError, Tape
 
 CLASSES = 4
@@ -91,15 +92,20 @@ class TestTrainStep:
             if with_teacher else None
         with pytest.raises(InvalidInputError):
             Trainer(model, None, np.arange(8) % CLASSES,
-                    cfg.train_settings(frozenset(kd)), teacher=teacher)
+                    dataclasses.replace(cfg.train_settings(), kd=frozenset(kd)),
+                    teacher=teacher)
+
+
+def small_set(topo):
+    seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
+                         frames=24, seed=1)
+    return preprocess_sequences(seqs, 8, topo)
 
 
 class TestRun:
     def _trainer(self, trained, **settings):
         cfg, topo, _, _ = trained
-        seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
-                             frames=24, seed=1)
-        bundle, labels = preprocess_sequences(seqs, 8, topo)
+        bundle, labels = small_set(topo)
         model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
         return Trainer(model, bundle, labels,
                        dataclasses.replace(cfg.train_settings(), **settings),
@@ -115,6 +121,24 @@ class TestRun:
     def test_early_stop_ends_the_run(self, trained):
         trainer = self._trainer(trained, epochs=3, early_stop_train_acc=0.0)
         assert [h["epoch"] for h in trainer.run()] == [0]
+
+
+class TestTrainTeacher:
+    def test_early_stop_after_one_epoch_leaves_eval_mode(self, trained):
+        cfg, topo, _, _ = trained
+        bundle, labels = small_set(topo)
+        teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
+        before = teacher.state_dict()
+        settings = dataclasses.replace(cfg.teacher_settings(), epochs=3,
+                                       early_stop_train_acc=0.0)
+        history = train_teacher(teacher, bundle, labels, settings)
+        assert [sorted(h) for h in history] == [["epoch", "train_acc", "train_loss"]]
+        assert history[0]["epoch"] == 0
+        assert not teacher.training
+        assert all(not m.training for m in _modules(teacher))
+        changed = [k for k, v in teacher.state_dict().items()
+                   if not np.array_equal(v, before[k])]
+        assert "streams.0.fc.weight" in changed
 
 
 class TestFusionBurnIn:

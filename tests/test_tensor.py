@@ -196,10 +196,14 @@ class TestBatchNorm:
         g0 = np.ones(3, dtype=np.float32) + 0.1 * rand(3, seed=18)
         b0 = 0.1 * rand(3, seed=19)
 
+        w = Tensor(rand(6, 3, 4, 1, seed=20))
+
         def f(x, g, b):
+            # the linear term gives x a first-order effect: with the squares
+            # alone the loss depends on x only through eps
             rm, rv = self._stats(3)
-            return sum_(mul(batch_norm(x, g, b, rm, rv, True),
-                            batch_norm(x, g, b, rm, rv, True)))
+            y = batch_norm(x, g, b, rm, rv, True)
+            return add(sum_(mul(y, w)), sum_(mul(y, y)))
 
         report = grad_check(f, [Tensor(x0), Tensor(g0), Tensor(b0)], h=1e-4, tol=1e-4)
         assert report.passed, report
