@@ -3,7 +3,8 @@ and spiking temporal conv.
 
 Every feature, student or teacher, is laid out [..., C, V, T]: channels at
 axis -3, joints at -2, frames at -1, behind any leading axes (the student's
-[S, B], the teacher's [B]).  Channel maps act on axis -3; the adjacency,
+[S, B], the teacher's [B]).  The models' inputs, x[B, 3, V, T] per
+modality, share that layout.  Channel maps act on axis -3; the adjacency,
 one adj[K, V, V] array of K normalized branches, acts on the joint axis;
 the temporal conv slides over T.
 """
@@ -208,6 +209,12 @@ class SaSgcLayer(Module):
         return add(h, attn)
 
 
+def check_temporal_kernel(kernel_t: int) -> None:
+    """A temporal conv padded by (k - 1) // 2 keeps T only for odd k."""
+    if kernel_t < 1 or kernel_t % 2 == 0:
+        raise InvalidInputError(f"temporal_kernel must be odd and >= 1, got {kernel_t}")
+
+
 class StcLayer(Module):
     """Spiking temporal convolution with a spiking residual path.
 
@@ -220,6 +227,7 @@ class StcLayer(Module):
         super().__init__()
         if stride not in (1, 2):
             raise InvalidInputError(f"stride must be 1 or 2, got {stride}")
+        check_temporal_kernel(kernel_t)
         self.channels = channels
         self.kernel_t = kernel_t
         self.stride = stride

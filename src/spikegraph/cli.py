@@ -130,6 +130,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
     cfg.override({"kd": args.kd, "optimizer.epochs": args.epochs,
                   "optimizer.lr": args.lr})
+    settings = cfg.train_settings()
     data_dir = _dataset_dir(cfg, args.data)
     topo, classes, (tr_bundle, tr_labels), (te_bundle, te_labels) = \
         _load_splits(cfg, data_dir)
@@ -166,7 +167,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             record["rates"] = {k: round(v, 6) for k, v in m["rates"].items()}
             metrics_fh.write(json.dumps(record) + "\n")
 
-        trainer = Trainer(model, tr_bundle, tr_labels, cfg.train_settings(),
+        trainer = Trainer(model, tr_bundle, tr_labels, settings,
                           loss_weights=cfg.loss_weights(), teacher=teacher,
                           ftm=ftm, metrics_writer=write_metrics)
         try:
@@ -215,7 +216,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_profile(cfg: RunConfig, args) -> int:
-    from .network import load_model
+    from .network import batch_tensors, load_model
     from .profiler import profile_model
 
     out_dir = cfg.get("out")
@@ -224,9 +225,8 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     topo, classes, (tr_bundle, tr_labels), _ = _load_splits(cfg, data_dir)
     model = cfg.build_student(classes, topo, np.random.default_rng(cfg.get("seed")))
     load_model(args.checkpoint, model, model.plan_hash())
-    batch = min(32, tr_labels.shape[0])
-    calib = {k: v[:batch] for k, v in tr_bundle.as_dict().items()}
-    report = profile_model(model, calib)
+    batch = batch_tensors(tr_bundle, np.arange(min(32, tr_labels.shape[0])))
+    report = profile_model(model, batch)
     json_path = os.path.join(out_dir, "energy_report.json")
     with open(json_path, "w") as fh:
         fh.write(report.to_json())

@@ -131,39 +131,25 @@ class SkeletonSequence:
         return self.joints.shape[2]
 
 
-@dataclass
-class ModalityBundle:
-    """The four derived streams, each [C, T, V] (or [N, C, T, V] batched)."""
+def derive_modalities(joints: np.ndarray, topo: SkeletonTopology) -> dict[str, np.ndarray]:
+    """The four model inputs by name, for joints[..., C, V, T] (one
+    sequence or a stack of them), each laid out as the joints are.
 
-    joint: np.ndarray
-    bone: np.ndarray
-    joint_motion: np.ndarray
-    bone_motion: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"joint": self.joint, "bone": self.bone,
-                "joint_motion": self.joint_motion, "bone_motion": self.bone_motion}
-
-
-def derive_modalities(joints: np.ndarray, topo: SkeletonTopology) -> ModalityBundle:
-    """Bones along the tree, frame differences for the motions, for
-    joints[..., C, T, V] (one sequence or a stack of them).
-
-    bone[..., t, v] = joint[..., t, v] - joint[..., t, parent(v)] with the
+    bone[..., v, t] = joint[..., v, t] - joint[..., parent(v), t] with the
     root bone zero; motions are forward differences zero-padded at the
     final frame.
     """
-    if joints.shape[-1] != topo.num_joints:
+    if joints.shape[-2] != topo.num_joints:
         raise InvalidInputError(
-            f"sequence has {joints.shape[-1]} joints, topology covers {topo.num_joints}")
-    bone = joints - joints[..., topo.parents()]
-    bone[..., topo.root] = 0.0
+            f"sequence has {joints.shape[-2]} joints, topology covers {topo.num_joints}")
+    bone = joints - joints[..., topo.parents(), :]
+    bone[..., topo.root, :] = 0.0
     joint_motion = np.zeros_like(joints)
-    joint_motion[..., :-1, :] = joints[..., 1:, :] - joints[..., :-1, :]
+    joint_motion[..., :-1] = joints[..., 1:] - joints[..., :-1]
     bone_motion = np.zeros_like(bone)
-    bone_motion[..., :-1, :] = bone[..., 1:, :] - bone[..., :-1, :]
-    return ModalityBundle(joint=joints.copy(), bone=bone,
-                          joint_motion=joint_motion, bone_motion=bone_motion)
+    bone_motion[..., :-1] = bone[..., 1:] - bone[..., :-1]
+    return {"joint": joints.copy(), "bone": bone,
+            "joint_motion": joint_motion, "bone_motion": bone_motion}
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +331,14 @@ def center_sequence(joints: np.ndarray, root: int) -> np.ndarray:
 
 def preprocess_sequences(sequences: Sequence[SkeletonSequence], target_t: int,
                          topo: Optional[SkeletonTopology] = None,
-                         ) -> tuple[ModalityBundle, np.ndarray]:
-    """Center, resample and stack along a batch axis, then derive modalities."""
+                         ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The dataset as the models take it, plus the labels.
+
+    Each sequence is centred and resampled to ``target_t`` frames, and its
+    [3, T, V] joints are stacked straight into one C-contiguous
+    [N, 3, V, T] array; ``derive_modalities`` then gives the four inputs
+    by name, all in that layout.  Unlabeled sequences get label -1.
+    """
     if not sequences:
         raise InvalidInputError("preprocess requires a non-empty sequence set")
     if topo is None:
@@ -355,10 +347,12 @@ def preprocess_sequences(sequences: Sequence[SkeletonSequence], target_t: int,
     if counts != {topo.num_joints}:
         raise InvalidInputError(
             f"sequences have {sorted(counts)} joints, topology covers {topo.num_joints}")
-    joints = np.stack([resample_frames(center_sequence(seq.joints, topo.root), target_t)
-                       for seq in sequences])
+    joints = np.empty((len(sequences), 3, topo.num_joints, target_t), dtype=np.float32)
+    for dst, seq in zip(joints, sequences):
+        dst[...] = resample_frames(center_sequence(seq.joints, topo.root),
+                                   target_t).transpose(0, 2, 1)
     bundle = derive_modalities(joints, topo)
-    for arr in bundle.as_dict().values():
+    for arr in bundle.values():
         if not np.isfinite(arr).all():
             raise InvalidInputError("preprocessed batch contains NaN/Inf")
     labels = [-1 if seq.label is None else seq.label for seq in sequences]

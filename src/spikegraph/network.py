@@ -17,10 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv, linear_bn,
-                     partition_branches, sa_sgc_stc_block, spiking_linear_bn)
-from .data import ModalityBundle, SkeletonTopology
-from .encoding import SscConfig, SscEncoder
+from .blocks import (SaSgcLayer, StcLayer, channel_map, check_temporal_kernel,
+                     graph_conv, linear_bn, partition_branches, sa_sgc_stc_block,
+                     spiking_linear_bn)
+from .data import SkeletonTopology
+from .encoding import SscEncoder
 from .fusion import (MODALITY_ORDER, FusionWeights, SpikeMultimodalFusion,
                      fuse_modalities)
 from .module import (BatchNorm, Linear, Module, Parameter, SGD,
@@ -209,10 +210,10 @@ class MkSgnModel(Module):
         self.attention_scale = attention_scale
         self.smf_enabled = smf_enabled
         self.adjacency = partition_branches(topo)
-        ssc_cfg = SscConfig(spike_steps=spike_steps, hidden_channels=plan.in_channels)
         # with the fusion off only the joint stream is encoded and nothing fuses
         self.modalities = MODALITY_ORDER if smf_enabled else ("joint",)
-        self.encoders = [SscEncoder(3, ssc_cfg, lif, rng) for _ in self.modalities]
+        self.encoders = [SscEncoder(3, spike_steps, plan.in_channels, lif, rng)
+                         for _ in self.modalities]
         self.smf = SpikeMultimodalFusion(plan.in_channels, smic_hidden, lif, rng,
                                          lr=smic_lr, shuffle_seed=shuffle_seed) \
             if smf_enabled else None
@@ -239,15 +240,9 @@ class MkSgnModel(Module):
         return [p for name, p in self.named_parameters()
                 if not name.startswith("smf.")]
 
-    def encode(self, bundle: dict[str, np.ndarray | Tensor]) -> list[Tensor]:
+    def encode(self, batch: dict[str, Tensor]) -> list[Tensor]:
         """Run each modality of ``self.modalities`` through its own encoder."""
-        spikes = []
-        for enc, name in zip(self.encoders, self.modalities):
-            x = bundle[name]
-            if not isinstance(x, Tensor):
-                x = Tensor(x)
-            spikes.append(enc(x))
-        return spikes
+        return [enc(batch[name]) for enc, name in zip(self.encoders, self.modalities)]
 
     def fusion_weights(self, spikes: list[Tensor]) -> FusionWeights:
         if not self.smf_enabled:
@@ -258,15 +253,16 @@ class MkSgnModel(Module):
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, bundle: dict[str, np.ndarray | Tensor],
+    def forward(self, batch: dict[str, Tensor],
                 ) -> tuple[Tensor, dict[int, Tensor], dict]:
-        """Returns (logits [B, U], taps {layer -> feature}, run info).
+        """Takes the modalities by name, each x[B, 3, V, T], and returns
+        (logits [B, U], taps {layer -> feature}, run info).
 
         In training mode the fusion first takes one SMIC ascent step on the
         detached spikes (until it freezes), so a training step encodes its
         batch once.
         """
-        spikes = self.encode(bundle)
+        spikes = self.encode(batch)
         if self.training and self.smf_enabled:
             self.smf.train_step(spikes)
         weights = self.fusion_weights(spikes)
@@ -303,6 +299,7 @@ class GcTcUnit(Module):
     def __init__(self, in_channels: int, out_channels: int, num_branches: int,
                  rng: np.random.Generator, kernel_t: int = 5, stride: int = 1):
         super().__init__()
+        check_temporal_kernel(kernel_t)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.stride = stride
@@ -360,8 +357,8 @@ class GcTcStack(Module):
 class TeacherModel(Module):
     """Per-modality GC-TC stacks sharing the adjacency, separate heads.
 
-    Each [B, C, T, V] stream is transposed to [B, C, V, T] at entry, so the
-    taps have the student's layout.
+    Takes the student's input, the modalities by name, each x[B, 3, V, T],
+    so the taps have the student's layout.
     """
 
     def __init__(self, num_classes: int, topo: SkeletonTopology,
@@ -379,15 +376,12 @@ class TeacherModel(Module):
     def plan_hash(self) -> str:
         return plan_hash(self.plan, self.num_classes, joints=self.topo.num_joints)
 
-    def forward(self, bundle: dict[str, np.ndarray | Tensor],
+    def forward(self, batch: dict[str, Tensor],
                 ) -> tuple[dict[str, Tensor], dict[str, dict[int, Tensor]]]:
         logits: dict[str, Tensor] = {}
         taps: dict[str, dict[int, Tensor]] = {}
         for stream, name in zip(self.streams, MODALITY_ORDER):
-            x = bundle[name]
-            if not isinstance(x, Tensor):
-                x = Tensor(x)
-            logits[name], taps[name] = stream(permute(x, (0, 1, 3, 2)), self.adjacency)
+            logits[name], taps[name] = stream(batch[name], self.adjacency)
         return logits, taps
 
 
@@ -482,6 +476,11 @@ class TrainSettings:
     early_stop_train_acc: Optional[float]
     seed: int                            # seeds the batch order
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def run_epochs(step, optimizer, n: int, settings: TrainSettings,
                rng: np.random.Generator) -> list[dict]:
@@ -511,8 +510,10 @@ def run_epochs(step, optimizer, n: int, settings: TrainSettings,
     return history
 
 
-def batch_tensors(bundle: ModalityBundle, idx: np.ndarray) -> dict[str, Tensor]:
-    return {name: Tensor(arr[idx]) for name, arr in bundle.as_dict().items()}
+def batch_tensors(bundle: dict[str, np.ndarray], idx: np.ndarray) -> dict[str, Tensor]:
+    """The samples ``idx`` of a ``preprocess_sequences`` dataset as the
+    models' input: the modalities by name, each a Tensor x[B, 3, V, T]."""
+    return {name: Tensor(arr[idx]) for name, arr in bundle.items()}
 
 
 def _keep_freed_memory() -> None:
@@ -540,7 +541,7 @@ def _keep_freed_memory() -> None:
 class Trainer:
     """Single-model training loop: fusion ascent, forward, loss, SGD step."""
 
-    def __init__(self, model: MkSgnModel, bundle: ModalityBundle,
+    def __init__(self, model: MkSgnModel, bundle: dict[str, np.ndarray],
                  labels: np.ndarray, settings: TrainSettings,
                  loss_weights: LossWeights = LossWeights(),
                  teacher: Optional[TeacherModel] = None,
@@ -624,7 +625,7 @@ class Trainer:
                           self.optimizer, self.labels.shape[0], self.settings, self._rng)
 
 
-def evaluate(model: MkSgnModel, bundle: ModalityBundle, labels: np.ndarray,
+def evaluate(model: MkSgnModel, bundle: dict[str, np.ndarray], labels: np.ndarray,
              batch_size: int = 32) -> dict:
     """Top-1 accuracy and per-class confusion counts on a fixed split."""
     model.eval()
@@ -646,7 +647,7 @@ def evaluate(model: MkSgnModel, bundle: ModalityBundle, labels: np.ndarray,
 # Teacher training (toy-scale, before distillation)
 # ---------------------------------------------------------------------------
 
-def train_teacher(teacher: TeacherModel, bundle: ModalityBundle,
+def train_teacher(teacher: TeacherModel, bundle: dict[str, np.ndarray],
                   labels: np.ndarray, settings: TrainSettings) -> list[dict]:
     """Supervised training of the four teacher streams (mean of their CEs)."""
     labels = np.asarray(labels)

@@ -117,6 +117,7 @@ def _step_view(a: np.ndarray, channels: bool = False, order=None):
     return v.reshape(1, a.shape[0], -1, *v.shape[1:]), order
 
 
+@np.errstate(invalid="ignore")
 def _lif_forward(x: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
                  affine=None):
     """Run the recurrence over axis 0 of the currents ``x``; return the
@@ -124,7 +125,8 @@ def _lif_forward(x: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
     out as x is.  Without ``keep`` the membrane lives in one tile of
     scratch.  With ``affine`` (``tensor._bn_setup``) the currents are
     BatchNorm's output for x, made tile by tile; x must then hold its steps
-    outermost in memory.  A non-finite membrane at the last step raises."""
+    outermost in memory.  A non-finite membrane at the last step raises;
+    an infinite one times the reset mask 0 is NaN, carried there silently."""
     tau, vth, vr, a = map(x.dtype.type, (cfg.decay_tau, cfg.v_threshold, cfg.v_reset,
                                          cfg.surrogate_window_a))
     xs, order = _step_view(x, affine is not None)                   # [A, S, R, C, Q]

@@ -153,10 +153,9 @@ def record_cost(site: str, layer, *inputs: Tensor) -> None:
 
 
 def _encoder_cost(rec: CostRecorder, enc, x: Tensor) -> None:
-    b, c, t, v = x.shape
-    k = enc.cfg.kernel_size
-    rec.add("encoder", "conv", enc.cfg.hidden_channels * c * k * k * v * t, 1.0,
-            is_fire=True)
+    d, c, kh, kw = enc.weight.shape
+    v, t = x.shape[-2:]
+    rec.add("encoder", "conv", d * c * kh * kw * v * t, 1.0, is_fire=True)
 
 
 def _smic_cost(rec: CostRecorder, smf, *spikes: Tensor) -> None:
@@ -202,12 +201,13 @@ _SITES = {"encoder": _encoder_cost, "smic": _smic_cost, "sgc": _sgc_cost,
           "ssa": _ssa_cost, "stc": _stc_cost, "head": _head_cost}
 
 
-def profile_model(model, bundle_batch: dict) -> EnergyReport:
-    """One eval-mode forward pass with a cost recorder active."""
+def profile_model(model, batch: dict[str, Tensor]) -> EnergyReport:
+    """One eval-mode forward pass with a cost recorder active, on the
+    model's input: the modalities by name, each x[B, 3, V, T]."""
     was_training = model.training
     model.eval()
     with recording(model.spike_steps) as rec:
-        model(bundle_batch)
+        model(batch)
     if was_training:
         model.train()
     return EnergyReport(rec.spike_steps, rec.layers)

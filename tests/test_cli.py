@@ -229,3 +229,21 @@ def test_per_pair_estimator_checkpoint_is_rejected(tmp_path, tiny_data, capsys):
     code, err = _eval(tmp_path, tiny_data, ckpt, capsys)
     assert code == cli.EXIT_CONFIG
     assert "smf.estimator" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("values, kd, message", [
+    ({"optimizer": {"epochs": 0}}, "none", "epochs must be >= 1, got 0"),
+    ({"teacher": {"epochs": 0}}, "soft", "epochs must be >= 1, got 0"),
+    ({"preprocess": {"batch_size": 0}}, "none", "batch_size must be >= 1, got 0"),
+    ({"blocks": {"temporal_kernel": 4}}, "none",
+     "temporal_kernel must be odd and >= 1, got 4"),
+], ids=["optimizer_epochs", "teacher_epochs", "batch_size", "even_temporal_kernel"])
+def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, values, kd,
+                                                message):
+    config = _write_config(tmp_path / "run.yaml", values)
+    capsys.readouterr()
+    code = cli.main(["--config", config, "--out", str(tmp_path / "run"), "train",
+                     "--data", tiny_data, "--kd", kd])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert message in err and "Traceback" not in err

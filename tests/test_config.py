@@ -8,7 +8,6 @@ import pytest
 
 from spikegraph.config import DEFAULTS, RunConfig
 from spikegraph.data import SkeletonTopology
-from spikegraph.encoding import SscConfig
 from spikegraph.network import STUDENT_PLAN_FULL, STUDENT_PLAN_TOY, LayerPlan
 from spikegraph.neurons import LifConfig
 
@@ -85,13 +84,12 @@ def test_build_student_reads_its_config(values):
     cfg = RunConfig(values)
     model = cfg.build_student(4, SkeletonTopology.ntu25(), np.random.default_rng(0))
     lif = LifConfig(**cfg.get("neuron"))
-    ssc = SscConfig(spike_steps=cfg.get("ssc.spike_steps"),
-                    hidden_channels=cfg.get("ssc.hidden_channels"))
-    assert model.spike_steps == ssc.spike_steps
+    spike_steps = cfg.get("ssc.spike_steps")
+    assert model.spike_steps == spike_steps
     assert model.lif == lif
     for enc in model.encoders:
-        assert enc.cfg == ssc and enc.lif == lif
-        assert enc.weight.shape[0] == ssc.hidden_channels
+        assert enc.spike_steps == spike_steps and enc.lif == lif
+        assert enc.weight.shape[0] == cfg.get("ssc.hidden_channels")
     assert model.smf.estimator.hidden == cfg.get("smf.smic_hidden")
     assert model.smf.estimator.lif == lif
     assert model.smf._optim.lr == cfg.get("smf.smic_lr")

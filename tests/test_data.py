@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spikegraph.data import (FormatError, ModalityBundle, ParseError,
+from spikegraph.data import (FormatError, ParseError,
                              SkeletonSequence, SkeletonTopology,
                              center_sequence, derive_modalities,
                              label_from_filename, load_dataset,
@@ -113,48 +113,47 @@ class TestParseNtu:
 class TestDeriveModalities:
     def _static_joints(self, topo, frames=4):
         rng = np.random.default_rng(5)
-        pose = rng.normal(size=(3, 1, topo.num_joints)).astype(np.float32)
-        return np.repeat(pose, frames, axis=1)
+        pose = rng.normal(size=(3, topo.num_joints, 1)).astype(np.float32)
+        return np.repeat(pose, frames, axis=2)
 
     def test_static_sequence_zero_motion(self):
         topo = SkeletonTopology.ntu25()
         bundle = derive_modalities(self._static_joints(topo), topo)
-        np.testing.assert_array_equal(bundle.joint_motion, 0.0)
-        np.testing.assert_array_equal(bundle.bone_motion, 0.0)
+        np.testing.assert_array_equal(bundle["joint_motion"], 0.0)
+        np.testing.assert_array_equal(bundle["bone_motion"], 0.0)
 
     def test_translating_joint_motion(self):
         topo = SkeletonTopology.ntu25()
-        joints = np.zeros((3, 5, 25), dtype=np.float32)
-        joints[0] = np.arange(5, dtype=np.float32)[:, None]  # +1 in x per frame
+        joints = np.zeros((3, 25, 5), dtype=np.float32)
+        joints[0] = np.arange(5, dtype=np.float32)[None, :]  # +1 in x per frame
         bundle = derive_modalities(joints, topo)
-        np.testing.assert_array_equal(bundle.joint_motion[0, :-1], 1.0)
-        np.testing.assert_array_equal(bundle.joint_motion[:, -1], 0.0)
+        np.testing.assert_array_equal(bundle["joint_motion"][0, :, :-1], 1.0)
+        np.testing.assert_array_equal(bundle["joint_motion"][:, :, -1], 0.0)
 
     def test_root_bone_is_zero(self):
         topo = SkeletonTopology.ntu25()
         rng = np.random.default_rng(6)
-        joints = rng.normal(size=(3, 4, 25)).astype(np.float32)
+        joints = rng.normal(size=(3, 25, 4)).astype(np.float32)
         bundle = derive_modalities(joints, topo)
-        np.testing.assert_array_equal(bundle.bone[:, :, topo.root], 0.0)
+        np.testing.assert_array_equal(bundle["bone"][:, topo.root], 0.0)
 
     def test_shift_invariance(self):
         topo = SkeletonTopology.ntu25()
         rng = np.random.default_rng(7)
-        joints = rng.normal(size=(3, 6, 25)).astype(np.float32)
+        joints = rng.normal(size=(3, 25, 6)).astype(np.float32)
         shifted = joints + np.array([1.0, -2.0, 0.5], dtype=np.float32)[:, None, None]
         b1 = derive_modalities(joints, topo)
         b2 = derive_modalities(shifted, topo)
-        np.testing.assert_allclose(b1.bone, b2.bone, atol=1e-6)
-        np.testing.assert_allclose(b1.joint_motion, b2.joint_motion, atol=1e-6)
-        np.testing.assert_allclose(b1.bone_motion, b2.bone_motion, atol=1e-6)
+        for name in ("bone", "joint_motion", "bone_motion"):
+            np.testing.assert_allclose(b1[name], b2[name], atol=1e-6)
 
     def test_all_shapes_identical(self):
         topo = SkeletonTopology.ucla20()
         rng = np.random.default_rng(8)
-        joints = rng.normal(size=(3, 4, 20)).astype(np.float32)
+        joints = rng.normal(size=(3, 20, 4)).astype(np.float32)
         bundle = derive_modalities(joints, topo)
-        shapes = {arr.shape for arr in bundle.as_dict().values()}
-        assert shapes == {(3, 4, 20)}
+        shapes = {arr.shape for arr in bundle.values()}
+        assert shapes == {(3, 20, 4)}
 
 
 class TestSynthesize:
@@ -205,15 +204,37 @@ class TestPreprocess:
         topo = SkeletonTopology.ntu25()
         seqs, _ = synthesize(2, samples_per_class=3, frames=10, seed=4)
         bundle, labels = preprocess_sequences(seqs, target_t=8, topo=topo)
-        np.testing.assert_allclose(bundle.joint[:, :, 0, topo.root], 0.0, atol=1e-5)
+        np.testing.assert_allclose(bundle["joint"][:, :, topo.root, 0], 0.0, atol=1e-5)
 
     def test_stacked_shapes_and_no_nans(self):
         seqs, _ = synthesize(3, samples_per_class=4, frames=20, seed=5)
         bundle, labels = preprocess_sequences(seqs, target_t=16)
         assert labels.shape == (12,)
-        for arr in bundle.as_dict().values():
-            assert arr.shape == (12, 3, 16, 25)
+        for arr in bundle.values():
+            assert arr.shape == (12, 3, 25, 16)
             assert np.isfinite(arr).all()
+
+    def test_model_input_layout_and_values(self):
+        """Four C-contiguous float32 [N, 3, V, T] arrays: the bone and motion
+        formulas on the centred, resampled [3, T, V] joints, transposed."""
+        topo = SkeletonTopology.ntu25()
+        seqs, _ = synthesize(3, samples_per_class=2, frames=20, seed=8)
+        bundle, _ = preprocess_sequences(seqs, target_t=16, topo=topo)
+        assert sorted(bundle) == ["bone", "bone_motion", "joint", "joint_motion"]
+        for arr in bundle.values():
+            assert arr.shape == (6, 3, 25, 16) and arr.dtype == np.float32
+            assert arr.flags.c_contiguous
+        for i, seq in enumerate(seqs):
+            joint = resample_frames(center_sequence(seq.joints, topo.root), 16)
+            bone = joint - joint[:, :, topo.parents()]
+            bone[:, :, topo.root] = 0.0
+            want = {"joint": joint, "bone": bone}
+            for name, x in (("joint_motion", joint), ("bone_motion", bone)):
+                want[name] = np.zeros_like(x)
+                want[name][:, :-1] = x[:, 1:] - x[:, :-1]
+            for name, arr in want.items():
+                np.testing.assert_array_equal(bundle[name][i], arr.transpose(0, 2, 1),
+                                              err_msg=name)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):

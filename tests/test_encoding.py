@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from spikegraph.encoding import SscConfig, SscEncoder, ssc_expand
+from spikegraph.encoding import SscEncoder
 from spikegraph.neurons import LifConfig
-from spikegraph.tensor import InvalidInputError, Tensor
+from spikegraph.tensor import InvalidInputError, Tensor, repeat0
 from oracles import firing_rate
 
 
@@ -13,46 +13,48 @@ LIF = LifConfig()
 
 
 class TestSscExpand:
+    """The encoder's expansion over spike steps, ``repeat0``."""
+
     def test_singleton_axis(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 16, 25)).astype(np.float32))
-        out = ssc_expand(x, 1)
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 25, 16)).astype(np.float32))
+        out = repeat0(x, 1)
         assert out.shape == (1, 3, 25, 16)
-        np.testing.assert_array_equal(out.data[0], x.data.transpose(0, 2, 1))
+        np.testing.assert_array_equal(out.data[0], x.data)
 
     def test_replication(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(3, 16, 25)).astype(np.float32))
-        out = ssc_expand(x, 4)
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 25, 16)).astype(np.float32))
+        out = repeat0(x, 4)
         for s in range(1, 4):
             np.testing.assert_array_equal(out.data[s], out.data[0])
 
     def test_axis_bookkeeping(self):
-        x = Tensor(np.zeros((3, 16, 25), dtype=np.float32))
-        assert ssc_expand(x, 4).shape == (4, 3, 25, 16)
+        x = Tensor(np.zeros((3, 25, 16), dtype=np.float32))
+        assert repeat0(x, 4).shape == (4, 3, 25, 16)
 
     def test_batched_variant(self):
-        x = Tensor(np.zeros((2, 3, 16, 25), dtype=np.float32))
-        assert ssc_expand(x, 4).shape == (4, 2, 3, 25, 16)
+        x = Tensor(np.zeros((2, 3, 25, 16), dtype=np.float32))
+        assert repeat0(x, 4).shape == (4, 2, 3, 25, 16)
 
     def test_invalid_steps(self):
         with pytest.raises(InvalidInputError):
-            ssc_expand(Tensor(np.zeros((3, 4, 5))), 0)
+            SscEncoder(3, 0, 4, LIF, np.random.default_rng(0))
 
 
 class TestSscEncoder:
     def _encoder(self, d=64, seed=2):
         rng = np.random.default_rng(seed)
-        return SscEncoder(3, SscConfig(spike_steps=4, hidden_channels=d), LIF, rng)
+        return SscEncoder(3, 4, d, LIF, rng)
 
     def test_zero_input_zero_spikes(self):
         enc = self._encoder(d=8)
         enc.bias.data[:] = 0.0
-        x = Tensor(np.zeros((2, 3, 16, 25), dtype=np.float32))
+        x = Tensor(np.zeros((2, 3, 25, 16), dtype=np.float32))
         out = enc(x)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_output_shape_contract(self):
         enc = self._encoder(d=64)
-        x = Tensor(np.random.default_rng(3).normal(size=(1, 3, 16, 25)).astype(np.float32))
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 3, 25, 16)).astype(np.float32))
         out = enc(x)
         assert out.shape == (4, 1, 64, 25, 16)
         assert np.isin(out.data, (0.0, 1.0)).all()
@@ -61,7 +63,7 @@ class TestSscEncoder:
         rng = np.random.default_rng(4)
         for trial in range(10):
             enc = self._encoder(d=6, seed=100 + trial)
-            x = Tensor(rng.normal(size=(2, 3, 8, 10)).astype(np.float32))
+            x = Tensor(rng.normal(size=(2, 3, 10, 8)).astype(np.float32))
             out = enc(x)
             assert np.isin(out.data, (0.0, 1.0)).all()
 
@@ -70,7 +72,7 @@ class TestSscEncoder:
         rates = []
         for trial in range(100):
             enc = self._encoder(d=4, seed=200 + trial)
-            x = Tensor(rng.normal(size=(1, 3, 6, 8)).astype(np.float32))
+            x = Tensor(rng.normal(size=(1, 3, 8, 6)).astype(np.float32))
             rates.append(firing_rate(enc(x)))
         rates = np.array(rates)
         assert np.all(rates >= 0.0) and np.all(rates <= 1.0)
@@ -78,7 +80,7 @@ class TestSscEncoder:
 
     def test_deterministic(self):
         enc = self._encoder(d=8, seed=6)
-        x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 8, 10)).astype(np.float32))
+        x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 10, 8)).astype(np.float32))
         enc.eval()
         a = enc(x).data
         b = enc(x).data

@@ -172,11 +172,20 @@ class TestTeacherLayout:
         teacher = TeacherModel(CLASSES, topo, rng=np.random.default_rng(0))
         unit = teacher.streams[0].units[0]
         assert unit.w_t.shape == (unit.out_channels, unit.out_channels, 1, unit.kernel_t)
-        b, _, t, v = batch["joint"].shape
+        b, _, v, t = batch["joint"].shape
         _, taps = teacher(batch)
         for layer, frames in zip(TEACHER_TAP_LAYERS, (t // 2, t // 4)):
             width = teacher.plan.widths[layer - 1]
             assert taps["joint"][layer].shape == (b, width, v, frames)
+
+
+@pytest.mark.parametrize("kernel_t", [0, 4])
+def test_temporal_kernel_must_keep_the_frame_count(kernel_t):
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidInputError, match="temporal_kernel"):
+        GcTcUnit(3, 5, 3, rng, kernel_t=kernel_t)
+    with pytest.raises(InvalidInputError, match="temporal_kernel"):
+        blocks.StcLayer(4, neurons.LifConfig(), rng, kernel_t=kernel_t)
 
 
 class TestCheckpoint:
@@ -386,7 +395,7 @@ from spikegraph.tensor import Tensor
 model = RunConfig().build_student(4, SkeletonTopology.ntu25(),
                                   np.random.default_rng(0)).eval()
 rng = np.random.default_rng(1)
-clip = {m: Tensor(rng.normal(size=(1, 3, 16, 25)).astype(np.float32))
+clip = {m: Tensor(rng.normal(size=(1, 3, 25, 16)).astype(np.float32))
         for m in ("joint", "bone", "joint_motion", "bone_motion")}
 for _ in range(2):
     model(clip)
