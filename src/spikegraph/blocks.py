@@ -157,8 +157,7 @@ class SaSgcLayer(Module):
     """Multi-branch spiking graph convolution plus spiking self-attention."""
 
     def __init__(self, in_channels: int, out_channels: int, num_branches: int,
-                 lif: LifConfig, rng: np.random.Generator,
-                 attention_scale: float = 0.125):
+                 lif: LifConfig, rng: np.random.Generator, attention_scale: float):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -223,7 +222,7 @@ class StcLayer(Module):
     """
 
     def __init__(self, channels: int, lif: LifConfig, rng: np.random.Generator,
-                 kernel_t: int = 5, stride: int = 1):
+                 kernel_t: int, stride: int = 1):
         super().__init__()
         if stride not in (1, 2):
             raise InvalidInputError(f"stride must be 1 or 2, got {stride}")

@@ -131,6 +131,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     cfg.override({"kd": args.kd, "optimizer.epochs": args.epochs,
                   "optimizer.lr": args.lr})
     settings = cfg.train_settings()
+    loss_weights = cfg.loss_weights()
     data_dir = _dataset_dir(cfg, args.data)
     topo, classes, (tr_bundle, tr_labels), (te_bundle, te_labels) = \
         _load_splits(cfg, data_dir)
@@ -168,7 +169,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             metrics_fh.write(json.dumps(record) + "\n")
 
         trainer = Trainer(model, tr_bundle, tr_labels, settings,
-                          loss_weights=cfg.loss_weights(), teacher=teacher,
+                          loss_weights=loss_weights, teacher=teacher,
                           ftm=ftm, metrics_writer=write_metrics)
         try:
             history = trainer.run()

@@ -28,32 +28,25 @@ DEFAULTS: dict[str, Any] = {
         "frames": 48,
         "noise": 0.03,
         "train_fraction": 0.8,
-        "cache_dir": None,          # SPIKEGRAPH_CACHE overrides when unset
+        "cache_dir": None,          # parsed-file cache for ntu_dir; none when unset
     },
     "preprocess": {
         "target_T": 16,
         "batch_size": 32,
     },
-    "neuron": {
+    "neuron": {                     # LIF; hard reset to 0, unit surrogate window
         "v_threshold": 1.0,
-        "v_reset": 0.0,
         "decay_tau": 0.25,
-        "surrogate_window_a": 1.0,
     },
     "ssc": {
         "spike_steps": 4,
-        "hidden_channels": 3,       # feeds the first block (3 per the plan)
     },
-    "smf": {
-        "enabled": True,
+    "smf": {                        # the marginal shuffle is seeded per batch
         "smic_hidden": 32,
         "smic_lr": 1e-3,
-        "shuffle_seed": 0,          # advanced by a per-batch counter
     },
     "blocks": {
-        "preset": "toy",            # toy | paper
-        "widths": None,             # explicit override of the preset widths
-        "strides": None,
+        "preset": "toy",            # toy | paper: the student and its channel plan
         "attention_scale": 0.125,
         "temporal_kernel": 5,
     },
@@ -80,13 +73,21 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+def _unknown_keys(base: dict, override: dict, path: str = "") -> list[str]:
+    out = []
     for key, value in override.items():
         if key not in base:
-            raise ConfigError(f"unknown config key {path + key!r}")
+            out.append(path + key)
+        elif isinstance(base[key], dict) and isinstance(value, dict):
+            out += _unknown_keys(base[key], value, path + key + ".")
+    return out
+
+
+def _merge(base: dict, override: dict) -> dict:
+    out = copy.deepcopy(base)
+    for key, value in override.items():
         if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, path + key + ".")
+            out[key] = _merge(base[key], value)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -96,6 +97,9 @@ class RunConfig:
     """Nested configuration dictionary with dotted-key access."""
 
     def __init__(self, values: Optional[dict] = None):
+        unknown = _unknown_keys(DEFAULTS, values or {})
+        if unknown:    # all of them, so an old file is mended in one pass
+            raise ConfigError("unknown config key " + ", ".join(map(repr, unknown)))
         self.values = _merge(DEFAULTS, values or {})
 
     @classmethod
@@ -153,17 +157,21 @@ class RunConfig:
     def lif_config(self):
         from .neurons import LifConfig
         n = self.values["neuron"]
-        return LifConfig(v_threshold=n["v_threshold"], v_reset=n["v_reset"],
-                         decay_tau=n["decay_tau"],
-                         surrogate_window_a=n["surrogate_window_a"])
+        return LifConfig(v_threshold=n["v_threshold"], decay_tau=n["decay_tau"])
 
     def student_plan(self):
-        from .network import LayerPlan, STUDENT_PLAN_FULL, STUDENT_PLAN_TOY
-        b = self.values["blocks"]
-        base = STUDENT_PLAN_FULL if b["preset"] == "paper" else STUDENT_PLAN_TOY
-        return LayerPlan(self.values["ssc"]["hidden_channels"],
-                         tuple(b["widths"] or base.widths),
-                         tuple(b["strides"] or base.strides))
+        """The ``blocks.preset`` plan, checked against ``preprocess.target_T``:
+        each stride-2 layer halves the frames, so T must divide by 2 that
+        many times."""
+        from .network import STUDENT_PLAN_FULL, STUDENT_PLAN_TOY
+        plan = STUDENT_PLAN_FULL if self.values["blocks"]["preset"] == "paper" \
+            else STUDENT_PLAN_TOY
+        target_t = self.values["preprocess"]["target_T"]
+        step = 2 ** plan.strides.count(2)
+        if target_t % step:
+            raise ConfigError(f"preprocess.target_T must be a multiple of {step} for "
+                              f"the student's stride-2 layers, got {target_t}")
+        return plan
 
     def teacher_plan(self):
         from .network import TEACHER_PLAN_FULL, TEACHER_PLAN_TOY
@@ -218,9 +226,7 @@ class RunConfig:
             smic_hidden=self.values["smf"]["smic_hidden"],
             smic_lr=self.values["smf"]["smic_lr"],
             attention_scale=b["attention_scale"],
-            temporal_kernel=b["temporal_kernel"],
-            smf_enabled=self.values["smf"]["enabled"], rng=rng,
-            shuffle_seed=self.values["smf"]["shuffle_seed"])
+            temporal_kernel=b["temporal_kernel"], rng=rng)
 
     def build_teacher(self, num_classes: int, topo, rng):
         from .network import TeacherModel

@@ -415,10 +415,6 @@ def load_dataset(in_dir: str) -> tuple[list[SkeletonSequence], list[SkeletonSequ
     return train, test, manifest
 
 
-def default_cache_dir(explicit: Optional[str] = None) -> Optional[str]:
-    return explicit or os.environ.get("SPIKEGRAPH_CACHE")
-
-
 def _cache_key(raw: bytes, params: dict) -> str:
     h = hashlib.sha256()
     h.update(raw)
@@ -436,7 +432,6 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
     """
     if not os.path.isdir(data_dir):
         raise InvalidInputError(f"no such dataset directory: {data_dir}")
-    cache_dir = default_cache_dir(cache_dir)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
     sequences = []

@@ -186,8 +186,8 @@ class SpikeMultimodalFusion(Module):
 
     The estimator is trained by gradient ascent on the pairwise bounds with
     its own Adam optimizer; its inputs are built from the spikes' data, so
-    no gradient leaks into the encoders.  The marginal shuffle seed
-    advances with an internal per-batch counter.
+    no gradient leaks into the encoders.  The marginal shuffle is seeded
+    by an internal per-batch counter.
     """
 
     PAIRS = tuple(combinations(range(4), 2))
@@ -198,12 +198,11 @@ class SpikeMultimodalFusion(Module):
     freeze_after_steps = 150
 
     def __init__(self, channels: int, hidden: int, lif: LifConfig,
-                 rng: np.random.Generator, lr: float = 1e-3, shuffle_seed: int = 0):
+                 rng: np.random.Generator, lr: float):
         super().__init__()
         self.channels = channels
         self.estimator = SmicNet(len(self.PAIRS), 2 * channels, hidden, lif, rng)
         self._optim = Adam(self.estimator.parameters(), lr=lr)
-        self._shuffle_seed = shuffle_seed
         self._counter = 0
         # smoothed pairwise bounds: per-batch DV estimates at desk-scale
         # batch sizes are too noisy to min-max directly, so the weight
@@ -229,7 +228,7 @@ class SpikeMultimodalFusion(Module):
         """
         if self.frozen:
             return {}
-        joint, marginal = smic_inputs(spikes, self._shuffle_seed + self._counter)
+        joint, marginal = smic_inputs(spikes, self._counter)
         self._counter += 1
         with Tape() as tape:
             bound = mi_lower_bound(self.estimator(joint), exp(self.estimator(marginal)))

@@ -44,10 +44,6 @@ class LayerPlan:
     widths: tuple[int, ...]
     strides: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.widths) != len(self.strides):
-            raise InvalidInputError("widths and strides must align")
-
     def pairs(self) -> list[tuple[int, int]]:
         ins = [self.in_channels] + list(self.widths[:-1])
         return list(zip(ins, self.widths))
@@ -85,9 +81,13 @@ class LossWeights:
     gamma: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        for group in (self.alpha, self.beta, self.gamma):
+        for name, size in (("alpha", 4), ("beta", 2), ("gamma", 3)):
+            group = getattr(self, name)
+            if len(group) != size:
+                raise InvalidInputError(
+                    f"loss.{name} must hold {size} weights, got {len(group)}")
             if any(v < 0 for v in group):
-                raise InvalidInputError("loss weights must be nonnegative")
+                raise InvalidInputError(f"loss.{name} weights must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,7 @@ class MkSgnModel(Module):
 
     def __init__(self, num_classes: int, topo: SkeletonTopology, plan: LayerPlan,
                  lif: LifConfig, spike_steps: int, smic_hidden: int, smic_lr: float,
-                 attention_scale: float, temporal_kernel: int, smf_enabled: bool,
-                 rng: np.random.Generator, shuffle_seed: int):
+                 attention_scale: float, temporal_kernel: int, rng: np.random.Generator):
         super().__init__()
         self.num_classes = num_classes
         self.topo = topo
@@ -208,30 +207,26 @@ class MkSgnModel(Module):
         self.lif = lif
         self.spike_steps = spike_steps
         self.attention_scale = attention_scale
-        self.smf_enabled = smf_enabled
         self.adjacency = partition_branches(topo)
-        # with the fusion off only the joint stream is encoded and nothing fuses
-        self.modalities = MODALITY_ORDER if smf_enabled else ("joint",)
         self.encoders = [SscEncoder(3, spike_steps, plan.in_channels, lif, rng)
-                         for _ in self.modalities]
-        self.smf = SpikeMultimodalFusion(plan.in_channels, smic_hidden, lif, rng,
-                                         lr=smic_lr, shuffle_seed=shuffle_seed) \
-            if smf_enabled else None
+                         for _ in MODALITY_ORDER]
+        self.smf = SpikeMultimodalFusion(plan.in_channels, smic_hidden, lif, rng, smic_lr)
         self.sgc_layers = []
         self.stc_layers = []
         for (cin, cout), stride in zip(plan.pairs(), plan.strides):
             self.sgc_layers.append(SaSgcLayer(cin, cout, len(self.adjacency),
                                               lif, rng, attention_scale))
-            self.stc_layers.append(StcLayer(cout, lif, rng, kernel_t=temporal_kernel,
-                                            stride=stride))
+            self.stc_layers.append(StcLayer(cout, lif, rng, temporal_kernel, stride))
         self.head = Linear(plan.widths[-1], num_classes, rng)
 
     # -- plumbing ------------------------------------------------------------
 
     def plan_hash(self) -> str:
+        # smf and v_reset keep their fixed values in the payload: checkpoints
+        # written when they were settings must hash the same and keep loading
         return plan_hash(self.plan, self.num_classes, spike_steps=self.spike_steps,
-                         joints=self.topo.num_joints, smf=self.smf_enabled,
-                         v_threshold=self.lif.v_threshold, v_reset=self.lif.v_reset,
+                         joints=self.topo.num_joints, smf=True,
+                         v_threshold=self.lif.v_threshold, v_reset=0.0,
                          decay_tau=self.lif.decay_tau,
                          attention_scale=self.attention_scale)
 
@@ -241,14 +236,10 @@ class MkSgnModel(Module):
                 if not name.startswith("smf.")]
 
     def encode(self, batch: dict[str, Tensor]) -> list[Tensor]:
-        """Run each modality of ``self.modalities`` through its own encoder."""
-        return [enc(batch[name]) for enc, name in zip(self.encoders, self.modalities)]
+        """Run each modality, in ``MODALITY_ORDER``, through its own encoder."""
+        return [enc(batch[name]) for enc, name in zip(self.encoders, MODALITY_ORDER)]
 
     def fusion_weights(self, spikes: list[Tensor]) -> FusionWeights:
-        if not self.smf_enabled:
-            w = np.zeros(4, dtype=np.float32)
-            w[MODALITY_ORDER.index("joint")] = 1.0
-            return FusionWeights(w)
         return self.smf.weights(spikes)
 
     # -- forward -------------------------------------------------------------
@@ -263,10 +254,10 @@ class MkSgnModel(Module):
         batch once.
         """
         spikes = self.encode(batch)
-        if self.training and self.smf_enabled:
+        if self.training:
             self.smf.train_step(spikes)
         weights = self.fusion_weights(spikes)
-        x = fuse_modalities(spikes, weights) if self.smf_enabled else spikes[0]
+        x = fuse_modalities(spikes, weights)
         rates = {"fused_input": float(np.abs(x.data).mean())}
         taps: dict[int, Tensor] = {}
         for i, (sgc, stc) in enumerate(zip(self.sgc_layers, self.stc_layers), start=1):
@@ -297,7 +288,7 @@ class GcTcUnit(Module):
     """
 
     def __init__(self, in_channels: int, out_channels: int, num_branches: int,
-                 rng: np.random.Generator, kernel_t: int = 5, stride: int = 1):
+                 rng: np.random.Generator, kernel_t: int, stride: int = 1):
         super().__init__()
         check_temporal_kernel(kernel_t)
         self.in_channels = in_channels
@@ -338,7 +329,7 @@ class GcTcStack(Module):
     """One teacher stream: units plus a GAP+FC head."""
 
     def __init__(self, num_classes: int, plan: LayerPlan, num_branches: int,
-                 rng: np.random.Generator, kernel_t: int = 5):
+                 rng: np.random.Generator, kernel_t: int):
         super().__init__()
         self.units = [GcTcUnit(cin, cout, num_branches, rng, kernel_t, stride)
                       for (cin, cout), stride in zip(plan.pairs(), plan.strides)]
@@ -361,11 +352,9 @@ class TeacherModel(Module):
     so the taps have the student's layout.
     """
 
-    def __init__(self, num_classes: int, topo: SkeletonTopology,
-                 plan: LayerPlan = TEACHER_PLAN_TOY,
-                 rng: Optional[np.random.Generator] = None, kernel_t: int = 5):
+    def __init__(self, num_classes: int, topo: SkeletonTopology, plan: LayerPlan,
+                 rng: np.random.Generator, kernel_t: int):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.num_classes = num_classes
         self.plan = plan
         self.topo = topo
@@ -431,10 +420,8 @@ class FtmModule(Module):
     """Two branches: teacher layer-5 -> student layer-3, layer-8 -> layer-5."""
 
     def __init__(self, teacher_plan: LayerPlan, student_plan: LayerPlan,
-                 spike_steps: int, lif: LifConfig,
-                 rng: Optional[np.random.Generator] = None):
+                 spike_steps: int, lif: LifConfig, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         t5 = teacher_plan.widths[TEACHER_TAP_LAYERS[0] - 1]
         t8 = teacher_plan.widths[TEACHER_TAP_LAYERS[1] - 1]
         s3 = student_plan.widths[STUDENT_TAP_LAYERS[0] - 1]

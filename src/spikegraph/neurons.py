@@ -1,18 +1,18 @@
-"""LIF spiking neuron: hard reset, multi-step unrolling, rectangular surrogate.
+"""LIF spiking neuron: hard reset to 0, multi-step unrolling, rectangular
+surrogate.
 
 The discrete update is the decay-factor form h = tau * v + I; a spike fires
 when h >= v_threshold (boundary inclusive) and the carried potential hard-
-resets to v_reset.  The backward rule for the threshold is a rectangular
-window of width ``a`` centered at the threshold with height 1/a; setting
-``relaxed=True`` swaps the Heaviside forward for its clipped-linear
-relaxation sigma_a(x) = clamp((x - v_th)/a + 0.5, 0, 1), whose true
-derivative equals the same window, so a finite-difference check can reach
-the surrogate gradient.
+resets to 0.  The backward rule for the threshold is the unit rectangular
+window |h - v_threshold| <= 0.5 with height 1; setting ``relaxed=True``
+swaps the Heaviside forward for its clipped-linear relaxation
+sigma(x) = clamp(x - v_th + 0.5, 0, 1), whose true derivative equals the
+same window, so a finite-difference check can reach the surrogate
+gradient.
 
 The reset is a mask: with m = h < v_threshold, the next step receives
-tau * h * m (plus tau * v_reset * (1 - m) when v_reset is not 0).  A NaN or
-infinite membrane therefore carries to the last step, where one check
-covers the whole input.
+tau * h * m.  A NaN or infinite membrane therefore carries to the last
+step, where one check covers the whole input.
 
 Layout rule: every kernel works on a view of its arrays in their own
 memory order (``tensor._memory_view``), and its outputs, history and
@@ -35,25 +35,20 @@ from .tensor import (_TILE, InvalidInputError, NumericalError, Tensor, _active_t
 @dataclass(frozen=True)
 class LifConfig:
     v_threshold: float = 1.0
-    v_reset: float = 0.0
     decay_tau: float = 0.25
-    surrogate_window_a: float = 1.0
 
     def __post_init__(self):
-        if not self.v_threshold > self.v_reset:
+        if not self.v_threshold > 0.0:
             raise InvalidInputError(
-                f"v_threshold ({self.v_threshold}) must exceed v_reset ({self.v_reset})")
+                f"v_threshold must be positive, got {self.v_threshold}")
         if not 0.0 < self.decay_tau <= 1.0:
             raise InvalidInputError(f"decay_tau must be in (0, 1], got {self.decay_tau}")
-        if not self.surrogate_window_a > 0.0:
-            raise InvalidInputError(
-                f"surrogate_window_a must be positive, got {self.surrogate_window_a}")
 
 
 def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     """Unroll the LIF recurrence over the leading spike-step axis of ``x``.
 
-    Membrane state starts at v_reset and is carried between steps; the S
+    Membrane state starts at 0 and is carried between steps; the S
     binary maps are stacked back along axis 0.  Forward and backward are
     fused into one tape record (BPTT through the unrolled recurrence,
     reset path included), equivalent to composing the one-step update S
@@ -127,22 +122,19 @@ def _lif_forward(x: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
     BatchNorm's output for x, made tile by tile; x must then hold its steps
     outermost in memory.  A non-finite membrane at the last step raises;
     an infinite one times the reset mask 0 is NaN, carried there silently."""
-    tau, vth, vr, a = map(x.dtype.type, (cfg.decay_tau, cfg.v_threshold, cfg.v_reset,
-                                         cfg.surrogate_window_a))
+    tau, vth = map(x.dtype.type, (cfg.decay_tau, cfg.v_threshold))
     xs, order = _step_view(x, affine is not None)                   # [A, S, R, C, Q]
     hs = np.empty(xs.shape, dtype=x.dtype) if keep else None
     out = np.empty(xs.shape, dtype=x.dtype)
     rows = max(1, _TILE // (xs.shape[0] * xs.shape[3] * xs.shape[4]))
     vbuf = np.empty_like(xs[:, 0, :rows])    # the decayed carried potential
     hbuf = np.empty_like(vbuf) if hs is None else None
-    tbuf = np.empty_like(vbuf) if relaxed or vr else None
     mbuf = np.empty(vbuf.shape, dtype=bool)
     for j in range(0, xs.shape[2], rows):
         tile = slice(j, j + rows)
         n = min(rows, xs.shape[2] - j)
         v, m = vbuf[:, :n], mbuf[:, :n]
-        t = None if tbuf is None else tbuf[:, :n]
-        v.fill(tau * vr)
+        v.fill(0.0)
         for s in range(xs.shape[1]):
             h = hbuf[:, :n] if hs is None else hs[:, s, tile]
             if affine is None:
@@ -153,22 +145,15 @@ def _lif_forward(x: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
             sig = out[:, s, tile]
             if relaxed:
                 np.subtract(h, vth, out=sig)
-                sig /= a
                 sig += 0.5
                 np.clip(sig, 0.0, 1.0, out=sig)
                 np.multiply(sig, h, out=v)
-                np.subtract(h, v, out=v)          # h - sig*h + vr*sig
-                np.multiply(sig, vr, out=t)
-                v += t
-                v *= tau
+                np.subtract(h, v, out=v)          # h - sig*h
             else:
                 np.less(h, vth, out=m)
                 np.logical_not(m, out=sig)
-                np.multiply(h, m, out=v)          # tau*h*m + tau*vr*(1 - m)
-                v *= tau
-                if vr:
-                    np.multiply(sig, tau * vr, out=t)
-                    v += t
+                np.multiply(h, m, out=v)          # h*m
+            v *= tau
         if not np.isfinite(h).all():
             raise NumericalError("sn_layer input or membrane potential is non-finite")
     return (_from_view(out, x.shape, order),
@@ -179,9 +164,7 @@ def _lif_backward(g: np.ndarray, h_hist: np.ndarray, out_data: np.ndarray,
                   cfg: LifConfig) -> np.ndarray:
     """BPTT through the recurrence, reset path included, into a new array
     laid out as ``h_hist``; every temporary is one tile of scratch."""
-    tau, vth, vr, half_a, inv_a = map(h_hist.dtype.type, (
-        cfg.decay_tau, cfg.v_threshold, cfg.v_reset, cfg.surrogate_window_a / 2,
-        1.0 / cfg.surrogate_window_a))
+    tau, vth, half = map(h_hist.dtype.type, (cfg.decay_tau, cfg.v_threshold, 0.5))
     hs, order = _step_view(h_hist)                                  # [A, S, R, 1, 1]
     gs = _step_view(g, order=order)[0]
     sigs = _step_view(out_data, order=order)[0]
@@ -199,22 +182,13 @@ def _lif_backward(g: np.ndarray, h_hist: np.ndarray, out_data: np.ndarray,
             h, gh, gin = hs[:, s, tile], gx[:, s, tile], gs[:, s, tile]
             np.subtract(h, vth, out=t)
             np.abs(t, out=t)
-            np.less_equal(t, half_a, out=mask)  # the surrogate window
+            np.less_equal(t, half, out=mask)    # the surrogate window
             if s == last:
                 np.multiply(gin, mask, out=gh)
-                if inv_a != 1:
-                    gh *= inv_a
             else:
-                if vr:
-                    np.subtract(vr, h, out=t)
-                    t *= gv
-                    t += gin
-                else:
-                    np.multiply(h, gv, out=t)
-                    np.subtract(gin, t, out=t)
+                np.multiply(h, gv, out=t)
+                np.subtract(gin, t, out=t)
                 t *= mask
-                if inv_a != 1:
-                    t *= inv_a
                 np.multiply(gv, sigs[:, s, tile], out=gh)
                 np.subtract(gv, gh, out=gh)
                 gh += t

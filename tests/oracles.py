@@ -19,6 +19,11 @@ from spikegraph.neurons import LifConfig
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor, add,
                                backward, mul, record_op, scale)
 
+# the reset potential and the surrogate window width that ``sn_layer``
+# fixes; the formulas below keep both general
+V_RESET = 0.0
+WINDOW_A = 1.0
+
 
 def spike(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     """Threshold nonlinearity with rectangular surrogate gradient.
@@ -31,7 +36,7 @@ def spike(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     if not np.isfinite(x.data).all():
         raise NumericalError("spike input contains non-finite values")
     vth = cfg.v_threshold
-    a = cfg.surrogate_window_a
+    a = WINDOW_A
     if relaxed:
         out_data = np.clip((x.data - vth) / a + 0.5, 0.0, 1.0).astype(x.data.dtype)
     else:
@@ -64,8 +69,8 @@ def lif_step(input_current: Tensor, v_prev: Tensor, cfg: LifConfig,
     if not np.isfinite(h.data).all():
         raise NumericalError("membrane potential became non-finite")
     s = spike(h, cfg, relaxed=relaxed)
-    # v_next = h where no spike, v_reset where spiked: h - s*h + s*v_reset
-    v_next = add(add(h, scale(mul(s, h), -1.0)), scale(s, cfg.v_reset))
+    # v_next = h where no spike, V_RESET where spiked: h - s*h + s*V_RESET
+    v_next = add(add(h, scale(mul(s, h), -1.0)), scale(s, V_RESET))
     return s, v_next
 
 
@@ -73,8 +78,8 @@ def _lif_forward(x: np.ndarray, h_hist: np.ndarray, cfg: LifConfig,
                  relaxed: bool) -> np.ndarray:
     """Run the recurrence over axis 0 of the currents ``x``, writing the
     membrane potentials into ``h_hist`` (may be x); returns the spikes."""
-    tau, vth, vr, a = map(x.dtype.type, (cfg.decay_tau, cfg.v_threshold, cfg.v_reset,
-                                         cfg.surrogate_window_a))
+    tau, vth, vr, a = map(x.dtype.type, (cfg.decay_tau, cfg.v_threshold, V_RESET,
+                                         WINDOW_A))
     out_data = np.empty_like(h_hist)
     v = np.full_like(h_hist[0], vr)   # in h's memory order
     for s in range(x.shape[0]):
@@ -94,8 +99,7 @@ def _lif_backward(g: np.ndarray, h_hist: np.ndarray, out_data: np.ndarray,
                   cfg: LifConfig) -> np.ndarray:
     """BPTT through the recurrence, reset path included, into a new array."""
     tau, vth, vr, half_a, inv_a = map(h_hist.dtype.type, (
-        cfg.decay_tau, cfg.v_threshold, cfg.v_reset, cfg.surrogate_window_a / 2,
-        1.0 / cfg.surrogate_window_a))
+        cfg.decay_tau, cfg.v_threshold, V_RESET, WINDOW_A / 2, 1.0 / WINDOW_A))
     gx = np.empty_like(h_hist)
     gv = None
     for s in range(h_hist.shape[0] - 1, -1, -1):

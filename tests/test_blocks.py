@@ -261,7 +261,7 @@ class TestLinearBn:
 
 
 def make_layers(din, dout, rng, stride=1, kernel_t=5):
-    sgc = SaSgcLayer(din, dout, 3, LIF, rng)
+    sgc = SaSgcLayer(din, dout, 3, LIF, rng, 0.125)
     stc = StcLayer(dout, LIF, rng, kernel_t=kernel_t, stride=stride)
     return sgc, stc
 
@@ -361,7 +361,7 @@ class TestFullBlock:
     def test_table_shape_pipeline(self):
         # layer-3 geometry: channels 64->128 at stride 2, [4,64,25,16] -> [4,128,25,8]
         rng = np.random.default_rng(14)
-        sgc = SaSgcLayer(64, 128, 3, LIF, rng)
+        sgc = SaSgcLayer(64, 128, 3, LIF, rng, 0.125)
         stc = StcLayer(128, LIF, rng, kernel_t=5, stride=2)
         adj = partition_branches(SkeletonTopology.ntu25())
         x = Tensor((np.random.default_rng(15).uniform(size=(4, 1, 64, 25, 16)) > 0.8)

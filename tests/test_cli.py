@@ -237,7 +237,13 @@ def test_per_pair_estimator_checkpoint_is_rejected(tmp_path, tiny_data, capsys):
     ({"preprocess": {"batch_size": 0}}, "none", "batch_size must be >= 1, got 0"),
     ({"blocks": {"temporal_kernel": 4}}, "none",
      "temporal_kernel must be odd and >= 1, got 4"),
-], ids=["optimizer_epochs", "teacher_epochs", "batch_size", "even_temporal_kernel"])
+    ({"loss": {"alpha": [1, 1]}}, "soft", "loss.alpha must hold 4 weights, got 2"),
+    ({"loss": {"beta": [1]}}, "feature", "loss.beta must hold 2 weights, got 1"),
+    ({"loss": {"gamma": [1, 1]}}, "none", "loss.gamma must hold 3 weights, got 2"),
+    ({"preprocess": {"target_T": 6}}, "soft", "preprocess.target_T must be a multiple "
+     "of 4 for the student's stride-2 layers, got 6"),
+], ids=["optimizer_epochs", "teacher_epochs", "batch_size", "even_temporal_kernel",
+        "alpha_length", "beta_length", "gamma_length", "target_T"])
 def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, values, kd,
                                                 message):
     config = _write_config(tmp_path / "run.yaml", values)
@@ -247,3 +253,37 @@ def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, val
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "teacher.ckpt").exists()
+
+
+def test_eval_rejects_frames_the_student_cannot_halve(tmp_path, tiny_data, capsys):
+    ckpt = _save_student(tmp_path / "student.ckpt")
+    config = _write_config(tmp_path / "run.yaml", {"preprocess": {"target_T": 6}})
+    capsys.readouterr()
+    code = cli.main(["--config", config, "--out", str(tmp_path / "run"), "eval",
+                     str(ckpt), "--data", tiny_data, "--split", "train"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "preprocess.target_T" in err and "got 6" in err and "Traceback" not in err
+
+
+def test_effective_config_with_fixed_settings_is_rejected(tmp_path, tiny_data, capsys):
+    """An effective-config.yaml written while the LIF reset, the surrogate
+    window, the fusion switch, its shuffle seed and the plan overrides were
+    settings names every one of them."""
+    old = RunConfig().values
+    old["neuron"].update(v_reset=0.0, surrogate_window_a=1.0)
+    old["ssc"]["hidden_channels"] = 3
+    old["smf"].update(enabled=True, shuffle_seed=0)
+    old["blocks"].update(widths=None, strides=None)
+    config = tmp_path / "effective-config.yaml"
+    config.write_text(yaml.safe_dump(old, sort_keys=True))
+    capsys.readouterr()
+    code = cli.main(["--config", str(config), "--out", str(tmp_path / "run"), "train",
+                     "--data", tiny_data])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "Traceback" not in err
+    for key in ("neuron.v_reset", "neuron.surrogate_window_a", "ssc.hidden_channels",
+                "smf.enabled", "smf.shuffle_seed", "blocks.widths", "blocks.strides"):
+        assert repr(key) in err

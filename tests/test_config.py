@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spikegraph.config import DEFAULTS, RunConfig
+from spikegraph.config import DEFAULTS, ConfigError, RunConfig
 from spikegraph.data import SkeletonTopology
-from spikegraph.network import STUDENT_PLAN_FULL, STUDENT_PLAN_TOY, LayerPlan
+from spikegraph.network import STUDENT_PLAN_FULL, STUDENT_PLAN_TOY
 from spikegraph.neurons import LifConfig
 
 
@@ -17,14 +17,15 @@ def test_defaults_give_the_preset_plans():
     assert RunConfig({"blocks": {"preset": "paper"}}).student_plan() == STUDENT_PLAN_FULL
 
 
-def test_encoder_width_and_strides_apply_over_a_preset():
-    plan = RunConfig({"ssc": {"hidden_channels": 8}}).student_plan()
-    assert plan == LayerPlan(8, STUDENT_PLAN_TOY.widths, STUDENT_PLAN_TOY.strides)
-    strides = (1, 2, 1, 2, 1, 1)
-    plan = RunConfig({"blocks": {"preset": "paper", "strides": list(strides)}}).student_plan()
-    assert plan == LayerPlan(3, STUDENT_PLAN_FULL.widths, strides)
-    plan = RunConfig({"blocks": {"widths": [8, 8], "strides": [1, 2]}}).student_plan()
-    assert plan == LayerPlan(3, (8, 8), (1, 2))
+@pytest.mark.parametrize("preset", ["toy", "paper"])
+@pytest.mark.parametrize("target_t", [6, 10, 15])
+def test_student_plan_rejects_frames_its_strides_cannot_halve(preset, target_t):
+    # both presets halve the frames twice, so T must be a multiple of 4
+    cfg = RunConfig({"blocks": {"preset": preset}, "preprocess": {"target_T": target_t}})
+    with pytest.raises(ConfigError, match=rf"preprocess\.target_T .* got {target_t}$"):
+        cfg.student_plan()
+    cfg.set("preprocess.target_T", 4 * target_t)
+    assert cfg.student_plan().strides.count(2) == 2
 
 
 # a value other than its default for every key that configures a run object
@@ -35,10 +36,9 @@ CHANGED = {
     "optimizer": {"lr": 0.3, "momentum": 0.7, "weight_decay": 3e-3, "epochs": 9,
                   "lr_step_epoch": 4, "lr_decay": 0.5, "early_stop_train_acc": None},
     "teacher": {"epochs": 11, "lr": 0.2},
-    "ssc": {"spike_steps": 3, "hidden_channels": 5},
-    "smf": {"smic_hidden": 6, "smic_lr": 2e-3, "shuffle_seed": 4},
-    "neuron": {"v_threshold": 0.75, "v_reset": -0.25, "decay_tau": 0.5,
-               "surrogate_window_a": 2.0},
+    "ssc": {"spike_steps": 3},
+    "smf": {"smic_hidden": 6, "smic_lr": 2e-3},
+    "neuron": {"v_threshold": 0.75, "decay_tau": 0.5},
     "blocks": {"attention_scale": 0.25, "temporal_kernel": 3},
 }
 SETTINGS = pytest.mark.parametrize("values", [{}, CHANGED], ids=["defaults", "changed"])
@@ -87,13 +87,13 @@ def test_build_student_reads_its_config(values):
     spike_steps = cfg.get("ssc.spike_steps")
     assert model.spike_steps == spike_steps
     assert model.lif == lif
+    assert model.plan == cfg.student_plan()
     for enc in model.encoders:
         assert enc.spike_steps == spike_steps and enc.lif == lif
-        assert enc.weight.shape[0] == cfg.get("ssc.hidden_channels")
+        assert enc.weight.shape[0] == model.plan.in_channels
     assert model.smf.estimator.hidden == cfg.get("smf.smic_hidden")
     assert model.smf.estimator.lif == lif
     assert model.smf._optim.lr == cfg.get("smf.smic_lr")
-    assert model.smf._shuffle_seed == cfg.get("smf.shuffle_seed")
     assert model.attention_scale == cfg.get("blocks.attention_scale")
     for sgc, stc in zip(model.sgc_layers, model.stc_layers):
         assert sgc.lif == stc.lif == lif

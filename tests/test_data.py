@@ -297,9 +297,3 @@ class TestSkeletonDirLoader:
         np.testing.assert_array_equal(again[0].joints, seqs[0].joints)
         assert blob.read_bytes() == raw
         np.testing.assert_array_equal(load_tensor(str(blob)).data, seqs[0].joints)
-
-    def test_env_var_cache_dir(self, tmp_path, monkeypatch):
-        from spikegraph.data import default_cache_dir
-        monkeypatch.setenv("SPIKEGRAPH_CACHE", str(tmp_path / "envcache"))
-        assert default_cache_dir(None) == str(tmp_path / "envcache")
-        assert default_cache_dir("explicit") == "explicit"

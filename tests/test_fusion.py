@@ -327,7 +327,7 @@ class TestSpikeMultimodalFusion:
         return [spikes((4, 6, d, 3, 5), seed + k, p=0.3 + 0.1 * k) for k in range(4)]
 
     def test_matrix_symmetric_zero_diagonal(self):
-        smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(23))
+        smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(23), 1e-3)
         bounds = smf.train_step(self._mods(50))
         m = smf.mi_ema
         np.testing.assert_array_equal(np.diag(m), 0.0)
@@ -336,7 +336,7 @@ class TestSpikeMultimodalFusion:
             assert m[i, j] == np.float32(value)
 
     def test_train_step_moves_bounds_and_keeps_determinism(self):
-        smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(24))
+        smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(24), 1e-3)
         mods = self._mods(60)
         before = [p.data[0].copy() for p in smf.estimator.parameters()]
         bounds = smf.train_step(mods)
@@ -348,7 +348,7 @@ class TestSpikeMultimodalFusion:
         # a low threshold lets the hidden states fire, so every bound and
         # every weight's gradient is nonzero
         smf = SpikeMultimodalFusion(4, 16, LifConfig(v_threshold=0.3),
-                                    np.random.default_rng(27))
+                                    np.random.default_rng(27), 1e-3)
         mods = self._mods(90)
         joint, marginal = smic_inputs(mods, 0)   # the first ascent's shuffle seed
         singles, single_bounds = [], []
@@ -368,7 +368,7 @@ class TestSpikeMultimodalFusion:
                                               p.grad)
 
     def test_no_gradient_leaks_into_inputs(self):
-        smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(25))
+        smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(25), 1e-3)
         mods = self._mods(70)
         for m in mods:
             m.requires_grad = True
@@ -376,7 +376,7 @@ class TestSpikeMultimodalFusion:
         assert all(m.grad is None for m in mods)
 
     def test_weights_from_fresh_estimators(self):
-        smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(26))
+        smf = SpikeMultimodalFusion(4, 16, LIF, np.random.default_rng(26), 1e-3)
         w = smf.weights(self._mods(80))
         assert w.degenerate
         np.testing.assert_array_equal(w.w, np.ones(4, dtype=np.float32))

@@ -18,9 +18,8 @@ from spikegraph.data import (FormatError, SkeletonTopology, preprocess_sequences
 from spikegraph.encoding import SscEncoder
 from spikegraph.fusion import SmicNet
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
-from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, TeacherModel,
-                                Trainer, batch_tensors, load_model, save_model,
-                                train_teacher)
+from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, Trainer,
+                                batch_tensors, load_model, save_model, train_teacher)
 from spikegraph.tensor import InvalidInputError, Tape
 
 CLASSES = 4
@@ -47,10 +46,8 @@ class TestTrainStep:
         _, _, model, _ = trained
         assert model.smf._optim._t == 1
 
-    @pytest.mark.parametrize("smf_enabled", [True, False])
-    def test_each_used_modality_encoded_once(self, trained, monkeypatch, smf_enabled):
+    def test_each_modality_encoded_once(self, trained, monkeypatch):
         cfg, topo, _, batch = trained
-        cfg = RunConfig({**cfg.values, "smf": {**cfg.values["smf"], "enabled": smf_enabled}})
         model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
         calls = []
         forward = SscEncoder.forward
@@ -61,8 +58,7 @@ class TestTrainStep:
                           loss_weights=cfg.loss_weights())
         trainer.train_step(batch, labels)
         assert calls == model.encoders
-        assert len(model.encoders) == (4 if smf_enabled else 1)  # the joint stream
-        assert (model.smf is None) == (not smf_enabled)
+        assert len(model.encoders) == 4
 
 
     def test_student_forward_runs_no_batch_norm(self, trained, monkeypatch):
@@ -88,7 +84,7 @@ class TestTrainStep:
                              ids=["no_teacher", "no_ftm"])
     def test_distillation_needs_its_models(self, trained, kd, with_teacher):
         cfg, topo, model, _ = trained
-        teacher = TeacherModel(CLASSES, topo, rng=np.random.default_rng(1)) \
+        teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1)) \
             if with_teacher else None
         with pytest.raises(InvalidInputError):
             Trainer(model, None, np.arange(8) % CLASSES,
@@ -158,7 +154,7 @@ class TestFusionBurnIn:
 class TestGraphWeights:
     def test_one_stacked_weight_per_layer(self, trained):
         _, _, model, _ = trained
-        unit = GcTcUnit(3, 5, 3, np.random.default_rng(0))
+        unit = GcTcUnit(3, 5, 3, np.random.default_rng(0), 5)
         for layer, (cin, cout) in [(model.sgc_layers[0], model.plan.pairs()[0]),
                                    (unit, (3, 5))]:
             names = [n for n, _ in layer.named_parameters() if n.startswith("w_")]
@@ -168,8 +164,8 @@ class TestGraphWeights:
 
 class TestTeacherLayout:
     def test_taps_have_the_student_layout(self, trained):
-        _, topo, _, batch = trained
-        teacher = TeacherModel(CLASSES, topo, rng=np.random.default_rng(0))
+        cfg, topo, _, batch = trained
+        teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(0))
         unit = teacher.streams[0].units[0]
         assert unit.w_t.shape == (unit.out_channels, unit.out_channels, 1, unit.kernel_t)
         b, _, v, t = batch["joint"].shape

@@ -11,8 +11,8 @@ from spikegraph.neurons import LifConfig, bn_sn_layer, sn_layer
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor,
                                add, backward, concat, conv2d, mean, mul, permute,
                                record_op, reshape, sum_)
-from oracles import (_lif_backward, _lif_forward, firing_rate, grad_check, lif_step,
-                     spike)
+from oracles import (V_RESET, _lif_backward, _lif_forward, firing_rate, grad_check,
+                     lif_step, spike)
 
 
 CFG = LifConfig()
@@ -21,15 +21,12 @@ CFG = LifConfig()
 class TestLifConfig:
     def test_defaults_match_model_card(self):
         assert CFG.v_threshold == 1.0
-        assert CFG.v_reset == 0.0
         assert CFG.decay_tau == 0.25
-        assert CFG.surrogate_window_a == 1.0
 
     @pytest.mark.parametrize("kwargs", [
-        dict(v_threshold=0.0, v_reset=0.0),
+        dict(v_threshold=0.0),
         dict(decay_tau=0.0),
         dict(decay_tau=1.5),
-        dict(surrogate_window_a=0.0),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
@@ -140,14 +137,14 @@ class TestSnLayer:
                     sn_layer(Tensor(x), CFG)
 
     def test_reset_is_exact(self):
-        # after any spike the carried potential is exactly v_reset
+        # after any spike the carried potential is exactly the reset, 0
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(0.8, 0.8, size=(6, 32)).astype(np.float32))
         v = Tensor(np.zeros(32, dtype=np.float32))
         for s_idx in range(6):
             spk, v = lif_step(Tensor(x.data[s_idx]), v, CFG)
             fired = spk.data == 1.0
-            assert np.all(v.data[fired] == CFG.v_reset)
+            assert np.all(v.data[fired] == V_RESET)
 
     def test_monotone_in_input_per_step(self):
         rng = np.random.default_rng(2)
@@ -164,8 +161,7 @@ class TestSnLayerMatchesLifSteps:
 
     CONFIGS = {
         "default": LifConfig(),
-        "custom": LifConfig(v_threshold=0.7, v_reset=-0.2, decay_tau=0.6,
-                            surrogate_window_a=0.5),
+        "custom": LifConfig(v_threshold=0.7, decay_tau=0.6),
     }
 
     @staticmethod
@@ -175,7 +171,7 @@ class TestSnLayerMatchesLifSteps:
             out = sn_layer(fused, cfg, relaxed=relaxed)
             backward(sum_(mul(out, Tensor(weights))), tape)
         ref = Tensor(x0, requires_grad=True)
-        v = Tensor(np.full(x0.shape[1:], cfg.v_reset, dtype=np.float32))
+        v = Tensor(np.full(x0.shape[1:], V_RESET, dtype=np.float32))
         steps = []
         with Tape() as tape:
             loss = None

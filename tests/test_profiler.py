@@ -19,8 +19,8 @@ SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
                       "energy_report.schema.json")
 
 
-def _model_and_batch(smf_enabled=True):
-    cfg = RunConfig({"smf": {"enabled": smf_enabled}})
+def _model_and_batch():
+    cfg = RunConfig()
     topo = SkeletonTopology.ntu25()
     seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
                          frames=24, seed=0)
@@ -102,15 +102,6 @@ class TestProfileModel:
         model.train()
         profiler.profile_model(model, batch)
         assert model.training
-
-    def test_single_modality_has_no_smic_entries(self):
-        _, model, batch = _model_and_batch(smf_enabled=False)
-        report = profiler.profile_model(model, batch)
-        ids = [c.id for c in report.layers]
-        assert report.n_m == 1
-        assert not any(i.startswith("smic") for i in ids)
-        assert [i for i in ids if i.startswith("encoder")] == ["encoder0"]
-        assert ids[-1] == "head0"
 
 
 class TestRecording:
