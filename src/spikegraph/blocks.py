@@ -127,8 +127,9 @@ def linear_bn(op, x: Tensor, w: Tensor, bn: BatchNorm,
     a channel or graph map), and t joins the bias or, without one, is added
     to the output.  The fold is C x C work built from tape ops on every
     call, so gradients still reach w, gamma and beta, and no folded copy
-    can outlive a change to the weights or the statistics.  Spiking sites
-    train through the fused ``spiking_linear_bn`` and fold here in eval.
+    can outlive a change to the weights or the statistics.  Only the
+    sites with no spiking neurons after them use it (the teacher's and the
+    FTM's fuse); a spiking site runs ``neurons.bn_sn_layer`` in both modes.
     """
     extra = () if bias is None else (bias,)
     if bn.training:
@@ -141,16 +142,6 @@ def linear_bn(op, x: Tensor, w: Tensor, bn: BatchNorm,
     if bias is None:
         return add(op(x, w_folded), reshape(t, (-1, 1, 1)))
     return op(x, w_folded, add(mul(bias, s), t))
-
-
-def spiking_linear_bn(op, x: Tensor, w: Tensor, bn: BatchNorm, lif: LifConfig,
-                      bias: Tensor | None = None) -> Tensor:
-    """sn_layer(linear_bn(op, x, w, bn, bias)): in training BatchNorm and
-    the spiking neurons run as the one op ``bn_sn_layer``, which keeps
-    neither x-hat nor the normalized input; in eval, exactly the fold."""
-    if bn.training:
-        return bn_sn_layer(op(x, w, *(() if bias is None else (bias,))), bn, lif)
-    return sn_layer(linear_bn(op, x, w, bn, bias), lif)
 
 
 class SaSgcLayer(Module):
@@ -182,10 +173,8 @@ class SaSgcLayer(Module):
         if x.ndim != 5:
             raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
         record_cost("sgc", self, x)
-        branch = spiking_linear_bn(lambda x, w: graph_conv(x, adj, w), x, self.w_graph,
-                                   self.bn_branches, self.lif)
-        residual = spiking_linear_bn(channel_map, x, self.w_residual, self.bn_residual,
-                                     self.lif)
+        branch = bn_sn_layer(graph_conv(x, adj, self.w_graph), self.bn_branches, self.lif)
+        residual = bn_sn_layer(channel_map(x, self.w_residual), self.bn_residual, self.lif)
         return add(residual, branch)
 
     def ssa(self, h: Tensor) -> Tensor:
@@ -193,9 +182,9 @@ class SaSgcLayer(Module):
         if h.shape[2] != self.out_channels:
             raise DimensionError(
                 f"ssa channel extent {h.shape[2]} != weights {self.out_channels}")
-        q = spiking_linear_bn(channel_map, h, self.w_q, self.bn_q, self.lif)
-        k = spiking_linear_bn(channel_map, h, self.w_k, self.bn_k, self.lif)
-        v = spiking_linear_bn(channel_map, h, self.w_v, self.bn_v, self.lif)
+        q = bn_sn_layer(channel_map(h, self.w_q), self.bn_q, self.lif)
+        k = bn_sn_layer(channel_map(h, self.w_k), self.bn_k, self.lif)
+        v = bn_sn_layer(channel_map(h, self.w_v), self.bn_v, self.lif)
         record_cost("ssa", self, h, q, k, v)
         # tokens are the V joints of each (spike step, frame) slice
         qt = permute(q, (0, 1, 4, 3, 2))  # [S,B,T,V,C]
@@ -247,15 +236,10 @@ class StcLayer(Module):
         if self.stride == 2 and t % 2 != 0:
             raise InvalidInputError(f"stride-2 temporal conv requires even T, got {t}")
         record_cost("stc", self, h_sa)
-        merged = reshape(h_sa, (s * b, d, v, t))
         pad_t = (self.kernel_t - 1) // 2
-
-        def temporal_conv(m, w, bias):
-            y = conv2d(m, w, bias, stride=(1, self.stride), padding=(0, pad_t))
-            return reshape(y, (s, b) + y.shape[1:])
-
-        main = spiking_linear_bn(temporal_conv, merged, self.weight, self.bn, self.lif,
-                                 self.bias)
+        y = conv2d(reshape(h_sa, (s * b, d, v, t)), self.weight, self.bias,
+                   stride=(1, self.stride), padding=(0, pad_t))
+        main = bn_sn_layer(reshape(y, (s, b) + y.shape[1:]), self.bn, self.lif)
         res = h_sa
         if self.stride == 2:
             res = slice_(res, (..., slice(0, None, 2)))

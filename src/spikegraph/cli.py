@@ -75,7 +75,12 @@ def _dataset_dir(cfg: RunConfig, override) -> str:
     return path
 
 
-def _load_splits(cfg: RunConfig, data_dir: str):
+def _load_splits(cfg: RunConfig, data_dir: str, *names: str):
+    """(topology, class count, one (bundle, labels) per split in ``names``).
+
+    Only the named splits are resampled and derived.  An empty test split
+    gives (None, None); an empty train split is an error.
+    """
     kind = cfg.get("dataset.kind")
     topo = SkeletonTopology.for_joint_count(cfg.get("dataset.num_joints"))
     if kind == "synth":
@@ -92,11 +97,11 @@ def _load_splits(cfg: RunConfig, data_dir: str):
         train, test = sequences[:cut], sequences[cut:]
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
+    splits = {"train": train, "test": test}
     target_t = cfg.get("preprocess.target_T")
-    tr_bundle, tr_labels = preprocess_sequences(train, target_t, topo)
-    te_bundle, te_labels = preprocess_sequences(test, target_t, topo) \
-        if test else (None, None)
-    return topo, classes, (tr_bundle, tr_labels), (te_bundle, te_labels)
+    return topo, classes, [
+        preprocess_sequences(splits[name], target_t, topo)
+        if splits[name] or name == "train" else (None, None) for name in names]
 
 
 def _write_effective_config(cfg: RunConfig, out_dir: str) -> None:
@@ -133,8 +138,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     settings = cfg.train_settings()
     loss_weights = cfg.loss_weights()
     data_dir = _dataset_dir(cfg, args.data)
-    topo, classes, (tr_bundle, tr_labels), (te_bundle, te_labels) = \
-        _load_splits(cfg, data_dir)
+    topo, classes, [(tr_bundle, tr_labels), (te_bundle, te_labels)] = \
+        _load_splits(cfg, data_dir, "train", "test")
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
     _write_effective_config(cfg, out_dir)
@@ -183,7 +188,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     print(f"trained {len(history)} epochs: train_acc={final['train_acc']:.4f} "
           f"train_loss={final['train_loss']:.4f}")
     if te_labels is not None:
-        held = evaluate(model, te_bundle, te_labels)
+        held = evaluate(model, te_bundle, te_labels, cfg.get("preprocess.batch_size"))
         print(f"heldout_acc={held['accuracy']:.4f}")
     print(f"checkpoint: {ckpt_path}")
     print(f"metrics: {metrics_path}")
@@ -194,13 +199,12 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     from .network import evaluate, load_model
 
     data_dir = _dataset_dir(cfg, args.data)
-    topo, classes, train_split, test_split = _load_splits(cfg, data_dir)
-    bundle, labels = train_split if args.split == "train" else test_split
+    topo, classes, [(bundle, labels)] = _load_splits(cfg, data_dir, args.split)
     if labels is None:
         raise ConfigError(f"dataset has no {args.split} split")
     model = cfg.build_student(classes, topo, np.random.default_rng(cfg.get("seed")))
     load_model(args.checkpoint, model, model.plan_hash())
-    result = evaluate(model, bundle, labels)
+    result = evaluate(model, bundle, labels, cfg.get("preprocess.batch_size"))
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
     report = {
@@ -223,7 +227,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
     data_dir = _dataset_dir(cfg, args.data)
-    topo, classes, (tr_bundle, tr_labels), _ = _load_splits(cfg, data_dir)
+    topo, classes, [(tr_bundle, tr_labels)] = _load_splits(cfg, data_dir, "train")
     model = cfg.build_student(classes, topo, np.random.default_rng(cfg.get("seed")))
     load_model(args.checkpoint, model, model.plan_hash())
     batch = batch_tensors(tr_bundle, np.arange(min(32, tr_labels.shape[0])))

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import spiking_linear_bn
 from .module import BatchNorm, Module, Parameter, kaiming_normal
-from .neurons import LifConfig
+from .neurons import LifConfig, bn_sn_layer
 from .profiler import record_cost
 from .tensor import InvalidInputError, Tensor, conv2d, repeat0, reshape
 
@@ -45,7 +44,6 @@ class SscEncoder(Module):
         s = self.spike_steps
         b = x.shape[0]
         merged = reshape(repeat0(x, s), (s * b,) + x.shape[1:])
-        return spiking_linear_bn(  # the conv keeps (V, T); its output splits S from B
-            lambda m, w, bias: reshape(conv2d(m, w, bias, stride=1, padding=KERNEL_SIZE // 2),
-                                       (s, b, -1) + x.shape[-2:]),
-            merged, self.weight, self.bn, self.lif, self.bias)
+        y = conv2d(merged, self.weight, self.bias, stride=1, padding=KERNEL_SIZE // 2)
+        # the conv keeps (V, T); its output splits S from B
+        return bn_sn_layer(reshape(y, (s, b, -1) + x.shape[-2:]), self.bn, self.lif)

@@ -134,10 +134,11 @@ class Linear(Module):
 class BatchNorm(Module):
     """Channel batch norm over [..., C, V, T] features (channels at -3).
 
-    Every BatchNorm in the models follows a linear map.  In eval it is
-    folded into that map (``blocks.linear_bn``); ``forward`` in eval is the
-    unfolded reference.  In training, one feeding spiking neurons runs in
-    ``neurons.bn_sn_layer`` with them, and the others call ``forward``.
+    Every BatchNorm in the models follows a linear map.  One feeding
+    spiking neurons runs with them as ``neurons.bn_sn_layer``, in training
+    and in eval.  The others (the teacher's and the FTM's fuse) go through
+    ``blocks.linear_bn``: ``forward`` in training, folded into the map in
+    eval, where ``forward`` is the unfolded reference.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):

@@ -18,15 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import (SaSgcLayer, StcLayer, channel_map, check_temporal_kernel,
-                     graph_conv, linear_bn, partition_branches, sa_sgc_stc_block,
-                     spiking_linear_bn)
+                     graph_conv, linear_bn, partition_branches, sa_sgc_stc_block)
 from .data import SkeletonTopology
 from .encoding import SscEncoder
 from .fusion import (MODALITY_ORDER, FusionWeights, SpikeMultimodalFusion,
                      fuse_modalities)
 from .module import (BatchNorm, Linear, Module, Parameter, SGD,
                      kaiming_normal, load_checkpoint, save_checkpoint)
-from .neurons import LifConfig, sn_layer
+from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import active_fraction, record_cost
 from .tensor import (DimensionError, InvalidInputError, Tape, Tensor, add,
                      backward, concat, conv2d, depthwise_conv2d, div, exp, log,
@@ -412,8 +411,8 @@ class FtmBranch(Module):
         fused = depthwise_conv2d(cat, self.w_depthwise, stride=1, padding=1)
         fused = linear_bn(channel_map, fused, self.w_pointwise, self.bn_fuse)  # [B, 4C, V, T]
         expanded = repeat0(fused, self.spike_steps)  # [S, B, 4C, V, T]
-        return spiking_linear_bn(channel_map, expanded, self.w_translate,
-                                 self.bn_translate, self.lif)
+        return bn_sn_layer(channel_map(expanded, self.w_translate), self.bn_translate,
+                           self.lif)
 
 
 class FtmModule(Module):
@@ -613,8 +612,9 @@ class Trainer:
 
 
 def evaluate(model: MkSgnModel, bundle: dict[str, np.ndarray], labels: np.ndarray,
-             batch_size: int = 32) -> dict:
-    """Top-1 accuracy and per-class confusion counts on a fixed split."""
+             batch_size: int) -> dict:
+    """Top-1 accuracy and per-class confusion counts on a fixed split,
+    ``batch_size`` clips per forward."""
     model.eval()
     labels = np.asarray(labels)
     n = labels.shape[0]

@@ -69,32 +69,38 @@ def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
 
 
 def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
-    """``sn_layer(bn(x))`` for a ``module.BatchNorm`` in training, as one
-    tape record with inputs (x, gamma, beta), bit-identical to the pair.
+    """``sn_layer(bn(x))`` for a ``module.BatchNorm``, as one tape record
+    with inputs (x, gamma, beta), bit-identical to the pair in training and
+    in eval.
 
-    The recurrence normalizes x a tile at a time, as it reaches it, into
-    the buffer that becomes its membrane history (laid out as x); backward
-    applies BatchNorm's per-channel affine to the BPTT gradient in place,
-    from x, which the op that produced x keeps anyway.
+    BatchNorm is the per-channel affine of ``tensor._bn_setup``: batch
+    statistics in training (which update the running buffers), the running
+    ones in eval.  The recurrence normalizes x a tile at a time, as it
+    reaches it, into the buffer that becomes its membrane history (laid
+    out as x); backward applies BatchNorm's gradient to the BPTT gradient
+    in place, from x, which the op that produced x keeps anyway.  As in
+    ``sn_layer``, the history is kept only under an active tape for inputs
+    that need a gradient.
     """
     if x.ndim < 4 or x.shape[0] == 0:
         raise InvalidInputError("bn_sn_layer requires [S, ..., C, V, T] with S > 0")
-    gamma = bn.gamma
-    xv, order, mu, std, affine = _bn_setup(x, gamma, bn.beta, bn.running_mean,
-                                           bn.running_var, True, bn.momentum, bn.eps)
+    gamma, beta, training = bn.gamma, bn.beta, bn.training
+    xv, order, mu, std, affine = _bn_setup(x, gamma, beta, bn.running_mean,
+                                           bn.running_var, training, bn.momentum, bn.eps)
+    keep = _active_tape() is not None and any(t.requires_grad for t in (x, gamma, beta))
     if order[0] == 0:
-        out_data, h_hist = _lif_forward(x.data, cfg, False, True, affine)
+        out_data, h_hist = _lif_forward(x.data, cfg, False, keep, affine)
     else:                      # the steps are not outermost in memory
         hv = np.empty(xv.shape, dtype=xv.dtype)
         _bn_normalize(xv, hv, affine)
-        out_data, h_hist = _lif_forward(_from_view(hv, x.shape, order), cfg, False, True)
+        out_data, h_hist = _lif_forward(_from_view(hv, x.shape, order), cfg, False, keep)
     out = Tensor._wrap(out_data)
 
     def backward(g):
         gx = _lif_backward(g, h_hist, out_data, cfg)
-        return _bn_backward(gx, xv, order, mu, std, gamma.data, out=gx)
+        return _bn_backward(gx, xv, order, mu, std, gamma.data, training, out=gx)
 
-    record_op((x, gamma, bn.beta), (out,), backward)
+    record_op((x, gamma, beta), (out,), backward)
     return out
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from spikegraph.blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv,
                                linear_bn, normalize_adjacency, partition_branches,
-                               sa_sgc_stc_block, spiking_linear_bn)
+                               sa_sgc_stc_block)
 from spikegraph.data import SkeletonTopology
 from spikegraph.module import BatchNorm
-from spikegraph.neurons import LifConfig, sn_layer
+from spikegraph.neurons import LifConfig, bn_sn_layer, sn_layer
 from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
                                backward, conv2d, mul, sum_)
 from oracles import grad_check
@@ -229,8 +229,9 @@ class TestLinearBn:
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
     def test_spiking_is_sn_layer_of_linear_bn(self, kind, training):
-        """Bit-identical spikes, gradients and statistics: the fused op in
-        training, the same fold in eval."""
+        """A spiking site, ``bn_sn_layer(op(...))``, against the unfused
+        ``sn_layer(bn(op(...)))``: bit-identical spikes, gradients and
+        statistics in both modes."""
         results = []
         for fused in (True, False):
             op, x, w, extra = self._operands(kind, seed=38)
@@ -238,8 +239,8 @@ class TestLinearBn:
             for t in (x, w, *extra):
                 t.requires_grad = True
             with Tape() as tape:
-                out = (spiking_linear_bn(op, x, w, bn, LIF, *extra) if fused
-                       else sn_layer(linear_bn(op, x, w, bn, *extra), LIF))
+                y = op(x, w, *extra)
+                out = bn_sn_layer(y, bn, LIF) if fused else sn_layer(bn(y), LIF)
                 backward(_weighted_sum(out, seed=40), tape)
             assert out.data.any() and not out.data.all()
             results.append([out.data, bn.running_mean, bn.running_var, bn.gamma.grad,

@@ -14,7 +14,7 @@ from spikegraph import cli, profiler
 from spikegraph.config import ConfigError, RunConfig
 from spikegraph.data import SkeletonTopology
 from spikegraph.module import save_checkpoint
-from spikegraph.network import save_model
+from spikegraph.network import MkSgnModel, save_model
 
 SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
                       "energy_report.schema.json")
@@ -287,3 +287,64 @@ def test_effective_config_with_fixed_settings_is_rejected(tmp_path, tiny_data, c
     for key in ("neuron.v_reset", "neuron.surrogate_window_a", "ssc.hidden_channels",
                 "smf.enabled", "smf.shuffle_seed", "blocks.widths", "blocks.strides"):
         assert repr(key) in err
+
+
+SPLIT_CONFIG = {"dataset": {"frames": 16}, "preprocess": {"target_T": 8}}
+
+
+@pytest.fixture(scope="module")
+def split_data(tmp_path_factory):
+    """A 2-class synthetic dataset of 8 train and 2 test clips, and a
+    student checkpoint for it."""
+    root = tmp_path_factory.mktemp("splits")
+    config = _write_config(root / "run.yaml", SPLIT_CONFIG)
+    data_dir = str(root / "data")
+    assert cli.main(["--config", config, "--out", data_dir, "synth", "--classes", "2",
+                     "--samples-per-class", "5"]) == cli.EXIT_OK
+    return data_dir, _save_student(root / "student.ckpt", SPLIT_CONFIG)
+
+
+def _batch_config(path, batch_size):
+    return _write_config(path, {**SPLIT_CONFIG, "preprocess": {
+        **SPLIT_CONFIG["preprocess"], "batch_size": batch_size}})
+
+
+def test_eval_forwards_preprocess_batch_size_clips(tmp_path, split_data, monkeypatch):
+    """eval runs ``preprocess.batch_size`` clips per forward; eval mode is
+    batch-independent, so its report equals the one at 32 clips."""
+    data_dir, ckpt = split_data
+    sizes = []
+    forward = MkSgnModel.forward
+    monkeypatch.setattr(MkSgnModel, "forward",
+                        lambda model, batch: sizes.append(batch["joint"].shape[0])
+                        or forward(model, batch))
+    reports = {}
+    for batch_size in (3, 32):
+        sizes.clear()
+        run_dir = tmp_path / f"run{batch_size}"
+        assert cli.main(["--config", _batch_config(tmp_path / "run.yaml", batch_size),
+                         "--out", str(run_dir), "eval", str(ckpt), "--data", data_dir,
+                         "--split", "train"]) == cli.EXIT_OK
+        reports[batch_size] = (run_dir / "eval.json").read_bytes(), list(sizes)
+    assert reports[3][1] == [3, 3, 2] and reports[32][1] == [8]
+    assert reports[3][0] == reports[32][0]
+
+
+@pytest.mark.parametrize("command, preprocessed", [
+    (["eval", "{ckpt}", "--split", "train"], [8]),
+    (["eval", "{ckpt}", "--split", "test"], [2]),
+    (["profile", "--checkpoint", "{ckpt}"], [8]),
+    (["train", "--epochs", "1", "--kd", "none"], [8, 2]),
+], ids=["eval_train", "eval_test", "profile", "train"])
+def test_commands_preprocess_only_the_splits_they_read(tmp_path, split_data, monkeypatch,
+                                                       command, preprocessed):
+    data_dir, ckpt = split_data
+    sizes = []
+    preprocess = cli.preprocess_sequences
+    monkeypatch.setattr(cli, "preprocess_sequences",
+                        lambda seqs, *a: sizes.append(len(seqs)) or preprocess(seqs, *a))
+    args = [arg.format(ckpt=ckpt) for arg in command]
+    assert cli.main(["--config", _batch_config(tmp_path / "run.yaml", 8),
+                     "--out", str(tmp_path / "run"), *args,
+                     "--data", data_dir]) == cli.EXIT_OK
+    assert sizes == preprocessed

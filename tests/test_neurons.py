@@ -1,5 +1,6 @@
 """LIF dynamics, surrogate gradient, spike-step unrolling."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -309,12 +310,14 @@ def _steps_inner_input(s, rng):
 
 class TestBnSnLayer:
     """``bn_sn_layer`` against ``sn_layer(tensor.batch_norm(x))``: spikes,
-    gradients and running statistics must be bit-identical."""
+    gradients and running statistics must be bit-identical, in training
+    and in eval."""
 
     @staticmethod
-    def _run(fused, make_input, s, momentum=0.3, seed=0):
+    def _run(fused, make_input, s, training=True, momentum=0.3, seed=0):
         rng = np.random.default_rng(seed)
-        bn = _bn(4, momentum, seed + 1)
+        bn = _bn(4, momentum, seed + 1).train(training)
+        buffers = bn.running_mean.copy(), bn.running_var.copy()
         leaves, produce = make_input(s, rng)
         weights = Tensor(rng.normal(size=(s, 2, 4, 5, 6)).astype(np.float32))
         with Tape() as tape:
@@ -322,18 +325,45 @@ class TestBnSnLayer:
             out = bn_sn_layer(x, bn, CFG) if fused else sn_layer(bn(x), CFG)
             backward(sum_(mul(out, weights)), tape)
         assert out.data.any() and not out.data.all()
+        if not training:
+            np.testing.assert_array_equal(bn.running_mean, buffers[0])
+            np.testing.assert_array_equal(bn.running_var, buffers[1])
         return [out.data, bn.running_mean, bn.running_var, bn.gamma.grad, bn.beta.grad,
                 *(t.grad for t in leaves)]
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("make_input", [_channel_map_input, _conv2d_input,
                                             _graph_conv_input, _steps_inner_input],
                              ids=["channel_map", "conv2d", "graph_conv", "steps_inner"])
-    def test_bit_identical_to_composition(self, make_input, steps):
-        got = self._run(True, make_input, steps)
-        want = self._run(False, make_input, steps)
+    def test_bit_identical_to_composition(self, make_input, steps, training):
+        got = self._run(True, make_input, steps, training)
+        want = self._run(False, make_input, steps, training)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_no_tape_keeps_no_membrane_history(self, training):
+        """As ``sn_layer``: the history is kept only under a tape when x,
+        gamma or beta needs a gradient."""
+        x = Tensor(np.random.default_rng(9).normal(0.5, 1.0, size=(4, 1, 256, 25, 64))
+                   .astype(np.float32))
+        bn = _bn(256, 0.1, 10).train(training)
+        step = x.data[0].nbytes
+        for taped, needs_grad in ((False, True), (True, False), (True, True)):
+            bn.gamma.requires_grad = bn.beta.requires_grad = needs_grad
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                with Tape() if taped else contextlib.nullcontext():
+                    out = bn_sn_layer(x, bn, CFG)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            if taped and needs_grad:
+                assert peak >= 2 * out.data.nbytes
+            else:
+                assert peak < out.data.nbytes + 3 * step, (taped, needs_grad)
 
     def test_layouts_reach_the_op_as_built(self):
         rng = np.random.default_rng(0)
