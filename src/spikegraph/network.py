@@ -380,9 +380,9 @@ class TeacherModel(Module):
 class FtmBranch(Module):
     """Concat-fuse 4 teacher taps, then translate into student-shaped spikes.
 
-    Fusion is a depthwise 3x3 + pointwise mix with BN; translation expands
-    a spike-step axis, 1x1-projects to the paired student channel count,
-    and binarizes.
+    Fusion is a depthwise 3x3 + pointwise mix with BN; translation
+    1x1-projects to the paired student channel count, expands a spike-step
+    axis, and binarizes.
     """
 
     def __init__(self, teacher_channels: int, target_channels: int,
@@ -408,10 +408,10 @@ class FtmBranch(Module):
             raise DimensionError(
                 f"FTM expects {self.cat_channels} concatenated channels, "
                 f"got {cat.shape[1]}")
-        fused = depthwise_conv2d(cat, self.w_depthwise, stride=1, padding=1)
+        fused = depthwise_conv2d(cat, self.w_depthwise, padding=1)
         fused = linear_bn(channel_map, fused, self.w_pointwise, self.bn_fuse)  # [B, 4C, V, T]
-        expanded = repeat0(fused, self.spike_steps)  # [S, B, 4C, V, T]
-        return bn_sn_layer(channel_map(expanded, self.w_translate), self.bn_translate,
+        projected = channel_map(fused, self.w_translate)  # [B, C', V, T]
+        return bn_sn_layer(repeat0(projected, self.spike_steps), self.bn_translate,
                            self.lif)
 
 

@@ -7,6 +7,10 @@ and shape ops (reshape/permute/concat/slice/repeat).
 Modules may register further ops through ``record_op`` (the spiking
 neurons live in ``neurons``).  Everything runs on numpy arrays, float32
 by default.
+
+Layout rule of the convolutions: their outputs are channels last in
+memory (a [B, C, H, W] view of [B, H, W, C] data), and the gradient each
+returns for x is laid out as x.
 """
 
 from __future__ import annotations
@@ -234,9 +238,11 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    out = Tensor._wrap(np.where(mask, a.data, a.data.dtype.type(0)))
-    record_op((a,), (out,), lambda g: (g * mask,))
+    """max(a, 0) in one pass, laid out as a.  NaN propagates (it is not
+    zeroed), so a diverging input shows in the loss."""
+    out_data = np.maximum(a.data, a.data.dtype.type(0))
+    out = Tensor._wrap(out_data)
+    record_op((a,), (out,), lambda g: (g * (out_data > 0),))
     return out
 
 
@@ -277,8 +283,33 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
+def _tap_span(k: int, pad: int, stride: int, size: int, out_size: int):
+    """(output slice, input slice) of the outputs whose tap ``k`` reads
+    input index o*stride + k - pad inside [0, size); both may be empty."""
+    lo = max(0, -((k - pad) // stride))
+    hi = max(lo, min(out_size, (size - 1 + pad - k) // stride + 1))
+    first = lo * stride + k - pad
+    return slice(lo, hi), slice(first, first + stride * (hi - lo), stride)
+
+
+def _conv_taps(kh, kw, stride, padding, shape, out_shape):
+    """(tap index, output slices, input slices) of each tap of a kernel,
+    row-major; the slices index [H, W] and skip the zero border."""
+    (sh, sw), (ph, pw), (H, W), (Ho, Wo) = stride, padding, shape, out_shape
+    rows = [_tap_span(i, ph, sh, H, Ho) for i in range(kh)]
+    cols = [_tap_span(j, pw, sw, W, Wo) for j in range(kw)]
+    return [(i * kw + j, (ro, co), (ri, ci))
+            for i, (ro, ri) in enumerate(rows) for j, (co, ci) in enumerate(cols)]
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
-    """Cross-correlation of x[B,Cin,H,W] with w[Cout,Cin,kh,kw], plus bias[Cout]."""
+    """Cross-correlation of x[B,Cin,H,W] with w[Cout,Cin,kh,kw], plus bias[Cout].
+
+    im2col is read straight from x's channels-last view, the taps that fall
+    in the zero padding written as zeros, and the GEMM's [B*Ho*Wo, Cout]
+    output is returned as its [B, Cout, Ho, Wo] view: channels last in
+    memory.  x's gradient is laid out as x.
+    """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     if x.ndim != 4 or w.ndim != 4:
@@ -294,43 +325,46 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
     Ho = (Hp - kh) // sh + 1
     Wo = (Wp - kw) // sw + 1
 
-    # im2col once (channels-last); forward and both backward passes are GEMMs
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    xp_cl = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
-    wd = w.data
+    # im2col once; forward and both backward passes are GEMMs
+    x_cl = x.data.transpose(0, 2, 3, 1)
+    taps = _conv_taps(kh, kw, (sh, sw), (ph, pw), (H, W), (Ho, Wo))
     k_total = kh * kw
     cols = np.empty((B, Ho, Wo, k_total, Cin), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i * kw + j, :] = \
-                xp_cl[:, i:i + sh * Ho:sh, j:j + sw * Wo:sw, :]
+    for k, (ro, co), (ri, ci) in taps:
+        tap = cols[:, :, :, k, :]
+        tap[:, :ro.start] = 0
+        tap[:, ro.stop:] = 0
+        tap[:, ro, :co.start] = 0
+        tap[:, ro, co.stop:] = 0
+        tap[:, ro, co] = x_cl[:, ri, ci]
     cols2d = cols.reshape(B * Ho * Wo, k_total * Cin)
-    w2d = np.ascontiguousarray(wd.transpose(0, 2, 3, 1)).reshape(Cout, k_total * Cin)
-    out_data = np.ascontiguousarray(
-        (cols2d @ w2d.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
-    out_data += bias.data[None, :, None, None]
-    out = Tensor._wrap(out_data)
+    w2d = np.ascontiguousarray(w.data.transpose(0, 2, 3, 1)).reshape(Cout, k_total * Cin)
+    out2d = cols2d @ w2d.T
+    out2d += bias.data
+    out = Tensor._wrap(out2d.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
 
     def backward(g):
-        gt2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, Cout)
+        gt2d = g.transpose(0, 2, 3, 1).reshape(-1, Cout)
         gw = (gt2d.T @ cols2d).reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
-        gcols = (gt2d @ w2d).reshape(B, Ho, Wo, k_total, Cin)
-        gxp_cl = np.zeros((B, Hp, Wp, Cin), dtype=x.data.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp_cl[:, i:i + sh * Ho:sh, j:j + sw * Wo:sw, :] += \
-                    gcols[:, :, :, i * kw + j, :]
-        gxp = gxp_cl.transpose(0, 3, 1, 2)
-        gx = gxp[:, :, ph:ph + H, pw:pw + W] if (ph or pw) else gxp
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        gx = None
+        if x.requires_grad:
+            gcols = (gt2d @ w2d).reshape(B, Ho, Wo, k_total, Cin)
+            gx = np.zeros_like(x.data)
+            gx_cl = gx.transpose(0, 2, 3, 1)
+            for k, (ro, co), (ri, ci) in taps:
+                gx_cl[:, ri, ci] += gcols[:, ro, co, k]
+        return gx, gw, _channel_sum(gt2d[:, :, None]).astype(g.dtype)
 
     record_op((x, w, bias), (out,), backward)
     return out
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
-    """Per-channel cross-correlation: x[B,C,H,W] with w[C,kh,kw]."""
-    sh, sw = _pair(stride)
+def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
+    """Per-channel cross-correlation, stride 1: x[B,C,H,W] with w[C,kh,kw].
+
+    The taps are multiply-adds over a padded channels-last copy of x, so
+    the output is channels last in memory; x's gradient is laid out as x.
+    """
     ph, pw = _pair(padding)
     B, C, H, W = x.shape
     Cw, kh, kw = w.shape
@@ -340,26 +374,33 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
     if kh > Hp or kw > Wp:
         raise DimensionError(
             f"depthwise kernel ({kh}x{kw}) larger than padded input ({Hp}x{Wp})")
-    Ho = (Hp - kh) // sh + 1
-    Wo = (Wp - kw) // sw + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    out_data = np.zeros((B, C, Ho, Wo), dtype=x.data.dtype)
+    Ho, Wo = Hp - kh + 1, Wp - kw + 1
+    xp = np.zeros((B, Hp, Wp, C), dtype=x.data.dtype)
+    xp[:, ph:ph + H, pw:pw + W] = x.data.transpose(0, 2, 3, 1)
+    w_cl = np.ascontiguousarray(w.data.transpose(1, 2, 0))          # [kh, kw, C]
+    out_cl = np.zeros((B, Ho, Wo, C), dtype=x.data.dtype)
+    prod = np.empty_like(out_cl)
     for i in range(kh):
         for j in range(kw):
-            xs = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
-            out_data += xs * w.data[None, :, i, j, None, None]
-    out = Tensor._wrap(out_data)
+            out_cl += np.multiply(xp[:, i:i + Ho, j:j + Wo], w_cl[i, j], out=prod)
+    out = Tensor._wrap(out_cl.transpose(0, 3, 1, 2))
 
     def backward(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
+        g_cl = g.transpose(0, 2, 3, 1)
+        gw = np.empty_like(w.data)
         for i in range(kh):
             for j in range(kw):
-                xs = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
-                gw[:, i, j] = (g * xs).sum(axis=(0, 2, 3))
-                gxp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += \
-                    g * w.data[None, :, i, j, None, None]
-        gx = gxp[:, :, ph:ph + H, pw:pw + W] if (ph or pw) else gxp
+                # float64 over per-sample partial sums: a float32 running sum
+                # over the whole batch rounds several times worse
+                gw[:, i, j] = np.einsum("bhwc,bhwc->bc", g_cl, xp[:, i:i + Ho, j:j + Wo]
+                                        ).sum(axis=0, dtype=np.float64)
+        gx = None
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            gx_cl = gx.transpose(0, 2, 3, 1)
+            for k, (ro, co), (ri, ci) in _conv_taps(kh, kw, (1, 1), (ph, pw), (H, W),
+                                                    (Ho, Wo)):
+                gx_cl[:, ri, ci] += g_cl[:, ro, co] * w_cl[k // kw, k % kw]
         return gx, gw
 
     record_op((x, w), (out,), backward)

@@ -4,7 +4,12 @@
 that the fused ``neurons.sn_layer`` is checked against; ``_lif_forward``
 and ``_lif_backward`` are the earlier whole-step loop of ``sn_layer``,
 kept unchanged, against which its spikes and gradients must stay
-byte-identical; ``firing_rate`` is the binary-checked rate;
+byte-identical; ``conv2d`` and ``depthwise_conv2d`` are the earlier
+padded, C-ordered kernels, kept unchanged, against which the
+channels-last kernels' outputs and gradients must stay byte-identical
+(the depthwise weight gradient, summed in another order, within a
+stated tolerance);
+``firing_rate`` is the binary-checked rate;
 ``grad_check`` compares analytic tape gradients with central finite
 differences.
 """
@@ -16,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from spikegraph.neurons import LifConfig
-from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor, add,
-                               backward, mul, record_op, scale)
+from spikegraph.tensor import (DimensionError, InvalidInputError, NumericalError, Tape,
+                               Tensor, _pair, add, backward, mul, record_op, scale)
 
 # the reset potential and the surrogate window width that ``sn_layer``
 # fixes; the formulas below keep both general
@@ -119,6 +124,95 @@ def _lif_backward(g: np.ndarray, h_hist: np.ndarray, out_data: np.ndarray,
             gh += g_sig
         gv = tau * gh
     return gx
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
+    """Cross-correlation of x[B,Cin,H,W] with w[Cout,Cin,kh,kw], plus bias[Cout]."""
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
+    if x.ndim != 4 or w.ndim != 4:
+        raise DimensionError(f"conv2d expects rank-4 operands, got {x.shape}, {w.shape}")
+    B, Cin, H, W = x.shape
+    Cout, Cin_w, kh, kw = w.shape
+    if Cin != Cin_w:
+        raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    if kh > Hp or kw > Wp:
+        raise DimensionError(
+            f"conv2d kernel ({kh}x{kw}) larger than padded input ({Hp}x{Wp})")
+    Ho = (Hp - kh) // sh + 1
+    Wo = (Wp - kw) // sw + 1
+
+    # im2col once (channels-last); forward and both backward passes are GEMMs
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    xp_cl = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
+    wd = w.data
+    k_total = kh * kw
+    cols = np.empty((B, Ho, Wo, k_total, Cin), dtype=x.data.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i * kw + j, :] = \
+                xp_cl[:, i:i + sh * Ho:sh, j:j + sw * Wo:sw, :]
+    cols2d = cols.reshape(B * Ho * Wo, k_total * Cin)
+    w2d = np.ascontiguousarray(wd.transpose(0, 2, 3, 1)).reshape(Cout, k_total * Cin)
+    out_data = np.ascontiguousarray(
+        (cols2d @ w2d.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
+    out_data += bias.data[None, :, None, None]
+    out = Tensor._wrap(out_data)
+
+    def backward(g):
+        gt2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, Cout)
+        gw = (gt2d.T @ cols2d).reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
+        gcols = (gt2d @ w2d).reshape(B, Ho, Wo, k_total, Cin)
+        gxp_cl = np.zeros((B, Hp, Wp, Cin), dtype=x.data.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp_cl[:, i:i + sh * Ho:sh, j:j + sw * Wo:sw, :] += \
+                    gcols[:, :, :, i * kw + j, :]
+        gxp = gxp_cl.transpose(0, 3, 1, 2)
+        gx = gxp[:, :, ph:ph + H, pw:pw + W] if (ph or pw) else gxp
+        return gx, gw, g.sum(axis=(0, 2, 3))
+
+    record_op((x, w, bias), (out,), backward)
+    return out
+
+
+def depthwise_conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
+    """Per-channel cross-correlation: x[B,C,H,W] with w[C,kh,kw]."""
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
+    B, C, H, W = x.shape
+    Cw, kh, kw = w.shape
+    if C != Cw:
+        raise DimensionError(f"depthwise channel mismatch: {x.shape} vs {w.shape}")
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    if kh > Hp or kw > Wp:
+        raise DimensionError(
+            f"depthwise kernel ({kh}x{kw}) larger than padded input ({Hp}x{Wp})")
+    Ho = (Hp - kh) // sh + 1
+    Wo = (Wp - kw) // sw + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    out_data = np.zeros((B, C, Ho, Wo), dtype=x.data.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xs = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
+            out_data += xs * w.data[None, :, i, j, None, None]
+    out = Tensor._wrap(out_data)
+
+    def backward(g):
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(w.data)
+        for i in range(kh):
+            for j in range(kw):
+                xs = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
+                gw[:, i, j] = (g * xs).sum(axis=(0, 2, 3))
+                gxp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += \
+                    g * w.data[None, :, i, j, None, None]
+        gx = gxp[:, :, ph:ph + H, pw:pw + W] if (ph or pw) else gxp
+        return gx, gw
+
+    record_op((x, w), (out,), backward)
+    return out
 
 
 class GradCheckReport:

@@ -287,7 +287,8 @@ def _channel_map_input(s, rng):
 
 
 def _conv2d_input(s, rng):
-    """[S, 2, 4, 5, 6] from a conv2d over the merged S*B axis: contiguous."""
+    """[S, 2, 4, 5, 6] from a conv2d over the merged S*B axis: channels last
+    in memory ([S, B, V, T, C])."""
     x = Tensor(rng.normal(size=(s * 2, 3, 5, 6)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 3, 1, 3)).astype(np.float32), requires_grad=True)
     b = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
@@ -368,7 +369,9 @@ class TestBnSnLayer:
     def test_layouts_reach_the_op_as_built(self):
         rng = np.random.default_rng(0)
         assert not _channel_map_input(2, rng)[1]().data.flags.c_contiguous
-        assert _conv2d_input(2, rng)[1]().data.flags.c_contiguous
+        conv = _conv2d_input(2, rng)[1]().data
+        assert not conv.flags.c_contiguous
+        assert np.moveaxis(conv, 2, -1).flags.c_contiguous
         graph = _graph_conv_input(2, rng)[1]().data
         assert graph.strides[2] == 4 and graph.strides[4] > graph.strides[3]
 

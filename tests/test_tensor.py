@@ -13,6 +13,7 @@ from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
                                relu, reshape, repeat0, scale, slice_, sqrt,
                                sub, sum_, tensor_from_bytes,
                                tensor_to_bytes, load_tensor, save_tensor)
+import oracles
 from oracles import grad_check
 
 
@@ -23,6 +24,21 @@ def rand(*shape, seed=0, scale_=1.0):
 
 def zero_bias(cout):
     return Tensor(np.zeros(cout, dtype=np.float32))
+
+
+def laid_out(a, layout):
+    """[B, C, H, W] ``a`` with the same values, C-ordered ("C") or channels
+    last in memory ("CL")."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def taped(op, *args, **kwargs):
+    """(op's output, the backward closure it recorded)."""
+    with Tape() as tape:
+        out = op(*args, **kwargs)
+    return out, tape._records[-1].backward
 
 
 class TestMatmul:
@@ -102,12 +118,79 @@ class TestConv2d:
                      stride=2, padding=1)
         assert out.shape == (1, 2, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
 
+    def test_gradient_matches_fd_temporal_form(self):
+        # the temporal conv's form: a (1, 5) kernel, stride (1, 2), padding (0, 2)
+        x0, w0, b0 = rand(2, 3, 2, 8, seed=14), rand(4, 3, 1, 5, seed=15), rand(4, seed=16)
+
+        def f(x, w, b):
+            y = conv2d(x, w, b, stride=(1, 2), padding=(0, 2))
+            return sum_(mul(y, y))
+
+        report = grad_check(f, [Tensor(x0), Tensor(w0), Tensor(b0)], h=1e-4, tol=1e-5)
+        assert report.passed, report
+
+    def test_gradient_matches_fd_tap_outside_input(self):
+        # H = 1, kh = 3, ph = 1: the kernel's first and last rows read only padding
+        x0, w0 = rand(2, 2, 1, 4, seed=17), rand(3, 2, 3, 3, seed=18)
+
+        def f(x, w):
+            y = conv2d(x, w, zero_bias(3), stride=1, padding=1)
+            return sum_(mul(y, y))
+
+        report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
+        assert report.passed, report
+
+    def test_input_without_gradient(self):
+        """x that needs no gradient gets None, and w's gradient is unchanged."""
+        x0, w0, g = rand(2, 3, 4, 6, seed=19), rand(4, 3, 3, 3, seed=20), rand(2, 4, 4, 6)
+        grads = [taped(conv2d, Tensor(x0, requires_grad=needs), Tensor(w0, requires_grad=True),
+                       zero_bias(4), padding=1)[1](g) for needs in (True, False)]
+        assert grads[0][0] is not None and grads[1][0] is None
+        assert grads[1][1].tobytes() == grads[0][1].tobytes()
+
+
+# x, w, stride and padding of the sites that call conv2d: the spike
+# encoder, the temporal conv at stride 1 and (1, 2), the teacher's temporal
+# conv, and the paper plan's temporal conv (batch cut to keep tests short)
+CONV_SITES = {
+    "encoder": ((8, 3, 25, 16), (3, 3, 3, 3), 1, 1),
+    "stc": ((8, 16, 25, 16), (16, 16, 1, 5), 1, (0, 2)),
+    "stc_stride2": ((8, 32, 25, 16), (32, 32, 1, 5), (1, 2), (0, 2)),
+    "teacher": ((4, 64, 25, 8), (64, 64, 1, 5), (1, 2), (0, 2)),
+    "paper": ((2, 128, 25, 32), (128, 128, 1, 5), 1, (0, 2)),
+}
+
+
+class TestConv2dMatchesOracle:
+    """The channels-last ``conv2d`` against the padded, C-ordered kernel it
+    replaced (``oracles.conv2d``): output, x's and w's gradients byte-identical,
+    whatever the layouts of x and of the upstream gradient."""
+
+    @pytest.mark.parametrize("g_layout", ["C", "CL"])
+    @pytest.mark.parametrize("x_layout", ["C", "CL"])
+    @pytest.mark.parametrize("site", sorted(CONV_SITES))
+    def test_byte_identical(self, site, x_layout, g_layout):
+        xs, ws, stride, padding = CONV_SITES[site]
+        x = Tensor(laid_out(rand(*xs, seed=30), x_layout), requires_grad=True)
+        w = Tensor(rand(*ws, seed=31), requires_grad=True)
+        b = Tensor(rand(ws[0], seed=32), requires_grad=True)
+        out, bwd = taped(conv2d, x, w, b, stride=stride, padding=padding)
+        ref, ref_bwd = taped(oracles.conv2d, x, w, b, stride=stride, padding=padding)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert np.moveaxis(out.data, 1, -1).flags.c_contiguous
+        g = laid_out(rand(*out.shape, seed=33), g_layout)
+        (gx, gw, gb), (rx, rw, rb) = bwd(g), ref_bwd(g)
+        assert gx.tobytes() == rx.tobytes() and gw.tobytes() == rw.tobytes()
+        assert gx.strides == x.data.strides
+        np.testing.assert_allclose(gb, g.astype(np.float64).sum(axis=(0, 2, 3)),
+                                   rtol=1e-6, atol=1e-6 * np.abs(g).sum() / g.shape[1])
+
 
 class TestDepthwiseConv2d:
     def test_matches_explicit_per_channel(self):
         x = rand(2, 3, 5, 5, seed=10)
         w = rand(3, 3, 3, seed=11)
-        out = depthwise_conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
+        out = depthwise_conv2d(Tensor(x), Tensor(w), padding=1)
         ref = np.zeros_like(out.data)
         for c in range(3):
             full = conv2d(Tensor(x[:, c:c + 1]), Tensor(w[c][None, None]), zero_bias(1),
@@ -124,6 +207,50 @@ class TestDepthwiseConv2d:
 
         report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
         assert report.passed, report
+
+    def test_gradient_matches_fd_non_square(self):
+        x0, w0 = rand(2, 2, 3, 5, seed=22), rand(2, 3, 3, seed=23)
+
+        def f(x, w):
+            y = depthwise_conv2d(x, w, padding=1)
+            return sum_(mul(y, y))
+
+        report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
+        assert report.passed, report
+
+    def test_input_without_gradient(self):
+        """x that needs no gradient gets None, and w's gradient is unchanged."""
+        x0, w0, g = rand(2, 3, 4, 6, seed=24), rand(3, 3, 3, seed=25), rand(2, 3, 4, 6)
+        grads = [taped(depthwise_conv2d, Tensor(x0, requires_grad=needs),
+                       Tensor(w0, requires_grad=True), padding=1)[1](g)
+                 for needs in (True, False)]
+        assert grads[0][0] is not None and grads[1][0] is None
+        assert grads[1][1].tobytes() == grads[0][1].tobytes()
+
+    @pytest.mark.parametrize("g_layout", ["C", "CL"])
+    @pytest.mark.parametrize("x_layout", ["C", "CL"])
+    @pytest.mark.parametrize("shape", [(4, 128, 25, 8), (4, 256, 25, 4), (2, 3, 4, 6)],
+                             ids=["ftm_mid", "ftm_high", "small"])
+    def test_matches_oracle(self, shape, x_layout, g_layout):
+        """Against the C-ordered kernel it replaced: output and x's gradient
+        byte-identical; w's gradient sums in another order, so it must lie
+        within 5e-7 of the largest |gw| (about four float32 epsilons) of both
+        that kernel's and a float64 reference."""
+        x = Tensor(laid_out(rand(*shape, seed=34), x_layout), requires_grad=True)
+        w = Tensor(rand(shape[1], 3, 3, seed=35), requires_grad=True)
+        out, bwd = taped(depthwise_conv2d, x, w, padding=1)
+        ref, ref_bwd = taped(oracles.depthwise_conv2d, x, w, stride=1, padding=1)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert np.moveaxis(out.data, 1, -1).flags.c_contiguous
+        g = laid_out(rand(*shape, seed=36), g_layout)
+        (gx, gw), (rx, rw) = bwd(g), ref_bwd(g)
+        assert gx.tobytes() == rx.tobytes() and gx.strides == x.data.strides
+        x64 = Tensor(x.data.astype(np.float64), requires_grad=True, dtype=np.float64)
+        w64 = Tensor(w.data.astype(np.float64), dtype=np.float64)
+        exact = taped(oracles.depthwise_conv2d, x64, w64, stride=1, padding=1)[1](
+            g.astype(np.float64))[1]
+        for want in (rw, exact):
+            assert np.abs(gw - want).max() <= 5e-7 * np.abs(want).max()
 
 
 class TestBatchNorm:
@@ -463,6 +590,19 @@ class TestGradCheckOracle:
         with np.errstate(divide="ignore"):
             report = grad_check(f, [Tensor(x0)], h=1e-6)
         assert not report.passed and "non-finite" in report.note
+
+
+class TestRelu:
+    def test_equals_where_form_and_keeps_layout(self):
+        a = np.moveaxis(rand(2, 3, 4, 5, seed=50), 1, -1)     # not C-ordered
+        out = relu(Tensor(a))
+        np.testing.assert_array_equal(out.data, np.where(a > 0, a, np.float32(0)))
+        assert out.data.dtype == a.dtype and out.data.strides == a.strides
+
+    def test_nan_propagates(self):
+        """NaN is not zeroed, so a diverging input reaches the loss check."""
+        out = relu(Tensor(np.array([np.nan, -1.0, 2.0], dtype=np.float32)))
+        assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0.0, 2.0]
 
 
 class TestElementwiseAndShape:
