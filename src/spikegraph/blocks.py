@@ -64,14 +64,15 @@ def channel_map(x: Tensor, w: Tensor) -> Tensor:
     """Apply w[D, D'] to the channel axis (-3) of x (a 1x1 convolution), fused."""
     if x.ndim < 3 or x.shape[-3] != w.shape[0]:
         raise DimensionError(f"channel map of {x.shape} with weight {w.shape}")
-    out_data = np.moveaxis(np.tensordot(x.data, w.data, axes=([-3], [0])), -1, -3)
+    xd, wd = x.data, w.data
+    out_data = np.moveaxis(np.tensordot(xd, wd, axes=([-3], [0])), -1, -3)
     out = Tensor._wrap(out_data)
     reduce_axes = tuple(range(x.ndim - 1))
 
     def backward(g):
         gm = np.moveaxis(g, -3, -1)
-        gx = np.moveaxis(np.tensordot(gm, w.data, axes=([-1], [1])), -1, -3)
-        xm = np.moveaxis(x.data, -3, -1)
+        gx = np.moveaxis(np.tensordot(gm, wd, axes=([-1], [1])), -1, -3)
+        xm = np.moveaxis(xd, -3, -1)
         gw = np.tensordot(xm, gm, axes=(reduce_axes, reduce_axes))
         return gx, gw
 
@@ -97,7 +98,8 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     xm = np.moveaxis(x.data, (-2, -3), (-2, -1))                    # [R.., V, D]
     lead = xm.shape[:-2]
     a_cat = adj.transpose(1, 2, 0).reshape(v, v * k)                # [v, (u, k)]
-    w_cat = w.data.transpose(1, 0, 2).reshape(d, k * d_out)         # [d, (k, d')]
+    wd = w.data
+    w_cat = wd.transpose(1, 0, 2).reshape(d, k * d_out)             # [d, (k, d')]
     y = np.tensordot(xm, w_cat, axes=([-1], [0])).reshape(-1, v * k, d_out)
     out = np.matmul(a_cat, y).reshape(lead + (v, d_out))
     out = Tensor._wrap(np.moveaxis(out, (-2, -1), (-2, -3)))
@@ -106,7 +108,7 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     def backward(g):
         gm = np.ascontiguousarray(np.moveaxis(g, (-2, -3), (-2, -1)))
         gy = np.matmul(a_cat.T, gm.reshape(-1, v, d_out))            # [R, (u, k), D']
-        gx = gy.reshape(-1, k * d_out) @ w.data.transpose(0, 2, 1).reshape(k * d_out, d)
+        gx = gy.reshape(-1, k * d_out) @ wd.transpose(0, 2, 1).reshape(k * d_out, d)
         gw = np.tensordot(xm, gy.reshape(lead + (v, k, d_out)), axes=(rows, rows))
         return (np.moveaxis(gx.reshape(lead + (v, d)), (-2, -1), (-2, -3)),
                 gw.transpose(1, 0, 2))                                # [K, D, D']

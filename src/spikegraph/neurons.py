@@ -78,7 +78,7 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
     ones in eval.  The recurrence normalizes x a tile at a time, as it
     reaches it, into the buffer that becomes its membrane history (laid
     out as x); backward applies BatchNorm's gradient to the BPTT gradient
-    in place, from x, which the op that produced x keeps anyway.  As in
+    in place, from x, which its closure keeps.  As in
     ``sn_layer``, the history is kept only under an active tape for inputs
     that need a gradient.
     """
@@ -95,10 +95,11 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
         _bn_normalize(xv, hv, affine)
         out_data, h_hist = _lif_forward(_from_view(hv, x.shape, order), cfg, False, keep)
     out = Tensor._wrap(out_data)
+    gamma_d = gamma.data
 
     def backward(g):
         gx = _lif_backward(g, h_hist, out_data, cfg)
-        return _bn_backward(gx, xv, order, mu, std, gamma.data, training, out=gx)
+        return _bn_backward(gx, xv, order, mu, std, gamma_d, training, out=gx)
 
     record_op((x, gamma, beta), (out,), backward)
     return out

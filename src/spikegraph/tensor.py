@@ -11,6 +11,12 @@ by default.
 Layout rule of the convolutions: their outputs are channels last in
 memory (a [B, C, H, W] view of [B, H, W, C] data), and the gradient each
 returns for x is laid out as x.
+
+Retention rule of the tape: a record holds its inputs' and outputs'
+gradient slots (``grad`` and ``requires_grad``), never a ``Tensor``, and a
+backward closure captures only the arrays, shapes and dtypes it reads.  So
+an activation lives while the forward code or a closure that reads it
+holds it, not until the sweep reaches the records that name it.
 """
 
 from __future__ import annotations
@@ -41,13 +47,47 @@ class NumericalError(ArithmeticError):
 _TAPE_STACK: list["Tape"] = []
 
 
+class _Slot:
+    """The part of a ``Tensor`` that the tape and the sweep touch: its
+    gradient and whether it needs one, never its data."""
+
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad: bool = False):
+        self.grad: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad
+
+
 class _Record:
-    __slots__ = ("inputs", "outputs", "backward")
+    """One recorded op: the slots of its inputs and outputs, the input
+    dtypes and the output shapes, dtypes and strides, and its backward."""
+
+    __slots__ = ("inputs", "in_dtypes", "outputs", "out_specs", "backward")
 
     def __init__(self, inputs, outputs, backward):
-        self.inputs = inputs
-        self.outputs = outputs
+        self.inputs = tuple(t._slot for t in inputs)
+        self.in_dtypes = tuple(t.data.dtype for t in inputs)
+        self.outputs = tuple(t._slot for t in outputs)
+        self.out_specs = tuple(_spec(t.data) for t in outputs)
         self.backward = backward
+
+
+def _spec(a: np.ndarray):
+    """(shape, dtype, strides) of ``a``: what ``_zeros_as`` needs to lay
+    out an array as ``a`` is, without keeping ``a``."""
+    return a.shape, a.dtype, a.strides
+
+
+def _memory_order(strides) -> tuple:
+    """The axes sorted by stride, outermost in memory first."""
+    return tuple(sorted(range(len(strides)), key=lambda i: -strides[i]))
+
+
+def _zeros_as(shape, dtype, strides) -> np.ndarray:
+    """Zeros of ``shape`` and ``dtype``, dense, laid out in the memory
+    order of an array with ``strides``."""
+    order = _memory_order(strides)
+    return np.zeros([shape[i] for i in order], dtype=dtype).transpose(np.argsort(order))
 
 
 class Tape:
@@ -74,7 +114,7 @@ class Tape:
         return len(self._records)
 
     def _owns(self, t: "Tensor") -> bool:
-        return any(out is t for rec in self._records for out in rec.outputs)
+        return any(out is t._slot for rec in self._records for out in rec.outputs)
 
 
 def _active_tape() -> Optional[Tape]:
@@ -88,13 +128,18 @@ def record_op(inputs: Sequence["Tensor"], outputs: Sequence["Tensor"],
     ``backward`` receives one upstream gradient array per output and must
     return one gradient array (or None) per input.  Extension point for
     ops defined outside this module.
+
+    The record keeps the gradient slots of ``inputs`` and ``outputs``, not
+    the tensors, so it holds no array of theirs: ``backward`` must capture
+    the arrays, shapes and dtypes it reads, never a ``Tensor``.  An array
+    no closure names is freed as soon as the forward code drops it.
     """
     requires = any(t.requires_grad for t in inputs)
     for out in outputs:
         out.requires_grad = requires
     tape = _active_tape()
     if tape is not None and requires:
-        tape._records.append(_Record(tuple(inputs), tuple(outputs), backward))
+        tape._records.append(_Record(inputs, outputs, backward))
 
 
 # ---------------------------------------------------------------------------
@@ -102,25 +147,43 @@ def record_op(inputs: Sequence["Tensor"], outputs: Sequence["Tensor"],
 # ---------------------------------------------------------------------------
 
 class Tensor:
-    """N-d real array participating in the differentiation tape."""
+    """N-d real array participating in the differentiation tape.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    ``grad`` and ``requires_grad`` live in the tensor's gradient slot,
+    which the tape shares; ``data`` is the tensor's alone.
+    """
+
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None:
             dtype = np.float32
         self.data = np.asarray(data, dtype=dtype)
-        self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
+        self._slot = _Slot(bool(requires_grad))
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         """Internal constructor preserving dtype (op outputs)."""
         t = cls.__new__(cls)
         t.data = arr
-        t.requires_grad = False
-        t.grad = None
+        t._slot = _Slot()
         return t
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        self._slot.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self._slot.requires_grad = flag
 
     # -- conveniences -------------------------------------------------------
     @property
@@ -171,35 +234,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._wrap(a.data + b.data)
-    record_op((a, b), (out,), lambda g: (_unbroadcast(g, a.data.shape),
-                                         _unbroadcast(g, b.data.shape)))
+    sa, sb = a.shape, b.shape
+    record_op((a, b), (out,), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._wrap(a.data - b.data)
-    record_op((a, b), (out,), lambda g: (_unbroadcast(g, a.data.shape),
-                                         _unbroadcast(-g, b.data.shape)))
+    sa, sb = a.shape, b.shape
+    record_op((a, b), (out,), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor._wrap(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor._wrap(ad * bd)
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
 
     record_op((a, b), (out,), backward)
     return out
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor._wrap(a.data / b.data)
+    ad, bd = a.data, b.data
+    out = Tensor._wrap(ad / bd)
 
     def backward(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / bd, ad.shape),
+                _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
     record_op((a, b), (out,), backward)
     return out
@@ -219,8 +283,9 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.log(a.data))
-    record_op((a,), (out,), lambda g: (g / a.data,))
+    ad = a.data
+    out = Tensor._wrap(np.log(ad))
+    record_op((a,), (out,), lambda g: (g / ad,))
     return out
 
 
@@ -231,7 +296,7 @@ def sqrt(a: Tensor) -> Tensor:
     def backward(g):
         # subgradient 0 at x = 0 keeps norm-style losses finite
         safe = np.where(out_data > 0, out_data, 1.0)
-        return (np.where(out_data > 0, g / (2.0 * safe), 0.0).astype(a.data.dtype),)
+        return (np.where(out_data > 0, g / (2.0 * safe), 0.0).astype(out_data.dtype),)
 
     record_op((a,), (out,), backward)
     return out
@@ -257,17 +322,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner extents disagree: {a.shape} x {b.shape}")
+    ad, bd = a.data, b.data
     try:
-        out_data = np.matmul(a.data, b.data)
+        out_data = np.matmul(ad, bd)
     except ValueError as err:
         raise DimensionError(
             f"matmul batch extents do not broadcast: {a.shape} x {b.shape}") from err
     out = Tensor._wrap(out_data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
     record_op((a, b), (out,), backward)
     return out
@@ -342,14 +408,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
     out2d = cols2d @ w2d.T
     out2d += bias.data
     out = Tensor._wrap(out2d.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
+    x_spec = _spec(x.data) if x.requires_grad else None
 
     def backward(g):
         gt2d = g.transpose(0, 2, 3, 1).reshape(-1, Cout)
         gw = (gt2d.T @ cols2d).reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
         gx = None
-        if x.requires_grad:
+        if x_spec is not None:
             gcols = (gt2d @ w2d).reshape(B, Ho, Wo, k_total, Cin)
-            gx = np.zeros_like(x.data)
+            gx = _zeros_as(*x_spec)
             gx_cl = gx.transpose(0, 2, 3, 1)
             for k, (ro, co), (ri, ci) in taps:
                 gx_cl[:, ri, ci] += gcols[:, ro, co, k]
@@ -384,10 +451,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
         for j in range(kw):
             out_cl += np.multiply(xp[:, i:i + Ho, j:j + Wo], w_cl[i, j], out=prod)
     out = Tensor._wrap(out_cl.transpose(0, 3, 1, 2))
+    wd = w.data
+    x_spec = _spec(x.data) if x.requires_grad else None
 
     def backward(g):
         g_cl = g.transpose(0, 2, 3, 1)
-        gw = np.empty_like(w.data)
+        gw = np.empty_like(wd)
         for i in range(kh):
             for j in range(kw):
                 # float64 over per-sample partial sums: a float32 running sum
@@ -395,8 +464,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
                 gw[:, i, j] = np.einsum("bhwc,bhwc->bc", g_cl, xp[:, i:i + Ho, j:j + Wo]
                                         ).sum(axis=0, dtype=np.float64)
         gx = None
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
+        if x_spec is not None:
+            gx = _zeros_as(*x_spec)
             gx_cl = gx.transpose(0, 2, 3, 1)
             for k, (ro, co), (ri, ci) in _conv_taps(kh, kw, (1, 1), (ph, pw), (H, W),
                                                     (Ho, Wo)):
@@ -416,6 +485,11 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
 # rows and the LIF tiles, which the recurrence carries through every step);
 # 2^16 and 2^17 ran alike, 2^12 and 2^22 slower
 _TILE = 1 << 17
+# elements in the contiguous runs that a per-channel vector is tiled to
+# where channels are innermost in memory ([P, C, 1] views), so that
+# numpy's inner loop covers about this many elements instead of C;
+# 2^10 and 2^11 ran alike, 2^9 and 2^14 slower
+_RUN = 1 << 10
 
 
 def _memory_view(a: np.ndarray, axis: int, order=None):
@@ -430,7 +504,7 @@ def _memory_view(a: np.ndarray, axis: int, order=None):
     [S*B*V*T, C, 1].
     """
     if order is None:
-        order = tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
+        order = _memory_order(a.strides)
     m = a.transpose(order)
     k = order.index(axis)
     return m.reshape(math.prod(m.shape[:k]), a.shape[axis], math.prod(m.shape[k + 1:])), order
@@ -446,6 +520,36 @@ def _row_chunks(v: np.ndarray):
     p = v.shape[0]
     rows = max(1, _TILE // (v.shape[1] * v.shape[2]))
     return [slice(r, min(r + rows, p)) for r in range(0, p, rows)]
+
+
+def _per_channel(v: np.ndarray):
+    """A per-channel vector v[C] in the three forms that ``_channel_runs``
+    numbers: [C, 1], tiled k = max(1, _RUN // C) times, and [C]."""
+    return v[:, None], np.tile(v, max(1, _RUN // v.size)), v
+
+
+def _channel_runs(*arrays):
+    """[(pieces, form)] covering same-shaped [..., C, Q] chunks, each piece
+    to meet ``_per_channel`` vectors in that form.
+
+    Where Q is 1 and every chunk is contiguous, the C-long rows go as
+    [n, k*C] runs (form 1) and a ragged tail of [r, C] rows (form 2);
+    otherwise the chunks go whole, against [C, 1] (form 0).  The elements
+    meet the same vector entries either way.
+    """
+    c, q = arrays[0].shape[-2:]
+    if q != 1 or not all(a.flags.c_contiguous for a in arrays):
+        return [(arrays, 0)]
+    k = max(1, _RUN // c)
+    rows = [a.reshape(-1, c) for a in arrays]
+    m = rows[0].shape[0]
+    n = m - m % k
+    pieces = []
+    if n:
+        pieces.append(([a[:n].reshape(-1, k * c) for a in rows], 1))
+    if n < m:
+        pieces.append(([a[n:] for a in rows], 2))
+    return pieces
 
 
 def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -484,9 +588,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     for rows in _row_chunks(xv):
         _bn_normalize(xv[rows], ov[rows], affine)
     out = Tensor._wrap(_from_view(ov, x.shape, order))
+    gamma_d = gamma.data
 
     def backward(g):  # the tape casts each gradient to its input's dtype
-        return _bn_backward(g, xv, order, mu, std, gamma.data, training)
+        return _bn_backward(g, xv, order, mu, std, gamma_d, training)
 
     record_op((x, gamma, beta), (out,), backward)
     return out
@@ -496,7 +601,7 @@ def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps
     """(x's [P, C, Q] view, its axis order, mean, sqrt(var + eps), affine).
 
     ``affine`` holds the per-channel (mean, gamma / std, beta) of
-    ``_bn_normalize``, shaped to broadcast over [..., C, Q] chunks.
+    ``_bn_normalize``, each in the forms of ``_per_channel``.
     Training takes the batch statistics, which must be finite, before it
     updates the running buffers, the variance unbiased by n/(n-1).  Shared
     with ``neurons.bn_sn_layer``.
@@ -519,16 +624,18 @@ def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps
     else:
         mu, var = running_mean.astype(xd.dtype), running_var.astype(xd.dtype)
     std = np.sqrt(var + eps).astype(xd.dtype)
-    return xv, order, mu, std, (mu[:, None], (gamma.data / std)[:, None], beta.data[:, None])
+    affine = tuple(_per_channel(v) for v in (mu, gamma.data / std, beta.data))
+    return xv, order, mu, std, affine
 
 
 def _bn_normalize(x: np.ndarray, out: np.ndarray, affine) -> None:
     """out = (x - mean) * (gamma / std) + beta, one chunk of [..., C, Q]
     rows: one subtract, one multiply and one add per element."""
-    mu, scale_, shift = affine
-    np.subtract(x, mu, out=out)
-    out *= scale_
-    out += shift
+    for (xp, op), form in _channel_runs(x, out):
+        mu, scale_, shift = (v[form] for v in affine)
+        np.subtract(xp, mu, out=op)
+        op *= scale_
+        op += shift
 
 
 def _bn_stats(xv: np.ndarray):
@@ -541,11 +648,14 @@ def _bn_stats(xv: np.ndarray):
     mu = (_channel_sum(xv) / n).astype(xv.dtype)
     if not np.isfinite(mu).all():
         raise NumericalError("batch_norm batch mean is non-finite")
+    mu_c = _per_channel(mu)
     chunks = _row_chunks(xv)
     scratch = np.empty_like(xv[chunks[0]])
     sq = 0.0
     for rows in chunks:
-        d = np.subtract(xv[rows], mu[:, None], out=scratch[:rows.stop - rows.start])
+        d = scratch[:rows.stop - rows.start]
+        for (xp, dp), form in _channel_runs(xv[rows], d):
+            np.subtract(xp, mu_c[form], out=dp)
         sq = sq + _channel_sum(d, d)
     var = (sq / n).astype(xv.dtype)
     if not np.isfinite(var).all():
@@ -568,23 +678,24 @@ def _bn_backward(g, xv, order, mu, std, gamma_d, training=True, out=None):
     n = p * q
     gb = _channel_sum(gv)
     gg = (_channel_sum(gv, xv) - mu * gb) / std             # sum of g * xhat
-    a = (gamma_d / std)[:, None]
+    a = _per_channel(gamma_d / std)
     if training:
         # sum(dxhat) = gamma*gb and sum(dxhat*xhat) = gamma*gg per channel,
         # so dx = g*a + xhat*k*gg + k*gb with k = -gamma/(std*n)
         k = -gamma_d / (std.astype(np.float64) * n)
         cx = k * gg / std
-        b = (k * gb - mu * cx).astype(xv.dtype)[:, None]
-        cx = cx.astype(xv.dtype)[:, None]
+        b = _per_channel((k * gb - mu * cx).astype(xv.dtype))
+        cx = _per_channel(cx.astype(xv.dtype))
     chunks = _row_chunks(xv)
     scratch = np.empty_like(xv[chunks[0]])
     for rows in chunks:
-        o = ov[rows]
-        np.multiply(gv[rows], a, out=o)
-        if training:
-            t = np.multiply(xv[rows], cx, out=scratch[:rows.stop - rows.start])
-            t += b
-            o += t
+        pieces = _channel_runs(gv[rows], ov[rows], xv[rows], scratch[:rows.stop - rows.start])
+        for (gp, o, xp, t), form in pieces:
+            np.multiply(gp, a[form], out=o)
+            if training:
+                np.multiply(xp, cx[form], out=t)
+                t += b[form]
+                o += t
     gx = _from_view(ov, g.shape, order) if out is None else out
     return gx, gg.astype(xv.dtype), gb.astype(xv.dtype)
 
@@ -617,15 +728,16 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     if h_prev.shape != lead + (N, H) or c_prev.shape != lead + (N, H):
         raise DimensionError(
             f"lstm_cell state extents {h_prev.shape}/{c_prev.shape} != {lead + (N, H)}")
-    z = (np.matmul(x.data, np.swapaxes(w_ih.data, -1, -2))
-         + np.matmul(h_prev.data, np.swapaxes(w_hh.data, -1, -2))
+    xd, hd, cd, w_ihd, w_hhd = x.data, h_prev.data, c_prev.data, w_ih.data, w_hh.data
+    z = (np.matmul(xd, np.swapaxes(w_ihd, -1, -2))
+         + np.matmul(hd, np.swapaxes(w_hhd, -1, -2))
          + b_ih.data[..., None, :] + b_hh.data[..., None, :])
     zi, zf, zg, zo = np.split(z, 4, axis=-1)
     i = _sigmoid(zi)
     f = _sigmoid(zf)
     gcell = np.tanh(zg)
     o = _sigmoid(zo)
-    c_data = f * c_prev.data + i * gcell
+    c_data = f * cd + i * gcell
     tc = np.tanh(c_data)
     h_data = o * tc
     h = Tensor._wrap(h_data.astype(x.data.dtype))
@@ -634,7 +746,7 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     def backward(gh, gc):
         gc_total = gc + gh * o * (1.0 - tc * tc)
         go = gh * tc
-        gf = gc_total * c_prev.data
+        gf = gc_total * cd
         gi = gcell * gc_total
         gg = i * gc_total
         gc_prev = gc_total * f
@@ -645,10 +757,10 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
             go * o * (1.0 - o),
         ], axis=-1)
         gz_t = np.swapaxes(gz, -1, -2)
-        gx = np.matmul(gz, w_ih.data)
-        gh_prev = np.matmul(gz, w_hh.data)
-        gw_ih = np.matmul(gz_t, x.data)
-        gw_hh = np.matmul(gz_t, h_prev.data)
+        gx = np.matmul(gz, w_ihd)
+        gh_prev = np.matmul(gz, w_hhd)
+        gw_ih = np.matmul(gz_t, xd)
+        gw_hh = np.matmul(gz_t, hd)
         gb = gz.sum(axis=-2)
         return gx, gh_prev, gc_prev, gw_ih, gw_hh, gb, gb.copy()
 
@@ -671,12 +783,13 @@ def _norm_axes(axis, ndim):
 def sum_(x: Tensor, axis=None, keepdims=False) -> Tensor:
     out = Tensor._wrap(x.data.sum(axis=axis, keepdims=keepdims))
     axes = _norm_axes(axis, x.ndim)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
         if not keepdims:
             for a in sorted(axes):
                 g = np.expand_dims(g, a)
-        return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype),)
+        return (np.broadcast_to(g, shape).astype(dtype),)
 
     record_op((x,), (out,), backward)
     return out
@@ -686,12 +799,13 @@ def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     axes = _norm_axes(axis, x.ndim)
     n = int(np.prod([x.shape[a] for a in axes]))
     out = Tensor._wrap(x.data.mean(axis=axis, keepdims=keepdims))
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
         if not keepdims:
             for a in sorted(axes):
                 g = np.expand_dims(g, a)
-        return ((np.broadcast_to(g, x.data.shape) / n).astype(x.data.dtype),)
+        return ((np.broadcast_to(g, shape) / n).astype(dtype),)
 
     record_op((x,), (out,), backward)
     return out
@@ -705,12 +819,13 @@ def max_(x: Tensor, axis=None, keepdims=False) -> Tensor:
     count = mask.sum(axis=axis, keepdims=True)
     out = Tensor._wrap(out_data)
     axes = _norm_axes(axis, x.ndim)
+    dtype = x.dtype
 
     def backward(g):
         if not keepdims:
             for a in sorted(axes):
                 g = np.expand_dims(g, a)
-        return ((mask * (g / count)).astype(x.data.dtype),)
+        return ((mask * (g / count)).astype(dtype),)
 
     record_op((x,), (out,), backward)
     return out
@@ -722,7 +837,8 @@ def max_(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor._wrap(x.data.reshape(shape))
-    record_op((x,), (out,), lambda g: (g.reshape(x.data.shape),))
+    x_shape = x.shape
+    record_op((x,), (out,), lambda g: (g.reshape(x_shape),))
     return out
 
 
@@ -742,7 +858,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         grads = []
-        for k in range(len(tensors)):
+        for k in range(len(sizes)):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[k], offsets[k + 1])
             grads.append(g[tuple(sl)])
@@ -754,9 +870,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def slice_(x: Tensor, key) -> Tensor:
     out = Tensor._wrap(x.data[key])
+    x_spec = _spec(x.data)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = _zeros_as(*x_spec)
         gx[key] = g
         return (gx,)
 
@@ -785,6 +902,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     successful sweep only leaves (tensors no record on the tape produced)
     keep a ``grad``.  A backward closure must not write into its incoming
     gradient: the same array may reach several inputs.
+
+    The records hold gradient slots, not tensors: the sweep reads nothing
+    of an op's inputs and outputs but their slots, the input dtypes (each
+    gradient is cast to its input's) and the output layouts (an unused
+    output of a multi-output op gets zeros laid out as that output).
     """
     if loss.size != 1:
         raise InvalidInputError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -803,18 +925,18 @@ def _sweep(rec: _Record) -> None:
         out.grad = None
     if all(g is None for g in gouts):
         return
-    gouts = [np.zeros_like(out.data) if g is None else g
-             for g, out in zip(gouts, rec.outputs)]
+    gouts = [_zeros_as(*spec) if g is None else g
+             for g, spec in zip(gouts, rec.out_specs)]
     gins = rec.backward(*gouts)
     if not isinstance(gins, tuple):
         gins = (gins,)
-    for t, g in zip(rec.inputs, gins):
-        if g is None or not t.requires_grad:
+    for slot, dtype, g in zip(rec.inputs, rec.in_dtypes, gins):
+        if g is None or not slot.requires_grad:
             continue
-        if g.dtype != t.data.dtype:
-            g = g.astype(t.data.dtype)
+        if g.dtype != dtype:
+            g = g.astype(dtype)
         # grads are never mutated in place, so holding a view is safe
-        t.grad = g if t.grad is None else t.grad + g
+        slot.grad = g if slot.grad is None else slot.grad + g
 
 
 # ---------------------------------------------------------------------------

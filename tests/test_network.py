@@ -4,6 +4,7 @@ eval forward's page faults."""
 
 import contextlib
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import spikegraph
-from spikegraph import blocks, encoding, module, network, neurons, tensor
+from spikegraph import blocks, encoding, fusion, module, network, neurons, tensor
 from spikegraph.config import RunConfig
 from spikegraph.data import (FormatError, SkeletonTopology, preprocess_sequences,
                              synthesize)
@@ -21,7 +22,7 @@ from spikegraph.fusion import SmicNet
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
 from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, Trainer,
                                 batch_tensors, load_model, save_model, train_teacher)
-from spikegraph.tensor import InvalidInputError, Tape
+from spikegraph.tensor import InvalidInputError, Tape, Tensor
 
 CLASSES = 4
 
@@ -97,6 +98,69 @@ class TestTrainStep:
             Trainer(model, None, np.arange(8) % CLASSES,
                     dataclasses.replace(cfg.train_settings(), kd=frozenset(kd)),
                     teacher=teacher)
+
+
+def _holds_tensor(value, seen) -> bool:
+    """Whether ``value`` is a Tensor or holds one: in a list, tuple or
+    dict, or in a closure cell of a function."""
+    if id(value) in seen:
+        return False
+    seen.add(id(value))
+    if isinstance(value, Tensor):
+        return True
+    if isinstance(value, (list, tuple)):
+        return any(_holds_tensor(v, seen) for v in value)
+    if isinstance(value, dict):
+        return any(_holds_tensor(v, seen) for v in value.values())
+    if inspect.isfunction(value):
+        return any(_holds_tensor(c.cell_contents, seen) for c in value.__closure__ or ())
+    return False
+
+
+class TestTapeHoldsNoTensor:
+    """A record keeps gradient slots, and its backward closure the arrays
+    it reads: no closure on a training step's tapes may hold a Tensor,
+    whose data would then live until the sweep reached the record."""
+
+    # every op that records, but relu, which runs only in the teacher,
+    # outside any tape
+    KINDS = {"add", "sub", "mul", "div", "scale", "exp", "log", "sqrt", "matmul",
+             "conv2d", "depthwise_conv2d", "batch_norm", "lstm_cell", "sum_", "mean",
+             "max_", "reshape", "permute", "concat", "slice_", "repeat0", "sn_layer",
+             "bn_sn_layer", "channel_map", "graph_conv"}
+
+    def test_train_smf_and_train_kd_steps(self, monkeypatch):
+        topo = SkeletonTopology.ntu25()
+        bundle, labels = small_set(topo)
+        idx = np.arange(2)
+        kinds, holding, tapes = set(), [], []
+        sweep = tensor.backward
+
+        def scan(loss, tape):
+            tapes.append(len(tape))
+            for rec in tape._records:
+                kind = rec.backward.__qualname__.split(".<locals>")[0]
+                kinds.add(kind)
+                if _holds_tensor(rec.backward, set()):
+                    holding.append(kind)
+            sweep(loss, tape)
+
+        for mod in (network, fusion):
+            monkeypatch.setattr(mod, "backward", scan)
+        for kd in ("none", "soft,feature"):
+            cfg = RunConfig({"kd": kd, "preprocess": {"target_T": 8, "batch_size": 2}})
+            model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+            teacher = ftm = None
+            if kd != "none":
+                teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
+                ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
+                                np.random.default_rng(2))
+            Trainer(model, bundle, labels, cfg.train_settings(),
+                    loss_weights=cfg.loss_weights(), teacher=teacher,
+                    ftm=ftm).train_step(batch_tensors(bundle, idx), labels[idx])
+        assert len(tapes) == 4 and all(tapes)       # each step: SMIC ascent, then the step
+        assert kinds == self.KINDS
+        assert holding == []
 
 
 def small_set(topo):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spikegraph import tensor
 from spikegraph.blocks import channel_map, graph_conv
 from spikegraph.module import BatchNorm
 from spikegraph.neurons import LifConfig, bn_sn_layer, sn_layer
@@ -407,6 +408,55 @@ class TestBnSnLayer:
     def test_empty_step_axis_rejected(self):
         with pytest.raises(InvalidInputError):
             bn_sn_layer(Tensor(np.zeros((0, 2, 4, 3, 3))), _bn(4, 0.1, 8), CFG)
+
+
+class TestChannelRuns:
+    """Channels innermost in memory: the per-channel BatchNorm affine goes
+    over runs of k*C elements and a ragged tail of C-long rows
+    (``tensor._channel_runs``), with results bit-identical to the [C, 1]
+    broadcast over the same chunks."""
+
+    @staticmethod
+    def _run(c, training, fused):
+        rng = np.random.default_rng(c)
+        # [S, B, C, V, T], channels last in memory
+        x0 = np.moveaxis(rng.normal(0.3, 1.0, size=(4, 2, 25, 16, c)).astype(np.float32), -1, 2)
+        weights = Tensor(rng.normal(size=x0.shape).astype(np.float32))
+        bn = _bn(c, 0.3, c + 1).train(training)
+        x = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            out = bn_sn_layer(x, bn, CFG) if fused else bn(x)
+            backward(sum_(mul(out, weights)), tape)
+        return [out.data, x.grad, bn.gamma.grad, bn.beta.grad, bn.running_mean,
+                bn.running_var]
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["bn_sn_layer", "batch_norm"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("c", [3, 16, 256])
+    def test_bit_identical_to_broadcast(self, monkeypatch, c, training, fused):
+        runs, forms = tensor._channel_runs, set()
+
+        def spy(*arrays):
+            pieces = runs(*arrays)
+            forms.update(form for _, form in pieces)
+            return pieces
+
+        monkeypatch.setattr(tensor, "_channel_runs", spy)
+        got = self._run(c, training, fused)
+        assert 1 in forms and (c != 3 or 2 in forms)    # C=3 leaves a ragged tail
+        monkeypatch.setattr(tensor, "_channel_runs", lambda *arrays: [(arrays, 0)])
+        want = self._run(c, training, fused)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_non_contiguous_chunk_goes_whole(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(40, 3, 1)).astype(np.float32)[::2]
+        out = np.empty_like(x)
+        assert [form for _, form in tensor._channel_runs(x, out)] == [0]
+        mu, s, b = (rng.normal(size=3).astype(np.float32) for _ in range(3))
+        tensor._bn_normalize(x, out, tuple(tensor._per_channel(v) for v in (mu, s, b)))
+        assert out.tobytes() == ((x - mu[:, None]) * s[:, None] + b[:, None]).tobytes()
 
 
 class TestSurrogateConsistency:

@@ -1,6 +1,7 @@
 """Tensor core: ops, tape backward, finite-difference oracle, serialization."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -490,19 +491,21 @@ class TestBackward:
 
 def sweep_keeping_tape(loss, tape):
     """The reverse sweep without freeing: every record and every
-    intermediate ``grad`` is kept until the sweep ends."""
+    intermediate ``grad`` (in the records' gradient slots) is kept until
+    the sweep ends."""
     loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape._records):
         gouts = [out.grad for out in rec.outputs]
         if all(g is None for g in gouts):
             continue
-        gouts = [np.zeros_like(out.data) if g is None else g
-                 for g, out in zip(gouts, rec.outputs)]
+        gouts = [np.zeros(shape, dtype) if g is None else g
+                 for g, (shape, dtype, _) in zip(gouts, rec.out_specs)]
         gins = rec.backward(*gouts)
-        for t, g in zip(rec.inputs, gins if isinstance(gins, tuple) else (gins,)):
-            if g is not None and t.requires_grad:
-                g = g.astype(t.data.dtype, copy=False)
-                t.grad = g if t.grad is None else t.grad + g
+        for slot, dtype, g in zip(rec.inputs, rec.in_dtypes,
+                                  gins if isinstance(gins, tuple) else (gins,)):
+            if g is not None and slot.requires_grad:
+                g = g.astype(dtype, copy=False)
+                slot.grad = g if slot.grad is None else slot.grad + g
 
 
 class TestSweepFreesTape:
@@ -537,8 +540,10 @@ class TestSweepFreesTape:
             assert g.tobytes() == ref.tobytes()
 
     def test_backward_peak_stays_near_forward_size(self):
-        # 32 chained 1 MiB activations; a sweep that kept every
-        # intermediate gradient would need another 32 MiB on top
+        # 32 chained 1 MiB activations, of which the tape keeps the 31 that
+        # a mul's backward reads (sum_ reads only the last one's shape); a
+        # sweep that kept every intermediate gradient would need another
+        # 32 MiB on top
         mib = 1 << 20
         x = Tensor(np.ones(mib // 4, dtype=np.float32), requires_grad=True)
         tracemalloc.start()
@@ -555,8 +560,59 @@ class TestSweepFreesTape:
                 _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert forward >= 32 * mib
+        assert forward >= 31 * mib
         assert peak <= forward + 4 * mib, (forward / mib, peak / mib)
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    """An input whose array an op's backward does not read is freed once
+    the caller drops it, though the op's record is still on the tape."""
+
+    OPS = {
+        "add": lambda y, p: add(y, p["b"]),
+        "sub": lambda y, p: sub(p["b"], y),
+        "scale": lambda y, p: scale(y, 3.0),
+        "reshape": lambda y, p: reshape(y, (2, -1)),
+        "permute": lambda y, p: permute(y, (0, 2, 3, 1)),
+        "slice_": lambda y, p: slice_(y, (slice(None), slice(1, 3))),
+        "concat": lambda y, p: concat([p["b"], y], axis=1),
+        "repeat0": lambda y, p: repeat0(y, 3),
+        "sum_": lambda y, p: sum_(y, axis=(1, 3)),
+        "mean": lambda y, p: mean(y, axis=2),
+        "conv2d": lambda y, p: conv2d(y, p["w"], p["bias"], stride=(1, 2), padding=(0, 1)),
+        "depthwise_conv2d": lambda y, p: depthwise_conv2d(y, p["dw"], padding=1),
+    }
+
+    @classmethod
+    def run(cls, name, drop):
+        """(whether y's array died, the leaf gradients) for loss =
+        sum(op(y)), y = x * c; with ``drop`` y and op(y) are dropped
+        before the sweep."""
+        x = Tensor(rand(2, 3, 4, 5, seed=60), requires_grad=True)
+        c = Tensor(rand(2, 3, 4, 5, seed=61))
+        params = {"b": Tensor(rand(2, 3, 4, 5, seed=62), requires_grad=True),
+                  "w": Tensor(rand(4, 3, 1, 3, seed=63), requires_grad=True),
+                  "bias": Tensor(rand(4, seed=64), requires_grad=True),
+                  "dw": Tensor(rand(3, 3, 3, seed=65), requires_grad=True)}
+        with Tape() as tape:
+            y = mul(x, c)
+            alive = weakref.ref(y.data)
+            z = cls.OPS[name](y, params)
+            loss = sum_(z)
+            if drop:
+                del y, z
+            died = alive() is None
+            backward(loss, tape)
+        return died, [t.grad for t in (x, *params.values()) if t.grad is not None]
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_dropped_input_is_freed_and_grads_unchanged(self, name):
+        died, got = self.run(name, drop=True)
+        kept, want = self.run(name, drop=False)
+        assert died and not kept
+        assert len(got) == len(want) >= 1
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestGradCheckOracle:
