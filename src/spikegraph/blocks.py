@@ -18,8 +18,7 @@ from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import record_cost
 from .tensor import (DimensionError, InvalidInputError, Tensor, add, conv2d,
-                     matmul, mul, permute, record_op, reshape, scale, slice_,
-                     sub)
+                     matmul, permute, record_op, reshape, scale, slice_)
 
 
 def normalize_adjacency(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
@@ -115,35 +114,6 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
 
     record_op((x, w), (out,), backward)
     return out
-
-
-def linear_bn(op, x: Tensor, w: Tensor, bn: BatchNorm,
-              bias: Tensor | None = None) -> Tensor:
-    """bn(op(x, w[, bias])) for an ``op`` linear in ``w`` and ``bias`` whose
-    output channels sit at axis -3.
-
-    In training this is exactly that composition.  In eval, BatchNorm is
-    the per-channel affine map y*s + t with s = gamma / sqrt(var + eps) and
-    t = beta - mean*s, so it is folded: ``op`` runs once with w scaled by s
-    along its output channels (axis 0 of a conv2d kernel, the last axis of
-    a channel or graph map), and t joins the bias or, without one, is added
-    to the output.  The fold is C x C work built from tape ops on every
-    call, so gradients still reach w, gamma and beta, and no folded copy
-    can outlive a change to the weights or the statistics.  Only the
-    sites with no spiking neurons after them use it (the teacher's and the
-    FTM's fuse); a spiking site runs ``neurons.bn_sn_layer`` in both modes.
-    """
-    extra = () if bias is None else (bias,)
-    if bn.training:
-        return bn(op(x, w, *extra))
-    dtype = w.data.dtype
-    inv_std = (1.0 / np.sqrt(bn.running_var.astype(dtype) + bn.eps)).astype(dtype)
-    s = mul(bn.gamma, Tensor._wrap(inv_std))
-    t = sub(bn.beta, mul(s, Tensor._wrap(bn.running_mean.astype(dtype))))
-    w_folded = mul(w, reshape(s, (-1, 1, 1, 1) if w.ndim == 4 else (-1,)))
-    if bias is None:
-        return add(op(x, w_folded), reshape(t, (-1, 1, 1)))
-    return op(x, w_folded, add(mul(bias, s), t))
 
 
 class SaSgcLayer(Module):

@@ -73,13 +73,38 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-def _unknown_keys(base: dict, override: dict, path: str = "") -> list[str]:
+# Keys set by default whose readers also take None, as "off".
+NULLABLE = ("optimizer.early_stop_train_acc", "kd")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# (default's type, what it takes, test); the first whose type matches wins
+_KINDS = ((dict, "a mapping", lambda v: isinstance(v, dict)),
+          (int, "an integer", lambda v: _is_number(v) and isinstance(v, int)),
+          (float, "a number", _is_number),
+          (list, "a list of numbers",
+           lambda v: isinstance(v, list) and all(map(_is_number, v))),
+          (object, "a string", lambda v: isinstance(v, str)))
+
+
+def _problems(base: dict, override: dict, path: str = "") -> list[str]:
+    """Every key of ``override`` that ``base`` lacks, and every value whose
+    type differs from its default's (``_KINDS``; a None default is a path,
+    a string).  None stands where the default is None or in NULLABLE."""
     out = []
     for key, value in override.items():
+        dotted = path + key
         if key not in base:
-            out.append(path + key)
+            out.append(f"unknown config key {dotted!r}")
         elif isinstance(base[key], dict) and isinstance(value, dict):
-            out += _unknown_keys(base[key], value, path + key + ".")
+            out += _problems(base[key], value, dotted + ".")
+        elif value is not None or (base[key] is not None and dotted not in NULLABLE):
+            want, fits = next((w, f) for t, w, f in _KINDS if isinstance(base[key], t))
+            if not fits(value):
+                out.append(f"{dotted} must be {want}, got {value!r}")
     return out
 
 
@@ -97,10 +122,14 @@ class RunConfig:
     """Nested configuration dictionary with dotted-key access."""
 
     def __init__(self, values: Optional[dict] = None):
-        unknown = _unknown_keys(DEFAULTS, values or {})
-        if unknown:    # all of them, so an old file is mended in one pass
-            raise ConfigError("unknown config key " + ", ".join(map(repr, unknown)))
-        self.values = _merge(DEFAULTS, values or {})
+        self.values = copy.deepcopy(DEFAULTS)
+        self._update(values or {})
+
+    def _update(self, values: dict) -> None:
+        problems = _problems(DEFAULTS, values)
+        if problems:    # all of them, so an old file is mended in one pass
+            raise ConfigError("; ".join(problems))
+        self.values = _merge(self.values, values)
 
     @classmethod
     def load(cls, path: Optional[str] = None) -> "RunConfig":
@@ -126,15 +155,9 @@ class RunConfig:
         return node
 
     def set(self, dotted: str, value) -> None:
-        parts = dotted.split(".")
-        node = self.values
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config group {dotted!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node[parts[-1]] = value
+        for part in reversed(dotted.split(".")):
+            value = {part: value}
+        self._update(value)
 
     def override(self, overrides: dict[str, Any]) -> "RunConfig":
         for key, value in overrides.items():

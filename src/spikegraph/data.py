@@ -56,7 +56,6 @@ class SkeletonTopology:
     edges: tuple[tuple[int, int], ...]
     root: int
     num_joints: int
-    name: str = "custom"
 
     def __post_init__(self):
         seen = {self.root}
@@ -86,11 +85,11 @@ class SkeletonTopology:
 
     @classmethod
     def ntu25(cls) -> "SkeletonTopology":
-        return cls(tuple(_NTU25_EDGES), root=0, num_joints=25, name="ntu25")
+        return cls(tuple(_NTU25_EDGES), root=0, num_joints=25)
 
     @classmethod
     def ucla20(cls) -> "SkeletonTopology":
-        return cls(tuple(_UCLA20_EDGES), root=0, num_joints=20, name="ucla20")
+        return cls(tuple(_UCLA20_EDGES), root=0, num_joints=20)
 
     @classmethod
     def for_joint_count(cls, v: int) -> "SkeletonTopology":
@@ -426,21 +425,26 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
                       ) -> list[SkeletonSequence]:
     """Scan a directory of `.skeleton` files; labels decoded from filenames.
 
-    Parsed joint tensors are cached as SGT1 blobs keyed by the file content
-    hash when a cache directory is configured.  An entry that is missing or
-    does not load is a miss: the file is parsed again and the entry rewritten.
+    A file whose name carries no ``A###`` class is a ``FormatError``,
+    raised before any file is read.  Parsed joint tensors are cached as
+    SGT1 blobs keyed by the file content hash when a cache directory is
+    configured.  An entry that is missing or does not load is a miss: the
+    file is parsed again and the entry rewritten.
     """
     if not os.path.isdir(data_dir):
         raise InvalidInputError(f"no such dataset directory: {data_dir}")
+    names = sorted(n for n in os.listdir(data_dir) if n.endswith(".skeleton"))
+    labels = [label_from_filename(n) for n in names]
+    if None in labels:
+        raise FormatError(f"no A### action class in the name of "
+                          f"{os.path.join(data_dir, names[labels.index(None)])}")
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
     sequences = []
-    names = sorted(n for n in os.listdir(data_dir) if n.endswith(".skeleton"))
-    for name in names:
+    for name, label in zip(names, labels):
         path = os.path.join(data_dir, name)
         with open(path, "rb") as fh:
             raw = fh.read()
-        label = label_from_filename(name)
         joints = None
         cache_path = None
         if cache_dir:

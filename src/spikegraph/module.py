@@ -136,9 +136,9 @@ class BatchNorm(Module):
 
     Every BatchNorm in the models follows a linear map.  One feeding
     spiking neurons runs with them as ``neurons.bn_sn_layer``, in training
-    and in eval.  The others (the teacher's and the FTM's fuse) go through
-    ``blocks.linear_bn``: ``forward`` in training, folded into the map in
-    eval, where ``forward`` is the unfolded reference.
+    and in eval.  The others (the teacher's and the FTM's fuse) run
+    ``forward`` on the map's output in both modes.  Both paths take eval
+    statistics from ``tensor._bn_setup``.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import (SaSgcLayer, StcLayer, channel_map, check_temporal_kernel,
-                     graph_conv, linear_bn, partition_branches, sa_sgc_stc_block)
+                     graph_conv, partition_branches, sa_sgc_stc_block)
 from .data import SkeletonTopology
 from .encoding import SscEncoder
 from .fusion import (MODALITY_ORDER, FusionWeights, SpikeMultimodalFusion,
@@ -310,17 +310,15 @@ class GcTcUnit(Module):
             self.bn_res = BatchNorm(out_channels)
 
     def forward(self, x: Tensor, adj: np.ndarray) -> Tensor:
-        h = relu(linear_bn(lambda x, w: graph_conv(x, adj, w), x, self.w_graph,
-                           self.bn_gc))
+        h = relu(self.bn_gc(graph_conv(x, adj, self.w_graph)))
         pad_t = (self.kernel_t - 1) // 2
-        y = linear_bn(lambda h, w, b: conv2d(h, w, b, stride=(1, self.stride),
-                                             padding=(0, pad_t)),
-                      h, self.w_t, self.bn_tc, self.b_t)
+        y = self.bn_tc(conv2d(h, self.w_t, self.b_t, stride=(1, self.stride),
+                              padding=(0, pad_t)))
         res = x
         if self.stride == 2:
             res = slice_(res, (..., slice(0, None, 2)))
         if self.w_res is not None:
-            res = linear_bn(channel_map, res, self.w_res, self.bn_res)
+            res = self.bn_res(channel_map(res, self.w_res))
         return relu(add(y, res))
 
 
@@ -409,7 +407,7 @@ class FtmBranch(Module):
                 f"FTM expects {self.cat_channels} concatenated channels, "
                 f"got {cat.shape[1]}")
         fused = depthwise_conv2d(cat, self.w_depthwise, padding=1)
-        fused = linear_bn(channel_map, fused, self.w_pointwise, self.bn_fuse)  # [B, 4C, V, T]
+        fused = self.bn_fuse(channel_map(fused, self.w_pointwise))  # [B, 4C, V, T]
         projected = channel_map(fused, self.w_translate)  # [B, C', V, T]
         return bn_sn_layer(repeat0(projected, self.spike_steps), self.bn_translate,
                            self.lif)
@@ -546,7 +544,7 @@ class Trainer:
         if "feature" in settings.kd and ftm is None:
             raise InvalidInputError("feature distillation requested but no FTM")
         params = model.task_parameters()
-        if ftm is not None and "feature" in settings.kd:
+        if "feature" in settings.kd:
             params = params + ftm.parameters()
         self.optimizer = SGD(params, lr=settings.lr, momentum=settings.momentum,
                              weight_decay=settings.weight_decay)
@@ -563,7 +561,7 @@ class Trainer:
         model.train()
 
         teacher_logits = teacher_taps = None
-        if self.teacher is not None and settings.kd:
+        if settings.kd:
             logits_d, taps_d = self.teacher(batch)
             teacher_logits = {k: v.detach() for k, v in logits_d.items()}
             teacher_taps = {m: {i: t.detach() for i, t in d.items()}
@@ -573,10 +571,10 @@ class Trainer:
             logits, taps, info = model(batch)
             l_task = task_loss(logits, labels)
             l_sdk = l_fkd = None
-            if "soft" in settings.kd and teacher_logits is not None:
+            if "soft" in settings.kd:
                 l_sdk = sdk_loss(logits, aggregate_soft_labels(teacher_logits,
                                                                self.loss_weights))
-            if "feature" in settings.kd and teacher_taps is not None:
+            if "feature" in settings.kd:
                 t_mid, t_high = self.ftm.translate(teacher_taps)
                 l_fkd = (fkd_loss(t_mid, taps[STUDENT_TAP_LAYERS[0]]),
                          fkd_loss(t_high, taps[STUDENT_TAP_LAYERS[1]]))

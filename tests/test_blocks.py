@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spikegraph.blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv,
-                               linear_bn, normalize_adjacency, partition_branches,
+                               normalize_adjacency, partition_branches,
                                sa_sgc_stc_block)
 from spikegraph.data import SkeletonTopology
 from spikegraph.module import BatchNorm
@@ -22,7 +22,7 @@ def random_tree(v, rng):
     for child in range(1, v):
         parent = int(rng.integers(0, child))
         edges.append((child, parent))
-    return SkeletonTopology(tuple(edges), root=0, num_joints=v, name="fuzz")
+    return SkeletonTopology(tuple(edges), root=0, num_joints=v)
 
 
 def spectral_radius(m, iters=200):
@@ -78,7 +78,7 @@ class TestPartitionBranches:
                                        atol=1e-7)
 
     def test_two_joint_chain_inward_single_edge(self):
-        topo = SkeletonTopology(((1, 0),), root=0, num_joints=2, name="chain")
+        topo = SkeletonTopology(((1, 0),), root=0, num_joints=2)
         v = topo.num_joints
         inward = np.zeros((v, v), dtype=np.float32)
         for c, p in topo.edges:
@@ -195,7 +195,7 @@ def random_bn(channels, seed):
     return bn
 
 
-class TestLinearBn:
+class TestBnOfLinearMap:
     def _operands(self, kind, seed):
         x_shape, w_shape, bias_len, op = LINEAR_OPS[kind]
         rng = np.random.default_rng(seed)
@@ -205,30 +205,9 @@ class TestLinearBn:
             Tensor(rng.normal(size=bias_len).astype(np.float32)),)
         return op, x, w, extra
 
-    @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
-    def test_eval_fold_matches_batch_norm(self, kind):
-        """The fold reassociates a per-channel scale into the map's sums:
-        within 1e-6 of the largest output magnitude of ``bn(op(x, w))`` in
-        float32 (measured: at most 3e-7 of it over 30 seeds)."""
-        op, x, w, extra = self._operands(kind, seed=31)
-        bn = random_bn(4, seed=32).eval()
-        got = linear_bn(op, x, w, bn, *extra).data
-        ref = bn(op(x, w, *extra)).data
-        assert got.shape == ref.shape and got.dtype == np.float32
-        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
-    def test_training_is_the_unfolded_composition(self, kind):
-        op, x, w, extra = self._operands(kind, seed=33)
-        bn, ref_bn = random_bn(4, seed=34), random_bn(4, seed=34)
-        np.testing.assert_array_equal(linear_bn(op, x, w, bn, *extra).data,
-                                      ref_bn(op(x, w, *extra)).data)
-        np.testing.assert_array_equal(bn.running_mean, ref_bn.running_mean)
-        np.testing.assert_array_equal(bn.running_var, ref_bn.running_var)
-
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
-    def test_spiking_is_sn_layer_of_linear_bn(self, kind, training):
+    def test_spiking_is_sn_layer_of_bn(self, kind, training):
         """A spiking site, ``bn_sn_layer(op(...))``, against the unfused
         ``sn_layer(bn(op(...)))``: bit-identical spikes, gradients and
         statistics in both modes."""
@@ -249,13 +228,16 @@ class TestLinearBn:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(LINEAR_OPS))
-    def test_eval_fold_gradient_matches_fd(self, kind):
+    def test_eval_gradient_matches_fd(self, kind):
+        """The teacher's and the FTM's sites, ``bn(op(x, w[, bias]))`` in
+        eval: gradients of x, w, gamma, beta and the bias against central
+        differences."""
         op, x, w, extra = self._operands(kind, seed=35)
         bn = random_bn(4, seed=36).eval()
 
         def f(x, w, gamma, beta, *bias):
             bn.gamma, bn.beta = gamma, beta
-            return _weighted_sum(linear_bn(op, x, w, bn, *bias), seed=37)
+            return _weighted_sum(bn(op(x, w, *bias)), seed=37)
 
         report = grad_check(f, [x, w, bn.gamma, bn.beta, *extra], h=1e-4, tol=1e-5)
         assert report.passed, report

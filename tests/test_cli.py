@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 import yaml
 
-from spikegraph import cli, profiler
+from spikegraph import cli, data, profiler
 from spikegraph.config import ConfigError, RunConfig
 from spikegraph.data import SkeletonTopology
 from spikegraph.module import save_checkpoint
 from spikegraph.network import MkSgnModel, save_model
+from test_data import make_skeleton_text
 
 SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
                       "energy_report.schema.json")
@@ -242,8 +243,20 @@ def test_per_pair_estimator_checkpoint_is_rejected(tmp_path, tiny_data, capsys):
     ({"loss": {"gamma": [1, 1]}}, "none", "loss.gamma must hold 3 weights, got 2"),
     ({"preprocess": {"target_T": 6}}, "soft", "preprocess.target_T must be a multiple "
      "of 4 for the student's stride-2 layers, got 6"),
+    ({"preprocess": {"batch_size": "8"}}, "none",
+     "preprocess.batch_size must be an integer, got '8'"),
+    ({"dataset": {"classes": "x"}}, "none", "dataset.classes must be an integer, got 'x'"),
+    ({"optimizer": {"epochs": 2.5}}, "none", "optimizer.epochs must be an integer, got 2.5"),
+    ({"optimizer": {"lr": True}}, "none", "optimizer.lr must be a number, got True"),
+    ({"optimizer": {"lr": None}}, "none", "optimizer.lr must be a number, got None"),
+    ({"loss": {"alpha": [1, "a", 1, 1]}}, "none", "loss.alpha must be a list of numbers"),
+    ({"dataset": {"cache_dir": 5}}, "none", "dataset.cache_dir must be a string, got 5"),
+    ({"kd": ["soft"]}, "none", "kd must be a string, got ['soft']"),
+    ({"preprocess": 8}, "none", "preprocess must be a mapping, got 8"),
 ], ids=["optimizer_epochs", "teacher_epochs", "batch_size", "even_temporal_kernel",
-        "alpha_length", "beta_length", "gamma_length", "target_T"])
+        "alpha_length", "beta_length", "gamma_length", "target_T", "batch_size_str",
+        "classes_str", "epochs_float", "lr_bool", "lr_null", "alpha_str", "cache_dir_int",
+        "kd_list", "group_scalar"])
 def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, values, kd,
                                                 message):
     config = _write_config(tmp_path / "run.yaml", values)
@@ -254,6 +267,16 @@ def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, val
     assert code == cli.EXIT_CONFIG
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "run" / "teacher.ckpt").exists()
+
+
+def test_null_is_taken_where_its_reader_handles_it():
+    cfg = RunConfig({"optimizer": {"early_stop_train_acc": None}, "kd": None,
+                     "dataset": {"dir": None}, "loss": {"beta": [1, 0.5]}})
+    assert cfg.kd_modes() == frozenset()
+    assert cfg.train_settings().early_stop_train_acc is None
+    assert RunConfig(yaml.safe_load(cfg.dumps())) == cfg
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        cfg.set("seed", "3")
 
 
 def test_eval_rejects_frames_the_student_cannot_halve(tmp_path, tiny_data, capsys):
@@ -348,3 +371,66 @@ def test_commands_preprocess_only_the_splits_they_read(tmp_path, split_data, mon
                      "--out", str(tmp_path / "run"), *args,
                      "--data", data_dir]) == cli.EXIT_OK
     assert sizes == preprocessed
+
+
+@pytest.fixture(scope="module")
+def ntu_data(tmp_path_factory):
+    """8 NTU-layout ``.skeleton`` files of 12 frames, classes A001 and A002."""
+    raw = tmp_path_factory.mktemp("ntu") / "raw"
+    raw.mkdir()
+    rng = np.random.default_rng(7)
+    for rep in range(1, 5):
+        for action in (1, 2):
+            xyz = rng.normal(size=(12, 25, 3)).round(4)
+            text = make_skeleton_text(12, coords=lambda t, b, j, xyz=xyz: xyz[t, j])
+            (raw / f"S001C001P001R00{rep}A00{action}.skeleton").write_text(text)
+    return raw
+
+
+def _ntu_config(path, raw, cache_dir):
+    return _write_config(path, {"dataset": {"kind": "ntu_dir", "dir": str(raw),
+                                            "cache_dir": str(cache_dir)},
+                                "preprocess": {"target_T": 8}})
+
+
+def test_ntu_dir_train_eval_profile_chain(tmp_path, ntu_data, monkeypatch):
+    """train, eval and profile on a directory of ``.skeleton`` files; a
+    second eval parses nothing, reading the cache the first run filled,
+    and writes the same report."""
+    cache = tmp_path / "cache"
+    run_dir = tmp_path / "run"
+    common = ["--config", _ntu_config(tmp_path / "ntu.yaml", ntu_data, cache),
+              "--out", str(run_dir)]
+    assert cli.main(common + ["train", "--epochs", "1"]) == cli.EXIT_OK
+    assert len(list(cache.glob("*.sgt"))) == 8
+    ckpt = str(run_dir / "student.ckpt")
+    assert cli.main(common + ["eval", ckpt]) == cli.EXIT_OK
+    report = (run_dir / "eval.json").read_bytes()
+    assert sum(map(sum, json.loads(report)["confusion"])) == 2
+    assert cli.main(common + ["profile", "--checkpoint", ckpt]) == cli.EXIT_OK
+    assert (run_dir / "energy_report.json").exists()
+
+    (run_dir / "eval.json").unlink()
+    monkeypatch.setattr(data, "parse_ntu", None)
+    assert cli.main(common + ["eval", ckpt]) == cli.EXIT_OK
+    assert (run_dir / "eval.json").read_bytes() == report
+
+
+@pytest.mark.parametrize("command", [["train", "--epochs", "1"], ["eval", "{ckpt}"]],
+                         ids=["train", "eval"])
+def test_unlabeled_skeleton_file_is_a_data_error(tmp_path, ntu_data, capsys, monkeypatch,
+                                                  command):
+    raw = tmp_path / "raw"
+    shutil.copytree(ntu_data, raw)
+    (raw / "S001C001P001R005.skeleton").write_text(make_skeleton_text(12))
+    preprocessed = []
+    monkeypatch.setattr(cli, "preprocess_sequences", lambda *a: preprocessed.append(a))
+    ckpt = _save_student(tmp_path / "student.ckpt")
+    capsys.readouterr()
+    code = cli.main(["--config", _ntu_config(tmp_path / "ntu.yaml", raw, tmp_path / "cache"),
+                     "--out", str(tmp_path / "run"),
+                     *(arg.format(ckpt=ckpt) for arg in command)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert "S001C001P001R005.skeleton" in err and "Traceback" not in err
+    assert preprocessed == []

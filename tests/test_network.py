@@ -1,6 +1,6 @@
 """Checkpoint round trip, the training step's optimizer bookkeeping, the
-epoch loop's LR step and early stop, the eval-mode BatchNorm fold and the
-eval forward's page faults."""
+epoch loop's LR step and early stop, eval-mode BatchNorm and the eval
+forward's page faults."""
 
 import contextlib
 import dataclasses
@@ -66,8 +66,7 @@ class TestTrainStep:
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_student_forward_runs_no_batch_norm(self, trained, monkeypatch, training):
         # every student BatchNorm feeds spiking neurons, so in both modes it
-        # runs inside neurons.bn_sn_layer, never as tensor.batch_norm or
-        # through blocks.linear_bn's fold
+        # runs inside neurons.bn_sn_layer, never as tensor.batch_norm
         cfg, topo, _, batch = trained
         model = cfg.build_student(CLASSES, topo, np.random.default_rng(0)).train(training)
         calls = []
@@ -75,10 +74,6 @@ class TestTrainStep:
         for mod in (module, tensor):
             monkeypatch.setattr(mod, "batch_norm",
                                 lambda *a, **k: calls.append(a) or batch_norm(*a, **k))
-        linear_bn = blocks.linear_bn
-        for mod in (blocks, network):
-            monkeypatch.setattr(mod, "linear_bn",
-                                lambda *a: calls.append(a) or linear_bn(*a))
         fused = []
         for mod in (blocks, encoding, network):
             monkeypatch.setattr(mod, "bn_sn_layer",
@@ -344,10 +339,6 @@ def randomize_bn(model, seed):
             bn.running_var[:] = rng.uniform(0.5, 2.0, c)
 
 
-def unfolded_linear_bn(op, x, w, bn, bias=None):
-    return bn(op(x, w, *(() if bias is None else (bias,))))
-
-
 def unfused_bn_sn_layer(x, bn, cfg):
     return neurons.sn_layer(bn(x), cfg)
 
@@ -355,8 +346,7 @@ def unfused_bn_sn_layer(x, bn, cfg):
 def spikes_of(run, monkeypatch, unfolded=False):
     """(result of ``run()``, every spiking output in call order), through
     the models' own ops or, with ``unfolded``, through BatchNorm's own
-    forward: ``linear_bn`` without its fold and ``bn_sn_layer`` as
-    ``sn_layer(bn(x))``."""
+    forward: ``bn_sn_layer`` as ``sn_layer(bn(x))``."""
     spikes = []
 
     def recording(op):
@@ -369,8 +359,6 @@ def spikes_of(run, monkeypatch, unfolded=False):
     ops = {"sn_layer": recording(neurons.sn_layer),
            "bn_sn_layer": recording(unfused_bn_sn_layer if unfolded
                                     else neurons.bn_sn_layer)}
-    if unfolded:
-        ops["linear_bn"] = unfolded_linear_bn
     with monkeypatch.context() as patch:
         for mod in (blocks, encoding, network):
             for name, op in ops.items():
@@ -411,10 +399,10 @@ class TestEvalFold:
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(out, ref)
 
-    def test_teacher_and_ftm_fold_against_unfolded(self, trained, monkeypatch):
-        """Real-valued teacher logits agree within 1e-4 relative; the FTM's
-        translated spikes may flip only at the threshold, through the fold
-        of its fuse BatchNorm."""
+    def test_teacher_and_ftm_eval_is_pure(self, trained):
+        """With random statistics, an eval forward of the teacher and the
+        FTM leaves every BatchNorm buffer as it was, and a second forward
+        gives byte-equal logits and translated spikes."""
         cfg, topo, _, batch = trained
         teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
         student = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
@@ -423,20 +411,27 @@ class TestEvalFold:
         for seed, module in enumerate((teacher, ftm)):
             randomize_bn(module, seed)
             module.eval()
+        buffers = [{k: v for k, v in m.state_dict().items() if k.startswith("buffer:")}
+                   for m in (teacher, ftm)]
 
         def run():
             logits, taps = teacher(batch)
-            return logits, ftm.translate(taps)
+            return ({k: v.data for k, v in logits.items()},
+                    [t.data for t in ftm.translate(taps)])
 
-        (logits, translated), _ = spikes_of(run, monkeypatch)
-        (ref_logits, ref_translated), _ = spikes_of(run, monkeypatch, unfolded=True)
-        for name, ref in ref_logits.items():
-            np.testing.assert_allclose(logits[name].data, ref.data, rtol=1e-4,
-                                       atol=1e-4 * np.abs(ref.data).max())
-        for got, want in zip(translated, ref_translated):
-            assert np.count_nonzero(got.data != want.data) <= 3e-3 * want.size
+        (logits, translated), (again, again_translated) = run(), run()
+        for m, before in zip((teacher, ftm), buffers):
+            after = m.state_dict()
+            assert len(before) > 0
+            for key, value in before.items():
+                assert after[key].tobytes() == value.tobytes(), key
+        assert logits.keys() == again.keys()
+        for name, value in logits.items():
+            assert value.tobytes() == again[name].tobytes()
+        for got, want in zip(translated, again_translated):
+            assert want.any() and got.tobytes() == want.tobytes()
 
-    def test_no_stale_fold(self, trained):
+    def test_no_stale_eval_state(self, trained):
         """An eval forward after a training step, or after load_state_dict
         into a model that already ran in eval, equals a fresh model's."""
         cfg, topo, _, batch = trained
