@@ -52,8 +52,10 @@ def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     binary maps are stacked back along axis 0.  Forward and backward are
     fused into one tape record (BPTT through the unrolled recurrence,
     reset path included), equivalent to composing the one-step update S
-    times.  Without an active tape, or for an input that needs no
-    gradient, no membrane history is kept.
+    times.  Backward keeps only the membrane history, laid out as x, and
+    recomputes each step's spike factor from it, so the spikes are freed
+    once the caller drops them.  Without an active tape, or for an input
+    that needs no gradient, no membrane history is kept.
     """
     if x.ndim < 1 or x.shape[0] == 0:
         raise InvalidInputError("sn_layer requires a non-empty leading spike-step axis")
@@ -62,7 +64,7 @@ def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     out = Tensor._wrap(out_data)
 
     def backward(g):
-        return (_lif_backward(g, h_hist, out_data, cfg),)
+        return (_lif_backward(g, h_hist, cfg, relaxed),)
 
     record_op((x,), (out,), backward)
     return out
@@ -77,10 +79,11 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
     statistics in training (which update the running buffers), the running
     ones in eval.  The recurrence normalizes x a tile at a time, as it
     reaches it, into the buffer that becomes its membrane history (laid
-    out as x); backward applies BatchNorm's gradient to the BPTT gradient
-    in place, from x, which its closure keeps.  As in
-    ``sn_layer``, the history is kept only under an active tape for inputs
-    that need a gradient.
+    out as x).  Backward keeps x and that history, not the spikes: it
+    recomputes the spike factor from the history, as ``sn_layer`` does,
+    and applies BatchNorm's gradient to the BPTT gradient in place, from
+    x.  As in ``sn_layer``, both are kept only under an active tape for
+    inputs that need a gradient.
     """
     if x.ndim < 4 or x.shape[0] == 0:
         raise InvalidInputError("bn_sn_layer requires [S, ..., C, V, T] with S > 0")
@@ -98,7 +101,7 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
     gamma_d = gamma.data
 
     def backward(g):
-        gx = _lif_backward(g, h_hist, out_data, cfg)
+        gx = _lif_backward(g, h_hist, cfg, False)
         return _bn_backward(gx, xv, order, mu, std, gamma_d, training, out=gx)
 
     record_op((x, gamma, beta), (out,), backward)
@@ -167,14 +170,19 @@ def _lif_forward(x: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
             None if hs is None else _from_view(hs, x.shape, order))
 
 
-def _lif_backward(g: np.ndarray, h_hist: np.ndarray, out_data: np.ndarray,
-                  cfg: LifConfig) -> np.ndarray:
+def _lif_backward(g: np.ndarray, h_hist: np.ndarray, cfg: LifConfig,
+                  relaxed: bool) -> np.ndarray:
     """BPTT through the recurrence, reset path included, into a new array
-    laid out as ``h_hist``; every temporary is one tile of scratch."""
+    laid out as ``h_hist``; every temporary is one tile of scratch.  Only
+    the membrane history is read: each step's spike factor is recomputed,
+    into that step's gradient slot, from the window's h - v_threshold by
+    ``_lif_forward``'s arithmetic (hard: h - v_threshold >= 0, which holds
+    exactly when h >= v_threshold; ``relaxed``: the clipped-linear sigma).
+    The reset path keeps the form gv - gv*sigma, whose zeros are +0;
+    gv * (h < v_threshold) would make some of them -0."""
     tau, vth, half = map(h_hist.dtype.type, (cfg.decay_tau, cfg.v_threshold, 0.5))
     hs, order = _step_view(h_hist)                                  # [A, S, R, 1, 1]
     gs = _step_view(g, order=order)[0]
-    sigs = _step_view(out_data, order=order)[0]
     gx = np.empty(hs.shape, dtype=h_hist.dtype)
     rows = max(1, _TILE // hs.shape[0])
     gvbuf = np.empty_like(hs[:, 0, :rows])  # gradient reaching the carried potential
@@ -188,6 +196,12 @@ def _lif_backward(g: np.ndarray, h_hist: np.ndarray, out_data: np.ndarray,
         for s in range(last, -1, -1):
             h, gh, gin = hs[:, s, tile], gx[:, s, tile], gs[:, s, tile]
             np.subtract(h, vth, out=t)
+            if s < last:                        # gh holds the spike factor
+                if relaxed:
+                    np.add(t, half, out=gh)
+                    np.clip(gh, 0.0, 1.0, out=gh)
+                else:
+                    np.greater_equal(t, 0.0, out=gh)
             np.abs(t, out=t)
             np.less_equal(t, half, out=mask)    # the surrogate window
             if s == last:
@@ -196,7 +210,7 @@ def _lif_backward(g: np.ndarray, h_hist: np.ndarray, out_data: np.ndarray,
                 np.multiply(h, gv, out=t)
                 np.subtract(gin, t, out=t)
                 t *= mask
-                np.multiply(gv, sigs[:, s, tile], out=gh)
+                np.multiply(gv, gh, out=gh)
                 np.subtract(gv, gh, out=gh)
                 gh += t
             np.multiply(gh, tau, out=gv)

@@ -95,27 +95,31 @@ class TestTrainStep:
                     teacher=teacher)
 
 
-def _holds_tensor(value, seen) -> bool:
-    """Whether ``value`` is a Tensor or holds one: in a list, tuple or
-    dict, or in a closure cell of a function."""
+def _held(value, seen):
+    """Every object ``value`` is or holds: in a list, tuple or dict, or in
+    a closure cell of a function."""
     if id(value) in seen:
-        return False
+        return
     seen.add(id(value))
-    if isinstance(value, Tensor):
-        return True
     if isinstance(value, (list, tuple)):
-        return any(_holds_tensor(v, seen) for v in value)
-    if isinstance(value, dict):
-        return any(_holds_tensor(v, seen) for v in value.values())
-    if inspect.isfunction(value):
-        return any(_holds_tensor(c.cell_contents, seen) for c in value.__closure__ or ())
-    return False
+        for v in value:
+            yield from _held(v, seen)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _held(v, seen)
+    elif inspect.isfunction(value):
+        for c in value.__closure__ or ():
+            yield from _held(c.cell_contents, seen)
+    else:
+        yield value
 
 
 class TestTapeHoldsNoTensor:
     """A record keeps gradient slots, and its backward closure the arrays
     it reads: no closure on a training step's tapes may hold a Tensor,
-    whose data would then live until the sweep reached the record."""
+    whose data would then live until the sweep reached the record, and no
+    LIF record's closure may hold its own spikes, which its backward
+    recomputes from the membrane history."""
 
     # every op that records, but relu, which runs only in the teacher,
     # outside any tape
@@ -129,17 +133,30 @@ class TestTapeHoldsNoTensor:
         bundle, labels = small_set(topo)
         idx = np.arange(2)
         kinds, holding, tapes = set(), [], []
-        sweep = tensor.backward
+        spikes, lif_kinds = {}, set()       # each LIF record's backward -> its output
+        sweep, record = tensor.backward, neurons.record_op
+
+        def spy(inputs, outputs, backward):
+            spikes[backward] = outputs[0].data
+            record(inputs, outputs, backward)
 
         def scan(loss, tape):
             tapes.append(len(tape))
             for rec in tape._records:
                 kind = rec.backward.__qualname__.split(".<locals>")[0]
                 kinds.add(kind)
-                if _holds_tensor(rec.backward, set()):
+                held = list(_held(rec.backward, set()))
+                if any(isinstance(v, Tensor) for v in held):
                     holding.append(kind)
+                if rec.backward in spikes:
+                    lif_kinds.add(kind)
+                    out = spikes[rec.backward]
+                    if any(isinstance(v, np.ndarray) and np.shares_memory(v, out)
+                           for v in held):
+                        holding.append(f"{kind} spikes")
             sweep(loss, tape)
 
+        monkeypatch.setattr(neurons, "record_op", spy)
         for mod in (network, fusion):
             monkeypatch.setattr(mod, "backward", scan)
         for kd in ("none", "soft,feature"):
@@ -155,6 +172,7 @@ class TestTapeHoldsNoTensor:
                     ftm=ftm).train_step(batch_tensors(bundle, idx), labels[idx])
         assert len(tapes) == 4 and all(tapes)       # each step: SMIC ascent, then the step
         assert kinds == self.KINDS
+        assert lif_kinds == {"sn_layer", "bn_sn_layer"}
         assert holding == []
 
 

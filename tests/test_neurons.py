@@ -2,6 +2,7 @@
 
 import contextlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -268,6 +269,24 @@ class TestSnLayerMatchesParentLoop:
         assert x.grad.tobytes() == ref_grad.tobytes()
         assert out.data.strides == xd.strides
 
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["hard", "relaxed"])
+    def test_zero_gradient_signs_above_the_window(self, relaxed):
+        """Membranes above v_th + 0.5 fire outside the surrogate window, so
+        with g < 0 every gradient is a zero: -0 at the last step (g * 0) and
+        +0 before it (gv - gv*sigma), where gv * (1 - sigma) would give -0."""
+        rng = np.random.default_rng(14)
+        xd = rng.uniform(1.6, 3.0, size=(4, 2, 3, 5)).astype(np.float32)
+        g = -rng.uniform(0.5, 1.5, size=xd.shape).astype(np.float32)
+        x = Tensor(xd, requires_grad=True)
+        with Tape() as tape:
+            out = sn_layer(x, CFG, relaxed=relaxed)
+            backward(sum_(_handing_on(out, g)), tape)
+        h_hist = np.empty_like(xd)
+        ref_grad = _lif_backward(g, h_hist, _lif_forward(xd, h_hist, CFG, relaxed), CFG)
+        assert out.data.all() and not x.grad.any()
+        assert np.signbit(x.grad[-1]).all() and not np.signbit(x.grad[:-1]).any()
+        assert x.grad.tobytes() == ref_grad.tobytes()
+
 
 def _bn(channels, momentum, seed):
     """A training-mode BatchNorm with non-identity gamma, beta and buffers."""
@@ -408,6 +427,53 @@ class TestBnSnLayer:
     def test_empty_step_axis_rejected(self):
         with pytest.raises(InvalidInputError):
             bn_sn_layer(Tensor(np.zeros((0, 2, 4, 3, 3))), _bn(4, 0.1, 8), CFG)
+
+
+class TestTapeKeepsNoSpikes:
+    """As ``test_tensor.TestTapeKeepsOnlyWhatBackwardReads``, for the LIF
+    ops: backward reads the membrane history, not the spikes, so spikes
+    the caller drops are freed though the op's record is still on the
+    tape, and the gradients do not change."""
+
+    OPS = {
+        "sn_layer": lambda x, bn: sn_layer(x, CFG),
+        "sn_layer_relaxed": lambda x, bn: sn_layer(x, CFG, relaxed=True),
+        "bn_sn_layer_train": lambda x, bn: bn_sn_layer(x, bn.train(True), CFG),
+        "bn_sn_layer_eval": lambda x, bn: bn_sn_layer(x, bn.train(False), CFG),
+    }
+
+    @classmethod
+    def run(cls, name, drop):
+        """(whether the spikes' memory died, the leaf gradients) for loss =
+        sum(g * op(x)), x a channel map's output; with ``drop`` the spikes
+        are dropped before the sweep."""
+        rng = np.random.default_rng(12)
+        leaves, produce = _channel_map_input(4, rng)
+        bn = _bn(4, 0.3, 13)
+        g = rng.normal(size=(4, 2, 4, 5, 6)).astype(np.float32)
+        with Tape() as tape:
+            out = cls.OPS[name](produce(), bn)
+            assert out.data.any() and not out.data.all()
+            memory = out.data
+            while memory.base is not None:
+                memory = memory.base
+            alive = weakref.ref(memory)
+            loss = sum_(_handing_on(out, g))
+            del memory
+            if drop:
+                del out
+            died = alive() is None
+            backward(loss, tape)
+        return died, [t.grad for t in (*leaves, bn.gamma, bn.beta) if t.grad is not None]
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_dropped_spikes_are_freed_and_grads_unchanged(self, name):
+        died, got = self.run(name, drop=True)
+        kept, want = self.run(name, drop=False)
+        assert died and not kept
+        assert len(got) == len(want) == (2 if name.startswith("sn_layer") else 4)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestChannelRuns:
