@@ -141,7 +141,7 @@ class SaSgcLayer(Module):
         self.bn_v = BatchNorm(out_channels)
 
     def sgc(self, x: Tensor, adj: np.ndarray) -> Tensor:
-        """H = SN(BN(x W_r)) + SN(BN(sum_k A_k x W_k)); values in {0,1,2}."""
+        """H = SN(BN(x W_r)) + SN(BN(sum_k A_k x W_k)): uint8, values in {0,1,2}."""
         if x.ndim != 5:
             raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
         record_cost("sgc", self, x)

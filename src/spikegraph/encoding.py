@@ -37,7 +37,7 @@ class SscEncoder(Module):
         self.bn = BatchNorm(hidden_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        """x[B, C, V, T] -> spikes [S, B, D, V, T]."""
+        """x[B, C, V, T] -> uint8 spikes [S, B, D, V, T]."""
         if x.ndim != 4:
             raise InvalidInputError(f"SscEncoder expects [B, C, V, T], got {x.shape}")
         record_cost("encoder", self, x)

@@ -40,7 +40,7 @@ def smic_inputs(spikes: list[Tensor], seed: int) -> tuple[np.ndarray, np.ndarray
     shapes = {t.shape for t in spikes}
     if len(shapes) != 1:
         raise DimensionError(f"modality shapes differ: {sorted(shapes)}")
-    pooled = np.stack([t.data.mean(axis=-2) for t in spikes])     # [M, S, B, D, T]
+    pooled = np.stack([t.data.mean(axis=-2, dtype=np.float32) for t in spikes])  # [M,S,B,D,T]
     first, second = (pooled[list(side)] for side in zip(*SpikeMultimodalFusion.PAIRS))
     perm = np.random.default_rng(seed).permutation(pooled.shape[1])
     joint = np.concatenate([first, second], axis=-2)

@@ -14,6 +14,12 @@ The reset is a mask: with m = h < v_threshold, the next step receives
 tau * h * m.  A NaN or infinite membrane therefore carries to the last
 step, where one check covers the whole input.
 
+Dtype rule: hard spikes are ``uint8`` maps of 0 and 1, so the ops that
+consume them keep one byte per element on the tape; the relaxed output is
+float.  The membrane, its history and the input gradient are float32 for
+integer input currents (a sum of spike maps) and in the input's dtype
+otherwise (``tensor._grad_dtype``).
+
 Layout rule: every kernel works on a view of its arrays in their own
 memory order (``tensor._memory_view``), and its outputs, history and
 gradients are laid out as its input is.  The recurrence runs a tile of
@@ -28,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (_TILE, InvalidInputError, NumericalError, Tensor, _active_tape,
-                     _bn_backward, _bn_normalize, _bn_setup, _from_view, _memory_view,
-                     record_op)
+                     _bn_backward, _bn_normalize, _bn_setup, _from_view, _grad_dtype,
+                     _memory_view, record_op)
 
 
 @dataclass(frozen=True)
@@ -49,13 +55,14 @@ def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     """Unroll the LIF recurrence over the leading spike-step axis of ``x``.
 
     Membrane state starts at 0 and is carried between steps; the S
-    binary maps are stacked back along axis 0.  Forward and backward are
-    fused into one tape record (BPTT through the unrolled recurrence,
-    reset path included), equivalent to composing the one-step update S
-    times.  Backward keeps only the membrane history, laid out as x, and
-    recomputes each step's spike factor from it, so the spikes are freed
-    once the caller drops them.  Without an active tape, or for an input
-    that needs no gradient, no membrane history is kept.
+    binary maps are stacked back along axis 0, as ``uint8`` (float with
+    ``relaxed``).  Forward and backward are fused into one tape record
+    (BPTT through the unrolled recurrence, reset path included),
+    equivalent to composing the one-step update S times.  Backward keeps
+    only the membrane history, laid out as x, and recomputes each step's
+    spike factor from it, so the spikes are freed once the caller drops
+    them.  Without an active tape, or for an input that needs no
+    gradient, no membrane history is kept.
     """
     if x.ndim < 1 or x.shape[0] == 0:
         raise InvalidInputError("sn_layer requires a non-empty leading spike-step axis")
@@ -77,13 +84,13 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
 
     BatchNorm is the per-channel affine of ``tensor._bn_setup``: batch
     statistics in training (which update the running buffers), the running
-    ones in eval.  The recurrence normalizes x a tile at a time, as it
-    reaches it, into the buffer that becomes its membrane history (laid
-    out as x).  Backward keeps x and that history, not the spikes: it
-    recomputes the spike factor from the history, as ``sn_layer`` does,
-    and applies BatchNorm's gradient to the BPTT gradient in place, from
-    x.  As in ``sn_layer``, both are kept only under an active tape for
-    inputs that need a gradient.
+    ones in eval.  The spikes are ``uint8``.  The recurrence normalizes x
+    a tile at a time, as it reaches it, into the buffer that becomes its
+    membrane history (laid out as x).  Backward keeps x and that history,
+    not the spikes: it recomputes the spike factor from the history, as
+    ``sn_layer`` does, and applies BatchNorm's gradient to the BPTT
+    gradient in place, from x.  As in ``sn_layer``, both are kept only
+    under an active tape for inputs that need a gradient.
     """
     if x.ndim < 4 or x.shape[0] == 0:
         raise InvalidInputError("bn_sn_layer requires [S, ..., C, V, T] with S > 0")
@@ -126,18 +133,20 @@ def _step_view(a: np.ndarray, channels: bool = False, order=None):
 def _lif_forward(x: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
                  affine=None):
     """Run the recurrence over axis 0 of the currents ``x``; return the
-    spikes and, if ``keep``, the membrane history (else None), both laid
-    out as x is.  Without ``keep`` the membrane lives in one tile of
-    scratch.  With ``affine`` (``tensor._bn_setup``) the currents are
-    BatchNorm's output for x, made tile by tile; x must then hold its steps
-    outermost in memory.  A non-finite membrane at the last step raises;
-    an infinite one times the reset mask 0 is NaN, carried there silently."""
-    tau, vth = map(x.dtype.type, (cfg.decay_tau, cfg.v_threshold))
+    spikes (``uint8``, float if ``relaxed``) and, if ``keep``, the membrane
+    history (else None), both laid out as x is.  Without ``keep`` the
+    membrane lives in one tile of scratch.  With ``affine``
+    (``tensor._bn_setup``) the currents are BatchNorm's output for x, made
+    tile by tile; x must then hold its steps outermost in memory.  A
+    non-finite membrane at the last step raises; an infinite one times the
+    reset mask 0 is NaN, carried there silently."""
+    dtype = _grad_dtype(x.dtype)                                    # the membrane's
+    tau, vth = map(dtype.type, (cfg.decay_tau, cfg.v_threshold))
     xs, order = _step_view(x, affine is not None)                   # [A, S, R, C, Q]
-    hs = np.empty(xs.shape, dtype=x.dtype) if keep else None
-    out = np.empty(xs.shape, dtype=x.dtype)
+    hs = np.empty(xs.shape, dtype=dtype) if keep else None
+    out = np.empty(xs.shape, dtype=dtype if relaxed else np.uint8)
     rows = max(1, _TILE // (xs.shape[0] * xs.shape[3] * xs.shape[4]))
-    vbuf = np.empty_like(xs[:, 0, :rows])    # the decayed carried potential
+    vbuf = np.empty_like(xs[:, 0, :rows], dtype=dtype)  # the decayed carried potential
     hbuf = np.empty_like(vbuf) if hs is None else None
     mbuf = np.empty(vbuf.shape, dtype=bool)
     for j in range(0, xs.shape[2], rows):

@@ -8,6 +8,12 @@ Modules may register further ops through ``record_op`` (the spiking
 neurons live in ``neurons``).  Everything runs on numpy arrays, float32
 by default.
 
+Dtype rule: spikes are ``uint8`` (``neurons``), and an op that receives
+integer data computes in float32 where it does arithmetic, keeping the
+integer array itself for its backward.  Shape ops keep the dtype; ``add``
+keeps two unsigned integer operands unsigned where their sum cannot wrap.
+A gradient is float32 for integer data (``_grad_dtype``).
+
 Layout rule of the convolutions: their outputs are channels last in
 memory (a [B, C, H, W] view of [B, H, W, C] data), and the gradient each
 returns for x is laid out as x.
@@ -66,16 +72,29 @@ class _Record:
 
     def __init__(self, inputs, outputs, backward):
         self.inputs = tuple(t._slot for t in inputs)
-        self.in_dtypes = tuple(t.data.dtype for t in inputs)
+        self.in_dtypes = tuple(_grad_dtype(t.data.dtype) for t in inputs)
         self.outputs = tuple(t._slot for t in outputs)
         self.out_specs = tuple(_spec(t.data) for t in outputs)
         self.backward = backward
 
 
+def _grad_dtype(dtype) -> np.dtype:
+    """The dtype of gradients of, and of arithmetic on, data of ``dtype``:
+    float32 for integer data (spikes), ``dtype`` itself otherwise."""
+    dtype = np.dtype(dtype)
+    return dtype if dtype.kind in "fc" else np.dtype(np.float32)
+
+
+def _as_float(a: np.ndarray) -> np.ndarray:
+    """``a`` in its ``_grad_dtype``, laid out in memory as ``a`` is; float
+    data is returned as is."""
+    return a.astype(_grad_dtype(a.dtype), copy=False)
+
+
 def _spec(a: np.ndarray):
-    """(shape, dtype, strides) of ``a``: what ``_zeros_as`` needs to lay
-    out an array as ``a`` is, without keeping ``a``."""
-    return a.shape, a.dtype, a.strides
+    """(shape, gradient dtype, strides) of ``a``: what ``_zeros_as`` needs
+    to lay out a gradient for ``a`` as ``a`` is, without keeping ``a``."""
+    return a.shape, _grad_dtype(a.dtype), a.strides
 
 
 def _memory_order(strides) -> tuple:
@@ -132,7 +151,9 @@ def record_op(inputs: Sequence["Tensor"], outputs: Sequence["Tensor"],
     The record keeps the gradient slots of ``inputs`` and ``outputs``, not
     the tensors, so it holds no array of theirs: ``backward`` must capture
     the arrays, shapes and dtypes it reads, never a ``Tensor``.  An array
-    no closure names is freed as soon as the forward code drops it.
+    no closure names is freed as soon as the forward code drops it.  The
+    upstream gradients, and those ``backward`` should return, are float:
+    float32 for an integer (spike) tensor.
     """
     requires = any(t.requires_grad for t in inputs)
     for out in outputs:
@@ -232,15 +253,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # Elementwise ops
 # ---------------------------------------------------------------------------
 
+def _uint_sum_fits(ad: np.ndarray, bd: np.ndarray) -> bool:
+    """Whether ad and bd are unsigned integers whose largest elements sum
+    within their common dtype, so that ad + bd cannot wrap."""
+    if not ad.dtype.kind == bd.dtype.kind == "u":
+        return False
+    top = np.iinfo(np.result_type(ad, bd)).max
+    return int(ad.max(initial=0)) + int(bd.max(initial=0)) <= top
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor._wrap(a.data + b.data)
+    """a + b, broadcast.  Spike maps and their sums stay unsigned integers
+    where the sum cannot wrap; other integer operands add in float32."""
+    ad, bd = a.data, b.data
+    if not _uint_sum_fits(ad, bd):
+        ad, bd = _as_float(ad), _as_float(bd)
+    out = Tensor._wrap(ad + bd)
     sa, sb = a.shape, b.shape
     record_op((a, b), (out,), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor._wrap(a.data - b.data)
+    out = Tensor._wrap(_as_float(a.data) - _as_float(b.data))
     sa, sb = a.shape, b.shape
     record_op((a, b), (out,), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
@@ -248,17 +283,18 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    out = Tensor._wrap(ad * bd)
+    out = Tensor._wrap(_as_float(ad) * _as_float(bd))
 
     def backward(g):
-        return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
+        return (_unbroadcast(g * _as_float(bd), ad.shape),
+                _unbroadcast(g * _as_float(ad), bd.shape))
 
     record_op((a, b), (out,), backward)
     return out
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
+    ad, bd = _as_float(a.data), _as_float(b.data)
     out = Tensor._wrap(ad / bd)
 
     def backward(g):
@@ -270,27 +306,28 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor._wrap(a.data * a.data.dtype.type(c))
+    dtype = _grad_dtype(a.dtype)
+    out = Tensor._wrap(np.multiply(a.data, dtype.type(c), dtype=dtype))
     record_op((a,), (out,), lambda g: (g * c,))
     return out
 
 
 def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
+    out_data = np.exp(_as_float(a.data))
     out = Tensor._wrap(out_data)
     record_op((a,), (out,), lambda g: (g * out_data,))
     return out
 
 
 def log(a: Tensor) -> Tensor:
-    ad = a.data
+    ad = _as_float(a.data)
     out = Tensor._wrap(np.log(ad))
     record_op((a,), (out,), lambda g: (g / ad,))
     return out
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
+    out_data = np.sqrt(_as_float(a.data))
     out = Tensor._wrap(out_data)
 
     def backward(g):
@@ -305,7 +342,8 @@ def sqrt(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(a, 0) in one pass, laid out as a.  NaN propagates (it is not
     zeroed), so a diverging input shows in the loss."""
-    out_data = np.maximum(a.data, a.data.dtype.type(0))
+    ad = _as_float(a.data)
+    out_data = np.maximum(ad, ad.dtype.type(0))
     out = Tensor._wrap(out_data)
     record_op((a,), (out,), lambda g: (g * (out_data > 0),))
     return out
@@ -324,15 +362,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner extents disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     try:
-        out_data = np.matmul(ad, bd)
+        out_data = np.matmul(_as_float(ad), _as_float(bd))
     except ValueError as err:
         raise DimensionError(
             f"matmul batch extents do not broadcast: {a.shape} x {b.shape}") from err
     out = Tensor._wrap(out_data)
 
+    # integer operands are cast before they are transposed: the cast keeps
+    # their memory order, so BLAS runs the GEMM as it would on float data
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        ga = np.matmul(g, np.swapaxes(_as_float(bd), -1, -2))
+        gb = np.matmul(np.swapaxes(_as_float(ad), -1, -2), g)
         return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
     record_op((a, b), (out,), backward)
@@ -374,7 +414,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
     im2col is read straight from x's channels-last view, the taps that fall
     in the zero padding written as zeros, and the GEMM's [B*Ho*Wo, Cout]
     output is returned as its [B, Cout, Ho, Wo] view: channels last in
-    memory.  x's gradient is laid out as x.
+    memory.  x's gradient is laid out as x.  im2col, which backward keeps,
+    is in x's dtype (one byte for spikes) and cast for each GEMM.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -405,14 +446,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
         tap[:, ro, co] = x_cl[:, ri, ci]
     cols2d = cols.reshape(B * Ho * Wo, k_total * Cin)
     w2d = np.ascontiguousarray(w.data.transpose(0, 2, 3, 1)).reshape(Cout, k_total * Cin)
-    out2d = cols2d @ w2d.T
+    out2d = _as_float(cols2d) @ w2d.T
     out2d += bias.data
     out = Tensor._wrap(out2d.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
     x_spec = _spec(x.data) if x.requires_grad else None
 
     def backward(g):
         gt2d = g.transpose(0, 2, 3, 1).reshape(-1, Cout)
-        gw = (gt2d.T @ cols2d).reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
+        gw = (gt2d.T @ _as_float(cols2d)).reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
         gx = None
         if x_spec is not None:
             gcols = (gt2d @ w2d).reshape(B, Ho, Wo, k_total, Cin)
@@ -429,8 +470,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
 def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
     """Per-channel cross-correlation, stride 1: x[B,C,H,W] with w[C,kh,kw].
 
-    The taps are multiply-adds over a padded channels-last copy of x, so
-    the output is channels last in memory; x's gradient is laid out as x.
+    The taps are multiply-adds over a padded channels-last copy of x, in
+    x's dtype, so the output (float) is channels last in memory; x's
+    gradient is laid out as x.
     """
     ph, pw = _pair(padding)
     B, C, H, W = x.shape
@@ -445,7 +487,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
     xp = np.zeros((B, Hp, Wp, C), dtype=x.data.dtype)
     xp[:, ph:ph + H, pw:pw + W] = x.data.transpose(0, 2, 3, 1)
     w_cl = np.ascontiguousarray(w.data.transpose(1, 2, 0))          # [kh, kw, C]
-    out_cl = np.zeros((B, Ho, Wo, C), dtype=x.data.dtype)
+    out_cl = np.zeros((B, Ho, Wo, C), dtype=_grad_dtype(x.dtype))
     prod = np.empty_like(out_cl)
     for i in range(kh):
         for j in range(kw):
@@ -590,7 +632,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     out = Tensor._wrap(_from_view(ov, x.shape, order))
     gamma_d = gamma.data
 
-    def backward(g):  # the tape casts each gradient to its input's dtype
+    def backward(g):  # the tape casts each gradient to its input's gradient dtype
         return _bn_backward(g, xv, order, mu, std, gamma_d, training)
 
     record_op((x, gamma, beta), (out,), backward)
@@ -603,8 +645,8 @@ def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps
     ``affine`` holds the per-channel (mean, gamma / std, beta) of
     ``_bn_normalize``, each in the forms of ``_per_channel``.
     Training takes the batch statistics, which must be finite, before it
-    updates the running buffers, the variance unbiased by n/(n-1).  Shared
-    with ``neurons.bn_sn_layer``.
+    updates the running buffers, the variance unbiased by n/(n-1).  Integer
+    input is normalized in float32.  Shared with ``neurons.bn_sn_layer``.
     """
     if x.ndim < 3:
         raise DimensionError(f"batch_norm expects [..., C, V, T], got {x.shape}")
@@ -613,7 +655,7 @@ def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps
     if gamma.size != C or beta.size != C:
         raise DimensionError(
             f"batch_norm gamma/beta length {gamma.size}/{beta.size} != channels {C}")
-    xd = x.data
+    xd = _as_float(x.data)
     xv, order = _memory_view(xd, axis)
     if training:
         mu, var = _bn_stats(xv)
@@ -728,7 +770,8 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     if h_prev.shape != lead + (N, H) or c_prev.shape != lead + (N, H):
         raise DimensionError(
             f"lstm_cell state extents {h_prev.shape}/{c_prev.shape} != {lead + (N, H)}")
-    xd, hd, cd, w_ihd, w_hhd = x.data, h_prev.data, c_prev.data, w_ih.data, w_hh.data
+    xd, hd, cd = _as_float(x.data), h_prev.data, c_prev.data
+    w_ihd, w_hhd = w_ih.data, w_hh.data
     z = (np.matmul(xd, np.swapaxes(w_ihd, -1, -2))
          + np.matmul(hd, np.swapaxes(w_hhd, -1, -2))
          + b_ih.data[..., None, :] + b_hh.data[..., None, :])
@@ -740,8 +783,8 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     c_data = f * cd + i * gcell
     tc = np.tanh(c_data)
     h_data = o * tc
-    h = Tensor._wrap(h_data.astype(x.data.dtype))
-    c = Tensor._wrap(c_data.astype(x.data.dtype))
+    h = Tensor._wrap(h_data.astype(xd.dtype))
+    c = Tensor._wrap(c_data.astype(xd.dtype))
 
     def backward(gh, gc):
         gc_total = gc + gh * o * (1.0 - tc * tc)
@@ -781,9 +824,10 @@ def _norm_axes(axis, ndim):
 
 
 def sum_(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor._wrap(x.data.sum(axis=axis, keepdims=keepdims))
+    dtype = _grad_dtype(x.dtype)
+    out = Tensor._wrap(x.data.sum(axis=axis, keepdims=keepdims, dtype=dtype))
     axes = _norm_axes(axis, x.ndim)
-    shape, dtype = x.shape, x.dtype
+    shape = x.shape
 
     def backward(g):
         if not keepdims:
@@ -798,8 +842,9 @@ def sum_(x: Tensor, axis=None, keepdims=False) -> Tensor:
 def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     axes = _norm_axes(axis, x.ndim)
     n = int(np.prod([x.shape[a] for a in axes]))
-    out = Tensor._wrap(x.data.mean(axis=axis, keepdims=keepdims))
-    shape, dtype = x.shape, x.dtype
+    dtype = _grad_dtype(x.dtype)
+    out = Tensor._wrap(x.data.mean(axis=axis, keepdims=keepdims, dtype=dtype))
+    shape = x.shape
 
     def backward(g):
         if not keepdims:
@@ -813,13 +858,14 @@ def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 def max_(x: Tensor, axis=None, keepdims=False) -> Tensor:
     """Max reduction; gradient is routed to the (first) argmax positions."""
-    out_keep = x.data.max(axis=axis, keepdims=True)
-    out_data = out_keep if keepdims else x.data.max(axis=axis, keepdims=False)
-    mask = (x.data == out_keep)
+    xd = _as_float(x.data)
+    out_keep = xd.max(axis=axis, keepdims=True)
+    out_data = out_keep if keepdims else xd.max(axis=axis, keepdims=False)
+    mask = (xd == out_keep)
     count = mask.sum(axis=axis, keepdims=True)
     out = Tensor._wrap(out_data)
     axes = _norm_axes(axis, x.ndim)
-    dtype = x.dtype
+    dtype = xd.dtype
 
     def backward(g):
         if not keepdims:
@@ -904,9 +950,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     gradient: the same array may reach several inputs.
 
     The records hold gradient slots, not tensors: the sweep reads nothing
-    of an op's inputs and outputs but their slots, the input dtypes (each
-    gradient is cast to its input's) and the output layouts (an unused
-    output of a multi-output op gets zeros laid out as that output).
+    of an op's inputs and outputs but their slots, the inputs' gradient
+    dtypes (each gradient is cast to its input's dtype, float32 for an
+    integer input) and the output layouts (an unused output of a
+    multi-output op gets zeros laid out as that output).
     """
     if loss.size != 1:
         raise InvalidInputError(f"backward expects a scalar loss, got shape {loss.shape}")

@@ -11,11 +11,13 @@ channels-last kernels' outputs and gradients must stay byte-identical
 stated tolerance);
 ``firing_rate`` is the binary-checked rate;
 ``grad_check`` compares analytic tape gradients with central finite
-differences.
+differences; ``held`` lists what a backward closure holds and
+``closure_bytes`` weighs the arrays that a tape's closures hold, per op.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Sequence
 
 import numpy as np
@@ -274,3 +276,44 @@ def grad_check(f: Callable[..., Tensor], leaves: Sequence[Tensor],
             checked += 1
     passed = checked > 0 and (checked - failures) >= min_pass_fraction * checked
     return GradCheckReport(max_rel, passed, failures, checked)
+
+
+def held(value, seen=None):
+    """Every object ``value`` is or holds: in a list, tuple or dict, or in
+    a closure cell of a function, each object once."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from held(v, seen)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from held(v, seen)
+    elif inspect.isfunction(value):
+        for c in value.__closure__ or ():
+            yield from held(c.cell_contents, seen)
+    else:
+        yield value
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def closure_bytes(tape: Tape) -> dict[str, int]:
+    """Bytes of the arrays that the backward closures of ``tape``'s records
+    hold, per op (the function that recorded the closure).  A view counts
+    as the array it is cut from, and each such base array once, for the
+    first record in tape order that holds it."""
+    seen, per_op = set(), {}
+    for rec in tape._records:
+        op = rec.backward.__qualname__.split(".")[0]
+        for a in held(rec.backward):
+            if isinstance(a, np.ndarray) and id(_base(a)) not in seen:
+                seen.add(id(_base(a)))
+                per_op[op] = per_op.get(op, 0) + _base(a).nbytes
+    return per_op

@@ -10,7 +10,7 @@ from spikegraph.data import SkeletonTopology
 from spikegraph.module import BatchNorm
 from spikegraph.neurons import LifConfig, bn_sn_layer, sn_layer
 from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
-                               backward, conv2d, mul, sum_)
+                               backward, conv2d, matmul, mul, permute, reshape, sum_)
 from oracles import grad_check
 
 
@@ -170,6 +170,92 @@ class TestChannelMap:
 
         report = grad_check(f, [Tensor(x0), Tensor(w0)], h=1e-4, tol=1e-5)
         assert report.passed, report
+
+
+def _spike_map(shape, high, rate, layout, seed):
+    """uint8 [S, B, C, V, T] of values in [0, high], each nonzero with
+    probability ``rate``; C-ordered ("C") or channels innermost in memory
+    ("CL"), as a channel map's or a conv's output is."""
+    rng = np.random.default_rng(seed)
+    a = ((rng.random(shape) < rate) * rng.integers(1, high + 1, shape)).astype(np.uint8)
+    if layout == "C":
+        return a
+    return np.ascontiguousarray(a.transpose(0, 1, 3, 4, 2)).transpose(0, 1, 4, 2, 3)
+
+
+class TestSpikeGemmsMatchFloat:
+    """The four GEMM ops given uint8 spikes and given the same values in
+    float32, laid out alike: outputs and every gradient byte-identical.
+    The operands reach the GEMMs as the blocks pass them: the SSA's
+    permuted Q, K and V, STC's reshaped input."""
+
+    @staticmethod
+    def run(op, spikes, params, seed):
+        """(output, gradients of the spike and parameter leaves) for each
+        of uint8 and float32 spikes, through loss = sum(op(...) * g)."""
+        results = []
+        for cast in (lambda a: a, lambda a: a.astype(np.float32)):
+            leaves = [Tensor(cast(a), requires_grad=True, dtype=cast(a).dtype)
+                      for a in spikes]
+            weights = [Tensor(p, requires_grad=True) for p in params]
+            with Tape() as tape:
+                out = op(*leaves, *weights)
+                g = np.random.default_rng(seed).normal(size=out.shape).astype(np.float32)
+                backward(sum_(mul(out, Tensor(g))), tape)
+            results.append((out.data, [t.grad for t in leaves + weights]))
+        (out_u8, grads_u8), (out_f, grads_f) = results
+        assert out_u8.dtype == np.float32
+        assert out_u8.strides == out_f.strides and out_u8.tobytes() == out_f.tobytes()
+        for gu, gf in zip(grads_u8, grads_f):
+            assert gu.dtype == gf.dtype == np.float32
+            assert gu.strides == gf.strides and gu.tobytes() == gf.tobytes()
+        return out_u8
+
+    # (shape, firing rate): 320 channels at 95% give Q K^T counts past
+    # 255, where uint8 arithmetic would wrap; 64 channels of 25 joints are
+    # where a cast left to numpy, after the transpose, changed the bytes
+    SSA_SHAPES = {"counts_past_255": ((2, 1, 320, 5, 3), 0.95),
+                  "joints_25": ((1, 1, 64, 25, 2), 0.5)}
+
+    @pytest.mark.parametrize("layout", ["C", "CL"])
+    @pytest.mark.parametrize("shape", sorted(SSA_SHAPES))
+    def test_ssa_matmuls(self, shape, layout):
+        size, rate = self.SSA_SHAPES[shape]
+        q, k, v = (_spike_map(size, 1, rate, layout, seed) for seed in (1, 2, 3))
+        counts = []
+
+        def ssa(q, k, v):
+            qk = matmul(permute(q, (0, 1, 4, 3, 2)), permute(k, (0, 1, 4, 2, 3)))
+            counts.append(qk.data.max())
+            return matmul(qk, permute(v, (0, 1, 4, 3, 2)))
+
+        self.run(ssa, (q, k, v), (), seed=4)
+        assert (counts[0] > 255) == (shape == "counts_past_255")
+
+    @pytest.mark.parametrize("layout", ["C", "CL"])
+    def test_stc_conv2d(self, layout):
+        h_sa = _spike_map((2, 3, 6, 5, 8), 3, 0.5, layout, seed=5)
+        rng = np.random.default_rng(6)
+        w = rng.normal(size=(6, 6, 1, 5)).astype(np.float32)
+        b = rng.normal(size=6).astype(np.float32)
+
+        def stc(h, w, b):
+            return conv2d(reshape(h, (6, 6, 5, 8)), w, b, stride=(1, 2), padding=(0, 2))
+
+        self.run(stc, (h_sa,), (w, b), seed=7)
+
+    @pytest.mark.parametrize("layout", ["C", "CL"])
+    def test_channel_map(self, layout):
+        x = _spike_map((2, 2, 64, 25, 2), 2, 0.5, layout, seed=8)
+        w = np.random.default_rng(9).normal(size=(64, 64)).astype(np.float32)
+        self.run(channel_map, (x,), (w,), seed=10)
+
+    @pytest.mark.parametrize("layout", ["C", "CL"])
+    def test_graph_conv(self, layout):
+        adj = partition_branches(SkeletonTopology.ntu25())
+        x = _spike_map((2, 2, 64, 25, 2), 2, 0.5, layout, seed=11)
+        w = np.random.default_rng(12).normal(size=(3, 64, 64)).astype(np.float32)
+        self.run(lambda x, w: graph_conv(x, adj, w), (x,), (w,), seed=13)
 
 
 # op kind -> (x shape, w shape, bias length or None, op); every op writes

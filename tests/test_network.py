@@ -4,7 +4,6 @@ forward's page faults."""
 
 import contextlib
 import dataclasses
-import inspect
 import os
 import subprocess
 import sys
@@ -23,6 +22,8 @@ from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
 from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, Trainer,
                                 batch_tensors, load_model, save_model, train_teacher)
 from spikegraph.tensor import InvalidInputError, Tape, Tensor
+
+import oracles
 
 CLASSES = 4
 
@@ -95,25 +96,6 @@ class TestTrainStep:
                     teacher=teacher)
 
 
-def _held(value, seen):
-    """Every object ``value`` is or holds: in a list, tuple or dict, or in
-    a closure cell of a function."""
-    if id(value) in seen:
-        return
-    seen.add(id(value))
-    if isinstance(value, (list, tuple)):
-        for v in value:
-            yield from _held(v, seen)
-    elif isinstance(value, dict):
-        for v in value.values():
-            yield from _held(v, seen)
-    elif inspect.isfunction(value):
-        for c in value.__closure__ or ():
-            yield from _held(c.cell_contents, seen)
-    else:
-        yield value
-
-
 class TestTapeHoldsNoTensor:
     """A record keeps gradient slots, and its backward closure the arrays
     it reads: no closure on a training step's tapes may hold a Tensor,
@@ -145,7 +127,7 @@ class TestTapeHoldsNoTensor:
             for rec in tape._records:
                 kind = rec.backward.__qualname__.split(".<locals>")[0]
                 kinds.add(kind)
-                held = list(_held(rec.backward, set()))
+                held = list(oracles.held(rec.backward))
                 if any(isinstance(v, Tensor) for v in held):
                     holding.append(kind)
                 if rec.backward in spikes:
@@ -174,6 +156,60 @@ class TestTapeHoldsNoTensor:
         assert kinds == self.KINDS
         assert lif_kinds == {"sn_layer", "bn_sn_layer"}
         assert holding == []
+
+
+class TestSpikesAreOneByte:
+    """Spikes are uint8 from the encoders to the distillation taps, so the
+    ops that consume them keep one byte per element on the tape."""
+
+    def test_kd_step(self, monkeypatch):
+        topo = SkeletonTopology.ntu25()
+        bundle, labels = small_set(topo)
+        idx = np.arange(2)
+        cfg = RunConfig({"kd": "soft,feature", "preprocess": {"target_T": 8, "batch_size": 2}})
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+        teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
+        ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
+                        np.random.default_rng(2))
+        outputs = {"encoder": [], "block": [], "tap": [], "ftm": []}
+
+        def spy(kind, fn, tensors=lambda out: [out]):
+            def call(*args):
+                out = fn(*args)
+                outputs[kind].extend(tensors(out))
+                return out
+            return call
+
+        monkeypatch.setattr(model, "encode", spy("encoder", model.encode, list))
+        monkeypatch.setattr(model, "forward",
+                            spy("tap", model.forward, lambda out: out[1].values()))
+        monkeypatch.setattr(network, "sa_sgc_stc_block",
+                            spy("block", network.sa_sgc_stc_block))
+        monkeypatch.setattr(network.FtmBranch, "forward",
+                            spy("ftm", network.FtmBranch.forward))
+        float_spikes, tapes, sweep = [], [], tensor.backward
+
+        # a float feature map ([..., C, V, T]) of 0s and 1s; per-channel
+        # vectors (BatchNorm's gamma starts at 1), one-hot labels, masks and
+        # the LSTM's zero initial state are exempt
+        def scan(loss, tape):
+            for rec in tape._records:
+                for a in oracles.held(rec.backward):
+                    if (isinstance(a, np.ndarray) and a.dtype.kind == "f" and a.ndim >= 3
+                            and np.isin(a, (0.0, 1.0)).all() and (a == 1).any()):
+                        float_spikes.append((rec.backward.__qualname__, a.shape))
+            tapes.append(len(tape))
+            sweep(loss, tape)
+
+        for mod in (network, fusion):
+            monkeypatch.setattr(mod, "backward", scan)
+        trainer = Trainer(model, bundle, labels, cfg.train_settings(),
+                          loss_weights=cfg.loss_weights(), teacher=teacher, ftm=ftm)
+        trainer.train_step(batch_tensors(bundle, idx), labels[idx])
+        assert [len(v) for v in outputs.values()] == [4, 6, 2, 2]
+        assert all(t.dtype == np.uint8 for v in outputs.values() for t in v)
+        assert len(tapes) == 2 and all(tapes)         # SMIC ascent, then the step
+        assert float_spikes == []
 
 
 def small_set(topo):

@@ -232,8 +232,9 @@ def _as_layout(a, like):
 
 class TestSnLayerMatchesParentLoop:
     """``sn_layer`` against the earlier whole-step loop (``oracles``) in
-    every input layout: spikes and input gradients byte-identical, and
-    the spikes laid out in memory as the input is."""
+    every input layout: input gradients byte-identical, the spikes laid
+    out in memory as the input is and equal to the loop's, as ``uint8``
+    (hard) or byte-identical floats (relaxed)."""
 
     LAYOUTS = ("contiguous", "channel_map", "graph_conv", "smic")
 
@@ -265,9 +266,14 @@ class TestSnLayerMatchesParentLoop:
         ref_grad = _lif_backward(g, h_hist, ref_out, cfg)
         assert out.data.any() and not out.data.all()
         assert np.abs(ref_grad).max() > 0
-        assert out.data.tobytes() == ref_out.tobytes()
+        if relaxed:
+            assert out.data.tobytes() == ref_out.tobytes()
+        else:
+            assert out.data.dtype == np.uint8
+            assert np.array_equal(out.data, ref_out)
         assert x.grad.tobytes() == ref_grad.tobytes()
-        assert out.data.strides == xd.strides
+        assert out.data.strides == tuple(st // xd.itemsize * out.data.itemsize
+                                         for st in xd.strides)
 
     @pytest.mark.parametrize("relaxed", [False, True], ids=["hard", "relaxed"])
     def test_zero_gradient_signs_above_the_window(self, relaxed):
@@ -286,6 +292,34 @@ class TestSnLayerMatchesParentLoop:
         assert out.data.all() and not x.grad.any()
         assert np.signbit(x.grad[-1]).all() and not np.signbit(x.grad[:-1]).any()
         assert x.grad.tobytes() == ref_grad.tobytes()
+
+
+# LIF op -> its run on x; sn_layer takes spike sums as currents where STC's
+# residual and the head's SN run
+INTEGER_CURRENT_OPS = {
+    "sn_layer": lambda x: sn_layer(x, CFG),
+    "sn_layer_relaxed": lambda x: sn_layer(x, CFG, relaxed=True),
+    "bn_sn_layer": lambda x: bn_sn_layer(x, _bn(4, 0.1, 16), CFG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CURRENT_OPS))
+def test_integer_currents_run_as_float32(name):
+    """uint8 currents of 0..3 give the spikes, and the float32 input
+    gradient, that the same values in float32 give, byte for byte."""
+    xd = np.random.default_rng(15).integers(0, 4, size=(4, 2, 4, 5, 6)).astype(np.uint8)
+    g = np.random.default_rng(16).normal(size=xd.shape).astype(np.float32)
+    runs = []
+    for data in (xd, xd.astype(np.float32)):
+        x = Tensor(data, requires_grad=True, dtype=data.dtype)
+        with Tape() as tape:
+            out = INTEGER_CURRENT_OPS[name](x)
+            backward(sum_(mul(out, Tensor(g))), tape)
+        runs.append((out.data, x.grad))
+    (out, grad), (ref, ref_grad) = runs
+    assert out.dtype == ref.dtype == (np.float32 if name.endswith("relaxed") else np.uint8)
+    assert out.tobytes() == ref.tobytes() and out.any() and not out.all()
+    assert grad.dtype == np.float32 and grad.tobytes() == ref_grad.tobytes()
 
 
 def _bn(channels, momentum, seed):

@@ -615,6 +615,89 @@ class TestTapeKeepsOnlyWhatBackwardReads:
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+class TestIntegerInput:
+    """Every op on uint8 input (spikes and their sums) against the same
+    values in float32: where it does arithmetic it returns float32 with
+    the float path's bytes, a shape op keeps uint8, and the input's
+    gradient is float32 with the float path's bytes."""
+
+    # op -> (op of x, whether it keeps uint8); x is [2, 3, 4, 5] of 1..3
+    OPS = {
+        "add": (lambda x: add(x, x), True),
+        "sub": (lambda x: sub(x[:, :1], x), False),
+        "mul": (lambda x: mul(x, x), False),
+        "div": (lambda x: div(x, x[:, :1]), False),
+        "scale": (lambda x: scale(x, 0.3), False),
+        "exp": (lambda x: exp(x), False),
+        "log": (lambda x: log(x), False),
+        "sqrt": (lambda x: sqrt(x), False),
+        "relu": (lambda x: relu(x), False),
+        "sum_": (lambda x: sum_(x, axis=(1, 3)), False),
+        "mean": (lambda x: mean(x, axis=2), False),
+        "max_": (lambda x: max_(x, axis=3), False),
+        "reshape": (lambda x: reshape(x, (6, -1)), True),
+        "permute": (lambda x: permute(x, (0, 2, 3, 1)), True),
+        "concat": (lambda x: concat([x, x[:, :1]], axis=1), True),
+        "slice_": (lambda x: slice_(x, (slice(None), slice(1, 3))), True),
+        "repeat0": (lambda x: repeat0(x, 2), True),
+        "matmul": (lambda x: matmul(x, permute(x, (0, 1, 3, 2))), False),
+        "conv2d": (lambda x: conv2d(x, Tensor(rand(4, 3, 1, 3, seed=70)), zero_bias(4),
+                                    stride=(1, 2), padding=(0, 1)), False),
+        "depthwise_conv2d": (lambda x: depthwise_conv2d(x, Tensor(rand(3, 3, 3, seed=71)),
+                                                        padding=1), False),
+        "batch_norm": (lambda x: batch_norm(x, Tensor(rand(3, seed=72)),
+                                            Tensor(rand(3, seed=73)), np.zeros(3, np.float32),
+                                            np.ones(3, np.float32), training=True), False),
+        "lstm_cell": (lambda x: lstm_cell(x, Tensor(np.zeros((2, 3, 2), np.float32)),
+                                          Tensor(np.zeros((2, 3, 2), np.float32)),
+                                          Tensor(rand(2, 8, 5, seed=74)),
+                                          Tensor(rand(2, 8, 2, seed=75)),
+                                          Tensor(rand(2, 8, seed=76)),
+                                          Tensor(rand(2, 8, seed=77)))[0], False),
+    }
+
+    @staticmethod
+    def run(op, xd):
+        x = Tensor(xd, requires_grad=True, dtype=xd.dtype)
+        with Tape() as tape:
+            out = op(x)
+            g = np.random.default_rng(78).normal(size=out.shape).astype(np.float32)
+            backward(sum_(mul(out, Tensor(g))), tape)
+        return out.data, x.grad
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_against_float(self, name):
+        op, keeps = self.OPS[name]
+        shape = (2, 3, 5) if name == "lstm_cell" else (2, 3, 4, 5)
+        xd = np.random.default_rng(79).integers(1, 4, size=shape).astype(np.uint8)
+        out, grad = self.run(op, xd)
+        ref, ref_grad = self.run(op, xd.astype(np.float32))
+        assert out.dtype == (np.uint8 if keeps else np.float32)
+        assert out.astype(np.float32).tobytes() == ref.tobytes()
+        assert grad.dtype == np.float32 and grad.tobytes() == ref_grad.tobytes()
+
+    def test_add_does_not_wrap(self):
+        a = Tensor(np.full((2, 3), 200, np.uint8), dtype=np.uint8)
+        total = add(a, a)
+        assert total.dtype == np.float32
+        np.testing.assert_array_equal(total.data, np.full((2, 3), 400.0))
+        assert add(a, Tensor(np.full(3, 55, np.uint8), dtype=np.uint8)).dtype == np.uint8
+
+    def test_spike_mean_is_float32(self):
+        x = Tensor(np.ones((7, 3), np.uint8), dtype=np.uint8)
+        assert mean(x).dtype == np.float32 and mean(x).item() == 1.0
+
+
+def test_closure_bytes_counts_each_base_array_once():
+    a = Tensor(rand(4, 8, seed=80), requires_grad=True)
+    b = Tensor(rand(8, 3, seed=81), requires_grad=True)
+    with Tape() as tape:
+        matmul(a, b)
+        matmul(a[1:3], b)                # a view of a: counted already
+        sum_(a)                          # holds shapes only
+    assert oracles.closure_bytes(tape) == {"matmul": a.data.nbytes + b.data.nbytes}
+
+
 class TestGradCheckOracle:
     def test_linear_is_exact(self):
         x0 = rand(4, seed=38)
