@@ -20,10 +20,11 @@ float.  The membrane, its history and the input gradient are float32 for
 integer input currents (a sum of spike maps) and in the input's dtype
 otherwise (``tensor._grad_dtype``).
 
-Layout rule: every kernel works on a view of its arrays in their own
-memory order (``tensor._memory_view``), and its outputs, history and
-gradients are laid out as its input is.  The recurrence runs a tile of
-about ``tensor._TILE`` elements through all S steps before the next
+Layout rule: both ops compute in ``tensor._kernel_view``'s one layout,
+steps outermost and ``bn_sn_layer``'s channels innermost, which every
+input in the models has; any other input is read as one copy.  Outputs,
+history and input gradients are laid out so.  The recurrence runs a tile
+of about ``tensor._TILE`` elements through all S steps before the next
 tile, with every temporary one tile of scratch, allocated once per call.
 """
 
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (_TILE, InvalidInputError, NumericalError, Tensor, _active_tape,
-                     _bn_backward, _bn_normalize, _bn_setup, _from_view, _grad_dtype,
-                     _memory_view, record_op)
+from .tensor import (InvalidInputError, NumericalError, Tensor, _active_tape, _bn_backward,
+                     _bn_normalize, _bn_setup, _from_view, _grad_dtype, _kernel_view,
+                     _row_chunks, record_op)
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,26 @@ def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
 
     Membrane state starts at 0 and is carried between steps; the S
     binary maps are stacked back along axis 0, as ``uint8`` (float with
-    ``relaxed``).  Forward and backward are fused into one tape record
+    ``relaxed``), steps outermost in memory and the other axes in x's
+    memory order.  Forward and backward are fused into one tape record
     (BPTT through the unrolled recurrence, reset path included),
     equivalent to composing the one-step update S times.  Backward keeps
-    only the membrane history, laid out as x, and recomputes each step's
-    spike factor from it, so the spikes are freed once the caller drops
-    them.  Without an active tape, or for an input that needs no
+    only the membrane history, laid out as the spikes, and recomputes each
+    step's spike factor from it, so the spikes are freed once the caller
+    drops them.  Without an active tape, or for an input that needs no
     gradient, no membrane history is kept.
     """
     if x.ndim < 1 or x.shape[0] == 0:
         raise InvalidInputError("sn_layer requires a non-empty leading spike-step axis")
     keep = x.requires_grad and _active_tape() is not None
-    out_data, h_hist = _lif_forward(x.data, cfg, relaxed, keep)
-    out = Tensor._wrap(out_data)
+    xs, order = _kernel_view(x.data)
+    out_s, h_hist = _lif_forward(xs, cfg, relaxed, keep)
+    out = Tensor._wrap(_from_view(out_s, x.shape, order))
+    x_shape = x.shape
 
     def backward(g):
-        return (_lif_backward(g, h_hist, cfg, relaxed),)
+        gs = _kernel_view(g, order=order)[0]
+        return (_from_view(_lif_backward(gs, h_hist, cfg, relaxed), x_shape, order),)
 
     record_op((x,), (out,), backward)
     return out
@@ -84,12 +89,13 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
 
     BatchNorm is the per-channel affine of ``tensor._bn_setup``: batch
     statistics in training (which update the running buffers), the running
-    ones in eval.  The spikes are ``uint8``.  The recurrence normalizes x
-    a tile at a time, as it reaches it, into the buffer that becomes its
-    membrane history (laid out as x).  Backward keeps x and that history,
-    not the spikes: it recomputes the spike factor from the history, as
-    ``sn_layer`` does, and applies BatchNorm's gradient to the BPTT
-    gradient in place, from x.  As in ``sn_layer``, both are kept only
+    ones in eval.  The spikes are ``uint8``, laid out steps outermost and
+    channels innermost, as ``tensor._kernel_view`` reads x.  The
+    recurrence normalizes x a tile at a time, as it reaches it, into the
+    buffer that becomes its membrane history.  Backward keeps x's view and
+    that history, not the spikes: it recomputes the spike factor from the
+    history, as ``sn_layer`` does, and applies BatchNorm's gradient to the
+    BPTT gradient in place, from x.  As in ``sn_layer``, both are kept only
     under an active tape for inputs that need a gradient.
     """
     if x.ndim < 4 or x.shape[0] == 0:
@@ -98,70 +104,54 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
     xv, order, mu, std, affine = _bn_setup(x, gamma, beta, bn.running_mean,
                                            bn.running_var, training, bn.momentum, bn.eps)
     keep = _active_tape() is not None and any(t.requires_grad for t in (x, gamma, beta))
-    if order[0] == 0:
-        out_data, h_hist = _lif_forward(x.data, cfg, False, keep, affine)
-    else:                      # the steps are not outermost in memory
-        hv = np.empty(xv.shape, dtype=xv.dtype)
-        _bn_normalize(xv, hv, affine)
-        out_data, h_hist = _lif_forward(_from_view(hv, x.shape, order), cfg, False, keep)
-    out = Tensor._wrap(out_data)
-    gamma_d = gamma.data
+    xs = xv.reshape(x.shape[0], -1, xv.shape[1])                    # [S, R, C]
+    out_s, h_hist = _lif_forward(xs, cfg, False, keep, affine)
+    out = Tensor._wrap(_from_view(out_s, x.shape, order))
+    x_shape, gamma_d = x.shape, gamma.data
 
     def backward(g):
-        gx = _lif_backward(g, h_hist, cfg, False)
-        return _bn_backward(gx, xv, order, mu, std, gamma_d, training, out=gx)
+        gs = _kernel_view(g, True, order)[0].reshape(xs.shape)
+        gx = _lif_backward(gs, h_hist, cfg, False).reshape(xv.shape)
+        gx, gg, gb = _bn_backward(gx, xv, mu, std, gamma_d, training, out=gx)
+        return _from_view(gx, x_shape, order), gg, gb
 
     record_op((x, gamma, beta), (out,), backward)
     return out
 
 
-def _step_view(a: np.ndarray, channels: bool = False, order=None):
-    """(``a`` as [A, S, R, C, Q], the axis order used): the step axis 0 at
-    1, the axes ahead of it in memory merged into A and those behind it
-    into R; with ``channels`` (steps outermost in memory), into R, the
-    channel axis -3 as C and the axes behind that as Q.  Tiles of R rows
-    are what the recurrence carries through every step; per-channel
-    vectors shaped [C, 1] broadcast over them.  See ``tensor._memory_view``."""
-    if not channels:
-        v, order = _memory_view(a, 0, order)
-        return v[..., None, None], order
-    v, order = _memory_view(a, a.ndim - 3, order)                   # [S*R, C, Q]
-    return v.reshape(1, a.shape[0], -1, *v.shape[1:]), order
-
-
 @np.errstate(invalid="ignore")
-def _lif_forward(x: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
+def _lif_forward(xs: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
                  affine=None):
-    """Run the recurrence over axis 0 of the currents ``x``; return the
-    spikes (``uint8``, float if ``relaxed``) and, if ``keep``, the membrane
-    history (else None), both laid out as x is.  Without ``keep`` the
-    membrane lives in one tile of scratch.  With ``affine``
-    (``tensor._bn_setup``) the currents are BatchNorm's output for x, made
-    tile by tile; x must then hold its steps outermost in memory.  A
-    non-finite membrane at the last step raises; an infinite one times the
-    reset mask 0 is NaN, carried there silently."""
-    dtype = _grad_dtype(x.dtype)                                    # the membrane's
+    """Run the recurrence over axis 0 of the currents ``xs``, an [S, R] or
+    [S, R, C] ``tensor._kernel_view``, a tile of R rows at a time; return
+    the spikes (``uint8``, float if ``relaxed``) and, if ``keep``, the
+    membrane history (else None), both dense and shaped as xs.  Without
+    ``keep`` the membrane lives in one tile of scratch.  With ``affine``
+    (``tensor._bn_setup``) xs is [S, R, C] and the currents are
+    BatchNorm's output for it, made tile by tile.  A non-finite membrane at
+    the last step raises; an infinite one times the reset mask 0 is NaN,
+    carried there silently."""
+    dtype = _grad_dtype(xs.dtype)                                   # the membrane's
     tau, vth = map(dtype.type, (cfg.decay_tau, cfg.v_threshold))
-    xs, order = _step_view(x, affine is not None)                   # [A, S, R, C, Q]
     hs = np.empty(xs.shape, dtype=dtype) if keep else None
     out = np.empty(xs.shape, dtype=dtype if relaxed else np.uint8)
-    rows = max(1, _TILE // (xs.shape[0] * xs.shape[3] * xs.shape[4]))
-    vbuf = np.empty_like(xs[:, 0, :rows], dtype=dtype)  # the decayed carried potential
+    tiles = _row_chunks(xs[0])
+    scratch = (tiles[0].stop if tiles else 0,) + xs.shape[2:]
+    vbuf = np.empty(scratch, dtype=dtype)                # the decayed carried potential
     hbuf = np.empty_like(vbuf) if hs is None else None
-    mbuf = np.empty(vbuf.shape, dtype=bool)
-    for j in range(0, xs.shape[2], rows):
-        tile = slice(j, j + rows)
-        n = min(rows, xs.shape[2] - j)
-        v, m = vbuf[:, :n], mbuf[:, :n]
+    mbuf = np.empty(scratch, dtype=bool)
+    for tile in tiles:
+        n = tile.stop - tile.start
+        v, m = vbuf[:n], mbuf[:n]
         v.fill(0.0)
-        for s in range(xs.shape[1]):
-            h = hbuf[:, :n] if hs is None else hs[:, s, tile]
+        for s in range(xs.shape[0]):
+            h = hbuf[:n] if hs is None else hs[s, tile]
             if affine is None:
-                np.add(xs[:, s, tile], v, out=h)
+                np.add(xs[s, tile], v, out=h)
             else:
-                _bn_normalize(xs[:, s, tile], h, affine)
+                _bn_normalize(xs[s, tile], h, affine)
                 h += v
-            sig = out[:, s, tile]
+            sig = out[s, tile]
             if relaxed:
                 np.subtract(h, vth, out=sig)
                 sig += 0.5
@@ -175,35 +165,34 @@ def _lif_forward(x: np.ndarray, cfg: LifConfig, relaxed: bool, keep: bool,
             v *= tau
         if not np.isfinite(h).all():
             raise NumericalError("sn_layer input or membrane potential is non-finite")
-    return (_from_view(out, x.shape, order),
-            None if hs is None else _from_view(hs, x.shape, order))
+    return out, hs
 
 
-def _lif_backward(g: np.ndarray, h_hist: np.ndarray, cfg: LifConfig,
+def _lif_backward(gs: np.ndarray, hs: np.ndarray, cfg: LifConfig,
                   relaxed: bool) -> np.ndarray:
-    """BPTT through the recurrence, reset path included, into a new array
-    laid out as ``h_hist``; every temporary is one tile of scratch.  Only
-    the membrane history is read: each step's spike factor is recomputed,
-    into that step's gradient slot, from the window's h - v_threshold by
-    ``_lif_forward``'s arithmetic (hard: h - v_threshold >= 0, which holds
-    exactly when h >= v_threshold; ``relaxed``: the clipped-linear sigma).
-    The reset path keeps the form gv - gv*sigma, whose zeros are +0;
-    gv * (h < v_threshold) would make some of them -0."""
-    tau, vth, half = map(h_hist.dtype.type, (cfg.decay_tau, cfg.v_threshold, 0.5))
-    hs, order = _step_view(h_hist)                                  # [A, S, R, 1, 1]
-    gs = _step_view(g, order=order)[0]
-    gx = np.empty(hs.shape, dtype=h_hist.dtype)
-    rows = max(1, _TILE // hs.shape[0])
-    gvbuf = np.empty_like(hs[:, 0, :rows])  # gradient reaching the carried potential
+    """BPTT through the recurrence, reset path included, into a new dense
+    array shaped as the membrane history ``hs`` (``_lif_forward``'s), from
+    the gradient ``gs`` read in its layout; every temporary is one tile of
+    scratch.  Only the membrane history is read: each step's spike factor
+    is recomputed, into that step's gradient slot, from the window's
+    h - v_threshold by ``_lif_forward``'s arithmetic (hard:
+    h - v_threshold >= 0, which holds exactly when h >= v_threshold;
+    ``relaxed``: the clipped-linear sigma).  The reset path keeps the form
+    gv - gv*sigma, whose zeros are +0; gv * (h < v_threshold) would make
+    some of them -0."""
+    tau, vth, half = map(hs.dtype.type, (cfg.decay_tau, cfg.v_threshold, 0.5))
+    gx = np.empty(hs.shape, dtype=hs.dtype)
+    tiles = _row_chunks(hs[0])
+    scratch = (tiles[0].stop if tiles else 0,) + hs.shape[2:]
+    gvbuf = np.empty(scratch, dtype=hs.dtype)  # gradient reaching the carried potential
     tbuf = np.empty_like(gvbuf)
-    mbuf = np.empty(gvbuf.shape, dtype=bool)
-    last = hs.shape[1] - 1
-    for j in range(0, hs.shape[2], rows):
-        tile = slice(j, j + rows)
-        n = min(rows, hs.shape[2] - j)
-        gv, t, mask = gvbuf[:, :n], tbuf[:, :n], mbuf[:, :n]
+    mbuf = np.empty(scratch, dtype=bool)
+    last = hs.shape[0] - 1
+    for tile in tiles:
+        n = tile.stop - tile.start
+        gv, t, mask = gvbuf[:n], tbuf[:n], mbuf[:n]
         for s in range(last, -1, -1):
-            h, gh, gin = hs[:, s, tile], gx[:, s, tile], gs[:, s, tile]
+            h, gh, gin = hs[s, tile], gx[s, tile], gs[s, tile]
             np.subtract(h, vth, out=t)
             if s < last:                        # gh holds the spike factor
                 if relaxed:
@@ -223,4 +212,4 @@ def _lif_backward(g: np.ndarray, h_hist: np.ndarray, cfg: LifConfig,
                 np.subtract(gv, gh, out=gh)
                 gh += t
             np.multiply(gh, tau, out=gv)
-    return _from_view(gx, h_hist.shape, order)
+    return gx

@@ -16,7 +16,11 @@ A gradient is float32 for integer data (``_grad_dtype``).
 
 Layout rule of the convolutions: their outputs are channels last in
 memory (a [B, C, H, W] view of [B, H, W, C] data), and the gradient each
-returns for x is laid out as x.
+returns for x is laid out as x.  BatchNorm, here and in ``neurons``,
+computes in one layout (``_kernel_view``): axis 0 outermost, the channel
+axis -3 innermost and the other axes in the input's memory order, which
+every input it gets in the models has; any other is read as one copy.
+``repeat0`` lays its copies out as its input, the new axis outermost.
 
 Retention rule of the tape: a record holds its inputs' and outputs'
 gradient slots (``grad`` and ``requires_grad``), never a ``Tensor``, and a
@@ -461,7 +465,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
             gx_cl = gx.transpose(0, 2, 3, 1)
             for k, (ro, co), (ri, ci) in taps:
                 gx_cl[:, ri, ci] += gcols[:, ro, co, k]
-        return gx, gw, _channel_sum(gt2d[:, :, None]).astype(g.dtype)
+        return gx, gw, _channel_sum(gt2d).astype(g.dtype)
 
     record_op((x, w, bias), (out,), backward)
     return out
@@ -528,83 +532,83 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
 # 2^16 and 2^17 ran alike, 2^12 and 2^22 slower
 _TILE = 1 << 17
 # elements in the contiguous runs that a per-channel vector is tiled to
-# where channels are innermost in memory ([P, C, 1] views), so that
-# numpy's inner loop covers about this many elements instead of C;
+# over contiguous [P, C] rows, so that numpy's inner loop covers about
+# this many elements instead of C;
 # 2^10 and 2^11 ran alike, 2^9 and 2^14 slower
 _RUN = 1 << 10
 
 
-def _memory_view(a: np.ndarray, axis: int, order=None):
-    """(``a`` as [P, a.shape[axis], Q], the axis order used).
+def _kernel_view(a: np.ndarray, channels: bool = False, order=None):
+    """(``a`` in the one layout that BatchNorm and the LIF ops compute in,
+    the axis order used).
 
-    The axes are put in ``order``, by default ``a``'s memory order
-    (outermost first); those ahead of ``axis`` merge into P and those
-    behind it into Q.  That is a view when ``a`` is laid out in the order,
-    which every op's output is in its own memory order, and a copy
-    otherwise.  A contiguous conv2d output [S, B, C, V, T] reads as
-    [S*B, C, V*T]; a channel-last one ([S, B, V, T, C] in memory) as
-    [S*B*V*T, C, 1].
+    Axis 0 is outermost, the other axes follow in ``a``'s memory order and,
+    with ``channels``, the channel axis -3 is innermost; ``order`` gives
+    another axis order (to read a gradient as the array it meets).  The
+    view is [S, R], or with ``channels`` [P, C] rows, whose P splits into
+    [S, R] unless axis 0 is the channel axis (x[C, V, T]).  Every such
+    input in the models is laid out so (a channel map's [S, B, C, V, T]
+    output is [S, B, V, T, C] in memory) and reads as a view; any other
+    layout is read as one copy.
     """
     if order is None:
-        order = _memory_order(a.strides)
+        last = [a.ndim - 3] if channels else []
+        first = [0] if last != [0] else []          # x[C, V, T]: no step axis
+        order = tuple(first + [i for i in _memory_order(a.strides) if i not in first + last]
+                      + last)
     m = a.transpose(order)
-    k = order.index(axis)
-    return m.reshape(math.prod(m.shape[:k]), a.shape[axis], math.prod(m.shape[k + 1:])), order
+    if channels:
+        return m.reshape(math.prod(m.shape[:-1]), m.shape[-1]), order
+    return m.reshape(m.shape[0], math.prod(m.shape[1:])), order
 
 
 def _from_view(v: np.ndarray, shape, order) -> np.ndarray:
-    """The array of logical ``shape`` whose ``_memory_view`` in ``order`` is ``v``."""
+    """The array of logical ``shape`` whose ``_kernel_view`` in ``order`` is ``v``."""
     return v.reshape([shape[i] for i in order]).transpose(np.argsort(order))
 
 
 def _row_chunks(v: np.ndarray):
-    """Slices of the rows of a [P, C, Q] view, about ``_TILE`` elements each."""
-    p = v.shape[0]
-    rows = max(1, _TILE // (v.shape[1] * v.shape[2]))
-    return [slice(r, min(r + rows, p)) for r in range(0, p, rows)]
+    """Slices of the rows (axis 0) of ``v``, about ``_TILE`` elements each."""
+    rows = max(1, _TILE // max(1, math.prod(v.shape[1:])))
+    return [slice(r, min(r + rows, len(v))) for r in range(0, len(v), rows)]
 
 
 def _per_channel(v: np.ndarray):
-    """A per-channel vector v[C] in the three forms that ``_channel_runs``
-    numbers: [C, 1], tiled k = max(1, _RUN // C) times, and [C]."""
-    return v[:, None], np.tile(v, max(1, _RUN // v.size)), v
+    """A per-channel vector v[C] in the two forms that ``_channel_runs``
+    numbers: tiled k = max(1, _RUN // C) times, and [C]."""
+    return np.tile(v, max(1, _RUN // v.size)), v
 
 
 def _channel_runs(*arrays):
-    """[(pieces, form)] covering same-shaped [..., C, Q] chunks, each piece
-    to meet ``_per_channel`` vectors in that form.
+    """[(pieces, form)] covering same-shaped chunks of [p, C] rows, each
+    piece to meet ``_per_channel`` vectors in that form.
 
-    Where Q is 1 and every chunk is contiguous, the C-long rows go as
-    [n, k*C] runs (form 1) and a ragged tail of [r, C] rows (form 2);
-    otherwise the chunks go whole, against [C, 1] (form 0).  The elements
-    meet the same vector entries either way.
+    Where every chunk is contiguous, the rows go as [n, k*C] runs (form 0)
+    and a ragged tail of [r, C] rows (form 1); otherwise the chunks go
+    whole as rows (form 1).  The elements meet the same vector entries
+    either way.
     """
-    c, q = arrays[0].shape[-2:]
-    if q != 1 or not all(a.flags.c_contiguous for a in arrays):
-        return [(arrays, 0)]
+    if not all(a.flags.c_contiguous for a in arrays):
+        return [(arrays, 1)]
+    m, c = arrays[0].shape
     k = max(1, _RUN // c)
-    rows = [a.reshape(-1, c) for a in arrays]
-    m = rows[0].shape[0]
     n = m - m % k
     pieces = []
     if n:
-        pieces.append(([a[:n].reshape(-1, k * c) for a in rows], 1))
+        pieces.append(([a[:n].reshape(-1, k * c) for a in arrays], 0))
     if n < m:
-        pieces.append(([a[n:] for a in rows], 2))
+        pieces.append(([a[n:] for a in arrays], 1))
     return pieces
 
 
 def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sum of ``a`` (or of a*b) over [P, C, Q] views, in float64.
+    """Per-channel sum of ``a`` (or of a*b) over [P, C] rows, in float64.
 
-    Runs along Q and blocks of about sqrt(P) rows are summed in the input's
-    dtype and their partial sums in float64, so the rounding error grows
-    with Q + sqrt(P) terms rather than with the P*Q of a running sum.
+    Blocks of about sqrt(P) rows are summed in the input's dtype and their
+    partial sums in float64, so the rounding error grows with sqrt(P)
+    terms rather than with the P of a running sum.
     """
-    p, c, q = a.shape
-    if q > 1:
-        a = np.einsum("pcq,pcq->pc", a, b) if b is not None else np.einsum("pcq->pc", a)
-        b = None
+    p, c = a.shape
     rows = math.isqrt(p)
     while p % rows:
         rows -= 1
@@ -621,8 +625,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Training mode uses batch statistics and updates the running buffers
     in place (momentum convention: new = (1-m)*old + m*batch); eval mode
-    normalizes with the running buffers.  The output is laid out in memory
-    as x is.
+    normalizes with the running buffers.  The output and x's gradient are
+    laid out in memory as ``_kernel_view`` reads x: as x is, for every
+    input in the models.
     """
     xv, order, mu, std, affine = _bn_setup(x, gamma, beta, running_mean, running_var,
                                            training, momentum, eps)
@@ -630,17 +635,20 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     for rows in _row_chunks(xv):
         _bn_normalize(xv[rows], ov[rows], affine)
     out = Tensor._wrap(_from_view(ov, x.shape, order))
-    gamma_d = gamma.data
+    x_shape, gamma_d = x.shape, gamma.data
 
     def backward(g):  # the tape casts each gradient to its input's gradient dtype
-        return _bn_backward(g, xv, order, mu, std, gamma_d, training)
+        gv = _kernel_view(g, True, order)[0]
+        gx, gg, gb = _bn_backward(gv, xv, mu, std, gamma_d, training)
+        return _from_view(gx, x_shape, order), gg, gb
 
     record_op((x, gamma, beta), (out,), backward)
     return out
 
 
 def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps):
-    """(x's [P, C, Q] view, its axis order, mean, sqrt(var + eps), affine).
+    """(x's [P, C] ``_kernel_view``, its axis order, mean, sqrt(var + eps),
+    affine).
 
     ``affine`` holds the per-channel (mean, gamma / std, beta) of
     ``_bn_normalize``, each in the forms of ``_per_channel``.
@@ -650,29 +658,27 @@ def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps
     """
     if x.ndim < 3:
         raise DimensionError(f"batch_norm expects [..., C, V, T], got {x.shape}")
-    axis = x.ndim - 3
-    C = x.shape[axis]
+    C = x.shape[-3]
     if gamma.size != C or beta.size != C:
         raise DimensionError(
             f"batch_norm gamma/beta length {gamma.size}/{beta.size} != channels {C}")
-    xd = _as_float(x.data)
-    xv, order = _memory_view(xd, axis)
+    xv, order = _kernel_view(_as_float(x.data), True)
     if training:
         mu, var = _bn_stats(xv)
-        n = xv.shape[0] * xv.shape[2]
+        n = xv.shape[0]
         running_mean[:] = (1.0 - momentum) * running_mean + momentum * mu
         var_runtime = var * (n / (n - 1)) if n > 1 else var
         running_var[:] = (1.0 - momentum) * running_var + momentum * var_runtime
     else:
-        mu, var = running_mean.astype(xd.dtype), running_var.astype(xd.dtype)
-    std = np.sqrt(var + eps).astype(xd.dtype)
+        mu, var = running_mean.astype(xv.dtype), running_var.astype(xv.dtype)
+    std = np.sqrt(var + eps).astype(xv.dtype)
     affine = tuple(_per_channel(v) for v in (mu, gamma.data / std, beta.data))
     return xv, order, mu, std, affine
 
 
 def _bn_normalize(x: np.ndarray, out: np.ndarray, affine) -> None:
-    """out = (x - mean) * (gamma / std) + beta, one chunk of [..., C, Q]
-    rows: one subtract, one multiply and one add per element."""
+    """out = (x - mean) * (gamma / std) + beta over a chunk of [p, C] rows:
+    one subtract, one multiply and one add per element."""
     for (xp, op), form in _channel_runs(x, out):
         mu, scale_, shift = (v[form] for v in affine)
         np.subtract(xp, mu, out=op)
@@ -681,10 +687,10 @@ def _bn_normalize(x: np.ndarray, out: np.ndarray, affine) -> None:
 
 
 def _bn_stats(xv: np.ndarray):
-    """Per-channel mean and biased variance of a [P, C, Q] view, two-pass:
-    the variance is the mean square of x - mean, taken a chunk at a time.
+    """Per-channel mean and biased variance of [P, C] rows, two-pass: the
+    variance is the mean square of x - mean, taken a chunk at a time.
     A non-finite input shows in them, and raises."""
-    n = xv.shape[0] * xv.shape[2]
+    n = xv.shape[0]
     if n == 0:
         raise InvalidInputError("batch_norm training mode requires a non-empty batch")
     mu = (_channel_sum(xv) / n).astype(xv.dtype)
@@ -705,19 +711,16 @@ def _bn_stats(xv: np.ndarray):
     return mu, var
 
 
-def _bn_backward(g, xv, order, mu, std, gamma_d, training=True, out=None):
-    """(gx, ggamma, gbeta); gx is laid out as x and written into ``out``
-    when given (an array laid out as x; it may be g).
+def _bn_backward(gv, xv, mu, std, gamma_d, training=True, out=None):
+    """(gx, ggamma, gbeta) over [P, C] rows: gv and x's ``xv``; gx is
+    written into ``out`` when given (it may be gv).
 
     The per-channel sums of g and g*x come first.  Then gx = g*a + x*c + b
     with per-channel a, b, c, applied a chunk of rows at a time, so the
     only other array is one chunk of scratch.
     """
-    gv = _memory_view(g, g.ndim - 3, order)[0]
-    ov = (np.empty(xv.shape, dtype=xv.dtype) if out is None
-          else _memory_view(out, out.ndim - 3, order)[0])
-    p, c, q = xv.shape
-    n = p * q
+    ov = np.empty(xv.shape, dtype=xv.dtype) if out is None else out
+    n = xv.shape[0]
     gb = _channel_sum(gv)
     gg = (_channel_sum(gv, xv) - mu * gb) / std             # sum of g * xhat
     a = _per_channel(gamma_d / std)
@@ -738,8 +741,7 @@ def _bn_backward(g, xv, order, mu, std, gamma_d, training=True, out=None):
                 np.multiply(xp, cx[form], out=t)
                 t += b[form]
                 o += t
-    gx = _from_view(ov, g.shape, order) if out is None else out
-    return gx, gg.astype(xv.dtype), gb.astype(xv.dtype)
+    return ov, gg.astype(xv.dtype), gb.astype(xv.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -928,8 +930,12 @@ def slice_(x: Tensor, key) -> Tensor:
 
 
 def repeat0(x: Tensor, count: int) -> Tensor:
-    """Replicate x along a new leading axis (broadcast copy)."""
-    out = Tensor._wrap(np.broadcast_to(x.data, (count,) + x.data.shape).copy())
+    """Replicate x along a new leading axis (broadcast copy), laid out in
+    memory as x with the new axis outermost."""
+    order = _memory_order(x.data.strides)
+    m = x.data.transpose(order)
+    out = Tensor._wrap(np.broadcast_to(m, (count,) + m.shape).copy()
+                       .transpose(0, *(1 + np.argsort(order))))
     record_op((x,), (out,), lambda g: (g.sum(axis=0),))
     return out
 

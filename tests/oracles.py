@@ -12,16 +12,22 @@ stated tolerance);
 ``firing_rate`` is the binary-checked rate;
 ``grad_check`` compares analytic tape gradients with central finite
 differences; ``held`` lists what a backward closure holds and
-``closure_bytes`` weighs the arrays that a tape's closures hold, per op.
+``closure_bytes`` weighs the arrays that a tape's closures hold, per op;
+``channel_rows`` is the plain per-channel form of
+``tensor._channel_runs``, and ``kernel_views`` records every view that
+the BatchNorm and LIF kernels take, and whether it was a copy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import inspect
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from spikegraph import neurons, tensor
 from spikegraph.neurons import LifConfig
 from spikegraph.tensor import (DimensionError, InvalidInputError, NumericalError, Tape,
                                Tensor, _pair, add, backward, mul, record_op, scale)
@@ -317,3 +323,40 @@ def closure_bytes(tape: Tape) -> dict[str, int]:
                 seen.add(id(_base(a)))
                 per_op[op] = per_op.get(op, 0) + _base(a).nbytes
     return per_op
+
+
+def channel_rows(*arrays):
+    """``tensor._channel_runs`` without its runs: each chunk goes whole, as
+    [p, C] rows that meet the per-channel vector v[C] (form 1)."""
+    return [(arrays, 1)]
+
+
+@dataclass(frozen=True)
+class KernelView:
+    """One ``tensor._kernel_view`` call: with or without the channel axis,
+    whether it read a gradient in the axis order of the array it meets
+    (``backward``) rather than an input in its own, and whether the view
+    had to be a copy."""
+    channels: bool
+    backward: bool
+    copied: bool
+
+
+@contextlib.contextmanager
+def kernel_views():
+    """Yield a list that gets a ``KernelView`` for every
+    ``tensor._kernel_view`` call made inside the block, from ``tensor``
+    and from ``neurons``, which imports it."""
+    calls, original = [], tensor._kernel_view
+
+    def spy(a, channels=False, order=None):
+        v, used = original(a, channels, order)
+        calls.append(KernelView(channels, order is not None,
+                                a.size > 0 and not np.may_share_memory(v, a)))
+        return v, used
+
+    tensor._kernel_view = neurons._kernel_view = spy
+    try:
+        yield calls
+    finally:
+        tensor._kernel_view = neurons._kernel_view = original

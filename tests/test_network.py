@@ -212,6 +212,41 @@ class TestSpikesAreOneByte:
         assert float_spikes == []
 
 
+class TestKernelViews:
+    """The BatchNorm and LIF kernels compute in one layout: steps outermost,
+    channels innermost (``tensor._kernel_view``).  Every BatchNorm and
+    ``bn_sn_layer`` input of a training step, with and without
+    distillation, and of an eval forward is laid out so, the FTM's
+    ``repeat0`` output included: each is read as a view, never copied."""
+
+    def test_channel_inputs_are_views(self):
+        topo = SkeletonTopology.ntu25()
+        bundle, labels = small_set(topo)
+        batch, idx = batch_tensors(bundle, np.arange(2)), np.arange(2)
+        views = {}
+        for kd in ("none", "soft,feature"):
+            cfg = RunConfig({"kd": kd, "preprocess": {"target_T": 8, "batch_size": 2}})
+            model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+            teacher = ftm = None
+            if kd != "none":
+                teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
+                ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
+                                np.random.default_rng(2))
+            trainer = Trainer(model, bundle, labels, cfg.train_settings(),
+                              loss_weights=cfg.loss_weights(), teacher=teacher, ftm=ftm)
+            with oracles.kernel_views() as views[kd]:
+                trainer.train_step(batch, labels[idx])
+        with oracles.kernel_views() as views["eval"]:
+            model.eval()(batch)
+        channel = {name: [v for v in calls if v.channels and not v.backward]
+                   for name, calls in views.items()}
+        # the student's 40 bn_sn_layer sites; with KD the teacher's and
+        # the FTM's BatchNorms too
+        assert len(channel["none"]) == len(channel["eval"]) == 40
+        assert len(channel["soft,feature"]) > 40
+        assert [name for name, calls in channel.items() if any(v.copied for v in calls)] == []
+
+
 def small_set(topo):
     seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
                          frames=24, seed=1)

@@ -14,8 +14,8 @@ from spikegraph.neurons import LifConfig, bn_sn_layer, sn_layer
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor,
                                add, backward, concat, conv2d, mean, mul, permute,
                                record_op, reshape, sum_)
-from oracles import (V_RESET, _lif_backward, _lif_forward, firing_rate, grad_check,
-                     lif_step, spike)
+from oracles import (V_RESET, _lif_backward, _lif_forward, channel_rows, firing_rate,
+                     grad_check, lif_step, spike)
 
 
 CFG = LifConfig()
@@ -230,11 +230,20 @@ def _as_layout(a, like):
     return out
 
 
+def _steps_outermost(a, dtype):
+    """The strides of a dense array of ``a``'s shape and ``dtype`` laid out
+    as ``a`` with axis 0 moved outermost."""
+    order = (0, *(i for i in tensor._memory_order(a.strides) if i))
+    dense = np.empty([a.shape[i] for i in order], dtype=dtype)
+    return dense.transpose(np.argsort(order)).strides
+
+
 class TestSnLayerMatchesParentLoop:
     """``sn_layer`` against the earlier whole-step loop (``oracles``) in
-    every input layout: input gradients byte-identical, the spikes laid
-    out in memory as the input is and equal to the loop's, as ``uint8``
-    (hard) or byte-identical floats (relaxed)."""
+    every input layout: input gradients byte-identical, the spikes equal to
+    the loop's, as ``uint8`` (hard) or byte-identical floats (relaxed), and
+    laid out steps outermost, the other axes as in the input (the SMIC
+    input, whose pairs are outermost, is read as one copy)."""
 
     LAYOUTS = ("contiguous", "channel_map", "graph_conv", "smic")
 
@@ -272,8 +281,7 @@ class TestSnLayerMatchesParentLoop:
             assert out.data.dtype == np.uint8
             assert np.array_equal(out.data, ref_out)
         assert x.grad.tobytes() == ref_grad.tobytes()
-        assert out.data.strides == tuple(st // xd.itemsize * out.data.itemsize
-                                         for st in xd.strides)
+        assert out.data.strides == _steps_outermost(xd, out.data.dtype)
 
     @pytest.mark.parametrize("relaxed", [False, True], ids=["hard", "relaxed"])
     def test_zero_gradient_signs_above_the_window(self, relaxed):
@@ -400,9 +408,10 @@ class TestBnSnLayer:
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_no_tape_keeps_no_membrane_history(self, training):
         """As ``sn_layer``: the history is kept only under a tape when x,
-        gamma or beta needs a gradient."""
-        x = Tensor(np.random.default_rng(9).normal(0.5, 1.0, size=(4, 1, 256, 25, 64))
-                   .astype(np.float32))
+        gamma or beta needs a gradient.  x is channels last in memory, as
+        every BatchNorm input in the models is, so it is read as a view."""
+        x0 = np.random.default_rng(9).normal(0.5, 1.0, size=(4, 1, 25, 64, 256))
+        x = Tensor(np.moveaxis(x0.astype(np.float32), -1, 2))
         bn = _bn(256, 0.1, 10).train(training)
         step = x.data[0].nbytes
         for taped, needs_grad in ((False, True), (True, False), (True, True)):
@@ -513,8 +522,8 @@ class TestTapeKeepsNoSpikes:
 class TestChannelRuns:
     """Channels innermost in memory: the per-channel BatchNorm affine goes
     over runs of k*C elements and a ragged tail of C-long rows
-    (``tensor._channel_runs``), with results bit-identical to the [C, 1]
-    broadcast over the same chunks."""
+    (``tensor._channel_runs``), with results bit-identical to the plain
+    per-channel broadcast over the same rows (``oracles.channel_rows``)."""
 
     @staticmethod
     def _run(c, training, fused):
@@ -543,20 +552,20 @@ class TestChannelRuns:
 
         monkeypatch.setattr(tensor, "_channel_runs", spy)
         got = self._run(c, training, fused)
-        assert 1 in forms and (c != 3 or 2 in forms)    # C=3 leaves a ragged tail
-        monkeypatch.setattr(tensor, "_channel_runs", lambda *arrays: [(arrays, 0)])
+        assert 0 in forms and (c != 3 or 1 in forms)    # C=3 leaves a ragged tail
+        monkeypatch.setattr(tensor, "_channel_runs", channel_rows)
         want = self._run(c, training, fused)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     def test_non_contiguous_chunk_goes_whole(self):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(40, 3, 1)).astype(np.float32)[::2]
+        x = rng.normal(size=(40, 3)).astype(np.float32)[::2]
         out = np.empty_like(x)
-        assert [form for _, form in tensor._channel_runs(x, out)] == [0]
+        assert [form for _, form in tensor._channel_runs(x, out)] == [1]
         mu, s, b = (rng.normal(size=3).astype(np.float32) for _ in range(3))
         tensor._bn_normalize(x, out, tuple(tensor._per_channel(v) for v in (mu, s, b)))
-        assert out.tobytes() == ((x - mu[:, None]) * s[:, None] + b[:, None]).tobytes()
+        assert out.tobytes() == ((x - mu) * s + b).tobytes()
 
 
 class TestSurrogateConsistency:

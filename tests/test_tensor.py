@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
-                               _bn_stats, _memory_view,
+                               _bn_stats, _kernel_view,
                                add, backward, batch_norm, concat, conv2d,
                                depthwise_conv2d, div, exp, log,
                                lstm_cell, matmul, max_, mean, mul, permute,
@@ -314,10 +314,35 @@ class TestBatchNorm:
             x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 2, -1)), -1, 2)
         axes = (0, 1, 3, 4)
         mu64, var64 = x.astype(np.float64).mean(axis=axes), x.astype(np.float64).var(axis=axes)
-        mu, var = _bn_stats(_memory_view(x, 2)[0])
+        mu, var = _bn_stats(_kernel_view(x, True)[0])
         assert mu.dtype == var.dtype == np.float32
         assert np.abs(mu - mu64).max() <= 2 * np.abs(x.mean(axis=axes) - mu64).max()
         assert np.abs(var - var64).max() <= 2 * np.abs(x.var(axis=axes) - var64).max()
+
+    @pytest.mark.parametrize("layout", ["C", "CL"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_rank3_matches_unit_leading_axis(self, training, layout):
+        """x[C, V, T], whose channel axis is axis 0, normalizes as the same
+        data with a unit leading axis: output, gradients and running
+        statistics byte-identical, with the statistics of the C channels."""
+        x4 = laid_out(rand(1, 5, 4, 6, seed=24, scale_=2.0) + 0.5, layout)   # [1, C, V, T]
+        w = rand(1, 5, 4, 6, seed=25)
+        runs = []
+        for xd in (x4[0], x4):
+            x = Tensor(xd, requires_grad=True)
+            gamma = Tensor(1.0 + 0.2 * rand(5, seed=26), requires_grad=True)
+            beta = Tensor(0.3 * rand(5, seed=27), requires_grad=True)
+            rm, rv = 0.2 * rand(5, seed=28), 1.0 + np.abs(rand(5, seed=29))
+            with Tape() as tape:
+                out = batch_norm(x, gamma, beta, rm, rv, training)
+                backward(sum_(mul(out, Tensor(w.reshape(xd.shape)))), tape)
+            runs.append([out.data.reshape(x4.shape), x.grad.reshape(x4.shape),
+                         gamma.grad, beta.grad, rm, rv])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        rm = 0.2 * rand(5, seed=28)
+        want = 0.9 * rm + 0.1 * x4.mean(axis=(0, 2, 3)) if training else rm
+        np.testing.assert_allclose(runs[0][4], want, rtol=1e-5, atol=1e-6)
 
     def test_gradient_matches_fd_training(self):
         x0 = rand(6, 3, 4, 1, seed=17)
@@ -773,6 +798,22 @@ class TestElementwiseAndShape:
 
         report = grad_check(f, [Tensor(x0), Tensor(y0)], h=1e-4, tol=1e-4)
         assert report.passed, report
+
+    @pytest.mark.parametrize("layout", ["C", "CL", "F"])
+    def test_repeat_keeps_its_input_layout(self, layout):
+        """repeat0's copies are laid out as its input, the new axis
+        outermost; its gradient is the sum over that axis, as a C-ordered
+        output's was."""
+        x0 = rand(2, 3, 4, 5, seed=47)
+        xd = np.asfortranarray(x0) if layout == "F" else laid_out(x0, layout)
+        out, bwd = taped(repeat0, Tensor(xd, requires_grad=True), 3)
+        assert out.data.strides == (xd.nbytes,) + xd.strides
+        assert out.data.tobytes() == np.broadcast_to(x0, (3,) + x0.shape).tobytes()
+        g = rand(3, 2, 3, 4, 5, seed=48)
+        want = g.sum(axis=0)
+        g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).transpose(0, 4, 1, 2, 3)
+        for gd in (g, g_cl):
+            assert bwd(gd)[0].tobytes() == want.tobytes()
 
     def test_concat_slice_repeat(self):
         x0, y0 = rand(2, 3, seed=44), rand(2, 3, seed=45)
