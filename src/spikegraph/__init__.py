@@ -1,11 +1,11 @@
 """Spiking graph network engine for skeleton-based action recognition."""
 
 from .network import _keep_freed_memory
-from .tensor import (DimensionError, InvalidInputError, NumericalError,
-                     Tape, Tensor, backward)
+from .tensor import (FormatError, InvalidInputError, NumericalError, Tape, Tensor,
+                     backward)
 
 __all__ = [
-    "DimensionError",
+    "FormatError",
     "InvalidInputError",
     "NumericalError",
     "Tape",

@@ -17,8 +17,8 @@ from .data import SkeletonTopology
 from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import record_cost
-from .tensor import (DimensionError, InvalidInputError, Tensor, add, conv2d,
-                     matmul, permute, record_op, reshape, scale, slice_)
+from .tensor import (InvalidInputError, Tensor, add, conv2d, matmul, permute,
+                     record_op, reshape, scale, slice_)
 
 
 def normalize_adjacency(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
@@ -62,7 +62,7 @@ def partition_branches(topo: SkeletonTopology) -> np.ndarray:
 def channel_map(x: Tensor, w: Tensor) -> Tensor:
     """Apply w[D, D'] to the channel axis (-3) of x (a 1x1 convolution), fused."""
     if x.ndim < 3 or x.shape[-3] != w.shape[0]:
-        raise DimensionError(f"channel map of {x.shape} with weight {w.shape}")
+        raise InvalidInputError(f"channel map of {x.shape} with weight {w.shape}")
     xd, wd = x.data, w.data
     out_data = np.moveaxis(np.tensordot(xd, wd, axes=([-3], [0])), -1, -3)
     out = Tensor._wrap(out_data)
@@ -91,7 +91,7 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     """
     k, d, d_out = w.shape
     if x.ndim < 3 or x.shape[-3] != d or adj.shape != (k, x.shape[-2], x.shape[-2]):
-        raise DimensionError(
+        raise InvalidInputError(
             f"graph conv of {x.shape} with adjacency {adj.shape} and weights {w.shape}")
     v = x.shape[-2]
     xm = np.moveaxis(x.data, (-2, -3), (-2, -1))                    # [R.., V, D]
@@ -143,7 +143,7 @@ class SaSgcLayer(Module):
     def sgc(self, x: Tensor, adj: np.ndarray) -> Tensor:
         """H = SN(BN(x W_r)) + SN(BN(sum_k A_k x W_k)): uint8, values in {0,1,2}."""
         if x.ndim != 5:
-            raise DimensionError(f"sgc expects [S,B,D,V,T], got {x.shape}")
+            raise InvalidInputError(f"sgc expects [S,B,D,V,T], got {x.shape}")
         record_cost("sgc", self, x)
         branch = bn_sn_layer(graph_conv(x, adj, self.w_graph), self.bn_branches, self.lif)
         residual = bn_sn_layer(channel_map(x, self.w_residual), self.bn_residual, self.lif)
@@ -152,7 +152,7 @@ class SaSgcLayer(Module):
     def ssa(self, h: Tensor) -> Tensor:
         """H_SA = H + SN((Q K^T) V * s), tokens = joints per (step, frame)."""
         if h.shape[2] != self.out_channels:
-            raise DimensionError(
+            raise InvalidInputError(
                 f"ssa channel extent {h.shape[2]} != weights {self.out_channels}")
         q = bn_sn_layer(channel_map(h, self.w_q), self.bn_q, self.lif)
         k = bn_sn_layer(channel_map(h, self.w_k), self.bn_k, self.lif)
@@ -200,10 +200,10 @@ class StcLayer(Module):
 
     def forward(self, h_sa: Tensor) -> Tensor:
         if h_sa.ndim != 5:
-            raise DimensionError(f"stc expects [S,B,D,V,T], got {h_sa.shape}")
+            raise InvalidInputError(f"stc expects [S,B,D,V,T], got {h_sa.shape}")
         s, b, d, v, t = h_sa.shape
         if d != self.channels:
-            raise DimensionError(
+            raise InvalidInputError(
                 f"stc channel extent {d} != weights {self.channels}")
         if self.stride == 2 and t % 2 != 0:
             raise InvalidInputError(f"stride-2 temporal conv requires even T, got {t}")

@@ -1,10 +1,13 @@
 """Command-line entry point: synth, train, eval, profile.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-divergence.  ``synth`` and ``train`` write their effective configuration
-next to their outputs so a run can be reproduced from one file; ``eval`` and
-``profile`` do not, so that pointing them at a training run's ``--out`` leaves
-its record alone.
+Exit codes, one per exception class of ``tensor``: 0 success, 2 config error
+(``InvalidInputError``), 3 data error (``FormatError``), 4 numerical
+divergence (``NumericalError``).  ``main`` alone maps them; a command only
+raises.  Each command creates its output directory before it reads any data,
+so an unusable ``--out`` is a config error before any work.  ``synth`` and
+``train`` write their effective configuration next to their outputs so a run
+can be reproduced from one file; ``eval`` and ``profile`` do not, so that
+pointing them at a training run's ``--out`` leaves its record alone.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
-from .data import (ParseError, FormatError, SkeletonTopology,
-                   load_dataset, load_skeleton_dir, manifest_hash,
+from .config import RunConfig
+from .data import (SkeletonTopology, load_dataset, load_skeleton_dir, manifest_hash,
                    preprocess_sequences, save_synth_dataset, synthesize)
-from .tensor import InvalidInputError, NumericalError
+from .tensor import FormatError, InvalidInputError, NumericalError
 
 
 EXIT_OK = 0
@@ -71,7 +73,7 @@ def _load_config(args) -> RunConfig:
 def _dataset_dir(cfg: RunConfig, override) -> str:
     path = override or cfg.get("dataset.dir")
     if not path:
-        raise ConfigError("no dataset directory configured (dataset.dir or --data)")
+        raise InvalidInputError("no dataset directory configured (dataset.dir or --data)")
     return path
 
 
@@ -96,7 +98,7 @@ def _load_splits(cfg: RunConfig, data_dir: str, *names: str):
         cut = int(round(cfg.get("dataset.train_fraction") * len(sequences)))
         train, test = sequences[:cut], sequences[cut:]
     else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+        raise InvalidInputError(f"unknown dataset kind {kind!r}")
     splits = {"train": train, "test": test}
     target_t = cfg.get("preprocess.target_T")
     return topo, classes, [
@@ -104,15 +106,22 @@ def _load_splits(cfg: RunConfig, data_dir: str, *names: str):
         if splits[name] or name == "train" else (None, None) for name in names]
 
 
-def _write_effective_config(cfg: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    cfg.dump(os.path.join(out_dir, "effective-config.yaml"))
+def _make_out_dir(path: str) -> str:
+    """Create a command's output directory; one that cannot be made is a
+    config error, raised before the command reads any data."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise InvalidInputError(f"cannot create output directory {path}: "
+                                f"{err.strerror}") from err
+    return path
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
     cfg.override({"dataset.classes": args.classes,
                   "dataset.samples_per_class": args.samples_per_class})
-    out_dir = args.out or cfg.get("dataset.dir") or os.path.join(cfg.get("out"), "synth")
+    out_dir = _make_out_dir(args.out or cfg.get("dataset.dir")
+                            or os.path.join(cfg.get("out"), "synth"))
     sequences, params = synthesize(
         classes=cfg.get("dataset.classes"),
         samples_per_class=cfg.get("dataset.samples_per_class"),
@@ -122,7 +131,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         noise=cfg.get("dataset.noise"))
     manifest = save_synth_dataset(out_dir, sequences, params,
                                   train_fraction=cfg.get("dataset.train_fraction"))
-    _write_effective_config(cfg, out_dir)
+    cfg.dump(os.path.join(out_dir, "effective-config.yaml"))
     print(f"dataset: {len(sequences)} sequences, {params['classes']} classes")
     print(f"manifest: {os.path.join(out_dir, 'manifest.json')}")
     print(f"manifest-hash: {manifest_hash(manifest)}")
@@ -130,19 +139,18 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    from .network import (DivergenceError, FtmModule, Trainer, evaluate,
-                          load_model, save_model, train_teacher)
+    from .network import (FtmModule, Trainer, evaluate, load_model, save_model,
+                          train_teacher)
 
     cfg.override({"kd": args.kd, "optimizer.epochs": args.epochs,
                   "optimizer.lr": args.lr})
     settings = cfg.train_settings()
     loss_weights = cfg.loss_weights()
+    out_dir = _make_out_dir(cfg.get("out"))
     data_dir = _dataset_dir(cfg, args.data)
     topo, classes, [(tr_bundle, tr_labels), (te_bundle, te_labels)] = \
         _load_splits(cfg, data_dir, "train", "test")
-    out_dir = cfg.get("out")
-    os.makedirs(out_dir, exist_ok=True)
-    _write_effective_config(cfg, out_dir)
+    cfg.dump(os.path.join(out_dir, "effective-config.yaml"))
 
     seed = cfg.get("seed")
     kd = cfg.kd_modes()
@@ -176,11 +184,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         trainer = Trainer(model, tr_bundle, tr_labels, settings,
                           loss_weights=loss_weights, teacher=teacher,
                           ftm=ftm, metrics_writer=write_metrics)
-        try:
-            history = trainer.run()
-        except DivergenceError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_DIVERGED
+        history = trainer.run()
 
     ckpt_path = os.path.join(out_dir, "student.ckpt")
     save_model(ckpt_path, model, model.plan_hash())
@@ -198,15 +202,14 @@ def cmd_train(cfg: RunConfig, args) -> int:
 def cmd_eval(cfg: RunConfig, args) -> int:
     from .network import evaluate, load_model
 
+    out_dir = _make_out_dir(cfg.get("out"))
     data_dir = _dataset_dir(cfg, args.data)
     topo, classes, [(bundle, labels)] = _load_splits(cfg, data_dir, args.split)
     if labels is None:
-        raise ConfigError(f"dataset has no {args.split} split")
+        raise InvalidInputError(f"dataset has no {args.split} split")
     model = cfg.build_student(classes, topo, np.random.default_rng(cfg.get("seed")))
     load_model(args.checkpoint, model, model.plan_hash())
     result = evaluate(model, bundle, labels, cfg.get("preprocess.batch_size"))
-    out_dir = cfg.get("out")
-    os.makedirs(out_dir, exist_ok=True)
     report = {
         "split": args.split,
         "accuracy": result["accuracy"],
@@ -224,8 +227,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     from .network import batch_tensors, load_model
     from .profiler import profile_model
 
-    out_dir = cfg.get("out")
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out_dir(cfg.get("out"))
     data_dir = _dataset_dir(cfg, args.data)
     topo, classes, [(tr_bundle, tr_labels)] = _load_splits(cfg, data_dir, "train")
     model = cfg.build_student(classes, topo, np.random.default_rng(cfg.get("seed")))
@@ -246,28 +248,17 @@ def cmd_profile(cfg: RunConfig, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval,
+               "profile": cmd_profile}[args.command]
     try:
-        cfg = _load_config(args)
-        if args.command == "synth":
-            return cmd_synth(cfg, args)
-        if args.command == "train":
-            return cmd_train(cfg, args)
-        if args.command == "eval":
-            return cmd_eval(cfg, args)
-        if args.command == "profile":
-            return cmd_profile(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as err:
+        return command(_load_config(args), args)
+    except InvalidInputError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, FormatError) as err:
+    except FormatError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except InvalidInputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_DIVERGED

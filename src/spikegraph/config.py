@@ -8,9 +8,7 @@ from typing import Any, Optional
 
 import yaml
 
-
-class ConfigError(ValueError):
-    """Bad or inconsistent run configuration."""
+from .tensor import InvalidInputError
 
 
 # Every field has a default; a fully defaulted config trains the synthetic
@@ -128,7 +126,7 @@ class RunConfig:
     def _update(self, values: dict) -> None:
         problems = _problems(DEFAULTS, values)
         if problems:    # all of them, so an old file is mended in one pass
-            raise ConfigError("; ".join(problems))
+            raise InvalidInputError("; ".join(problems))
         self.values = _merge(self.values, values)
 
     @classmethod
@@ -136,21 +134,22 @@ class RunConfig:
         if path is None:
             return cls()
         if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
+            raise InvalidInputError(f"config file not found: {path}")
         with open(path) as fh:
             try:
                 data = yaml.safe_load(fh) or {}
             except yaml.YAMLError as err:
-                raise ConfigError(f"cannot parse config {path}: {err}") from err
+                raise InvalidInputError(f"cannot parse config {path}: {err}") from err
         if not isinstance(data, dict):
-            raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
+            raise InvalidInputError(
+                f"config root must be a mapping, got {type(data).__name__}")
         return cls(data)
 
     def get(self, dotted: str):
         node = self.values
         for part in dotted.split("."):
             if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown config key {dotted!r}")
+                raise InvalidInputError(f"unknown config key {dotted!r}")
             node = node[part]
         return node
 
@@ -169,12 +168,6 @@ class RunConfig:
         with open(path, "w") as fh:
             yaml.safe_dump(self.values, fh, sort_keys=True)
 
-    def dumps(self) -> str:
-        return yaml.safe_dump(self.values, sort_keys=True)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RunConfig) and self.values == other.values
-
     # -- constructions ---------------------------------------------------
 
     def lif_config(self):
@@ -192,8 +185,8 @@ class RunConfig:
         target_t = self.values["preprocess"]["target_T"]
         step = 2 ** plan.strides.count(2)
         if target_t % step:
-            raise ConfigError(f"preprocess.target_T must be a multiple of {step} for "
-                              f"the student's stride-2 layers, got {target_t}")
+            raise InvalidInputError(f"preprocess.target_T must be a multiple of {step} "
+                                    f"for the student's stride-2 layers, got {target_t}")
         return plan
 
     def teacher_plan(self):
@@ -214,7 +207,7 @@ class RunConfig:
         modes = frozenset(part.strip() for part in str(raw).split(",") if part.strip())
         unknown = modes - {"soft", "feature"}
         if unknown:
-            raise ConfigError(f"unknown kd modes: {sorted(unknown)}")
+            raise InvalidInputError(f"unknown kd modes: {sorted(unknown)}")
         return modes
 
     def train_settings(self):

@@ -10,19 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import InvalidInputError, load_tensor, save_tensor
-
-
-class ParseError(ValueError):
-    """Malformed skeleton file; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class FormatError(ValueError):
-    """Structurally valid file with unsupported contents."""
+from .tensor import FormatError, InvalidInputError, load_tensor, save_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ def parse_ntu(raw: bytes | str) -> SkeletonSequence:
     def next_line(what: str) -> str:
         nonlocal pos
         if pos >= len(lines):
-            raise ParseError(f"unexpected end of file while reading {what}", pos + 1)
+            raise FormatError(f"line {pos + 1}: unexpected end of file while reading {what}")
         line = lines[pos]
         pos += 1
         return line
@@ -174,11 +162,11 @@ def parse_ntu(raw: bytes | str) -> SkeletonSequence:
         try:
             return int(line.split()[0])
         except (ValueError, IndexError):
-            raise ParseError(f"expected integer {what}, got {line!r}", pos)
+            raise FormatError(f"line {pos}: expected integer {what}, got {line!r}")
 
     num_frames = read_int("frame count")
     if num_frames <= 0:
-        raise ParseError(f"frame count must be positive, got {num_frames}", pos)
+        raise FormatError(f"line {pos}: frame count must be positive, got {num_frames}")
     frames: list[np.ndarray] = []
     for _ in range(num_frames):
         num_bodies = read_int("body count")
@@ -194,17 +182,18 @@ def parse_ntu(raw: bytes | str) -> SkeletonSequence:
                 line = next_line("joint coordinates")
                 parts = line.split()
                 if len(parts) < 3:
-                    raise ParseError(f"joint line has {len(parts)} fields, need >= 3", pos)
+                    raise FormatError(
+                        f"line {pos}: joint line has {len(parts)} fields, need >= 3")
                 try:
                     coords[j] = [float(parts[0]), float(parts[1]), float(parts[2])]
                 except ValueError:
-                    raise ParseError(f"non-numeric joint coordinates: {line!r}", pos)
+                    raise FormatError(f"line {pos}: non-numeric joint coordinates: {line!r}")
             if body == 0:
                 frame_joints = coords
         if frame_joints is not None:
             frames.append(frame_joints)
     if not frames:
-        raise ParseError("no frames with a tracked body", pos)
+        raise FormatError(f"line {pos}: no frames with a tracked body")
     stackedTV = np.stack(frames, axis=0)  # [T, 25, 3]
     return SkeletonSequence(joints=stackedTV.transpose(2, 0, 1))
 
@@ -452,7 +441,7 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
             cache_path = os.path.join(cache_dir, key + ".sgt")
             try:
                 joints = load_tensor(cache_path).data
-            except (OSError, InvalidInputError):
+            except (OSError, FormatError):
                 pass
         if joints is None:
             joints = parse_ntu(raw).joints

@@ -21,9 +21,9 @@ import numpy as np
 from .module import Adam, Module, Parameter, uniform_init
 from .neurons import LifConfig, sn_layer
 from .profiler import record_cost
-from .tensor import (DimensionError, InvalidInputError, NumericalError, Tape,
-                     Tensor, add, backward, concat, exp, log, lstm_cell, matmul,
-                     mean, permute, reshape, scale, sub, sum_)
+from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, add, backward,
+                     concat, exp, log, lstm_cell, matmul, mean, permute, reshape,
+                     scale, sub, sum_)
 
 MODALITY_ORDER = ("bone", "joint", "bone_motion", "joint_motion")
 
@@ -39,7 +39,7 @@ def smic_inputs(spikes: list[Tensor], seed: int) -> tuple[np.ndarray, np.ndarray
     """
     shapes = {t.shape for t in spikes}
     if len(shapes) != 1:
-        raise DimensionError(f"modality shapes differ: {sorted(shapes)}")
+        raise InvalidInputError(f"modality shapes differ: {sorted(shapes)}")
     pooled = np.stack([t.data.mean(axis=-2, dtype=np.float32) for t in spikes])  # [M,S,B,D,T]
     first, second = (pooled[list(side)] for side in zip(*SpikeMultimodalFusion.PAIRS))
     perm = np.random.default_rng(seed).permutation(pooled.shape[1])
@@ -85,7 +85,7 @@ class SmicNet(Module):
         """x[P, S, B, 2D, T] (joint-pooled, no gradient) -> scores [P, B]."""
         p, s, b, c, t = x.shape
         if (p, c) != (self.pairs, self.in_channels):
-            raise DimensionError(
+            raise InvalidInputError(
                 f"SMIC expects {self.pairs} pairs of {self.in_channels} channels "
                 f"(two modalities), got {p} of {c}")
         frames = np.moveaxis(x, -1, 0).reshape(t, p, s * b, c)
@@ -170,10 +170,10 @@ def compute_mi_weights(mi: MiMatrix) -> FusionWeights:
 def fuse_modalities(spikes: list[Tensor], weights: FusionWeights) -> Tensor:
     """Elementwise weighted sum over the four modality spike tensors."""
     if len(spikes) != 4:
-        raise DimensionError(f"fusion expects 4 modalities, got {len(spikes)}")
+        raise InvalidInputError(f"fusion expects 4 modalities, got {len(spikes)}")
     shapes = {t.shape for t in spikes}
     if len(shapes) != 1:
-        raise DimensionError(f"modality shapes differ: {sorted(shapes)}")
+        raise InvalidInputError(f"modality shapes differ: {sorted(shapes)}")
     out = None
     for w_i, p_i in zip(weights.w, spikes):
         term = scale(p_i, float(w_i))

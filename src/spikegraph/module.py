@@ -8,9 +8,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import FormatError
-from .tensor import (InvalidInputError, Tensor, add, batch_norm, matmul, permute,
-                     tensor_from_bytes, tensor_to_bytes)
+from .tensor import (FormatError, InvalidInputError, Tensor, add, batch_norm, matmul,
+                     permute, tensor_from_bytes, tensor_to_bytes)
 
 
 class Parameter(Tensor):
@@ -288,7 +287,7 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         (blen,) = struct.unpack("<Q", take(8))
         try:
             arrays[name] = tensor_from_bytes(take(blen)).data
-        except InvalidInputError as err:
+        except FormatError as err:
             raise FormatError(f"corrupt checkpoint {path}, entry {name}: {err}") from err
     if offset != len(raw):
         raise FormatError(f"{len(raw) - offset} trailing bytes in checkpoint: {path}")

@@ -27,7 +27,7 @@ from .module import (BatchNorm, Linear, Module, Parameter, SGD,
                      kaiming_normal, load_checkpoint, save_checkpoint)
 from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import active_fraction, record_cost
-from .tensor import (DimensionError, InvalidInputError, Tape, Tensor, add,
+from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, add,
                      backward, concat, conv2d, depthwise_conv2d, div, exp, log,
                      max_, mean, mul, permute, relu, repeat0, reshape, scale,
                      slice_, sqrt, sub, sum_)
@@ -128,7 +128,7 @@ def aggregate_soft_labels(logits: dict[str, Tensor], weights: LossWeights) -> Te
     ys = [logits[m] for m in MODALITY_ORDER]
     shapes = {y.shape for y in ys}
     if len(shapes) != 1:
-        raise DimensionError(f"soft label shapes differ: {sorted(shapes)}")
+        raise InvalidInputError(f"soft label shapes differ: {sorted(shapes)}")
     a, b, c, d = (scale(y, w) for y, w in zip(ys, weights.alpha))
     return add(add(a, b), add(c, d))
 
@@ -136,7 +136,7 @@ def aggregate_soft_labels(logits: dict[str, Tensor], weights: LossWeights) -> Te
 def sdk_loss(y: Tensor, y_mm: Tensor) -> Tensor:
     """Per-sample L2 norm of the logit gap, batch averaged."""
     if y.shape != y_mm.shape:
-        raise DimensionError(f"logit shapes differ: {y.shape} vs {y_mm.shape}")
+        raise InvalidInputError(f"logit shapes differ: {y.shape} vs {y_mm.shape}")
     diff = sub(y, y_mm)
     return mean(sqrt(sum_(mul(diff, diff), axis=1)))
 
@@ -146,7 +146,7 @@ def _flatten_per_sample(t: Tensor) -> Tensor:
     if t.ndim == 2:
         return t
     if t.ndim != 5:
-        raise DimensionError(f"expected rank-5 feature tap, got {t.shape}")
+        raise InvalidInputError(f"expected rank-5 feature tap, got {t.shape}")
     moved = permute(t, (1, 0, 2, 3, 4))
     return reshape(moved, (t.shape[1], -1))
 
@@ -159,7 +159,7 @@ def fkd_loss(t_translated: Tensor, t_student: Tensor) -> Tensor:
     the loss exactly scale-invariant for power-of-two scalings.
     """
     if t_translated.shape != t_student.shape:
-        raise DimensionError(
+        raise InvalidInputError(
             f"tap shapes differ: {t_translated.shape} vs {t_student.shape}")
     a = _flatten_per_sample(t_translated)
     b = _flatten_per_sample(t_student)
@@ -400,10 +400,10 @@ class FtmBranch(Module):
     def forward(self, taps: Sequence[Tensor]) -> Tensor:
         shapes = {t.shape for t in taps}
         if len(shapes) != 1:
-            raise DimensionError(f"teacher tap shapes differ: {sorted(shapes)}")
+            raise InvalidInputError(f"teacher tap shapes differ: {sorted(shapes)}")
         cat = concat(list(taps), axis=1)            # [B, 4C, V, T]
         if cat.shape[1] != self.cat_channels:
-            raise DimensionError(
+            raise InvalidInputError(
                 f"FTM expects {self.cat_channels} concatenated channels, "
                 f"got {cat.shape[1]}")
         fused = depthwise_conv2d(cat, self.w_depthwise, padding=1)
@@ -435,15 +435,6 @@ class FtmModule(Module):
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-class DivergenceError(RuntimeError):
-    """Raised when the loss turns non-finite; carries firing-rate diagnostics."""
-
-    def __init__(self, message: str, rates: dict[str, float]):
-        dump = ", ".join(f"{k}={v:.3f}" for k, v in sorted(rates.items()))
-        super().__init__(f"{message} (layer firing rates: {dump})")
-        self.rates = rates
-
 
 @dataclass
 class TrainSettings:
@@ -580,7 +571,9 @@ class Trainer:
                          fkd_loss(t_high, taps[STUDENT_TAP_LAYERS[1]]))
             loss = total_loss(l_task, l_sdk, l_fkd, self.loss_weights)
             if not np.isfinite(loss.data).all():
-                raise DivergenceError("training loss is non-finite", info["rates"])
+                dump = ", ".join(f"{k}={v:.3f}" for k, v in sorted(info["rates"].items()))
+                raise NumericalError(f"training loss is non-finite "
+                                     f"(layer firing rates: {dump})")
             backward(loss, tape)
 
         self.optimizer.step()
@@ -648,7 +641,7 @@ def train_teacher(teacher: TeacherModel, bundle: dict[str, np.ndarray],
                 loss = term if loss is None else add(loss, term)
             loss = scale(loss, 0.25)
             if not np.isfinite(loss.data).all():
-                raise DivergenceError("teacher loss is non-finite", {})
+                raise NumericalError("teacher loss is non-finite")
             backward(loss, tape)
         optimizer.step()
         optimizer.zero_grad()

@@ -22,6 +22,11 @@ axis -3 innermost and the other axes in the input's memory order, which
 every input it gets in the models has; any other is read as one copy.
 ``repeat0`` lays its copies out as its input, the new axis outermost.
 
+Error rule: every failure the package raises is one of three classes, one
+per exit code of the command line: ``InvalidInputError`` (2: a bad
+argument, shape, setting or path), ``FormatError`` (3: stored data that does
+not parse) and ``NumericalError`` (4: a non-finite value).
+
 Retention rule of the tape: a record holds its inputs' and outputs'
 gradient slots (``grad`` and ``requires_grad``), never a ``Tensor``, and a
 backward closure captures only the arrays, shapes and dtypes it reads.  So
@@ -38,16 +43,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
-class DimensionError(ValueError):
-    """Shapes of the operands do not compose."""
-
-
 class InvalidInputError(ValueError):
-    """Operand values violate an operation's precondition."""
+    """A bad argument, shape, setting or path: the caller's to mend (exit 2)."""
+
+
+class FormatError(ValueError):
+    """Stored data that does not parse: dataset, skeleton, blob, checkpoint (exit 3)."""
 
 
 class NumericalError(ArithmeticError):
-    """Non-finite or otherwise unusable numeric state."""
+    """Non-finite or otherwise unusable numeric state (exit 4)."""
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +364,16 @@ def relu(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(
+        raise InvalidInputError(
             f"matmul requires rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
+        raise InvalidInputError(
             f"matmul inner extents disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     try:
         out_data = np.matmul(_as_float(ad), _as_float(bd))
     except ValueError as err:
-        raise DimensionError(
+        raise InvalidInputError(
             f"matmul batch extents do not broadcast: {a.shape} x {b.shape}") from err
     out = Tensor._wrap(out_data)
 
@@ -424,14 +429,16 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError(f"conv2d expects rank-4 operands, got {x.shape}, {w.shape}")
+        raise InvalidInputError(
+            f"conv2d expects rank-4 operands, got {x.shape}, {w.shape}")
     B, Cin, H, W = x.shape
     Cout, Cin_w, kh, kw = w.shape
     if Cin != Cin_w:
-        raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
+        raise InvalidInputError(
+            f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
     Hp, Wp = H + 2 * ph, W + 2 * pw
     if kh > Hp or kw > Wp:
-        raise DimensionError(
+        raise InvalidInputError(
             f"conv2d kernel ({kh}x{kw}) larger than padded input ({Hp}x{Wp})")
     Ho = (Hp - kh) // sh + 1
     Wo = (Wp - kw) // sw + 1
@@ -482,10 +489,10 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
     B, C, H, W = x.shape
     Cw, kh, kw = w.shape
     if C != Cw:
-        raise DimensionError(f"depthwise channel mismatch: {x.shape} vs {w.shape}")
+        raise InvalidInputError(f"depthwise channel mismatch: {x.shape} vs {w.shape}")
     Hp, Wp = H + 2 * ph, W + 2 * pw
     if kh > Hp or kw > Wp:
-        raise DimensionError(
+        raise InvalidInputError(
             f"depthwise kernel ({kh}x{kw}) larger than padded input ({Hp}x{Wp})")
     Ho, Wo = Hp - kh + 1, Wp - kw + 1
     xp = np.zeros((B, Hp, Wp, C), dtype=x.data.dtype)
@@ -609,7 +616,7 @@ def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     terms rather than with the P of a running sum.
     """
     p, c = a.shape
-    rows = math.isqrt(p)
+    rows = math.isqrt(p) or 1     # no rows sum to zeros
     while p % rows:
         rows -= 1
     blocks = (rows, p // rows, c)
@@ -657,10 +664,10 @@ def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps
     input is normalized in float32.  Shared with ``neurons.bn_sn_layer``.
     """
     if x.ndim < 3:
-        raise DimensionError(f"batch_norm expects [..., C, V, T], got {x.shape}")
+        raise InvalidInputError(f"batch_norm expects [..., C, V, T], got {x.shape}")
     C = x.shape[-3]
     if gamma.size != C or beta.size != C:
-        raise DimensionError(
+        raise InvalidInputError(
             f"batch_norm gamma/beta length {gamma.size}/{beta.size} != channels {C}")
     xv, order = _kernel_view(_as_float(x.data), True)
     if training:
@@ -732,7 +739,7 @@ def _bn_backward(gv, xv, mu, std, gamma_d, training=True, out=None):
         b = _per_channel((k * gb - mu * cx).astype(xv.dtype))
         cx = _per_channel(cx.astype(xv.dtype))
     chunks = _row_chunks(xv)
-    scratch = np.empty_like(xv[chunks[0]])
+    scratch = np.empty_like(xv[:chunks[0].stop if chunks else 0])
     for rows in chunks:
         pieces = _channel_runs(gv[rows], ov[rows], xv[rows], scratch[:rows.stop - rows.start])
         for (gp, o, xp, t), form in pieces:
@@ -766,11 +773,11 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     lead = x.shape[:-2]
     if w_ih.shape != lead + (4 * H, In) or w_hh.shape != lead + (4 * H, H) \
             or b_ih.shape != lead + (4 * H,) or b_hh.shape != lead + (4 * H,):
-        raise DimensionError(
+        raise InvalidInputError(
             f"lstm_cell weight extents {w_ih.shape}/{w_hh.shape} do not match "
             f"input {x.shape} / hidden {H}")
     if h_prev.shape != lead + (N, H) or c_prev.shape != lead + (N, H):
-        raise DimensionError(
+        raise InvalidInputError(
             f"lstm_cell state extents {h_prev.shape}/{c_prev.shape} != {lead + (N, H)}")
     xd, hd, cd = _as_float(x.data), h_prev.data, c_prev.data
     w_ihd, w_hhd = w_ih.data, w_hh.data
@@ -1010,15 +1017,15 @@ def tensor_to_bytes(t: Tensor | np.ndarray) -> bytes:
 def tensor_from_bytes(blob: bytes) -> Tensor:
     """Parse one blob; it must hold exactly the payload its header declares."""
     if blob[:4] != _MAGIC or len(blob) < 8:
-        raise InvalidInputError("bad tensor blob: missing SGT1 magic or rank")
+        raise FormatError("bad tensor blob: missing SGT1 magic or rank")
     (rank,) = struct.unpack_from("<I", blob, 4)
     offset = 8 + 4 * rank
     if len(blob) < offset:
-        raise InvalidInputError(f"bad tensor blob: truncated rank-{rank} shape")
+        raise FormatError(f"bad tensor blob: truncated rank-{rank} shape")
     shape = struct.unpack_from(f"<{rank}I", blob, 8)
     count = int(np.prod(shape, dtype=np.int64))
     if len(blob) - offset != 4 * count:
-        raise InvalidInputError(
+        raise FormatError(
             f"bad tensor blob: {len(blob) - offset} payload bytes for shape {shape}")
     return Tensor(np.frombuffer(blob, dtype="<f4", offset=offset).reshape(shape).copy())
 

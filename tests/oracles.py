@@ -29,8 +29,8 @@ import numpy as np
 
 from spikegraph import neurons, tensor
 from spikegraph.neurons import LifConfig
-from spikegraph.tensor import (DimensionError, InvalidInputError, NumericalError, Tape,
-                               Tensor, _pair, add, backward, mul, record_op, scale)
+from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor, _pair, add,
+                               backward, mul, record_op, scale)
 
 # the reset potential and the surrogate window width that ``sn_layer``
 # fixes; the formulas below keep both general
@@ -139,14 +139,16 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError(f"conv2d expects rank-4 operands, got {x.shape}, {w.shape}")
+        raise InvalidInputError(
+            f"conv2d expects rank-4 operands, got {x.shape}, {w.shape}")
     B, Cin, H, W = x.shape
     Cout, Cin_w, kh, kw = w.shape
     if Cin != Cin_w:
-        raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
+        raise InvalidInputError(
+            f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
     Hp, Wp = H + 2 * ph, W + 2 * pw
     if kh > Hp or kw > Wp:
-        raise DimensionError(
+        raise InvalidInputError(
             f"conv2d kernel ({kh}x{kw}) larger than padded input ({Hp}x{Wp})")
     Ho = (Hp - kh) // sh + 1
     Wo = (Wp - kw) // sw + 1
@@ -192,10 +194,10 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
     B, C, H, W = x.shape
     Cw, kh, kw = w.shape
     if C != Cw:
-        raise DimensionError(f"depthwise channel mismatch: {x.shape} vs {w.shape}")
+        raise InvalidInputError(f"depthwise channel mismatch: {x.shape} vs {w.shape}")
     Hp, Wp = H + 2 * ph, W + 2 * pw
     if kh > Hp or kw > Wp:
-        raise DimensionError(
+        raise InvalidInputError(
             f"depthwise kernel ({kh}x{kw}) larger than padded input ({Hp}x{Wp})")
     Ho = (Hp - kh) // sh + 1
     Wo = (Wp - kw) // sw + 1

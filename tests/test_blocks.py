@@ -9,8 +9,8 @@ from spikegraph.blocks import (SaSgcLayer, StcLayer, channel_map, graph_conv,
 from spikegraph.data import SkeletonTopology
 from spikegraph.module import BatchNorm
 from spikegraph.neurons import LifConfig, bn_sn_layer, sn_layer
-from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
-                               backward, conv2d, matmul, mul, permute, reshape, sum_)
+from spikegraph.tensor import (InvalidInputError, Tape, Tensor, backward, conv2d,
+                               matmul, mul, permute, reshape, sum_)
 from oracles import grad_check
 
 
@@ -151,9 +151,9 @@ class TestGraphConv:
 
     def test_shape_mismatch_rejected(self):
         x, adj, w = self._operands("student")
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError):
             graph_conv(Tensor(x), adj[:2], Tensor(w))
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError):
             graph_conv(Tensor(x.swapaxes(-3, -2)), adj, Tensor(w))
 
 
@@ -362,7 +362,7 @@ class TestSgcForward:
         rng = np.random.default_rng(4)
         sgc, _ = make_layers(3, 8, rng)
         adj = partition_branches(SkeletonTopology.ucla20())
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError):
             sgc.sgc(Tensor(np.zeros((1, 1, 5, 20, 4), dtype=np.float32)), adj)
 
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 import yaml
 
-from spikegraph import cli, data, profiler
-from spikegraph.config import ConfigError, RunConfig
+from spikegraph import cli, data, network, profiler
+from spikegraph.config import RunConfig
 from spikegraph.data import SkeletonTopology
 from spikegraph.module import save_checkpoint
 from spikegraph.network import MkSgnModel, save_model
+from spikegraph.tensor import InvalidInputError, Tensor
 from test_data import make_skeleton_text
 
 SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
@@ -202,7 +203,7 @@ def test_threshold_mismatch_is_rejected(tmp_path, tiny_data, capsys):
 
 
 def test_removed_branches_key_is_rejected(tmp_path, capsys):
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidInputError):
         RunConfig({"blocks": {"branches": 2}})
     config = _write_config(tmp_path / "old.yaml", {"blocks": {"branches": 3}})
     assert cli.main(["--config", config, "--out", str(tmp_path / "data"),
@@ -269,13 +270,14 @@ def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, val
     assert not (tmp_path / "run" / "teacher.ckpt").exists()
 
 
-def test_null_is_taken_where_its_reader_handles_it():
+def test_null_is_taken_where_its_reader_handles_it(tmp_path):
     cfg = RunConfig({"optimizer": {"early_stop_train_acc": None}, "kd": None,
                      "dataset": {"dir": None}, "loss": {"beta": [1, 0.5]}})
     assert cfg.kd_modes() == frozenset()
     assert cfg.train_settings().early_stop_train_acc is None
-    assert RunConfig(yaml.safe_load(cfg.dumps())) == cfg
-    with pytest.raises(ConfigError, match="seed must be an integer"):
+    cfg.dump(tmp_path / "run.yaml")
+    assert RunConfig.load(tmp_path / "run.yaml").values == cfg.values
+    with pytest.raises(InvalidInputError, match="seed must be an integer"):
         cfg.set("seed", "3")
 
 
@@ -434,3 +436,51 @@ def test_unlabeled_skeleton_file_is_a_data_error(tmp_path, ntu_data, capsys, mon
     assert code == cli.EXIT_DATA
     assert "S001C001P001R005.skeleton" in err and "Traceback" not in err
     assert preprocessed == []
+
+
+@pytest.mark.parametrize("command", [
+    ["synth"],
+    ["train", "--kd", "none", "--data", "{data}"],
+    ["eval", "{ckpt}", "--data", "{data}"],
+    ["profile", "--checkpoint", "{ckpt}", "--data", "{data}"],
+], ids=["synth", "train", "eval", "profile"])
+def test_unusable_out_is_a_config_error_before_any_work(tmp_path, tiny_data, capsys,
+                                                       monkeypatch, command):
+    """An ``--out`` under a regular file cannot be created: exit 2, naming
+    the path, before anything is synthesized or any dataset is read."""
+    work = []
+    monkeypatch.setattr(cli, "synthesize", lambda **kw: work.append("synthesize"))
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: work.append("load_dataset"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ckpt = _save_student(tmp_path / "student.ckpt")
+    capsys.readouterr()
+    code = cli.main(["--out", str(blocker / "sub"),
+                     *(arg.format(ckpt=ckpt, data=tiny_data) for arg in command)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: cannot create output directory {blocker / 'sub'}" in err
+    assert "Traceback" not in err and work == []
+
+
+def _nan_task_loss(logits, labels):
+    return Tensor(np.float32(np.nan))
+
+
+@pytest.mark.parametrize("kd, message, writes", [
+    ("none", "numerical error: training loss is non-finite (layer firing rates: ",
+     "student.ckpt"),
+    ("soft", "numerical error: teacher loss is non-finite", "teacher.ckpt"),
+], ids=["student", "teacher"])
+def test_non_finite_loss_exits_4(tmp_path, tiny_data, capsys, monkeypatch, kd, message,
+                                 writes):
+    """A loss that turns non-finite stops training with exit 4 and no
+    traceback, before the model that diverged is saved."""
+    monkeypatch.setattr(network, "task_loss", _nan_task_loss)
+    capsys.readouterr()
+    code = cli.main(["--out", str(tmp_path / "run"), "train", "--data", tiny_data,
+                     "--kd", kd])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DIVERGED
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run" / writes).exists()

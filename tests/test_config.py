@@ -6,10 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spikegraph.config import DEFAULTS, ConfigError, RunConfig
+from spikegraph.config import DEFAULTS, RunConfig
 from spikegraph.data import SkeletonTopology
 from spikegraph.network import STUDENT_PLAN_FULL, STUDENT_PLAN_TOY
 from spikegraph.neurons import LifConfig
+from spikegraph.tensor import InvalidInputError
 
 
 def test_defaults_give_the_preset_plans():
@@ -22,7 +23,7 @@ def test_defaults_give_the_preset_plans():
 def test_student_plan_rejects_frames_its_strides_cannot_halve(preset, target_t):
     # both presets halve the frames twice, so T must be a multiple of 4
     cfg = RunConfig({"blocks": {"preset": preset}, "preprocess": {"target_T": target_t}})
-    with pytest.raises(ConfigError, match=rf"preprocess\.target_T .* got {target_t}$"):
+    with pytest.raises(InvalidInputError, match=rf"preprocess\.target_T .* got {target_t}$"):
         cfg.student_plan()
     cfg.set("preprocess.target_T", 4 * target_t)
     assert cfg.student_plan().strides.count(2) == 2

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from spikegraph.data import (FormatError, ParseError,
-                             SkeletonSequence, SkeletonTopology,
+from spikegraph.data import (SkeletonSequence, SkeletonTopology,
                              center_sequence, derive_modalities,
                              label_from_filename, load_dataset,
                              load_skeleton_dir, manifest_hash, parse_ntu,
                              preprocess_sequences,
                              resample_frames, save_synth_dataset, synthesize)
-from spikegraph.tensor import (InvalidInputError, load_tensor, tensor_from_bytes,
-                               tensor_to_bytes)
+from spikegraph.tensor import (FormatError, InvalidInputError, load_tensor,
+                               tensor_from_bytes, tensor_to_bytes)
 
 
 def make_skeleton_text(frames, bodies_per_frame=1, joints=25, coords=None):
@@ -56,7 +55,7 @@ class TestParseNtu:
         np.testing.assert_array_equal(seq.joints, 0.0)
 
     def test_zero_frame_count_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(FormatError):
             parse_ntu("0\n")
 
     def test_linear_motion_round_trips(self):
@@ -71,7 +70,7 @@ class TestParseNtu:
     def test_truncated_file_reports_line(self):
         text = make_skeleton_text(frames=2)
         truncated = "\n".join(text.splitlines()[:10])
-        with pytest.raises(ParseError, match="line"):
+        with pytest.raises(FormatError, match="line"):
             parse_ntu(truncated)
 
     def test_wrong_joint_count_is_format_error(self):

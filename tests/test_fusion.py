@@ -9,9 +9,8 @@ from spikegraph.fusion import (MODALITY_ORDER, FusionWeights, MiMatrix,
                                smic_inputs)
 from spikegraph.module import Adam
 from spikegraph.neurons import LifConfig
-from spikegraph.tensor import (DimensionError, InvalidInputError,
-                               NumericalError, Tape, Tensor, backward, exp,
-                               scale, sum_)
+from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor,
+                               backward, exp, scale, sum_)
 
 LIF = LifConfig()
 PAIRS = SpikeMultimodalFusion.PAIRS
@@ -53,7 +52,7 @@ class TestMakeJoint:
     def test_shape_mismatch(self):
         mods = four((4, 8, 5, 6, 3), 4)
         mods[3] = spikes((4, 8, 5, 7, 3), 5)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError):
             smic_inputs(mods, 0)
 
 
@@ -198,7 +197,7 @@ class TestFuseModalities:
     def test_shape_mismatch(self):
         mods = self._four(40)
         mods[2] = spikes((4, 8, 5, 7), 99)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError):
             fuse_modalities(mods, FusionWeights(np.ones(4)))
 
 
@@ -234,7 +233,7 @@ class TestSmicNet:
 
     def test_wrong_channels_rejected(self):
         net = SmicNet(1, 8, 16, LIF, np.random.default_rng(21))
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError):
             net(pooled((4, 3, 6, 5, 6), 22))
 
     def test_pairs_are_independent_estimators(self):

@@ -14,14 +14,13 @@ import pytest
 import spikegraph
 from spikegraph import blocks, encoding, fusion, module, network, neurons, tensor
 from spikegraph.config import RunConfig
-from spikegraph.data import (FormatError, SkeletonTopology, preprocess_sequences,
-                             synthesize)
+from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
 from spikegraph.encoding import SscEncoder
 from spikegraph.fusion import SmicNet
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
 from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, Trainer,
                                 batch_tensors, load_model, save_model, train_teacher)
-from spikegraph.tensor import InvalidInputError, Tape, Tensor
+from spikegraph.tensor import FormatError, InvalidInputError, Tape, Tensor
 
 import oracles
 

@@ -429,6 +429,18 @@ class TestBnSnLayer:
             else:
                 assert peak < out.data.nbytes + 3 * step, (taped, needs_grad)
 
+    def test_eval_empty_batch_has_zero_gradients(self):
+        """As eval-mode ``batch_norm``: a batch with no rows spikes nothing,
+        its x gradient is empty and gamma's and beta's are zero sums."""
+        bn = _bn(2, 0.1, 0).eval()
+        x = Tensor(np.zeros((2, 0, 2, 3, 3), dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            out = bn_sn_layer(x, bn, CFG)
+            backward(sum_(out), tape)
+        assert out.shape == x.grad.shape == (2, 0, 2, 3, 3)
+        np.testing.assert_array_equal(bn.gamma.grad, [0.0, 0.0])
+        np.testing.assert_array_equal(bn.beta.grad, [0.0, 0.0])
+
     def test_layouts_reach_the_op_as_built(self):
         rng = np.random.default_rng(0)
         assert not _channel_map_input(2, rng)[1]().data.flags.c_contiguous

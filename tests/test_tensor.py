@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from spikegraph.tensor import (DimensionError, InvalidInputError, Tape, Tensor,
+from spikegraph.tensor import (FormatError, InvalidInputError, Tape, Tensor,
                                _bn_stats, _kernel_view,
                                add, backward, batch_norm, concat, conv2d,
                                depthwise_conv2d, div, exp, log,
@@ -69,7 +69,7 @@ class TestMatmul:
         np.testing.assert_allclose(out.data, np.matmul(a.data, b.data), rtol=1e-6)
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
+        with pytest.raises(InvalidInputError, match=r"\(2, 3\).*\(4, 2\)"):
             matmul(Tensor(rand(2, 3)), Tensor(rand(4, 2)))
 
 
@@ -110,7 +110,7 @@ class TestConv2d:
         assert report.passed, report
 
     def test_kernel_larger_than_padded_input(self):
-        with pytest.raises(DimensionError, match="kernel"):
+        with pytest.raises(InvalidInputError, match="kernel"):
             conv2d(Tensor(rand(1, 1, 2, 2)), Tensor(rand(1, 1, 5, 5)), zero_bias(1),
                    padding=0)
 
@@ -303,6 +303,20 @@ class TestBatchNorm:
             batch_norm(Tensor(np.zeros((0, 2, 3, 3), dtype=np.float32)),
                        Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, True)
 
+    def test_eval_empty_batch_has_zero_gradients(self):
+        """Eval mode takes a batch with no rows: x's gradient is empty and
+        gamma's and beta's are zero sums."""
+        rm, rv = self._stats(2)
+        x = Tensor(np.zeros((0, 2, 3, 3), dtype=np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(2), requires_grad=True)
+        beta = Tensor(np.zeros(2), requires_grad=True)
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, rm, rv, False)
+            backward(sum_(out), tape)
+        assert out.shape == x.grad.shape == (0, 2, 3, 3)
+        np.testing.assert_array_equal(gamma.grad, [0.0, 0.0])
+        np.testing.assert_array_equal(beta.grad, [0.0, 0.0])
+
     @pytest.mark.parametrize("layout", ["contiguous", "channel_last"])
     def test_statistics_at_least_as_accurate_as_numpy(self, layout):
         # paper-plan scale: 102,400 elements per channel around a nonzero
@@ -409,7 +423,7 @@ class TestLstmCell:
 
     def test_extent_mismatch(self):
         w = self._weights(3, 4)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError):
             lstm_cell(Tensor(rand(2, 5)), Tensor(np.zeros((2, 4))),
                       Tensor(np.zeros((2, 4))), *w)
 
@@ -882,11 +896,11 @@ class TestSerialization:
         np.testing.assert_array_equal(load_tensor(path).data, t.data)
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(FormatError):
             tensor_from_bytes(b"NOPE" + b"\x00" * 16)
 
     def test_payload_must_match_header(self):
         blob = tensor_to_bytes(Tensor(rand(3, 4, seed=51)))
         for bad in (blob[:6], blob[:10], blob[:-4], blob + b"\0" * 4):
-            with pytest.raises(InvalidInputError, match="bad tensor blob"):
+            with pytest.raises(FormatError, match="bad tensor blob"):
                 tensor_from_bytes(bad)
