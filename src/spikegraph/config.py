@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import os
 from typing import Any, Optional
 
@@ -76,7 +77,9 @@ NULLABLE = ("optimizer.early_stop_train_acc", "kd")
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int that is not a bool, or a finite float."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
 
 
 # (default's type, what it takes, test); the first whose type matches wins

@@ -112,53 +112,31 @@ def mi_lower_bound(t_vals: Tensor, et_vals: Tensor) -> Tensor:
 
 
 @dataclass
-class MiMatrix:
-    """Symmetric 4x4 pairwise lower bounds, zero diagonal.
-
-    Row/column order follows MODALITY_ORDER.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (4, 4):
-            raise InvalidInputError(f"MI matrix must be 4x4, got {self.values.shape}")
-        if not np.allclose(np.diag(self.values), 0.0):
-            raise InvalidInputError("MI matrix diagonal must be zero")
-        if not np.allclose(self.values, self.values.T):
-            raise InvalidInputError("MI matrix must be symmetric")
-
-    @classmethod
-    def from_pairs(cls, pair_values: dict[tuple[int, int], float]) -> "MiMatrix":
-        m = np.zeros((4, 4), dtype=np.float64)
-        for (i, j), val in pair_values.items():
-            m[i, j] = m[j, i] = val
-        return cls(m)
-
-
-@dataclass
 class FusionWeights:
     w: np.ndarray
     degenerate: bool = False
 
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float32)
-        if self.w.shape != (4,):
-            raise InvalidInputError(f"fusion weights must be a 4-vector, got {self.w.shape}")
 
-
-def compute_mi_weights(mi: MiMatrix) -> FusionWeights:
+def compute_mi_weights(mi: np.ndarray) -> FusionWeights:
     """Row-average the MI matrix, then min-max scale to [0, 1].
 
-    When all averaged values coincide (e.g. an all-zero matrix) the
-    min-max step is undefined; uniform weights of 1 are returned with the
-    degenerate flag set, reducing the fusion to an unweighted sum.
+    ``mi`` holds the pairwise lower bounds: 4x4, symmetric, zero diagonal,
+    rows and columns in MODALITY_ORDER.  When all averaged values coincide
+    (e.g. an all-zero matrix) the min-max step is undefined; uniform
+    weights of 1 are returned with the degenerate flag set, reducing the
+    fusion to an unweighted sum.
     """
-    if not np.isfinite(mi.values).all():
+    mi = np.asarray(mi, dtype=np.float64)
+    if mi.shape != (4, 4):
+        raise InvalidInputError(f"MI matrix must be 4x4, got {mi.shape}")
+    if not np.isfinite(mi).all():
         raise NumericalError("MI matrix contains non-finite entries")
-    row_sums = mi.values.sum(axis=1)
-    total = mi.values.sum()
+    if not np.allclose(mi, mi.T):
+        raise InvalidInputError("MI matrix must be symmetric")
+    if not np.allclose(np.diag(mi), 0.0):
+        raise InvalidInputError("MI matrix diagonal must be zero")
+    row_sums = mi.sum(axis=1)
+    total = mi.sum()
     averaged = row_sums / total if abs(total) > 1e-12 else row_sums
     span = averaged.max() - averaged.min()
     if span <= 1e-12:
@@ -187,7 +165,7 @@ class SpikeMultimodalFusion(Module):
     The estimator is trained by gradient ascent on the pairwise bounds with
     its own Adam optimizer; its inputs are built from the spikes' data, so
     no gradient leaks into the encoders.  The marginal shuffle is seeded
-    by an internal per-batch counter.
+    by the ascent count.
     """
 
     PAIRS = tuple(combinations(range(4), 2))
@@ -203,7 +181,6 @@ class SpikeMultimodalFusion(Module):
         self.channels = channels
         self.estimator = SmicNet(len(self.PAIRS), 2 * channels, hidden, lif, rng)
         self._optim = Adam(self.estimator.parameters(), lr=lr)
-        self._counter = 0
         # smoothed pairwise bounds: per-batch DV estimates at desk-scale
         # batch sizes are too noisy to min-max directly, so the weight
         # computation reads this running average (stored with the model)
@@ -228,22 +205,22 @@ class SpikeMultimodalFusion(Module):
         """
         if self.frozen:
             return {}
-        joint, marginal = smic_inputs(spikes, self._counter)
-        self._counter += 1
+        joint, marginal = smic_inputs(spikes, int(self.mi_ema_count[0]))
         with Tape() as tape:
             bound = mi_lower_bound(self.estimator(joint), exp(self.estimator(marginal)))
             backward(scale(sum_(bound), -1.0), tape)
         self._optim.step()
         self._optim.zero_grad()
-        bounds = dict(zip(self.PAIRS, bound.data.tolist()))
-        fresh = MiMatrix.from_pairs(bounds).values.astype(np.float32)
+        fresh = np.zeros((4, 4), dtype=np.float32)
+        rows, cols = zip(*self.PAIRS)
+        fresh[rows, cols] = fresh[cols, rows] = bound.data
         if self.mi_ema_count[0] == 0:
             self.mi_ema[:] = fresh
         else:
             self.mi_ema[:] = (self.ema_momentum * self.mi_ema
                               + (1.0 - self.ema_momentum) * fresh)
         self.mi_ema_count[0] += 1
-        return bounds
+        return dict(zip(self.PAIRS, bound.data.tolist()))
 
     def weights(self, spikes: list[Tensor]) -> FusionWeights:
         """Fusion weights in two phases.
@@ -252,9 +229,10 @@ class SpikeMultimodalFusion(Module):
         bounds are uninformative, so the weights are uniform and flagged
         degenerate, which keeps the downstream input distribution stable
         while the estimators warm up.  From then on they come from the
-        smoothed matrix ``mi_ema``.  ``spikes`` only feed the cost recorder.
+        smoothed matrix ``mi_ema``.  ``spikes`` only feed the report being
+        recorded.
         """
         record_cost("smic", self, *spikes)
         if self.mi_ema_count[0] >= self.burn_in_steps:
-            return compute_mi_weights(MiMatrix(self.mi_ema.astype(np.float64)))
+            return compute_mi_weights(self.mi_ema)
         return FusionWeights(np.ones(4, dtype=np.float32), degenerate=True)

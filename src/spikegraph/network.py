@@ -257,7 +257,7 @@ class MkSgnModel(Module):
             self.smf.train_step(spikes)
         weights = self.fusion_weights(spikes)
         x = fuse_modalities(spikes, weights)
-        rates = {"fused_input": float(np.abs(x.data).mean())}
+        rates = {"fused_input": active_fraction(x)}
         taps: dict[int, Tensor] = {}
         for i, (sgc, stc) in enumerate(zip(self.sgc_layers, self.stc_layers), start=1):
             x = sa_sgc_stc_block(x, sgc, stc, self.adjacency)

@@ -1,9 +1,10 @@
 """Per-layer cost recording and theoretical energy accounting.
 
-One eval-mode forward with a recorder active lists each layer once, with
-its FLOPs per action sample and the firing rate ``r`` of its input.  1 MAC
-counts as 1 FLOP; BatchNorm, pooling and elementwise ops count zero.  With
-``S`` spike steps, the energy in millijoules is
+One eval-mode forward inside ``recording`` lists each layer once in the
+report being recorded, with its FLOPs per action sample and the firing
+rate ``r`` of its input.  1 MAC counts as 1 FLOP; BatchNorm, pooling and
+elementwise ops count zero.  With ``S`` spike steps, the energy in
+millijoules is
 
     SOPs = round(FLOPs * r * S)
     E    = (4.6 pJ * sum of FLOPs of the spike-encoding convs
@@ -20,8 +21,9 @@ import csv
 import io
 import json
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -80,6 +82,14 @@ class EnergyReport:
         """The same layer plan evaluated densely, MAC-costed throughout."""
         return self.flops_total * E_MAC_PJ * 1e-9
 
+    def add(self, prefix: str, kind: str, flops: int, rate: float,
+            is_fire: bool = False) -> None:
+        """Append one layer, its FLOPs normalized to one sample, with the
+        id ``prefix`` numbered by the layers already under that prefix."""
+        n = sum(c.id.rstrip("0123456789") == prefix for c in self.layers)
+        sops = round(flops * rate * self.spike_steps)
+        self.layers.append(LayerCost(f"{prefix}{n}", kind, flops, rate, sops, is_fire))
+
     def to_json_dict(self) -> dict:
         return {
             "model": "mk-sgn",
@@ -110,55 +120,38 @@ class EnergyReport:
 # Cost recording: layers report here during a forward pass
 # ---------------------------------------------------------------------------
 
-_RECORDERS: list["CostRecorder"] = []
-
-
-class CostRecorder:
-    """Per-layer costs reported during one forward pass, in report order.
-
-    FLOPs are normalized to one sample; ids number each layer prefix.
-    """
-
-    def __init__(self, spike_steps: int):
-        self.spike_steps = spike_steps
-        self.layers: list[LayerCost] = []
-        self._counts: dict[str, int] = {}
-
-    def add(self, prefix: str, kind: str, flops: int, rate: float,
-            is_fire: bool = False) -> None:
-        n = self._counts.get(prefix, 0)
-        self._counts[prefix] = n + 1
-        sops = round(flops * rate * self.spike_steps)
-        self.layers.append(LayerCost(f"{prefix}{n}", kind, flops, rate, sops, is_fire))
+_REPORT: ContextVar[Optional[EnergyReport]] = ContextVar("energy_report", default=None)
 
 
 @contextmanager
-def recording(spike_steps: int) -> Iterator[CostRecorder]:
-    """Make a fresh recorder the target of ``record_cost`` inside the block."""
-    recorder = CostRecorder(spike_steps)
-    _RECORDERS.append(recorder)
+def recording(spike_steps: int) -> Iterator[EnergyReport]:
+    """Make a fresh report the one being recorded inside the block, in
+    this thread or task only."""
+    report = EnergyReport(spike_steps, [])
+    token = _REPORT.set(report)
     try:
-        yield recorder
+        yield report
     finally:
-        _RECORDERS.pop()
+        _REPORT.reset(token)
 
 
 def record_cost(site: str, layer, *inputs: Tensor) -> None:
-    """Report one layer's cost to the innermost recorder, if one is active.
+    """Report one layer's cost to the report being recorded, if any.
 
     ``site`` selects the cost formula: encoder, smic, sgc, ssa, stc, head.
     """
-    if _RECORDERS:
-        _SITES[site](_RECORDERS[-1], layer, *inputs)
+    report = _REPORT.get()
+    if report is not None:
+        _SITES[site](report, layer, *inputs)
 
 
-def _encoder_cost(rec: CostRecorder, enc, x: Tensor) -> None:
+def _encoder_cost(rec: EnergyReport, enc, x: Tensor) -> None:
     d, c, kh, kw = enc.weight.shape
     v, t = x.shape[-2:]
     rec.add("encoder", "conv", d * c * kh * kw * v * t, 1.0, is_fire=True)
 
 
-def _smic_cost(rec: CostRecorder, smf, *spikes: Tensor) -> None:
+def _smic_cost(rec: EnergyReport, smf, *spikes: Tensor) -> None:
     """One entry per unordered modality pair: the LSTM gate GEMMs and the
     hidden-to-score readout, every frame, at ``smf.estimator.hidden``."""
     hidden = smf.estimator.hidden
@@ -169,7 +162,7 @@ def _smic_cost(rec: CostRecorder, smf, *spikes: Tensor) -> None:
         rec.add("smic", "lstm", flops, float(np.mean([rates[i], rates[j]])))
 
 
-def _sgc_cost(rec: CostRecorder, layer, x: Tensor) -> None:
+def _sgc_cost(rec: EnergyReport, layer, x: Tensor) -> None:
     s, b, d, v, t = x.shape
     k = layer.w_graph.shape[0]
     mix = k * v * v * d * t
@@ -177,7 +170,7 @@ def _sgc_cost(rec: CostRecorder, layer, x: Tensor) -> None:
     rec.add("sgc", "conv", mix + maps, active_fraction(x))
 
 
-def _ssa_cost(rec: CostRecorder, layer, h: Tensor, q: Tensor, k: Tensor,
+def _ssa_cost(rec: EnergyReport, layer, h: Tensor, q: Tensor, k: Tensor,
               v: Tensor) -> None:
     """Q/K/V projections, then Q·K^T and (Q·K^T)·V per frame."""
     s, b, d, nv, t = h.shape
@@ -186,13 +179,13 @@ def _ssa_cost(rec: CostRecorder, layer, h: Tensor, q: Tensor, k: Tensor,
     rec.add("ssa_attn", "matmul-attention", 2 * nv * nv * d * t, qkv_rate)
 
 
-def _stc_cost(rec: CostRecorder, layer, h_sa: Tensor) -> None:
+def _stc_cost(rec: EnergyReport, layer, h_sa: Tensor) -> None:
     s, b, d, v, t = h_sa.shape
     rec.add("stc", "conv", d * d * layer.kernel_t * v * (t // layer.stride),
             active_fraction(h_sa))
 
 
-def _head_cost(rec: CostRecorder, head, spikes: Tensor) -> None:
+def _head_cost(rec: EnergyReport, head, spikes: Tensor) -> None:
     rec.add("head", "linear", head.in_features * head.out_features,
             active_fraction(spikes))
 
@@ -202,12 +195,12 @@ _SITES = {"encoder": _encoder_cost, "smic": _smic_cost, "sgc": _sgc_cost,
 
 
 def profile_model(model, batch: dict[str, Tensor]) -> EnergyReport:
-    """One eval-mode forward pass with a cost recorder active, on the
-    model's input: the modalities by name, each x[B, 3, V, T]."""
+    """The report recorded over one eval-mode forward pass on the model's
+    input: the modalities by name, each x[B, 3, V, T]."""
     was_training = model.training
     model.eval()
-    with recording(model.spike_steps) as rec:
+    with recording(model.spike_steps) as report:
         model(batch)
     if was_training:
         model.train()
-    return EnergyReport(rec.spike_steps, rec.layers)
+    return report

@@ -32,12 +32,17 @@ gradient slots (``grad`` and ``requires_grad``), never a ``Tensor``, and a
 backward closure captures only the arrays, shapes and dtypes it reads.  So
 an activation lives while the forward code or a closure that reads it
 holds it, not until the sweep reaches the records that name it.
+
+Scope rule of the tape: the active tape is a context variable, so each
+thread or asyncio task records only onto the tape it entered itself.
+A ``Tape`` object is not re-entrant; no caller re-enters one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,7 +64,7 @@ class NumericalError(ArithmeticError):
 # Tape
 # ---------------------------------------------------------------------------
 
-_TAPE_STACK: list["Tape"] = []
+_ACTIVE_TAPE: ContextVar[Optional["Tape"]] = ContextVar("active_tape", default=None)
 
 
 class _Slot:
@@ -130,12 +135,11 @@ class Tape:
         self._records: list[_Record] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
-        assert popped is self, "tape stack corrupted"
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     def __len__(self) -> int:
@@ -145,8 +149,7 @@ class Tape:
         return any(out is t._slot for rec in self._records for out in rec.outputs)
 
 
-def _active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+_active_tape = _ACTIVE_TAPE.get
 
 
 def record_op(inputs: Sequence["Tensor"], outputs: Sequence["Tensor"],

@@ -250,14 +250,18 @@ def test_per_pair_estimator_checkpoint_is_rejected(tmp_path, tiny_data, capsys):
     ({"optimizer": {"epochs": 2.5}}, "none", "optimizer.epochs must be an integer, got 2.5"),
     ({"optimizer": {"lr": True}}, "none", "optimizer.lr must be a number, got True"),
     ({"optimizer": {"lr": None}}, "none", "optimizer.lr must be a number, got None"),
+    ({"blocks": {"attention_scale": float("inf")}}, "none",
+     "blocks.attention_scale must be a number, got inf"),
     ({"loss": {"alpha": [1, "a", 1, 1]}}, "none", "loss.alpha must be a list of numbers"),
+    ({"loss": {"alpha": [float("nan"), 0.25, 0.25, 0.25]}}, "none",
+     "loss.alpha must be a list of numbers, got [nan, 0.25, 0.25, 0.25]"),
     ({"dataset": {"cache_dir": 5}}, "none", "dataset.cache_dir must be a string, got 5"),
     ({"kd": ["soft"]}, "none", "kd must be a string, got ['soft']"),
     ({"preprocess": 8}, "none", "preprocess must be a mapping, got 8"),
 ], ids=["optimizer_epochs", "teacher_epochs", "batch_size", "even_temporal_kernel",
         "alpha_length", "beta_length", "gamma_length", "target_T", "batch_size_str",
-        "classes_str", "epochs_float", "lr_bool", "lr_null", "alpha_str", "cache_dir_int",
-        "kd_list", "group_scalar"])
+        "classes_str", "epochs_float", "lr_bool", "lr_null", "attention_scale_inf",
+        "alpha_str", "alpha_nan", "cache_dir_int", "kd_list", "group_scalar"])
 def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, values, kd,
                                                 message):
     config = _write_config(tmp_path / "run.yaml", values)

@@ -304,6 +304,20 @@ class TestFusionBurnIn:
         assert weights.degenerate
         np.testing.assert_array_equal(weights.w, np.ones(4, dtype=np.float32))
 
+    def test_loaded_ascent_count_seeds_the_next_shuffle(self, trained, monkeypatch):
+        # a resumed student continues its shuffle sequence where it stopped
+        cfg, topo, _, batch = trained
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(3))
+        state = model.state_dict()
+        state["buffer:smf.mi_ema_count"] = np.array([7], dtype=np.float32)
+        model.load_state_dict(state)
+        seeds, smic_inputs = [], fusion.smic_inputs
+        monkeypatch.setattr(fusion, "smic_inputs",
+                            lambda spikes, seed: seeds.append(seed) or smic_inputs(spikes, seed))
+        model.train()
+        model(batch)
+        assert seeds == [7]
+
 
 class TestGraphWeights:
     def test_one_stacked_weight_per_layer(self, trained):

@@ -3,6 +3,8 @@ channel plan, and the energy total follows the MAC/AC split."""
 
 import json
 import os
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 from spikegraph import profiler
 from spikegraph.config import RunConfig
 from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
+from spikegraph.module import Parameter
 from spikegraph.network import batch_tensors
+from spikegraph.tensor import Tape, Tensor, add
 
 FRAMES = 8
 CLASSES = 4
@@ -19,8 +23,8 @@ SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
                       "energy_report.schema.json")
 
 
-def _model_and_batch():
-    cfg = RunConfig()
+def _model_and_batch(values=None):
+    cfg = RunConfig(values)
     topo = SkeletonTopology.ntu25()
     seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
                          frames=24, seed=0)
@@ -114,6 +118,34 @@ class TestRecording:
         assert outer.layers == []
         assert [c.id for c in inner.layers] == [
             i for i, _, _ in _closed_forms(cfg, model)]
+
+    def test_another_thread_reaches_neither_the_callers_tape_nor_report(self):
+        p = Parameter(np.ones(3, dtype=np.float32))
+        head = types.SimpleNamespace(in_features=2, out_features=3)
+
+        def work():
+            add(p, p)
+            profiler.record_cost("head", head, Tensor(np.ones(4)))
+
+        with Tape() as tape, profiler.recording(4) as report:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(work).result(timeout=60)
+            assert len(tape) == 0 and report.layers == []
+            work()
+            assert len(tape) == 1 and [c.id for c in report.layers] == ["head0"]
+
+
+def test_fused_input_rate_is_the_first_block_input_rate():
+    # the weighted sum of four spike maps reads as the fraction of nonzero
+    # elements, the rate that gates sgc0's accumulates, not its mean drive;
+    # a low threshold makes encoders fire on the same elements
+    _, model, batch = _model_and_batch({"neuron": {"v_threshold": 0.2}})
+    model.eval()
+    drive = sum(s.data.astype(np.int32) for s in model.encode(batch))
+    assert drive.max() > 1
+    _, _, info = model(batch)
+    rates = {c.id: c.rate for c in profiler.profile_model(model, batch).layers}
+    assert info["rates"]["fused_input"] == rates["sgc0"]
 
 
 def test_active_fraction_is_the_firing_rate_on_spikes():
