@@ -17,7 +17,7 @@ from .data import SkeletonTopology
 from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import record_cost
-from .tensor import (InvalidInputError, Tensor, add, conv2d, matmul, permute,
+from .tensor import (InvalidInputError, Tensor, _later, add, conv2d, matmul, permute,
                      record_op, reshape, scale, slice_)
 
 
@@ -60,7 +60,9 @@ def partition_branches(topo: SkeletonTopology) -> np.ndarray:
 
 
 def channel_map(x: Tensor, w: Tensor) -> Tensor:
-    """Apply w[D, D'] to the channel axis (-3) of x (a 1x1 convolution), fused."""
+    """Apply w[D, D'] to the channel axis (-3) of x (a 1x1 convolution), fused.
+    w's gradient runs on the worker thread (``tensor._later``) while
+    backward computes x's."""
     if x.ndim < 3 or x.shape[-3] != w.shape[0]:
         raise InvalidInputError(f"channel map of {x.shape} with weight {w.shape}")
     xd, wd = x.data, w.data
@@ -70,9 +72,8 @@ def channel_map(x: Tensor, w: Tensor) -> Tensor:
 
     def backward(g):
         gm = np.moveaxis(g, -3, -1)
+        gw = _later(np.tensordot, np.moveaxis(xd, -3, -1), gm, (reduce_axes, reduce_axes))
         gx = np.moveaxis(np.tensordot(gm, wd, axes=([-1], [1])), -1, -3)
-        xm = np.moveaxis(xd, -3, -1)
-        gw = np.tensordot(xm, gm, axes=(reduce_axes, reduce_axes))
         return gx, gw
 
     record_op((x, w), (out,), backward)
@@ -87,7 +88,8 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     first, in one GEMM to K*D' whose rows fold every other axis, then
     contracts (u, k) against the stacked adjacency once per row group; no
     row's result depends on the others, so a sample's output does not
-    depend on its batch.  Backward keeps only x.
+    depend on its batch.  Backward keeps only x; w's gradient runs on the
+    worker thread (``tensor._later``) while backward computes x's.
     """
     k, d, d_out = w.shape
     if x.ndim < 3 or x.shape[-3] != d or adj.shape != (k, x.shape[-2], x.shape[-2]):
@@ -104,13 +106,16 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     out = Tensor._wrap(np.moveaxis(out, (-2, -1), (-2, -3)))
     rows = tuple(range(len(lead) + 1))
 
+    def weight_grad(gy):                                              # [K, D, D']
+        return np.tensordot(xm, gy.reshape(lead + (v, k, d_out)),
+                            axes=(rows, rows)).transpose(1, 0, 2)
+
     def backward(g):
         gm = np.ascontiguousarray(np.moveaxis(g, (-2, -3), (-2, -1)))
         gy = np.matmul(a_cat.T, gm.reshape(-1, v, d_out))            # [R, (u, k), D']
+        gw = _later(weight_grad, gy)
         gx = gy.reshape(-1, k * d_out) @ wd.transpose(0, 2, 1).reshape(k * d_out, d)
-        gw = np.tensordot(xm, gy.reshape(lead + (v, k, d_out)), axes=(rows, rows))
-        return (np.moveaxis(gx.reshape(lead + (v, d)), (-2, -1), (-2, -3)),
-                gw.transpose(1, 0, 2))                                # [K, D, D']
+        return np.moveaxis(gx.reshape(lead + (v, d)), (-2, -1), (-2, -3)), gw
 
     record_op((x, w), (out,), backward)
     return out

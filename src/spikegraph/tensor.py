@@ -36,12 +36,22 @@ holds it, not until the sweep reaches the records that name it.
 Scope rule of the tape: the active tape is a context variable, so each
 thread or asyncio task records only onto the tape it entered itself.
 A ``Tape`` object is not re-entrant; no caller re-enters one.
+
+Sweep rule: a backward closure may return a ``Future`` in place of an
+input's gradient, a job it handed to the one worker thread (``_later``)
+so that the job runs while the sweep goes on.  The sweep keeps every
+gradient part of that input in sweep order and sums them in that order,
+as it sums arrays, once a record reads the slot or before ``backward``
+returns; so gradients are the same bytes as when every part is an array.
+A job must only read arrays that no later closure writes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
@@ -69,7 +79,8 @@ _ACTIVE_TAPE: ContextVar[Optional["Tape"]] = ContextVar("active_tape", default=N
 
 class _Slot:
     """The part of a ``Tensor`` that the tape and the sweep touch: its
-    gradient and whether it needs one, never its data."""
+    gradient and whether it needs one, never its data.  Within a sweep,
+    ``grad`` may be a list of parts still to sum (the sweep rule)."""
 
     __slots__ = ("grad", "requires_grad")
 
@@ -150,6 +161,25 @@ class Tape:
 
 
 _active_tape = _ACTIVE_TAPE.get
+
+# the thread that weight-gradient GEMMs run on beside the sweep; it starts
+# at the first job, and it runs jobs one at a time, in the order submitted
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spikegraph-grad")
+_WORKER_PID = os.getpid()
+
+
+def _later(fn, *args):
+    """``fn(*args)`` as a job on the worker thread (see the sweep rule); run
+    at once, its result returned, in a process forked from the one that
+    made the worker, where no worker thread runs the jobs."""
+    if os.getpid() != _WORKER_PID:
+        return fn(*args)
+    return _WORKER.submit(fn, *args)
+
+
+def _ready(part):
+    """A gradient part's array, once its job (if it is one) is done."""
+    return part.result() if isinstance(part, Future) else part
 
 
 def record_op(inputs: Sequence["Tensor"], outputs: Sequence["Tensor"],
@@ -427,7 +457,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
     in the zero padding written as zeros, and the GEMM's [B*Ho*Wo, Cout]
     output is returned as its [B, Cout, Ho, Wo] view: channels last in
     memory.  x's gradient is laid out as x.  im2col, which backward keeps,
-    is in x's dtype (one byte for spikes) and cast for each GEMM.
+    is in x's dtype (one byte for spikes) and cast for each GEMM.  w's
+    gradient GEMM runs on the worker thread (``_later``) while backward
+    computes x's.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -465,9 +497,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
     out = Tensor._wrap(out2d.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
     x_spec = _spec(x.data) if x.requires_grad else None
 
+    def weight_grad(gt2d):
+        return (gt2d.T @ _as_float(cols2d)).reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
+
     def backward(g):
         gt2d = g.transpose(0, 2, 3, 1).reshape(-1, Cout)
-        gw = (gt2d.T @ _as_float(cols2d)).reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
+        gw = _later(weight_grad, gt2d)
         gx = None
         if x_spec is not None:
             gcols = (gt2d @ w2d).reshape(B, Ho, Wo, k_total, Cin)
@@ -970,6 +1005,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     dtypes (each gradient is cast to its input's dtype, float32 for an
     integer input) and the output layouts (an unused output of a
     multi-output op gets zeros laid out as that output).
+
+    Gradients that closures hand to the worker thread (the sweep rule) are
+    joined before this returns, also when the sweep raises: then no job
+    is still running and every ``grad`` is an array or None.
     """
     if loss.size != 1:
         raise InvalidInputError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -977,12 +1016,23 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise InvalidInputError("loss is not reachable from this tape's outputs")
     loss.grad = np.ones_like(loss.data)
     records = tape._records
-    while records:
-        _sweep(records.pop())
+    pending: list[_Slot] = []
+    try:
+        while records:
+            _sweep(records.pop(), pending)
+    finally:
+        _ready(_later(int))     # jobs run in order: every earlier one is done
+        for slot in pending:
+            _settle(slot)
 
 
-def _sweep(rec: _Record) -> None:
-    """Back-propagate one popped record; what it held is freed on return."""
+def _sweep(rec: _Record, pending: list[_Slot]) -> None:
+    """Back-propagate one popped record; what it held is freed on return.
+
+    A slot that receives a ``Future`` keeps its gradient parts as a list of
+    (part, dtype) in sweep order, and is added to ``pending``."""
+    for out in rec.outputs:
+        _settle(out)
     gouts = [out.grad for out in rec.outputs]
     for out in rec.outputs:
         out.grad = None
@@ -996,10 +1046,30 @@ def _sweep(rec: _Record) -> None:
     for slot, dtype, g in zip(rec.inputs, rec.in_dtypes, gins):
         if g is None or not slot.requires_grad:
             continue
-        if g.dtype != dtype:
-            g = g.astype(dtype)
-        # grads are never mutated in place, so holding a view is safe
-        slot.grad = g if slot.grad is None else slot.grad + g
+        if isinstance(g, Future) and not isinstance(slot.grad, list):
+            slot.grad = [] if slot.grad is None else [(slot.grad, dtype)]
+            pending.append(slot)
+        if isinstance(slot.grad, list):
+            slot.grad.append((g, dtype))
+        else:
+            _accumulate(slot, g, dtype)
+
+
+def _settle(slot: _Slot) -> None:
+    """Sum a slot's gradient parts in sweep order, waiting for each job."""
+    parts = slot.grad
+    if not isinstance(parts, list):
+        return
+    slot.grad = None
+    for g, dtype in parts:
+        _accumulate(slot, _ready(g), dtype)
+
+
+def _accumulate(slot: _Slot, g: np.ndarray, dtype) -> None:
+    if g.dtype != dtype:
+        g = g.astype(dtype)
+    # grads are never mutated in place, so holding a view is safe
+    slot.grad = g if slot.grad is None else slot.grad + g
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,24 @@ differences; ``held`` lists what a backward closure holds and
 ``closure_bytes`` weighs the arrays that a tape's closures hold, per op;
 ``channel_rows`` is the plain per-channel form of
 ``tensor._channel_runs``, and ``kernel_views`` records every view that
-the BatchNorm and LIF kernels take, and whether it was a copy.
+the BatchNorm and LIF kernels take, and whether it was a copy;
+``settled`` joins the worker jobs that a backward closure returns,
+``submitted_jobs`` lists them as the ops submit them, and ``inline_jobs``
+runs each on the caller's thread as it is submitted, returning its array:
+the reference for the sweep that joins them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import inspect
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from spikegraph import neurons, tensor
+from spikegraph import blocks, neurons, tensor
 from spikegraph.neurons import LifConfig
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor, _pair, add,
                                backward, mul, record_op, scale)
@@ -362,3 +367,40 @@ def kernel_views():
         yield calls
     finally:
         tensor._kernel_view = neurons._kernel_view = original
+
+
+def settled(grads: tuple) -> tuple:
+    """A backward closure's gradients, each worker job (a ``Future``, see
+    the sweep rule in ``tensor``) replaced by its result."""
+    return tuple(tensor._ready(g) for g in grads)
+
+
+def _patch_later(monkeypatch, later) -> None:
+    for module in (tensor, blocks):
+        monkeypatch.setattr(module, "_later", later)
+
+
+def submitted_jobs(monkeypatch) -> list[Future]:
+    """The futures of the jobs that the ops submit from now on, which still
+    run on the worker thread."""
+    jobs, later = [], tensor._later
+
+    def submit(fn, *args):
+        jobs.append(later(fn, *args))
+        return jobs[-1]
+
+    _patch_later(monkeypatch, submit)
+    return jobs
+
+
+def _run_now(fn, *args):
+    return fn(*args)
+
+
+def inline_jobs(monkeypatch) -> None:
+    """Make ``tensor._later`` run each job at once, on the caller's thread,
+    and hand its array to the sweep, in every module that submits jobs: the
+    sweep then sums every gradient eagerly, as arrays.  (A done ``Future``
+    would take the same settling path as the worker's, and could not show
+    a wrong order of the parts.)"""
+    _patch_later(monkeypatch, _run_now)

@@ -1,6 +1,7 @@
-"""Checkpoint round trip, the training step's optimizer bookkeeping, the
-epoch loop's LR step and early stop, eval-mode BatchNorm and the eval
-forward's page faults."""
+"""Checkpoint round trip, the training step's optimizer bookkeeping and its
+worker-thread weight gradients, the epoch loop's LR step and early stop,
+eval-mode BatchNorm, and the page faults of the eval forward and of the
+training step."""
 
 import contextlib
 import dataclasses
@@ -155,6 +156,50 @@ class TestTapeHoldsNoTensor:
         assert kinds == self.KINDS
         assert lif_kinds == {"sn_layer", "bn_sn_layer"}
         assert holding == []
+
+
+class TestWeightGradientJobs:
+    """Every parameter gradient of a training step, its weight-gradient
+    GEMMs on the worker thread, is the same bytes as with each job run
+    inline as it is submitted (``oracles.inline_jobs``)."""
+
+    @staticmethod
+    def step_grads(kd, monkeypatch):
+        """Each sweep's parameter gradients, the SMIC ascent's and the step's."""
+        topo = SkeletonTopology.ntu25()
+        bundle, labels = small_set(topo)
+        idx = np.arange(2)
+        cfg = RunConfig({"kd": kd, "preprocess": {"target_T": 8, "batch_size": 2}})
+        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+        params = list(model.named_parameters())
+        teacher = ftm = None
+        if kd != "none":
+            teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
+            ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
+                            np.random.default_rng(2))
+            params += list(ftm.named_parameters("ftm."))
+        grads, sweep = [], tensor.backward
+
+        def spy(loss, tape):
+            sweep(loss, tape)
+            grads.append({name: None if p.grad is None else p.grad.tobytes()
+                          for name, p in params})
+
+        for mod in (network, fusion):
+            monkeypatch.setattr(mod, "backward", spy)
+        Trainer(model, bundle, labels, cfg.train_settings(),
+                loss_weights=cfg.loss_weights(), teacher=teacher,
+                ftm=ftm).train_step(batch_tensors(bundle, idx), labels[idx])
+        return grads
+
+    @pytest.mark.parametrize("kd", ["none", "soft,feature"], ids=["train_smf", "train_kd"])
+    def test_step_gradients_equal_inline(self, kd, monkeypatch):
+        jobs = oracles.submitted_jobs(monkeypatch)
+        got = self.step_grads(kd, monkeypatch)
+        oracles.inline_jobs(monkeypatch)
+        want = self.step_grads(kd, monkeypatch)
+        assert len(jobs) > 0 and len(got) == 2
+        assert got == want
 
 
 class TestSpikesAreOneByte:
@@ -594,3 +639,50 @@ def test_eval_forward_does_not_fault_its_heap_back_in():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) <= 50
+
+
+TRAIN_FAULT_PROBE = """
+import resource
+import threading
+import numpy as np
+import spikegraph
+from spikegraph.config import RunConfig
+from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
+from spikegraph.network import Trainer, batch_tensors
+topo = SkeletonTopology.ntu25()
+seqs, _ = synthesize(classes=4, samples_per_class=2, num_joints=25, frames=24, seed=0)
+bundle, labels = preprocess_sequences(seqs, 16, topo)
+cfg = RunConfig({"preprocess": {"target_T": 16, "batch_size": 8}})
+model = cfg.build_student(4, topo, np.random.default_rng(0))
+trainer = Trainer(model, bundle, labels, cfg.train_settings(),
+                  loss_weights=cfg.loss_weights())
+batch = batch_tensors(bundle, np.arange(8))
+for _ in range(2):
+    trainer.train_step(batch, labels[:8])
+faults = []
+for _ in range(9):
+    r0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.train_step(batch, labels[:8])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - r0)
+print(any(t.name.startswith("spikegraph-grad") for t in threading.enumerate()),
+      sorted(faults)[4])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap thresholds")
+def test_train_step_does_not_fault_its_heap_back_in():
+    """Minor faults in the median of 9 toy-plan training steps (B=8, T=16)
+    after 2 warm-up steps, their weight-gradient GEMMs on the worker
+    thread.  It read 5-10; a heap trimmed back to the kernel faults the
+    freed tape in again at every step (once 58k faults per step).  The
+    median, because the heap's top still rises by up to 1 MB (20-230
+    faults) at up to 3 of the first steps, which ones depending on how the
+    worker's jobs interleave with the sweep."""
+    src = os.path.dirname(os.path.dirname(spikegraph.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", TRAIN_FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    worker, faults = proc.stdout.split()
+    assert worker == "True"
+    assert int(faults) <= 50

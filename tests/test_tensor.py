@@ -1,16 +1,23 @@
 """Tensor core: ops, tape backward, finite-difference oracle, serialization."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from spikegraph.tensor import (FormatError, InvalidInputError, Tape, Tensor,
+from spikegraph import blocks, tensor
+from spikegraph.blocks import channel_map, graph_conv
+from spikegraph.tensor import (FormatError, InvalidInputError, NumericalError, Tape, Tensor,
                                _bn_stats, _kernel_view,
                                add, backward, batch_norm, concat, conv2d,
                                depthwise_conv2d, div, exp, log,
-                               lstm_cell, matmul, max_, mean, mul, permute,
+                               lstm_cell, matmul, max_, mean, mul, permute, record_op,
                                relu, reshape, repeat0, scale, slice_, sqrt,
                                sub, sum_, tensor_from_bytes,
                                tensor_to_bytes, load_tensor, save_tensor)
@@ -36,10 +43,11 @@ def laid_out(a, layout):
 
 
 def taped(op, *args, **kwargs):
-    """(op's output, the backward closure it recorded)."""
+    """(op's output, the backward closure it recorded, its worker jobs joined)."""
     with Tape() as tape:
         out = op(*args, **kwargs)
-    return out, tape._records[-1].backward
+    bwd = tape._records[-1].backward
+    return out, lambda *g: oracles.settled(bwd(*g))
 
 
 class TestMatmul:
@@ -601,6 +609,133 @@ class TestSweepFreesTape:
             tracemalloc.stop()
         assert forward >= 31 * mib
         assert peak <= forward + 4 * mib, (forward / mib, peak / mib)
+
+
+def weight_op(name):
+    """(x's shape, w's shape, op(x, w)) of an op whose w gradient is a job."""
+    adj = rand(3, 5, 5, seed=60)
+    return {
+        "channel_map": ((2, 4, 5, 3), (4, 6), channel_map),
+        "graph_conv": ((2, 4, 5, 3), (3, 4, 6), lambda x, w: graph_conv(x, adj, w)),
+        "conv2d": ((2, 4, 5, 3), (6, 4, 1, 3),
+                   lambda x, w: conv2d(x, w, zero_bias(6), padding=(0, 1))),
+    }[name]
+
+
+FORK_PROBE = """
+import os
+import time
+import numpy as np
+from spikegraph.blocks import channel_map
+from spikegraph.tensor import Tape, Tensor, backward, sum_
+
+def sweep():
+    x = Tensor(np.ones((2, 4, 5, 3), dtype=np.float32), requires_grad=True)
+    w = Tensor(np.ones((4, 6), dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        backward(sum_(channel_map(x, w)), tape)
+    return w.grad.tobytes()
+
+want = sweep()
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if sweep() == want else 1)
+deadline = time.monotonic() + 20
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print("child", os.waitstatus_to_exitcode(status))
+        break
+    time.sleep(0.01)
+else:
+    os.kill(pid, 9)
+    print("child hung")
+"""
+
+
+class TestWeightGradientJobs:
+    """Weight gradients that the worker thread computes (the sweep rule in
+    ``tensor``) reach the leaves as the same bytes as when every job runs
+    inline, and a sweep that raises leaves no job and no part behind."""
+
+    @staticmethod
+    def shared_and_produced(name):
+        """Gradients of x1, x2, x3 and w, where w feeds two calls of the op
+        directly and a third through ``scale``: w's parts arrive as an
+        array and two jobs, and scale's output gets a job before its record
+        is swept."""
+        xs, ws, op = weight_op(name)
+        x = [Tensor(rand(*xs, seed=61 + i), requires_grad=True) for i in range(3)]
+        w = Tensor(rand(*ws, seed=64), requires_grad=True)
+        with Tape() as tape:
+            loss = sum_(mul(add(op(x[0], w), op(x[1], w)), op(x[2], scale(w, 0.5))))
+            backward(loss, tape)
+        return [t.grad for t in x + [w]]
+
+    @pytest.mark.parametrize("name", ["channel_map", "graph_conv", "conv2d"])
+    def test_shared_and_produced_weight_equals_inline(self, name, monkeypatch):
+        jobs = oracles.submitted_jobs(monkeypatch)
+        got = self.shared_and_produced(name)
+        oracles.inline_jobs(monkeypatch)
+        want = self.shared_and_produced(name)
+        assert len(jobs) == 4                   # and the join of the sweep
+        for g, ref in zip(got, want):
+            assert type(g) is np.ndarray and g.dtype == ref.dtype
+            assert g.tobytes() == ref.tobytes()
+
+    def test_raising_sweep_joins_every_job(self, monkeypatch):
+        jobs = oracles.submitted_jobs(monkeypatch)
+        x0 = Tensor(rand(2, 4, 5, 3, seed=65), requires_grad=True)
+        w = Tensor(rand(4, 6, seed=66), requires_grad=True)
+
+        def diverging(g):
+            tensor._later(time.sleep, 0.2)
+            raise NumericalError("non-finite gradient")
+
+        with Tape() as tape:
+            x = Tensor._wrap(x0.data.copy())
+            record_op((x0,), (x,), diverging)
+            y = channel_map(x, w)
+            loss = sum_(y)
+            with pytest.raises(NumericalError):
+                backward(loss, tape)
+        assert len(jobs) == 3 and all(job.done() for job in jobs)
+        assert type(w.grad) is np.ndarray
+        assert all(t.grad is None for t in (x0, x, y))
+
+    def test_sweeps_on_several_threads_share_the_worker(self):
+        # more sweeping threads than cores, switching often: each thread's
+        # gradients must still be its own jobs' results, summed in order
+        want = [g.tobytes() for g in self.shared_and_produced("graph_conv")]
+        results = []
+
+        def sweeps():
+            for _ in range(5):
+                results.append([g.tobytes() for g in self.shared_and_produced("graph_conv")])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sweeps) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 20 and all(r == want for r in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_its_jobs_inline(self):
+        # a child forked after the worker thread started has no such
+        # thread: a job handed to it would never run, and the sweep hang
+        src = os.path.dirname(os.path.dirname(tensor.__file__))
+        proc = subprocess.run([sys.executable, "-c", FORK_PROBE], timeout=60,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["child", "0"]
 
 
 class TestTapeKeepsOnlyWhatBackwardReads:
