@@ -138,11 +138,13 @@ class RunConfig:
             return cls()
         if not os.path.exists(path):
             raise InvalidInputError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 data = yaml.safe_load(fh) or {}
-            except yaml.YAMLError as err:
-                raise InvalidInputError(f"cannot parse config {path}: {err}") from err
+        except OSError as err:
+            raise InvalidInputError(f"cannot read config {path}: {err.strerror}") from err
+        except (UnicodeDecodeError, yaml.YAMLError) as err:
+            raise InvalidInputError(f"cannot parse config {path}: {err}") from err
         if not isinstance(data, dict):
             raise InvalidInputError(
                 f"config root must be a mapping, got {type(data).__name__}")

@@ -257,6 +257,8 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
             raw = fh.read()
     except FileNotFoundError as err:
         raise InvalidInputError(f"checkpoint not found: {path}") from err
+    except OSError as err:
+        raise InvalidInputError(f"cannot read checkpoint {path}: {err.strerror}") from err
     if raw[:4] != _CKPT_MAGIC:
         raise InvalidInputError(f"not a checkpoint file: {path}")
     offset = 4

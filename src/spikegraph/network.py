@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,10 +28,10 @@ from .module import (BatchNorm, Linear, Module, Parameter, SGD,
                      kaiming_normal, load_checkpoint, save_checkpoint)
 from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import active_fraction, record_cost
-from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, add,
-                     backward, concat, conv2d, depthwise_conv2d, div, exp, log,
-                     max_, mean, mul, permute, relu, repeat0, reshape, scale,
-                     slice_, sqrt, sub, sum_)
+from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, _later,
+                     _ready, add, backward, concat, conv2d, depthwise_conv2d, div,
+                     exp, log, max_, mean, mul, permute, relu, repeat0, reshape,
+                     scale, slice_, sqrt, sub, sum_)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +505,10 @@ def _keep_freed_memory() -> None:
     per toy step, and about 20k faults and 55 ms per paper-plan clip,
     flipping with unrelated changes to allocation order.  Fixed thresholds
     (mmap only above 32 MB, no trimming) make the reuse unconditional.
-    One arena serves every thread, so the weight-gradient jobs of
-    ``tensor._later`` reuse the blocks the sweep frees instead of growing
-    a heap of their own (+6% peak RSS on a toy training step).
+    One arena serves every thread, so the worker's jobs (``tensor._later``:
+    the teacher's forward and weight-gradient GEMMs) reuse the blocks the
+    caller's thread frees instead of growing a heap of their own (+6%
+    peak RSS on a toy training step).
     """
     if sys.platform.startswith("linux"):
         import ctypes
@@ -551,34 +553,49 @@ class Trainer:
     # -- one optimization step ----------------------------------------------
 
     def train_step(self, batch: dict[str, Tensor], labels: np.ndarray) -> dict:
+        """One SGD step on a batch: the student's forward (with the SMIC
+        ascent while the fusion learns), the loss terms, the sweep and the
+        update; returns the step's metrics.
+
+        With distillation on, the frozen teacher's forward is a job on the
+        worker thread (``tensor._later``) that runs while the student's
+        forward runs here.  It records onto no tape and no energy report.
+        Its outputs are collected before the loss terms; an error of its
+        own is raised here as it is.  If the step raises before that, the
+        job is still joined: no job outlives the step.
+        """
         model = self.model
         settings = self.settings
         model.train()
 
-        teacher_logits = teacher_taps = None
-        if settings.kd:
-            logits_d, taps_d = self.teacher(batch)
-            teacher_logits = {k: v.detach() for k, v in logits_d.items()}
-            teacher_taps = {m: {i: t.detach() for i, t in d.items()}
-                            for m, d in taps_d.items()}
-
-        with Tape() as tape:
-            logits, taps, info = model(batch)
-            l_task = task_loss(logits, labels)
-            l_sdk = l_fkd = None
-            if "soft" in settings.kd:
-                l_sdk = sdk_loss(logits, aggregate_soft_labels(teacher_logits,
-                                                               self.loss_weights))
-            if "feature" in settings.kd:
-                t_mid, t_high = self.ftm.translate(teacher_taps)
-                l_fkd = (fkd_loss(t_mid, taps[STUDENT_TAP_LAYERS[0]]),
-                         fkd_loss(t_high, taps[STUDENT_TAP_LAYERS[1]]))
-            loss = total_loss(l_task, l_sdk, l_fkd, self.loss_weights)
-            if not np.isfinite(loss.data).all():
-                dump = ", ".join(f"{k}={v:.3f}" for k, v in sorted(info["rates"].items()))
-                raise NumericalError(f"training loss is non-finite "
-                                     f"(layer firing rates: {dump})")
-            backward(loss, tape)
+        teacher_job = _later(self.teacher, batch) if settings.kd else None
+        try:
+            with Tape() as tape:
+                logits, taps, info = model(batch)
+                if settings.kd:
+                    logits_d, taps_d = _ready(teacher_job)
+                    teacher_logits = {k: v.detach() for k, v in logits_d.items()}
+                    teacher_taps = {m: {i: t.detach() for i, t in d.items()}
+                                    for m, d in taps_d.items()}
+                l_task = task_loss(logits, labels)
+                l_sdk = l_fkd = None
+                if "soft" in settings.kd:
+                    l_sdk = sdk_loss(logits, aggregate_soft_labels(teacher_logits,
+                                                                   self.loss_weights))
+                if "feature" in settings.kd:
+                    t_mid, t_high = self.ftm.translate(teacher_taps)
+                    l_fkd = (fkd_loss(t_mid, taps[STUDENT_TAP_LAYERS[0]]),
+                             fkd_loss(t_high, taps[STUDENT_TAP_LAYERS[1]]))
+                loss = total_loss(l_task, l_sdk, l_fkd, self.loss_weights)
+                if not np.isfinite(loss.data).all():
+                    dump = ", ".join(f"{k}={v:.3f}"
+                                     for k, v in sorted(info["rates"].items()))
+                    raise NumericalError(f"training loss is non-finite "
+                                         f"(layer firing rates: {dump})")
+                backward(loss, tape)
+        finally:
+            if isinstance(teacher_job, Future):
+                wait((teacher_job,))
 
         self.optimizer.step()
         self.optimizer.zero_grad()

@@ -199,8 +199,10 @@ def profile_model(model, batch: dict[str, Tensor]) -> EnergyReport:
     input: the modalities by name, each x[B, 3, V, T]."""
     was_training = model.training
     model.eval()
-    with recording(model.spike_steps) as report:
-        model(batch)
-    if was_training:
-        model.train()
+    try:
+        with recording(model.spike_steps) as report:
+            model(batch)
+    finally:
+        if was_training:
+            model.train()
     return report

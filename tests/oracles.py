@@ -16,23 +16,29 @@ differences; ``held`` lists what a backward closure holds and
 ``channel_rows`` is the plain per-channel form of
 ``tensor._channel_runs``, and ``kernel_views`` records every view that
 the BatchNorm and LIF kernels take, and whether it was a copy;
+``forked_child`` compares a script's ``run()`` in a forked child with
+the parent's;
 ``settled`` joins the worker jobs that a backward closure returns,
-``submitted_jobs`` lists them as the ops submit them, and ``inline_jobs``
-runs each on the caller's thread as it is submitted, returning its array:
-the reference for the sweep that joins them.
+``submitted_jobs`` lists the jobs (weight gradients and the teacher's
+forward) as they are submitted, and ``inline_jobs`` runs each on the
+caller's thread as it is submitted, returning its result: the reference
+for the sweep that joins them and for the training step.
 """
 
 from __future__ import annotations
 
 import contextlib
 import inspect
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from spikegraph import blocks, neurons, tensor
+from spikegraph import blocks, network, neurons, tensor
 from spikegraph.neurons import LifConfig
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor, _pair, add,
                                backward, mul, record_op, scale)
@@ -376,13 +382,13 @@ def settled(grads: tuple) -> tuple:
 
 
 def _patch_later(monkeypatch, later) -> None:
-    for module in (tensor, blocks):
+    for module in (tensor, blocks, network):
         monkeypatch.setattr(module, "_later", later)
 
 
 def submitted_jobs(monkeypatch) -> list[Future]:
-    """The futures of the jobs that the ops submit from now on, which still
-    run on the worker thread."""
+    """The futures of the jobs that the ops and the training step submit
+    from now on, which still run on the worker thread."""
     jobs, later = [], tensor._later
 
     def submit(fn, *args):
@@ -397,10 +403,45 @@ def _run_now(fn, *args):
     return fn(*args)
 
 
+_FORK = """
+import os
+import time
+
+want = run()
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if run() == want else 1)
+deadline = time.monotonic() + 20
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print("child", os.waitstatus_to_exitcode(status))
+        break
+    time.sleep(0.01)
+else:
+    os.kill(pid, 9)
+    print("child hung")
+"""
+
+
+def forked_child(script: str) -> list[str]:
+    """Run ``script``, which defines ``run()`` returning bytes, in a new
+    interpreter: ``run()`` once, then again in a child forked after it,
+    whose worker thread is gone.  The words it prints: ["child", "0"] when
+    the child got the same bytes, ["child", "hung"] after 20 s."""
+    src = os.path.dirname(os.path.dirname(tensor.__file__))
+    proc = subprocess.run([sys.executable, "-c", script + _FORK], timeout=60,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def inline_jobs(monkeypatch) -> None:
     """Make ``tensor._later`` run each job at once, on the caller's thread,
-    and hand its array to the sweep, in every module that submits jobs: the
-    sweep then sums every gradient eagerly, as arrays.  (A done ``Future``
+    and hand its result on, in every module that submits jobs: the sweep
+    then sums every gradient eagerly, as arrays, and the training step
+    runs the teacher's forward before the student's.  (A done ``Future``
     would take the same settling path as the worker's, and could not show
     a wrong order of the parts.)"""
     _patch_later(monkeypatch, _run_now)

@@ -113,6 +113,45 @@ def test_missing_checkpoint_is_a_clean_error(tmp_path, tiny_data, capsys):
     assert "checkpoint not found" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "{dir}", "--data", "{data}", "--split", "train"],
+    ["train", "--kd", "soft", "--teacher-ckpt", "{dir}", "--data", "{data}"],
+    ["train", "--kd", "none", "--resume", "{dir}", "--data", "{data}"],
+], ids=["eval", "teacher_ckpt", "resume"])
+def test_unreadable_checkpoint_is_a_config_error(tmp_path, tiny_data, capsys, command):
+    """A checkpoint path that cannot be read (here a directory): exit 2,
+    naming the path."""
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_dir.mkdir()
+    capsys.readouterr()
+    code = cli.main(["--out", str(tmp_path / "run"),
+                     *(arg.format(dir=ckpt_dir, data=tiny_data) for arg in command)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: cannot read checkpoint {ckpt_dir}" in err
+    assert "Traceback" not in err
+
+
+def _config_dir(tmp_path):
+    (tmp_path / "run.yaml").mkdir()
+
+
+def _config_bad_byte(tmp_path):
+    (tmp_path / "run.yaml").write_bytes(b"seed: 3\n# \xff\n")
+
+
+@pytest.mark.parametrize("make", [_config_dir, _config_bad_byte],
+                         ids=["directory", "bad_byte"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, make):
+    make(tmp_path)
+    config = tmp_path / "run.yaml"
+    code = cli.main(["--config", str(config), "--out", str(tmp_path / "data"), "synth"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error: cannot ") and str(config) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cut", [slice(0, 10), slice(0, -5)], ids=["head", "tail"])
 def test_truncated_checkpoint_is_a_data_error(tmp_path, tiny_data, capsys, cut):
     ckpt = _save_student(tmp_path / "student.ckpt")

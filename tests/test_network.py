@@ -8,6 +8,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from spikegraph import blocks, encoding, fusion, module, network, neurons, tenso
 from spikegraph.config import RunConfig
 from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
 from spikegraph.encoding import SscEncoder
-from spikegraph.fusion import SmicNet
+from spikegraph.fusion import MODALITY_ORDER, SmicNet
 from spikegraph.module import BatchNorm, load_checkpoint, save_checkpoint
 from spikegraph.network import (TEACHER_TAP_LAYERS, FtmModule, GcTcUnit, Trainer,
                                 batch_tensors, load_model, save_model, train_teacher)
-from spikegraph.tensor import FormatError, InvalidInputError, Tape, Tensor
+from spikegraph.profiler import recording
+from spikegraph.tensor import FormatError, InvalidInputError, NumericalError, Tape, Tensor
 
 import oracles
 
@@ -111,9 +113,6 @@ class TestTapeHoldsNoTensor:
              "bn_sn_layer", "channel_map", "graph_conv"}
 
     def test_train_smf_and_train_kd_steps(self, monkeypatch):
-        topo = SkeletonTopology.ntu25()
-        bundle, labels = small_set(topo)
-        idx = np.arange(2)
         kinds, holding, tapes = set(), [], []
         spikes, lif_kinds = {}, set()       # each LIF record's backward -> its output
         sweep, record = tensor.backward, neurons.record_op
@@ -142,16 +141,8 @@ class TestTapeHoldsNoTensor:
         for mod in (network, fusion):
             monkeypatch.setattr(mod, "backward", scan)
         for kd in ("none", "soft,feature"):
-            cfg = RunConfig({"kd": kd, "preprocess": {"target_T": 8, "batch_size": 2}})
-            model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
-            teacher = ftm = None
-            if kd != "none":
-                teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
-                ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
-                                np.random.default_rng(2))
-            Trainer(model, bundle, labels, cfg.train_settings(),
-                    loss_weights=cfg.loss_weights(), teacher=teacher,
-                    ftm=ftm).train_step(batch_tensors(bundle, idx), labels[idx])
+            trainer, batch, labels = toy_trainer(kd)
+            trainer.train_step(batch, labels)
         assert len(tapes) == 4 and all(tapes)       # each step: SMIC ascent, then the step
         assert kinds == self.KINDS
         assert lif_kinds == {"sn_layer", "bn_sn_layer"}
@@ -159,25 +150,21 @@ class TestTapeHoldsNoTensor:
 
 
 class TestWeightGradientJobs:
-    """Every parameter gradient of a training step, its weight-gradient
-    GEMMs on the worker thread, is the same bytes as with each job run
-    inline as it is submitted (``oracles.inline_jobs``)."""
+    """A training step whose weight-gradient GEMMs and teacher forward run
+    on the worker thread gives every parameter gradient, its losses and
+    the student's and FTM's state after it as the same bytes as with each
+    job run inline as it is submitted (``oracles.inline_jobs``)."""
 
     @staticmethod
-    def step_grads(kd, monkeypatch):
-        """Each sweep's parameter gradients, the SMIC ascent's and the step's."""
-        topo = SkeletonTopology.ntu25()
-        bundle, labels = small_set(topo)
-        idx = np.arange(2)
-        cfg = RunConfig({"kd": kd, "preprocess": {"target_T": 8, "batch_size": 2}})
-        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
-        params = list(model.named_parameters())
-        teacher = ftm = None
-        if kd != "none":
-            teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
-            ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
-                            np.random.default_rng(2))
-            params += list(ftm.named_parameters("ftm."))
+    def step(kd, monkeypatch):
+        """Each sweep's parameter gradients (the SMIC ascent's and the
+        step's), the step's losses, and the student's parameters and
+        BatchNorm buffers and the FTM's after it."""
+        trainer, batch, labels = toy_trainer(kd)
+        modules = {"": trainer.model}
+        if trainer.ftm is not None:
+            modules["ftm."] = trainer.ftm
+        params = [p for prefix, m in modules.items() for p in m.named_parameters(prefix)]
         grads, sweep = [], tensor.backward
 
         def spy(loss, tape):
@@ -187,19 +174,109 @@ class TestWeightGradientJobs:
 
         for mod in (network, fusion):
             monkeypatch.setattr(mod, "backward", spy)
-        Trainer(model, bundle, labels, cfg.train_settings(),
-                loss_weights=cfg.loss_weights(), teacher=teacher,
-                ftm=ftm).train_step(batch_tensors(bundle, idx), labels[idx])
-        return grads
+        metrics = trainer.train_step(batch, labels)
+        losses = {k: np.float64(metrics[k]).tobytes()
+                  for k in ("l_task", "l_sdk", "l_fkd", "loss")}
+        state = {prefix + name: arr.tobytes() for prefix, m in modules.items()
+                 for name, arr in m.state_dict().items()}
+        return grads, losses, state
 
     @pytest.mark.parametrize("kd", ["none", "soft,feature"], ids=["train_smf", "train_kd"])
     def test_step_gradients_equal_inline(self, kd, monkeypatch):
         jobs = oracles.submitted_jobs(monkeypatch)
-        got = self.step_grads(kd, monkeypatch)
+        got = self.step(kd, monkeypatch)
         oracles.inline_jobs(monkeypatch)
-        want = self.step_grads(kd, monkeypatch)
-        assert len(jobs) > 0 and len(got) == 2
+        want = self.step(kd, monkeypatch)
+        assert len(jobs) > 0 and len(got[0]) == 2
+        assert any(k.startswith("buffer:") for k in got[2])
         assert got == want
+
+
+class TestTeacherJob:
+    """The teacher's forward, a job on the worker thread while the
+    student's forward runs, records onto neither the student's tape nor
+    a report, is joined when the student's forward raises, raises its own
+    error from the step, and runs inline in a forked child."""
+
+    def test_records_onto_no_tape_and_no_report(self, monkeypatch):
+        def step():
+            trainer, batch, labels = toy_trainer("soft,feature")
+            records, sweep = [], tensor.backward
+
+            def spy(loss, tape):
+                records.append(len(tape))
+                sweep(loss, tape)
+
+            monkeypatch.setattr(network, "backward", spy)
+            with recording(trainer.model.spike_steps) as report:
+                trainer.train_step(batch, labels)
+            return records, report.layers
+
+        jobs = oracles.submitted_jobs(monkeypatch)
+        got = step()
+        oracles.inline_jobs(monkeypatch)
+        want = step()
+        logits, taps = jobs[0].result()
+        assert set(logits) == set(taps) == set(MODALITY_ORDER)
+        assert len(got[0]) == 1 and got[0][0] > 0 and len(got[1]) > 0
+        assert got == want
+
+    def test_student_error_joins_the_teacher_job(self, monkeypatch):
+        trainer, batch, labels = toy_trainer("soft,feature")
+        jobs = oracles.submitted_jobs(monkeypatch)
+        forward = trainer.teacher.forward
+
+        def slow(batch):
+            time.sleep(0.2)
+            return forward(batch)
+
+        def failing(batch):
+            raise InvalidInputError("student forward failed")
+
+        monkeypatch.setattr(trainer.teacher, "forward", slow)
+        monkeypatch.setattr(trainer.model, "forward", failing)
+        with pytest.raises(InvalidInputError, match="student forward failed"):
+            trainer.train_step(batch, labels)
+        assert len(jobs) == 1 and jobs[0].done()
+
+    def test_teacher_error_is_raised_as_it_is(self, monkeypatch):
+        trainer, batch, labels = toy_trainer("soft,feature")
+
+        def diverging(batch):
+            raise NumericalError("teacher logits are non-finite")
+
+        monkeypatch.setattr(trainer.teacher, "forward", diverging)
+        with pytest.raises(NumericalError, match="teacher logits are non-finite"):
+            trainer.train_step(batch, labels)
+        assert trainer.global_step == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_the_teacher_inline(self):
+        # the parent's step starts the worker thread, which the child lacks
+        assert oracles.forked_child(KD_STEP) == ["child", "0"]
+
+
+KD_STEP = """
+import numpy as np
+from spikegraph.config import RunConfig
+from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
+from spikegraph.network import FtmModule, Trainer, batch_tensors
+
+def run():
+    topo = SkeletonTopology.ntu25()
+    seqs, _ = synthesize(classes=4, samples_per_class=1, num_joints=25, frames=24, seed=1)
+    bundle, labels = preprocess_sequences(seqs, 8, topo)
+    cfg = RunConfig({"kd": "soft,feature", "preprocess": {"target_T": 8, "batch_size": 2}})
+    model = cfg.build_student(4, topo, np.random.default_rng(0))
+    teacher = cfg.build_teacher(4, topo, np.random.default_rng(1))
+    ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
+                    np.random.default_rng(2))
+    trainer = Trainer(model, bundle, labels, cfg.train_settings(),
+                      loss_weights=cfg.loss_weights(), teacher=teacher, ftm=ftm)
+    idx = np.arange(2)
+    metrics = trainer.train_step(batch_tensors(bundle, idx), labels[idx])
+    return np.float64(metrics["loss"]).tobytes()
+"""
 
 
 class TestSpikesAreOneByte:
@@ -207,14 +284,8 @@ class TestSpikesAreOneByte:
     ops that consume them keep one byte per element on the tape."""
 
     def test_kd_step(self, monkeypatch):
-        topo = SkeletonTopology.ntu25()
-        bundle, labels = small_set(topo)
-        idx = np.arange(2)
-        cfg = RunConfig({"kd": "soft,feature", "preprocess": {"target_T": 8, "batch_size": 2}})
-        model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
-        teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
-        ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
-                        np.random.default_rng(2))
+        trainer, batch, labels = toy_trainer("soft,feature")
+        model = trainer.model
         outputs = {"encoder": [], "block": [], "tap": [], "ftm": []}
 
         def spy(kind, fn, tensors=lambda out: [out]):
@@ -247,9 +318,7 @@ class TestSpikesAreOneByte:
 
         for mod in (network, fusion):
             monkeypatch.setattr(mod, "backward", scan)
-        trainer = Trainer(model, bundle, labels, cfg.train_settings(),
-                          loss_weights=cfg.loss_weights(), teacher=teacher, ftm=ftm)
-        trainer.train_step(batch_tensors(bundle, idx), labels[idx])
+        trainer.train_step(batch, labels)
         assert [len(v) for v in outputs.values()] == [4, 6, 2, 2]
         assert all(t.dtype == np.uint8 for v in outputs.values() for t in v)
         assert len(tapes) == 2 and all(tapes)         # SMIC ascent, then the step
@@ -264,24 +333,13 @@ class TestKernelViews:
     ``repeat0`` output included: each is read as a view, never copied."""
 
     def test_channel_inputs_are_views(self):
-        topo = SkeletonTopology.ntu25()
-        bundle, labels = small_set(topo)
-        batch, idx = batch_tensors(bundle, np.arange(2)), np.arange(2)
         views = {}
         for kd in ("none", "soft,feature"):
-            cfg = RunConfig({"kd": kd, "preprocess": {"target_T": 8, "batch_size": 2}})
-            model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
-            teacher = ftm = None
-            if kd != "none":
-                teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
-                ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
-                                np.random.default_rng(2))
-            trainer = Trainer(model, bundle, labels, cfg.train_settings(),
-                              loss_weights=cfg.loss_weights(), teacher=teacher, ftm=ftm)
+            trainer, batch, labels = toy_trainer(kd)
             with oracles.kernel_views() as views[kd]:
-                trainer.train_step(batch, labels[idx])
+                trainer.train_step(batch, labels)
         with oracles.kernel_views() as views["eval"]:
-            model.eval()(batch)
+            trainer.model.eval()(batch)
         channel = {name: [v for v in calls if v.channels and not v.backward]
                    for name, calls in views.items()}
         # the student's 40 bn_sn_layer sites; with KD the teacher's and
@@ -295,6 +353,25 @@ def small_set(topo):
     seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
                          frames=24, seed=1)
     return preprocess_sequences(seqs, 8, topo)
+
+
+def toy_trainer(kd):
+    """A toy ``Trainer`` (B=2, T=8), its batch and its labels: the student
+    from seed 0 and, with distillation, the teacher from 1 and the FTM
+    from 2."""
+    topo = SkeletonTopology.ntu25()
+    bundle, labels = small_set(topo)
+    idx = np.arange(2)
+    cfg = RunConfig({"kd": kd, "preprocess": {"target_T": 8, "batch_size": 2}})
+    model = cfg.build_student(CLASSES, topo, np.random.default_rng(0))
+    teacher = ftm = None
+    if kd != "none":
+        teacher = cfg.build_teacher(CLASSES, topo, np.random.default_rng(1))
+        ftm = FtmModule(teacher.plan, model.plan, model.spike_steps, model.lif,
+                        np.random.default_rng(2))
+    trainer = Trainer(model, bundle, labels, cfg.train_settings(),
+                      loss_weights=cfg.loss_weights(), teacher=teacher, ftm=ftm)
+    return trainer, batch_tensors(bundle, idx), labels[idx]
 
 
 class TestRun:

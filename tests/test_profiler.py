@@ -15,7 +15,7 @@ from spikegraph.config import RunConfig
 from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
 from spikegraph.module import Parameter
 from spikegraph.network import batch_tensors
-from spikegraph.tensor import Tape, Tensor, add
+from spikegraph.tensor import NumericalError, Tape, Tensor, add
 
 FRAMES = 8
 CLASSES = 4
@@ -105,6 +105,18 @@ class TestProfileModel:
         _, model, batch = _model_and_batch()
         model.train()
         profiler.profile_model(model, batch)
+        assert model.training
+
+    def test_restores_training_mode_when_the_forward_raises(self, monkeypatch):
+        _, model, batch = _model_and_batch()
+        model.train()
+
+        def failing(batch):
+            raise NumericalError("non-finite membrane")
+
+        monkeypatch.setattr(model, "forward", failing)
+        with pytest.raises(NumericalError):
+            profiler.profile_model(model, batch)
         assert model.training
 
 

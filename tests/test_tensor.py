@@ -1,7 +1,6 @@
 """Tensor core: ops, tape backward, finite-difference oracle, serialization."""
 
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -622,34 +621,17 @@ def weight_op(name):
     }[name]
 
 
-FORK_PROBE = """
-import os
-import time
+CHANNEL_MAP_SWEEP = """
 import numpy as np
 from spikegraph.blocks import channel_map
 from spikegraph.tensor import Tape, Tensor, backward, sum_
 
-def sweep():
+def run():
     x = Tensor(np.ones((2, 4, 5, 3), dtype=np.float32), requires_grad=True)
     w = Tensor(np.ones((4, 6), dtype=np.float32), requires_grad=True)
     with Tape() as tape:
         backward(sum_(channel_map(x, w)), tape)
     return w.grad.tobytes()
-
-want = sweep()
-pid = os.fork()
-if pid == 0:
-    os._exit(0 if sweep() == want else 1)
-deadline = time.monotonic() + 20
-while time.monotonic() < deadline:
-    done, status = os.waitpid(pid, os.WNOHANG)
-    if done:
-        print("child", os.waitstatus_to_exitcode(status))
-        break
-    time.sleep(0.01)
-else:
-    os.kill(pid, 9)
-    print("child hung")
 """
 
 
@@ -678,7 +660,7 @@ class TestWeightGradientJobs:
         got = self.shared_and_produced(name)
         oracles.inline_jobs(monkeypatch)
         want = self.shared_and_produced(name)
-        assert len(jobs) == 4                   # and the join of the sweep
+        assert len(jobs) == 3
         for g, ref in zip(got, want):
             assert type(g) is np.ndarray and g.dtype == ref.dtype
             assert g.tobytes() == ref.tobytes()
@@ -699,9 +681,49 @@ class TestWeightGradientJobs:
             loss = sum_(y)
             with pytest.raises(NumericalError):
                 backward(loss, tape)
-        assert len(jobs) == 3 and all(job.done() for job in jobs)
+        assert len(jobs) == 2 and all(job.done() for job in jobs)
         assert type(w.grad) is np.ndarray
         assert all(t.grad is None for t in (x0, x, y))
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_sweep_waits_only_for_its_own_jobs(self, raises, monkeypatch):
+        # another thread's job, queued behind this sweep's own, blocks the
+        # worker until released: a sweep that joined every job on the
+        # worker would wait for it
+        jobs = oracles.submitted_jobs(monkeypatch)
+        release = threading.Event()
+        outside = []
+        x0 = Tensor(rand(2, 4, 5, 3, seed=65), requires_grad=True)
+        w = Tensor(rand(4, 6, seed=66), requires_grad=True)
+
+        def first(g):
+            tensor._later(time.sleep, 0.2)
+            submitter = threading.Thread(
+                target=lambda: outside.append(tensor._later(release.wait, 20)))
+            submitter.start()
+            submitter.join()
+            if raises:
+                raise NumericalError("non-finite gradient")
+            return (g,)
+
+        try:
+            with Tape() as tape:
+                x = Tensor._wrap(x0.data.copy())
+                record_op((x0,), (x,), first)
+                loss = sum_(channel_map(x, w))
+                if raises:
+                    with pytest.raises(NumericalError):
+                        backward(loss, tape)
+                else:
+                    backward(loss, tape)
+            own = [job for job in jobs if job not in outside]
+            assert len(own) == 2 and all(job.done() for job in own)
+            assert len(outside) == 1 and not outside[0].done()
+        finally:
+            release.set()
+        assert outside[0].result(timeout=20) is True
+        assert type(w.grad) is np.ndarray
+        assert (x0.grad is None) == raises
 
     def test_sweeps_on_several_threads_share_the_worker(self):
         # more sweeping threads than cores, switching often: each thread's
@@ -730,12 +752,7 @@ class TestWeightGradientJobs:
     def test_forked_child_runs_its_jobs_inline(self):
         # a child forked after the worker thread started has no such
         # thread: a job handed to it would never run, and the sweep hang
-        src = os.path.dirname(os.path.dirname(tensor.__file__))
-        proc = subprocess.run([sys.executable, "-c", FORK_PROBE], timeout=60,
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["child", "0"]
+        assert oracles.forked_child(CHANNEL_MAP_SWEEP) == ["child", "0"]
 
 
 class TestTapeKeepsOnlyWhatBackwardReads:
