@@ -61,8 +61,8 @@ def partition_branches(topo: SkeletonTopology) -> np.ndarray:
 
 def channel_map(x: Tensor, w: Tensor) -> Tensor:
     """Apply w[D, D'] to the channel axis (-3) of x (a 1x1 convolution), fused.
-    w's gradient runs on the worker thread (``tensor._later``) while
-    backward computes x's."""
+    w's gradient runs on the sweep's worker thread (``tensor._later``)
+    while backward computes x's."""
     if x.ndim < 3 or x.shape[-3] != w.shape[0]:
         raise InvalidInputError(f"channel map of {x.shape} with weight {w.shape}")
     xd, wd = x.data, w.data
@@ -89,7 +89,7 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
     contracts (u, k) against the stacked adjacency once per row group; no
     row's result depends on the others, so a sample's output does not
     depend on its batch.  Backward keeps only x; w's gradient runs on the
-    worker thread (``tensor._later``) while backward computes x's.
+    sweep's worker thread (``tensor._later``) while backward computes x's.
     """
     k, d, d_out = w.shape
     if x.ndim < 3 or x.shape[-3] != d or adj.shape != (k, x.shape[-2], x.shape[-2]):

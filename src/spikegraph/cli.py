@@ -22,6 +22,9 @@ import numpy as np
 from .config import RunConfig
 from .data import (SkeletonTopology, load_dataset, load_skeleton_dir, manifest_hash,
                    preprocess_sequences, save_synth_dataset, synthesize)
+from .network import (FtmModule, Trainer, batch_tensors, evaluate, load_model, save_model,
+                      train_teacher)
+from .profiler import profile_model
 from .tensor import FormatError, InvalidInputError, NumericalError
 
 
@@ -139,12 +142,12 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    from .network import (FtmModule, Trainer, evaluate, load_model, save_model,
-                          train_teacher)
-
     cfg.override({"kd": args.kd, "optimizer.epochs": args.epochs,
                   "optimizer.lr": args.lr})
     settings = cfg.train_settings()
+    if args.teacher_ckpt and not settings.kd:
+        raise InvalidInputError("--teacher-ckpt is only read with distillation on "
+                                "(--kd soft, feature or soft,feature)")
     loss_weights = cfg.loss_weights()
     out_dir = _make_out_dir(cfg.get("out"))
     data_dir = _dataset_dir(cfg, args.data)
@@ -153,14 +156,13 @@ def cmd_train(cfg: RunConfig, args) -> int:
     cfg.dump(os.path.join(out_dir, "effective-config.yaml"))
 
     seed = cfg.get("seed")
-    kd = cfg.kd_modes()
     model = cfg.build_student(classes, topo, np.random.default_rng(seed))
     if args.resume:
         load_model(args.resume, model, model.plan_hash())
 
     teacher = None
     ftm = None
-    if kd:
+    if settings.kd:
         teacher = cfg.build_teacher(classes, topo, np.random.default_rng(seed + 1))
         if args.teacher_ckpt:
             load_model(args.teacher_ckpt, teacher, teacher.plan_hash())
@@ -170,7 +172,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             print(f"teacher trained: {hist[-1]}")
             save_model(os.path.join(out_dir, "teacher.ckpt"), teacher,
                        teacher.plan_hash())
-        if "feature" in kd:
+        if "feature" in settings.kd:
             ftm = FtmModule(teacher.plan, model.plan, model.spike_steps,
                             model.lif, np.random.default_rng(seed + 2))
 
@@ -200,8 +202,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    from .network import evaluate, load_model
-
     out_dir = _make_out_dir(cfg.get("out"))
     data_dir = _dataset_dir(cfg, args.data)
     topo, classes, [(bundle, labels)] = _load_splits(cfg, data_dir, args.split)
@@ -224,9 +224,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_profile(cfg: RunConfig, args) -> int:
-    from .network import batch_tensors, load_model
-    from .profiler import profile_model
-
     out_dir = _make_out_dir(cfg.get("out"))
     data_dir = _dataset_dir(cfg, args.data)
     topo, classes, [(tr_bundle, tr_labels)] = _load_splits(cfg, data_dir, "train")

@@ -9,6 +9,10 @@ from typing import Any, Optional
 
 import yaml
 
+from .network import (STUDENT_PLAN_FULL, STUDENT_PLAN_TOY, TEACHER_PLAN_FULL,
+                      TEACHER_PLAN_TOY, LossWeights, MkSgnModel, TeacherModel,
+                      TrainSettings)
+from .neurons import LifConfig
 from .tensor import InvalidInputError
 
 
@@ -176,7 +180,6 @@ class RunConfig:
     # -- constructions ---------------------------------------------------
 
     def lif_config(self):
-        from .neurons import LifConfig
         n = self.values["neuron"]
         return LifConfig(v_threshold=n["v_threshold"], decay_tau=n["decay_tau"])
 
@@ -184,7 +187,6 @@ class RunConfig:
         """The ``blocks.preset`` plan, checked against ``preprocess.target_T``:
         each stride-2 layer halves the frames, so T must divide by 2 that
         many times."""
-        from .network import STUDENT_PLAN_FULL, STUDENT_PLAN_TOY
         plan = STUDENT_PLAN_FULL if self.values["blocks"]["preset"] == "paper" \
             else STUDENT_PLAN_TOY
         target_t = self.values["preprocess"]["target_T"]
@@ -195,12 +197,10 @@ class RunConfig:
         return plan
 
     def teacher_plan(self):
-        from .network import TEACHER_PLAN_FULL, TEACHER_PLAN_TOY
         return TEACHER_PLAN_FULL if self.values["teacher"]["preset"] == "paper" \
             else TEACHER_PLAN_TOY
 
     def loss_weights(self):
-        from .network import LossWeights
         l = self.values["loss"]
         return LossWeights(alpha=tuple(l["alpha"]), beta=tuple(l["beta"]),
                            gamma=tuple(l["gamma"]))
@@ -217,7 +217,6 @@ class RunConfig:
 
     def train_settings(self):
         """The student's schedule, all of it from ``optimizer``."""
-        from .network import TrainSettings
         o = self.values["optimizer"]
         return TrainSettings(
             lr=o["lr"], momentum=o["momentum"], weight_decay=o["weight_decay"],
@@ -230,7 +229,6 @@ class RunConfig:
         """The teacher's schedule: ``teacher.lr`` and ``teacher.epochs`` at
         the student's batch size, a constant LR and fixed SGD constants (it
         does not follow ``optimizer``), its batch order seeded ``seed + 1``."""
-        from .network import TrainSettings
         epochs = self.values["teacher"]["epochs"]
         return TrainSettings(
             lr=self.values["teacher"]["lr"], momentum=0.9, weight_decay=1e-4,
@@ -239,7 +237,6 @@ class RunConfig:
             early_stop_train_acc=0.995, seed=self.values["seed"] + 1)
 
     def build_student(self, num_classes: int, topo, rng):
-        from .network import MkSgnModel
         b = self.values["blocks"]
         return MkSgnModel(
             num_classes, topo, plan=self.student_plan(), lif=self.lif_config(),
@@ -250,6 +247,5 @@ class RunConfig:
             temporal_kernel=b["temporal_kernel"], rng=rng)
 
     def build_teacher(self, num_classes: int, topo, rng):
-        from .network import TeacherModel
         return TeacherModel(num_classes, topo, plan=self.teacher_plan(), rng=rng,
                             kernel_t=self.values["blocks"]["temporal_kernel"])

@@ -103,9 +103,9 @@ class SkeletonSequence:
 
     def __post_init__(self):
         self.joints = np.asarray(self.joints, dtype=np.float32)
-        if self.joints.ndim != 3 or self.joints.shape[0] != 3:
-            raise InvalidInputError(
-                f"joints must have shape [3, T, V], got {self.joints.shape}")
+        if self.joints.ndim != 3 or self.joints.shape[0] != 3 or self.joints.shape[1] < 1:
+            raise InvalidInputError(f"joints must have shape [3, T, V] with T >= 1, "
+                                    f"got {self.joints.shape}")
         if not np.isfinite(self.joints).all():
             raise InvalidInputError("joint coordinates contain NaN/Inf")
 
@@ -145,7 +145,10 @@ def derive_modalities(joints: np.ndarray, topo: SkeletonTopology) -> dict[str, n
 
 def parse_ntu(raw: bytes | str) -> SkeletonSequence:
     """Parse the NTU `.skeleton` text layout; first tracked body only."""
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as err:
+        raise FormatError(f"not UTF-8 text: {err}") from err
     lines = text.splitlines()
     pos = 0
 
@@ -244,6 +247,10 @@ def synthesize(classes: int, samples_per_class: int = 50, num_joints: int = 25,
     """
     if classes < 2:
         raise InvalidInputError(f"need at least 2 classes, got {classes}")
+    if frames < 1:
+        raise InvalidInputError(f"need at least 1 frame, got {frames}")
+    if noise < 0:
+        raise InvalidInputError(f"noise must be >= 0, got {noise}")
     topo = SkeletonTopology.for_joint_count(num_joints)
     rest = _rest_pose(topo)
     rng = np.random.default_rng(seed)
@@ -394,12 +401,14 @@ def load_dataset(in_dir: str) -> tuple[list[SkeletonSequence], list[SkeletonSequ
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
+        if not isinstance(manifest["classes"], int):
+            raise FormatError(f"classes must be an integer, got {manifest['classes']!r}")
         for entry in manifest["samples"]:
             joints = load_tensor(os.path.join(in_dir, entry["file"])).data
             seq = SkeletonSequence(joints=joints, label=entry["label"])
             (train if entry["split"] == "train" else test).append(seq)
     except (ValueError, KeyError, TypeError, OSError) as err:
-        raise FormatError(f"corrupt dataset {in_dir}: {err!r}") from err
+        raise FormatError(f"corrupt dataset {manifest_path}: {err!r}") from err
     return train, test, manifest
 
 
@@ -444,7 +453,10 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
             except (OSError, FormatError):
                 pass
         if joints is None:
-            joints = parse_ntu(raw).joints
+            try:
+                joints = parse_ntu(raw).joints
+            except FormatError as err:
+                raise FormatError(f"{path}: {err}") from err
             if cache_path:
                 save_tensor(cache_path, joints)
         sequences.append(SkeletonSequence(joints=joints, label=label))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from concurrent.futures import Future, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,10 +28,9 @@ from .module import (BatchNorm, Linear, Module, Parameter, SGD,
                      kaiming_normal, load_checkpoint, save_checkpoint)
 from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import active_fraction, record_cost
-from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, _later,
-                     _ready, add, backward, concat, conv2d, depthwise_conv2d, div,
-                     exp, log, max_, mean, mul, permute, relu, repeat0, reshape,
-                     scale, slice_, sqrt, sub, sum_)
+from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, add, backward,
+                     concat, conv2d, depthwise_conv2d, div, exp, log, max_, mean, mul,
+                     permute, relu, repeat0, reshape, scale, slice_, sqrt, sub, sum_)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +504,11 @@ def _keep_freed_memory() -> None:
     per toy step, and about 20k faults and 55 ms per paper-plan clip,
     flipping with unrelated changes to allocation order.  Fixed thresholds
     (mmap only above 32 MB, no trimming) make the reuse unconditional.
-    One arena serves every thread, so the worker's jobs (``tensor._later``:
-    the teacher's forward and weight-gradient GEMMs) reuse the blocks the
-    caller's thread frees instead of growing a heap of their own (+6%
-    peak RSS on a toy training step).
+    One arena serves every thread, so the jobs on the workers that each
+    sweep and each training step own (the teacher's forward and the
+    weight-gradient GEMMs) reuse the blocks the caller's thread frees
+    instead of growing a heap per thread (+6% peak RSS on a toy training
+    step).
     """
     if sys.platform.startswith("linux"):
         import ctypes
@@ -557,23 +557,23 @@ class Trainer:
         ascent while the fusion learns), the loss terms, the sweep and the
         update; returns the step's metrics.
 
-        With distillation on, the frozen teacher's forward is a job on the
-        worker thread (``tensor._later``) that runs while the student's
-        forward runs here.  It records onto no tape and no energy report.
-        Its outputs are collected before the loss terms; an error of its
-        own is raised here as it is.  If the step raises before that, the
-        job is still joined: no job outlives the step.
+        With distillation on, the step owns a worker thread on which the
+        frozen teacher's forward runs while the student's runs here.  The
+        teacher records onto no tape and no energy report.  Its outputs are
+        collected before the loss terms; an error of its own is raised here
+        as it is.  The step joins its worker before it returns, also when
+        it raises: no job outlives the step.
         """
         model = self.model
         settings = self.settings
         model.train()
 
-        teacher_job = _later(self.teacher, batch) if settings.kd else None
-        try:
+        with ThreadPoolExecutor(1, thread_name_prefix="spikegraph-teacher") as worker:
+            teacher_job = worker.submit(self.teacher, batch) if settings.kd else None
             with Tape() as tape:
                 logits, taps, info = model(batch)
                 if settings.kd:
-                    logits_d, taps_d = _ready(teacher_job)
+                    logits_d, taps_d = teacher_job.result()
                     teacher_logits = {k: v.detach() for k, v in logits_d.items()}
                     teacher_taps = {m: {i: t.detach() for i, t in d.items()}
                                     for m, d in taps_d.items()}
@@ -593,9 +593,6 @@ class Trainer:
                     raise NumericalError(f"training loss is non-finite "
                                          f"(layer firing rates: {dump})")
                 backward(loss, tape)
-        finally:
-            if isinstance(teacher_job, Future):
-                wait((teacher_job,))
 
         self.optimizer.step()
         self.optimizer.zero_grad()
@@ -627,6 +624,8 @@ def evaluate(model: MkSgnModel, bundle: dict[str, np.ndarray], labels: np.ndarra
              batch_size: int) -> dict:
     """Top-1 accuracy and per-class confusion counts on a fixed split,
     ``batch_size`` clips per forward."""
+    if batch_size < 1:
+        raise InvalidInputError(f"batch_size must be >= 1, got {batch_size}")
     model.eval()
     labels = np.asarray(labels)
     n = labels.shape[0]

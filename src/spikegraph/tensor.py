@@ -37,27 +37,25 @@ Scope rule of the tape: the active tape is a context variable, so each
 thread or asyncio task records only onto the tape it entered itself.
 A ``Tape`` object is not re-entrant; no caller re-enters one.
 
-Sweep rule: one worker thread (``_later``) runs two kinds of jobs beside
-the caller's thread: the frozen teacher's forward beside the student's
-(``network.Trainer.train_step``), and weight-gradient GEMMs beside the
-sweep.  A backward closure may return a ``Future`` in place of an
-input's gradient, a job it handed to the worker so that the job runs
-while the sweep goes on.  The sweep keeps every gradient part of that
-input in sweep order and sums them in that order, as it sums arrays,
-once a record reads the slot or before ``backward`` returns; so
-gradients are the same bytes as when every part is an array.  A sweep
-waits for the jobs its own closures submitted, not for any other job on
-the worker; the teacher job is collected before the student's sweep
-submits its first job.  A job must only read arrays that no later
-closure writes.
+Sweep rule: each sweep (``backward``) owns a worker thread, made when
+the sweep starts and joined before it returns, also when it raises; it
+starts a thread only at the sweep's first job.  A backward closure hands
+a weight-gradient GEMM to it (``_later``) and may return the job, a
+``Future``, in place of an input's gradient, so that the job runs while
+the sweep goes on.  The sweep keeps every gradient part of that input in
+sweep order and sums them in that order, as it sums arrays, once a
+record reads the slot or before ``backward`` returns; so gradients are
+the same bytes as when every part is an array.  No sweep waits for
+another's jobs, and a process forked after a sweep makes its own worker
+at its next one.  A job must only read arrays that no later closure
+writes.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
@@ -168,29 +166,19 @@ class Tape:
 
 _active_tape = _ACTIVE_TAPE.get
 
-# the thread that runs the teacher's forward beside the student's and
-# weight-gradient GEMMs beside the sweep; it starts at the first job, runs
-# jobs one at a time, in the order submitted, and in a context of its own:
-# a job records onto no tape and no energy report
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spikegraph-grad")
-_WORKER_PID = os.getpid()
-# the jobs submitted so far by the closures of the sweep running in this
-# context, which ``backward`` waits for before it returns
-_SWEEP_JOBS: ContextVar[Optional[list[Future]]] = ContextVar("sweep_jobs", default=None)
+# the worker of the sweep running in this context (the sweep rule); it
+# runs jobs one at a time, in the order submitted, and in a context of its
+# own: a job records onto no tape and no energy report
+_SWEEP_WORKER: ContextVar[Optional[ThreadPoolExecutor]] = ContextVar("sweep_worker",
+                                                                     default=None)
 
 
 def _later(fn, *args):
-    """``fn(*args)`` as a job on the worker thread (see the sweep rule).
-    Submitted during a sweep, it is one of the jobs that sweep waits for.
-    In a process forked from the one that made the worker, where no worker
-    thread runs the jobs, it runs at once and its result is returned."""
-    if os.getpid() != _WORKER_PID:
-        return fn(*args)
-    job = _WORKER.submit(fn, *args)
-    jobs = _SWEEP_JOBS.get()
-    if jobs is not None:
-        jobs.append(job)
-    return job
+    """``fn(*args)`` as a job on the worker of the sweep running in this
+    context (see the sweep rule), which joins it before the sweep returns;
+    with no sweep running, ``fn(*args)`` itself, computed at once."""
+    worker = _SWEEP_WORKER.get()
+    return fn(*args) if worker is None else worker.submit(fn, *args)
 
 
 def _ready(part):
@@ -474,8 +462,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
     output is returned as its [B, Cout, Ho, Wo] view: channels last in
     memory.  x's gradient is laid out as x.  im2col, which backward keeps,
     is in x's dtype (one byte for spikes) and cast for each GEMM.  w's
-    gradient GEMM runs on the worker thread (``_later``) while backward
-    computes x's.
+    gradient GEMM runs on the sweep's worker thread (``_later``) while
+    backward computes x's.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -1022,10 +1010,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     integer input) and the output layouts (an unused output of a
     multi-output op gets zeros laid out as that output).
 
-    The jobs that closures hand to the worker thread (the sweep rule) are
-    joined before this returns, also when the sweep raises: then none of
-    them is still running and every ``grad`` is an array or None.  Jobs
-    submitted outside the sweep are not waited for.
+    The sweep owns the worker thread that runs the jobs its closures hand
+    on (the sweep rule), and joins it before this returns, also when the
+    sweep raises: then no job is still running and every ``grad`` is an
+    array or None.
     """
     if loss.size != 1:
         raise InvalidInputError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -1034,16 +1022,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
     loss.grad = np.ones_like(loss.data)
     records = tape._records
     pending: list[_Slot] = []
-    jobs: list[Future] = []
-    token = _SWEEP_JOBS.set(jobs)
-    try:
-        while records:
-            _sweep(records.pop(), pending)
-    finally:
-        _SWEEP_JOBS.reset(token)
-        wait(jobs)
-        for slot in pending:
-            _settle(slot)
+    with ThreadPoolExecutor(1, thread_name_prefix="spikegraph-grad") as worker:
+        token = _SWEEP_WORKER.set(worker)
+        try:
+            while records:
+                _sweep(records.pop(), pending)
+        finally:
+            _SWEEP_WORKER.reset(token)
+            for slot in pending:
+                _settle(slot)
 
 
 def _sweep(rec: _Record, pending: list[_Slot]) -> None:

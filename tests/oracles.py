@@ -20,9 +20,10 @@ the BatchNorm and LIF kernels take, and whether it was a copy;
 the parent's;
 ``settled`` joins the worker jobs that a backward closure returns,
 ``submitted_jobs`` lists the jobs (weight gradients and the teacher's
-forward) as they are submitted, and ``inline_jobs`` runs each on the
-caller's thread as it is submitted, returning its result: the reference
-for the sweep that joins them and for the training step.
+forward) as they are submitted to the workers of the sweeps and steps,
+and ``inline_jobs`` runs each on the caller's thread as it is submitted,
+returning its result: the reference for the sweep that joins them and
+for the training step.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import inspect
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -381,26 +382,36 @@ def settled(grads: tuple) -> tuple:
     return tuple(tensor._ready(g) for g in grads)
 
 
-def _patch_later(monkeypatch, later) -> None:
-    for module in (tensor, blocks, network):
-        monkeypatch.setattr(module, "_later", later)
-
-
 def submitted_jobs(monkeypatch) -> list[Future]:
-    """The futures of the jobs that the ops and the training step submit
-    from now on, which still run on the worker thread."""
-    jobs, later = [], tensor._later
+    """The futures of the jobs that the sweeps and the training step submit
+    from now on, which still run on the workers those own."""
+    jobs = []
 
-    def submit(fn, *args):
-        jobs.append(later(fn, *args))
-        return jobs[-1]
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            jobs.append(super().submit(fn, *args))
+            return jobs[-1]
 
-    _patch_later(monkeypatch, submit)
+    for module in (tensor, network):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", Recording)
     return jobs
 
 
 def _run_now(fn, *args):
     return fn(*args)
+
+
+class _InlineWorker(Executor):
+    """A ``ThreadPoolExecutor`` stand-in that runs each job at once, on
+    the caller's thread, and returns it done."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, *args):
+        job = Future()
+        job.set_result(fn(*args))
+        return job
 
 
 _FORK = """
@@ -427,7 +438,7 @@ else:
 def forked_child(script: str) -> list[str]:
     """Run ``script``, which defines ``run()`` returning bytes, in a new
     interpreter: ``run()`` once, then again in a child forked after it,
-    whose worker thread is gone.  The words it prints: ["child", "0"] when
+    which has none of the parent's threads.  The words it prints: ["child", "0"] when
     the child got the same bytes, ["child", "hung"] after 20 s."""
     src = os.path.dirname(os.path.dirname(tensor.__file__))
     proc = subprocess.run([sys.executable, "-c", script + _FORK], timeout=60,
@@ -439,9 +450,11 @@ def forked_child(script: str) -> list[str]:
 
 def inline_jobs(monkeypatch) -> None:
     """Make ``tensor._later`` run each job at once, on the caller's thread,
-    and hand its result on, in every module that submits jobs: the sweep
-    then sums every gradient eagerly, as arrays, and the training step
-    runs the teacher's forward before the student's.  (A done ``Future``
-    would take the same settling path as the worker's, and could not show
-    a wrong order of the parts.)"""
-    _patch_later(monkeypatch, _run_now)
+    and hand its result on, in every module that submits jobs, and the
+    training step run the teacher's forward the same way, before the
+    student's: the sweep then sums every gradient eagerly, as arrays.  (A
+    done ``Future`` would take the same settling path as the worker's, and
+    could not show a wrong order of the parts.)"""
+    for module in (tensor, blocks):
+        monkeypatch.setattr(module, "_later", _run_now)
+    monkeypatch.setattr(network, "ThreadPoolExecutor", _InlineWorker)

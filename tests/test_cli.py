@@ -15,7 +15,7 @@ from spikegraph.config import RunConfig
 from spikegraph.data import SkeletonTopology
 from spikegraph.module import save_checkpoint
 from spikegraph.network import MkSgnModel, save_model
-from spikegraph.tensor import InvalidInputError, Tensor
+from spikegraph.tensor import InvalidInputError, Tensor, save_tensor
 from test_data import make_skeleton_text
 
 SCHEMA = os.path.join(os.path.dirname(profiler.__file__), "schemas",
@@ -208,10 +208,21 @@ def _truncated_sample(data_dir):
     sample.write_bytes(sample.read_bytes()[:-4])
 
 
+def _no_classes(data_dir):
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    del manifest["classes"]
+    (data_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _zero_frame_sample(data_dir):
+    sample = sorted((data_dir / "samples").iterdir())[0]
+    save_tensor(str(sample), np.zeros((3, 0, 25), dtype=np.float32))
+
+
 @pytest.mark.parametrize("corrupt", [_not_json, _no_samples, _missing_sample,
-                                     _truncated_sample],
+                                     _truncated_sample, _no_classes, _zero_frame_sample],
                          ids=["not_json", "no_samples", "missing_sample",
-                              "truncated_sample"])
+                              "truncated_sample", "no_classes", "zero_frame_sample"])
 def test_corrupt_dataset_is_a_data_error(tmp_path, tiny_data, capsys, corrupt):
     data_dir = tmp_path / "data"
     shutil.copytree(tiny_data, data_dir)
@@ -219,7 +230,33 @@ def test_corrupt_dataset_is_a_data_error(tmp_path, tiny_data, capsys, corrupt):
     ckpt = _save_student(tmp_path / "student.ckpt")
     code, err = _eval(tmp_path, str(data_dir), ckpt, capsys)
     assert code == cli.EXIT_DATA
-    assert "corrupt dataset" in err and "Traceback" not in err
+    assert f"corrupt dataset {data_dir / 'manifest.json'}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ({"noise": -1.0}, "noise must be >= 0, got -1.0"),
+    ({"frames": 0}, "need at least 1 frame, got 0"),
+], ids=["negative_noise", "no_frames"])
+def test_unusable_synth_setting_is_a_config_error(tmp_path, capsys, dataset, message):
+    config = _write_config(tmp_path / "run.yaml", {"dataset": dataset})
+    capsys.readouterr()
+    code = cli.main(["--config", config, "--out", str(tmp_path / "data"), "synth"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "data" / "manifest.json").exists()
+
+
+def test_teacher_checkpoint_without_distillation_is_a_config_error(tmp_path, tiny_data,
+                                                                   capsys):
+    capsys.readouterr()
+    code = cli.main(["--out", str(tmp_path / "run"), "train", "--data", tiny_data,
+                     "--teacher-ckpt", str(tmp_path / "teacher.ckpt")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "--teacher-ckpt" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_skeleton_dir_is_a_clean_error(tmp_path, capsys):
@@ -377,6 +414,18 @@ def _batch_config(path, batch_size):
         **SPLIT_CONFIG["preprocess"], "batch_size": batch_size}})
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_eval_rejects_a_batch_size_below_one(tmp_path, split_data, capsys, batch_size):
+    data_dir, ckpt = split_data
+    capsys.readouterr()
+    code = cli.main(["--config", _batch_config(tmp_path / "run.yaml", batch_size),
+                     "--out", str(tmp_path / "run"), "eval", str(ckpt), "--data", data_dir])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert f"batch_size must be >= 1, got {batch_size}" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "eval.json").exists()
+
+
 def test_eval_forwards_preprocess_batch_size_clips(tmp_path, split_data, monkeypatch):
     """eval runs ``preprocess.batch_size`` clips per forward; eval mode is
     batch-independent, so its report equals the one at 32 clips."""
@@ -479,6 +528,19 @@ def test_unlabeled_skeleton_file_is_a_data_error(tmp_path, ntu_data, capsys, mon
     assert code == cli.EXIT_DATA
     assert "S001C001P001R005.skeleton" in err and "Traceback" not in err
     assert preprocessed == []
+
+
+def test_non_utf8_skeleton_file_is_a_data_error(tmp_path, ntu_data, capsys):
+    raw = tmp_path / "raw"
+    shutil.copytree(ntu_data, raw)
+    (raw / "S001C001P001R005A001.skeleton").write_bytes(b"1\n1\n\xff\xfe\n")
+    capsys.readouterr()
+    code = cli.main(["--config", _ntu_config(tmp_path / "ntu.yaml", raw, tmp_path / "cache"),
+                     "--out", str(tmp_path / "run"), "train", "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert f"{raw / 'S001C001P001R005A001.skeleton'}: not UTF-8" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -58,6 +58,10 @@ class TestParseNtu:
         with pytest.raises(FormatError):
             parse_ntu("0\n")
 
+    def test_non_utf8_bytes_are_a_format_error(self):
+        with pytest.raises(FormatError, match="not UTF-8"):
+            parse_ntu(b"1\n1\n\xff\xfe\n")
+
     def test_linear_motion_round_trips(self):
         def coords(t, b, j):
             return (0.5 * t + 0.01 * j, -0.25 * t, 1.0)
@@ -185,6 +189,18 @@ class TestSynthesize:
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
             synthesize(1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"frames": 0}, "need at least 1 frame, got 0"),
+        ({"noise": -1.0}, "noise must be >= 0, got -1.0"),
+    ], ids=["no_frames", "negative_noise"])
+    def test_unusable_setting_rejected(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            synthesize(2, samples_per_class=1, **kwargs)
+
+    def test_zero_frame_sequence_rejected(self):
+        with pytest.raises(InvalidInputError, match="T >= 1"):
+            SkeletonSequence(np.zeros((3, 0, 25), dtype=np.float32))
 
 
 class TestPreprocess:

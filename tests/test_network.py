@@ -151,7 +151,7 @@ class TestTapeHoldsNoTensor:
 
 class TestWeightGradientJobs:
     """A training step whose weight-gradient GEMMs and teacher forward run
-    on the worker thread gives every parameter gradient, its losses and
+    on worker threads gives every parameter gradient, its losses and
     the student's and FTM's state after it as the same bytes as with each
     job run inline as it is submitted (``oracles.inline_jobs``)."""
 
@@ -193,10 +193,11 @@ class TestWeightGradientJobs:
 
 
 class TestTeacherJob:
-    """The teacher's forward, a job on the worker thread while the
+    """The teacher's forward, a job on the step's worker thread while the
     student's forward runs, records onto neither the student's tape nor
     a report, is joined when the student's forward raises, raises its own
-    error from the step, and runs inline in a forked child."""
+    error from the step, and runs on a worker of its own in a forked
+    child."""
 
     def test_records_onto_no_tape_and_no_report(self, monkeypatch):
         def step():
@@ -251,12 +252,14 @@ class TestTeacherJob:
         assert trainer.global_step == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_runs_the_teacher_inline(self):
-        # the parent's step starts the worker thread, which the child lacks
+    def test_forked_child_runs_the_teacher_on_its_own_worker(self):
+        # the child has none of the threads of the parent's step: its own
+        # step must make workers of its own, or it would hang
         assert oracles.forked_child(KD_STEP) == ["child", "0"]
 
 
 KD_STEP = """
+import threading
 import numpy as np
 from spikegraph.config import RunConfig
 from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
@@ -273,8 +276,17 @@ def run():
                     np.random.default_rng(2))
     trainer = Trainer(model, bundle, labels, cfg.train_settings(),
                       loss_weights=cfg.loss_weights(), teacher=teacher, ftm=ftm)
+    forward, ran_on = teacher.forward, []
+
+    def spy(batch):
+        ran_on.append(threading.current_thread())
+        return forward(batch)
+
+    teacher.forward = spy
     idx = np.arange(2)
     metrics = trainer.train_step(batch_tensors(bundle, idx), labels[idx])
+    if ran_on[0] is threading.current_thread():
+        raise AssertionError("the teacher did not run on the step's worker")
     return np.float64(metrics["loss"]).tobytes()
 """
 
@@ -723,6 +735,7 @@ import resource
 import threading
 import numpy as np
 import spikegraph
+from spikegraph import blocks, tensor
 from spikegraph.config import RunConfig
 from spikegraph.data import SkeletonTopology, preprocess_sequences, synthesize
 from spikegraph.network import Trainer, batch_tensors
@@ -734,6 +747,16 @@ model = cfg.build_student(4, topo, np.random.default_rng(0))
 trainer = Trainer(model, bundle, labels, cfg.train_settings(),
                   loss_weights=cfg.loss_weights())
 batch = batch_tensors(bundle, np.arange(8))
+ran_on, submit = set(), tensor._later
+
+def later(fn, *args):
+    def job():
+        ran_on.add(threading.get_ident())
+        return fn(*args)
+    return submit(job)
+
+for module in (tensor, blocks):
+    module._later = later
 for _ in range(2):
     trainer.train_step(batch, labels[:8])
 faults = []
@@ -741,16 +764,15 @@ for _ in range(9):
     r0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     trainer.train_step(batch, labels[:8])
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - r0)
-print(any(t.name.startswith("spikegraph-grad") for t in threading.enumerate()),
-      sorted(faults)[4])
+print(len(ran_on) > 0 and threading.get_ident() not in ran_on, sorted(faults)[4])
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap thresholds")
 def test_train_step_does_not_fault_its_heap_back_in():
     """Minor faults in the median of 9 toy-plan training steps (B=8, T=16)
-    after 2 warm-up steps, their weight-gradient GEMMs on the worker
-    thread.  It read 5-10; a heap trimmed back to the kernel faults the
+    after 2 warm-up steps, their weight-gradient GEMMs on each sweep's
+    worker thread, off the caller's.  It read 5-12; a heap trimmed back to the kernel faults the
     freed tape in again at every step (once 58k faults per step).  The
     median, because the heap's top still rises by up to 1 MB (20-230
     faults) at up to 3 of the first steps, which ones depending on how the
@@ -760,6 +782,6 @@ def test_train_step_does_not_fault_its_heap_back_in():
     proc = subprocess.run([sys.executable, "-c", TRAIN_FAULT_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    worker, faults = proc.stdout.split()
-    assert worker == "True"
+    off_thread, faults = proc.stdout.split()
+    assert off_thread == "True"
     assert int(faults) <= 50

@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -622,15 +623,30 @@ def weight_op(name):
 
 
 CHANNEL_MAP_SWEEP = """
+import threading
 import numpy as np
+from spikegraph import blocks, tensor
 from spikegraph.blocks import channel_map
 from spikegraph.tensor import Tape, Tensor, backward, sum_
+
+ran_on = []
+
+def later(fn, *args):
+    def job():
+        ran_on.append(threading.current_thread())
+        return fn(*args)
+    return tensor._later(job)
+
+blocks._later = later
 
 def run():
     x = Tensor(np.ones((2, 4, 5, 3), dtype=np.float32), requires_grad=True)
     w = Tensor(np.ones((4, 6), dtype=np.float32), requires_grad=True)
     with Tape() as tape:
         backward(sum_(channel_map(x, w)), tape)
+    job_thread = ran_on.pop()
+    if ran_on or job_thread is threading.current_thread():
+        raise AssertionError("the sweep's job did not run on its worker")
     return w.grad.tobytes()
 """
 
@@ -687,26 +703,39 @@ class TestWeightGradientJobs:
 
     @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
     def test_sweep_waits_only_for_its_own_jobs(self, raises, monkeypatch):
-        # another thread's job, queued behind this sweep's own, blocks the
-        # worker until released: a sweep that joined every job on the
-        # worker would wait for it
+        # another thread's sweep is blocked in a job of its own until
+        # released: a sweep that shared its worker, or joined every job,
+        # would wait for it
         jobs = oracles.submitted_jobs(monkeypatch)
-        release = threading.Event()
+        submitted, release = threading.Event(), threading.Event()
         outside = []
+
+        def blocked_sweep():
+            x0 = Tensor(rand(3, seed=67), requires_grad=True)
+
+            def blocking(g):
+                outside.append(tensor._later(release.wait, 20))
+                submitted.set()
+                return (g,)
+
+            with Tape() as tape:
+                x = Tensor._wrap(x0.data.copy())
+                record_op((x0,), (x,), blocking)
+                backward(sum_(x), tape)
+
         x0 = Tensor(rand(2, 4, 5, 3, seed=65), requires_grad=True)
         w = Tensor(rand(4, 6, seed=66), requires_grad=True)
 
         def first(g):
             tensor._later(time.sleep, 0.2)
-            submitter = threading.Thread(
-                target=lambda: outside.append(tensor._later(release.wait, 20)))
-            submitter.start()
-            submitter.join()
             if raises:
                 raise NumericalError("non-finite gradient")
             return (g,)
 
+        other = threading.Thread(target=blocked_sweep)
+        other.start()
         try:
+            assert submitted.wait(20)
             with Tape() as tape:
                 x = Tensor._wrap(x0.data.copy())
                 record_op((x0,), (x,), first)
@@ -721,14 +750,32 @@ class TestWeightGradientJobs:
             assert len(outside) == 1 and not outside[0].done()
         finally:
             release.set()
-        assert outside[0].result(timeout=20) is True
+            other.join(timeout=20)
+        assert not other.is_alive() and outside[0].done()
+        assert outside[0].result() is True
         assert type(w.grad) is np.ndarray
         assert (x0.grad is None) == raises
 
-    def test_sweeps_on_several_threads_share_the_worker(self):
-        # more sweeping threads than cores, switching often: each thread's
-        # gradients must still be its own jobs' results, summed in order
+    def test_sweeps_on_several_threads_use_their_own_workers(self, monkeypatch):
+        # more sweeping threads than cores, switching often: each sweep
+        # submits to a worker of its own, and each thread's gradients are
+        # the inline bytes
+        oracles.inline_jobs(monkeypatch)
         want = [g.tobytes() for g in self.shared_and_produced("graph_conv")]
+        monkeypatch.undo()
+        workers = []        # (sweeping thread, threads that submitted to it)
+
+        class Worker(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.submitters = set()
+                workers.append((threading.get_ident(), self.submitters))
+
+            def submit(self, fn, *args):
+                self.submitters.add(threading.get_ident())
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(tensor, "ThreadPoolExecutor", Worker)
         results = []
 
         def sweeps():
@@ -747,11 +794,19 @@ class TestWeightGradientJobs:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 20 and all(r == want for r in results)
+        assert len(workers) == 20
+        assert all(submitters == {sweeper} for sweeper, submitters in workers)
+
+    def test_later_outside_a_sweep_runs_at_once(self):
+        a = rand(3, 4, seed=68)
+        got = tensor._later(np.multiply, a, 2.0)
+        assert type(got) is np.ndarray and got.tobytes() == (a * 2.0).tobytes()
+        assert tensor._later(threading.get_ident) == threading.get_ident()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_runs_its_jobs_inline(self):
-        # a child forked after the worker thread started has no such
-        # thread: a job handed to it would never run, and the sweep hang
+    def test_forked_child_runs_its_jobs_on_its_own_worker(self):
+        # the child has none of the threads of the parent's sweep: its own
+        # sweep must make a worker of its own, or it would hang
         assert oracles.forked_child(CHANNEL_MAP_SWEEP) == ["child", "0"]
 
 
