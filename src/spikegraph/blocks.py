@@ -21,42 +21,37 @@ from .tensor import (InvalidInputError, Tensor, _later, add, conv2d, matmul, per
                      record_op, reshape, scale, slice_)
 
 
-def normalize_adjacency(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
-    """Symmetric normalization D^{-1/2} (A [+ I]) D^{-1/2}.
+def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
+    """Symmetric normalization D^{-1/2} A D^{-1/2}, with no self-loops added.
 
-    D is the diagonal of row degrees; zero-degree rows stay zero (isolated
-    nodes cannot occur when self-loops are requested).
+    D is the diagonal of row degrees; zero-degree rows stay zero.
     """
     adj = np.asarray(adj, dtype=np.float32)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise InvalidInputError(f"adjacency must be square, got {adj.shape}")
     if (adj < 0).any():
         raise InvalidInputError("adjacency entries must be nonnegative")
-    a_tilde = adj + np.eye(adj.shape[0], dtype=np.float32) if add_self_loops else adj
-    deg = a_tilde.sum(axis=1)
+    deg = adj.sum(axis=1)
     with np.errstate(divide="ignore"):
         d_inv_sqrt = np.where(deg > 0, deg ** -0.5, 0.0).astype(np.float32)
-    return d_inv_sqrt[:, None] * a_tilde * d_inv_sqrt[None, :]
+    return d_inv_sqrt[:, None] * adj * d_inv_sqrt[None, :]
 
 
 def partition_branches(topo: SkeletonTopology) -> np.ndarray:
-    """Self / inward (child->parent) / outward branches, each normalized,
-    stacked as adj[K=3, V, V].
+    """Self / inward (child->parent) / outward branches, stacked as
+    adj[K=3, V, V].
 
-    The self branch is the normalized identity; the directional branches
-    are normalized without extra self-loops (identity is its own branch),
-    leaving zero-degree rows zero.
+    The self branch is the identity, which normalization leaves as it is;
+    the directional branches are normalized without self-loops (identity
+    is its own branch), leaving zero-degree rows zero.
     """
     v = topo.num_joints
     inward = np.zeros((v, v), dtype=np.float32)
     for child, parent in topo.edges:
         inward[parent, child] = 1.0  # message flows child -> parent
     outward = inward.T.copy()
-    return np.stack([
-        normalize_adjacency(np.zeros((v, v), dtype=np.float32), add_self_loops=True),
-        normalize_adjacency(inward, add_self_loops=False),
-        normalize_adjacency(outward, add_self_loops=False),
-    ])
+    return np.stack([np.eye(v, dtype=np.float32),
+                     normalize_adjacency(inward), normalize_adjacency(outward)])
 
 
 def channel_map(x: Tensor, w: Tensor) -> Tensor:

@@ -80,6 +80,14 @@ def _dataset_dir(cfg: RunConfig, override) -> str:
     return path
 
 
+def _train_fraction(cfg: RunConfig) -> float:
+    """``dataset.train_fraction``, checked to lie in [0, 1]."""
+    fraction = cfg.get("dataset.train_fraction")
+    if not 0.0 <= fraction <= 1.0:
+        raise InvalidInputError(f"dataset.train_fraction must be in [0, 1], got {fraction}")
+    return fraction
+
+
 def _load_splits(cfg: RunConfig, data_dir: str, *names: str):
     """(topology, class count, one (bundle, labels) per split in ``names``).
 
@@ -92,13 +100,14 @@ def _load_splits(cfg: RunConfig, data_dir: str, *names: str):
         train, test, manifest = load_dataset(data_dir)
         classes = manifest["classes"]
     elif kind == "ntu_dir":
+        fraction = _train_fraction(cfg)
         sequences = load_skeleton_dir(data_dir, cfg.get("dataset.cache_dir"))
         labels = sorted({s.label for s in sequences})
         classes = len(labels)
         remap = {lbl: i for i, lbl in enumerate(labels)}
         for s in sequences:
             s.label = remap[s.label]
-        cut = int(round(cfg.get("dataset.train_fraction") * len(sequences)))
+        cut = int(round(fraction * len(sequences)))
         train, test = sequences[:cut], sequences[cut:]
     else:
         raise InvalidInputError(f"unknown dataset kind {kind!r}")
@@ -125,6 +134,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
                   "dataset.samples_per_class": args.samples_per_class})
     out_dir = _make_out_dir(args.out or cfg.get("dataset.dir")
                             or os.path.join(cfg.get("out"), "synth"))
+    train_fraction = _train_fraction(cfg)
     sequences, params = synthesize(
         classes=cfg.get("dataset.classes"),
         samples_per_class=cfg.get("dataset.samples_per_class"),
@@ -132,8 +142,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         frames=cfg.get("dataset.frames"),
         seed=cfg.get("seed"),
         noise=cfg.get("dataset.noise"))
-    manifest = save_synth_dataset(out_dir, sequences, params,
-                                  train_fraction=cfg.get("dataset.train_fraction"))
+    manifest = save_synth_dataset(out_dir, sequences, params, train_fraction)
     cfg.dump(os.path.join(out_dir, "effective-config.yaml"))
     print(f"dataset: {len(sequences)} sequences, {params['classes']} classes")
     print(f"manifest: {os.path.join(out_dir, 'manifest.json')}")

@@ -98,8 +98,6 @@ class SkeletonSequence:
 
     joints: np.ndarray
     label: Optional[int] = None
-    subject: Optional[int] = None
-    camera: Optional[int] = None
 
     def __post_init__(self):
         self.joints = np.asarray(self.joints, dtype=np.float32)
@@ -191,6 +189,8 @@ def parse_ntu(raw: bytes | str) -> SkeletonSequence:
                     coords[j] = [float(parts[0]), float(parts[1]), float(parts[2])]
                 except ValueError:
                     raise FormatError(f"line {pos}: non-numeric joint coordinates: {line!r}")
+                if not np.isfinite(coords[j]).all():
+                    raise FormatError(f"line {pos}: non-finite joint coordinates: {line!r}")
             if body == 0:
                 frame_joints = coords
         if frame_joints is not None:
@@ -247,6 +247,8 @@ def synthesize(classes: int, samples_per_class: int = 50, num_joints: int = 25,
     """
     if classes < 2:
         raise InvalidInputError(f"need at least 2 classes, got {classes}")
+    if samples_per_class < 1:
+        raise InvalidInputError(f"need at least 1 sample per class, got {samples_per_class}")
     if frames < 1:
         raise InvalidInputError(f"need at least 1 frame, got {frames}")
     if noise < 0:
@@ -325,19 +327,18 @@ def center_sequence(joints: np.ndarray, root: int) -> np.ndarray:
 
 
 def preprocess_sequences(sequences: Sequence[SkeletonSequence], target_t: int,
-                         topo: Optional[SkeletonTopology] = None,
+                         topo: SkeletonTopology,
                          ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """The dataset as the models take it, plus the labels.
 
-    Each sequence is centred and resampled to ``target_t`` frames, and its
-    [3, T, V] joints are stacked straight into one C-contiguous
-    [N, 3, V, T] array; ``derive_modalities`` then gives the four inputs
-    by name, all in that layout.  Unlabeled sequences get label -1.
+    Each sequence is centred on ``topo``'s root and resampled to
+    ``target_t`` frames, and its [3, T, V] joints are stacked straight into
+    one C-contiguous [N, 3, V, T] array; ``derive_modalities`` then gives
+    the four inputs by name, all in that layout.  Every sequence must have
+    ``topo``'s joint count.  Unlabeled sequences get label -1.
     """
     if not sequences:
         raise InvalidInputError("preprocess requires a non-empty sequence set")
-    if topo is None:
-        topo = SkeletonTopology.for_joint_count(sequences[0].num_joints)
     counts = {seq.num_joints for seq in sequences}
     if counts != {topo.num_joints}:
         raise InvalidInputError(
@@ -393,7 +394,11 @@ def save_synth_dataset(out_dir: str, sequences: Sequence[SkeletonSequence],
 
 
 def load_dataset(in_dir: str) -> tuple[list[SkeletonSequence], list[SkeletonSequence], dict]:
-    """Load a saved dataset; returns (train split, test split, manifest)."""
+    """Load a saved dataset; returns (train split, test split, manifest).
+
+    Each sample needs an integer label in [0, classes) and the split
+    "train" or "test"; any other manifest entry is a ``FormatError``.
+    """
     manifest_path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise InvalidInputError(f"no manifest.json under {in_dir}")
@@ -401,12 +406,20 @@ def load_dataset(in_dir: str) -> tuple[list[SkeletonSequence], list[SkeletonSequ
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        if not isinstance(manifest["classes"], int):
-            raise FormatError(f"classes must be an integer, got {manifest['classes']!r}")
+        classes = manifest["classes"]
+        if not isinstance(classes, int):
+            raise FormatError(f"classes must be an integer, got {classes!r}")
         for entry in manifest["samples"]:
+            label, split = entry["label"], entry["split"]
+            if type(label) is not int or not 0 <= label < classes:   # bool is not a label
+                raise FormatError(f"sample {entry['file']}: label must be an integer "
+                                  f"in [0, {classes}), got {label!r}")
+            if split not in ("train", "test"):
+                raise FormatError(f"sample {entry['file']}: split must be "
+                                  f"'train' or 'test', got {split!r}")
             joints = load_tensor(os.path.join(in_dir, entry["file"])).data
-            seq = SkeletonSequence(joints=joints, label=entry["label"])
-            (train if entry["split"] == "train" else test).append(seq)
+            (train if split == "train" else test).append(
+                SkeletonSequence(joints=joints, label=label))
     except (ValueError, KeyError, TypeError, OSError) as err:
         raise FormatError(f"corrupt dataset {manifest_path}: {err!r}") from err
     return train, test, manifest
@@ -424,10 +437,12 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
     """Scan a directory of `.skeleton` files; labels decoded from filenames.
 
     A file whose name carries no ``A###`` class is a ``FormatError``,
-    raised before any file is read.  Parsed joint tensors are cached as
-    SGT1 blobs keyed by the file content hash when a cache directory is
-    configured.  An entry that is missing or does not load is a miss: the
-    file is parsed again and the entry rewritten.
+    raised before any file is read; so is a file that does not parse,
+    non-finite coordinates included, named by its path.  Parsed joint
+    tensors are cached as SGT1 blobs keyed by the file content hash when a
+    cache directory is configured.  An entry that is missing, does not load
+    or is not a valid sequence is a miss: the file is parsed again and the
+    entry rewritten.
     """
     if not os.path.isdir(data_dir):
         raise InvalidInputError(f"no such dataset directory: {data_dir}")
@@ -443,21 +458,22 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
         path = os.path.join(data_dir, name)
         with open(path, "rb") as fh:
             raw = fh.read()
-        joints = None
+        seq = None
         cache_path = None
         if cache_dir:
             key = _cache_key(raw, {"parser": "ntu", "version": 1})
             cache_path = os.path.join(cache_dir, key + ".sgt")
             try:
-                joints = load_tensor(cache_path).data
-            except (OSError, FormatError):
+                seq = SkeletonSequence(joints=load_tensor(cache_path).data)
+            except (OSError, FormatError, InvalidInputError):
                 pass
-        if joints is None:
+        if seq is None:
             try:
-                joints = parse_ntu(raw).joints
+                seq = parse_ntu(raw)
             except FormatError as err:
                 raise FormatError(f"{path}: {err}") from err
             if cache_path:
-                save_tensor(cache_path, joints)
-        sequences.append(SkeletonSequence(joints=joints, label=label))
+                save_tensor(cache_path, seq.joints)
+        seq.label = label
+        sequences.append(seq)
     return sequences

@@ -22,8 +22,9 @@ class Parameter(Tensor):
 class Module:
     """Composable parameter container with train/eval state.
 
-    Submodules, parameters and lists thereof are discovered by attribute
-    scan; numpy buffers (e.g. BN running stats) are registered explicitly.
+    Parameters, submodules and lists of submodules are discovered by
+    attribute scan; numpy buffers (e.g. BN running stats) are registered
+    explicitly.
     """
 
     def __init__(self):
@@ -47,10 +48,6 @@ class Module:
         for name, value in vars(self).items():
             if isinstance(value, Parameter):
                 yield prefix + name, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Parameter):
-                        yield f"{prefix}{name}.{i}", item
         for name, child in self._children():
             yield from child.named_parameters(prefix + name + ".")
 
@@ -133,18 +130,20 @@ class Linear(Module):
 class BatchNorm(Module):
     """Channel batch norm over [..., C, V, T] features (channels at -3).
 
-    Every BatchNorm in the models follows a linear map.  One feeding
-    spiking neurons runs with them as ``neurons.bn_sn_layer``, in training
-    and in eval.  The others (the teacher's and the FTM's fuse) run
-    ``forward`` on the map's output in both modes.  Both paths take eval
-    statistics from ``tensor._bn_setup``.
+    ``momentum`` and ``eps`` are class constants; an instance may set its
+    own ``momentum``.  Every BatchNorm in the models follows a linear map.
+    One feeding spiking neurons runs with them as ``neurons.bn_sn_layer``,
+    in training and in eval.  The others (the teacher's and the FTM's fuse)
+    run ``forward`` on the map's output in both modes.  Both paths read the
+    module's fields in ``tensor._bn_setup``.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(num_features, dtype=np.float32))
         self.beta = Parameter(np.zeros(num_features, dtype=np.float32))
         self.running_mean = self.register_buffer(
@@ -153,9 +152,7 @@ class BatchNorm(Module):
             "running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.running_mean,
-                          self.running_var, self.training,
-                          momentum=self.momentum, eps=self.eps)
+        return batch_norm(x, self)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +162,7 @@ class BatchNorm(Module):
 class SGD:
     """SGD with classical momentum and decoupled-from-schedule weight decay."""
 
-    def __init__(self, params, lr: float, momentum: float = 0.9,
-                 weight_decay: float = 1e-4):
+    def __init__(self, params, lr: float, momentum: float, weight_decay: float):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -188,11 +184,11 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0

@@ -142,9 +142,7 @@ def sdk_loss(y: Tensor, y_mm: Tensor) -> Tensor:
 
 
 def _flatten_per_sample(t: Tensor) -> Tensor:
-    """[S,B,D,V,T] -> [B, S*D*V*T] (rank-2 inputs pass through)."""
-    if t.ndim == 2:
-        return t
+    """[S,B,D,V,T] -> [B, S*D*V*T]."""
     if t.ndim != 5:
         raise InvalidInputError(f"expected rank-5 feature tap, got {t.shape}")
     moved = permute(t, (1, 0, 2, 3, 4))
@@ -683,11 +681,13 @@ def save_model(path, model: Module, plan_hash_value: str) -> None:
     save_checkpoint(path, plan_hash_value, model.state_dict())
 
 
-def load_model(path, model: Module, expected_hash: Optional[str] = None) -> str:
+def load_model(path, model: Module, expected_hash: str) -> None:
+    """Load a checkpoint into ``model``; a plan hash other than
+    ``expected_hash`` (``model.plan_hash()``) is rejected before any state
+    is loaded."""
     found_hash, arrays = load_checkpoint(path)
-    if expected_hash is not None and found_hash != expected_hash:
+    if found_hash != expected_hash:
         raise InvalidInputError(
             f"checkpoint plan hash {found_hash[:12]} does not match "
             f"expected {expected_hash[:12]}")
     model.load_state_dict(arrays)
-    return found_hash

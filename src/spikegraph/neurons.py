@@ -101,8 +101,7 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
     if x.ndim < 4 or x.shape[0] == 0:
         raise InvalidInputError("bn_sn_layer requires [S, ..., C, V, T] with S > 0")
     gamma, beta, training = bn.gamma, bn.beta, bn.training
-    xv, order, mu, std, affine = _bn_setup(x, gamma, beta, bn.running_mean,
-                                           bn.running_var, training, bn.momentum, bn.eps)
+    xv, order, mu, std, affine = _bn_setup(x, bn)
     keep = _active_tape() is not None and any(t.requires_grad for t in (x, gamma, beta))
     xs = xv.reshape(x.shape[0], -1, xv.shape[1])                    # [S, R, C]
     out_s, h_hist = _lif_forward(xs, cfg, False, keep, affine)

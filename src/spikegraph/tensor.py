@@ -667,37 +667,36 @@ def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return part.sum(axis=0, dtype=np.float64)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Normalize x[..., C, V, T] per channel (axis -3) over all other axes.
+def batch_norm(x: Tensor, bn) -> Tensor:
+    """Normalize x[..., C, V, T] per channel (axis -3) over all other axes
+    with a ``module.BatchNorm``'s fields, as ``_bn_setup`` reads them.
 
-    Training mode uses batch statistics and updates the running buffers
+    Training mode uses batch statistics and updates bn's running buffers
     in place (momentum convention: new = (1-m)*old + m*batch); eval mode
     normalizes with the running buffers.  The output and x's gradient are
     laid out in memory as ``_kernel_view`` reads x: as x is, for every
     input in the models.
     """
-    xv, order, mu, std, affine = _bn_setup(x, gamma, beta, running_mean, running_var,
-                                           training, momentum, eps)
+    xv, order, mu, std, affine = _bn_setup(x, bn)
     ov = np.empty(xv.shape, dtype=xv.dtype)
     for rows in _row_chunks(xv):
         _bn_normalize(xv[rows], ov[rows], affine)
     out = Tensor._wrap(_from_view(ov, x.shape, order))
-    x_shape, gamma_d = x.shape, gamma.data
+    x_shape, gamma_d, training = x.shape, bn.gamma.data, bn.training
 
     def backward(g):  # the tape casts each gradient to its input's gradient dtype
         gv = _kernel_view(g, True, order)[0]
         gx, gg, gb = _bn_backward(gv, xv, mu, std, gamma_d, training)
         return _from_view(gx, x_shape, order), gg, gb
 
-    record_op((x, gamma, beta), (out,), backward)
+    record_op((x, bn.gamma, bn.beta), (out,), backward)
     return out
 
 
-def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps):
+def _bn_setup(x, bn):
     """(x's [P, C] ``_kernel_view``, its axis order, mean, sqrt(var + eps),
-    affine).
+    affine) for a ``module.BatchNorm`` ``bn``: its gamma, beta, running
+    buffers, training flag, momentum and eps.
 
     ``affine`` holds the per-channel (mean, gamma / std, beta) of
     ``_bn_normalize``, each in the forms of ``_per_channel``.
@@ -708,20 +707,20 @@ def _bn_setup(x, gamma, beta, running_mean, running_var, training, momentum, eps
     if x.ndim < 3:
         raise InvalidInputError(f"batch_norm expects [..., C, V, T], got {x.shape}")
     C = x.shape[-3]
-    if gamma.size != C or beta.size != C:
+    if bn.gamma.size != C or bn.beta.size != C:
         raise InvalidInputError(
-            f"batch_norm gamma/beta length {gamma.size}/{beta.size} != channels {C}")
+            f"batch_norm gamma/beta length {bn.gamma.size}/{bn.beta.size} != channels {C}")
     xv, order = _kernel_view(_as_float(x.data), True)
-    if training:
+    if bn.training:
         mu, var = _bn_stats(xv)
-        n = xv.shape[0]
-        running_mean[:] = (1.0 - momentum) * running_mean + momentum * mu
+        n, m = xv.shape[0], bn.momentum
+        bn.running_mean[:] = (1.0 - m) * bn.running_mean + m * mu
         var_runtime = var * (n / (n - 1)) if n > 1 else var
-        running_var[:] = (1.0 - momentum) * running_var + momentum * var_runtime
+        bn.running_var[:] = (1.0 - m) * bn.running_var + m * var_runtime
     else:
-        mu, var = running_mean.astype(xv.dtype), running_var.astype(xv.dtype)
-    std = np.sqrt(var + eps).astype(xv.dtype)
-    affine = tuple(_per_channel(v) for v in (mu, gamma.data / std, beta.data))
+        mu, var = bn.running_mean.astype(xv.dtype), bn.running_var.astype(xv.dtype)
+    std = np.sqrt(var + bn.eps).astype(xv.dtype)
+    affine = tuple(_per_channel(v) for v in (mu, bn.gamma.data / std, bn.beta.data))
     return xv, order, mu, std, affine
 
 

@@ -37,21 +37,23 @@ def spectral_radius(m, iters=200):
 
 
 class TestNormalizeAdjacency:
-    def test_single_node_self_loop(self):
-        out = normalize_adjacency(np.array([[0.0]]), add_self_loops=True)
-        np.testing.assert_allclose(out, [[1.0]])
+    def test_isolated_node_row_stays_zero(self):
+        out = normalize_adjacency(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
-    def test_two_node_path_hand_computed(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = normalize_adjacency(a, add_self_loops=True)
-        np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-7)
+    def test_three_node_path_hand_computed(self):
+        # degrees 1, 2, 1 and no self-loops: each edge weighs 1 / sqrt(2)
+        a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        out = normalize_adjacency(a)
+        r = 2 ** -0.5
+        np.testing.assert_allclose(out, [[0.0, r, 0.0], [r, 0.0, r], [0.0, r, 0.0]], atol=1e-7)
 
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             a = rng.uniform(0, 1, size=(6, 6))
             a = (a + a.T) / 2
-            out = normalize_adjacency(a, add_self_loops=True)
+            out = normalize_adjacency(a)
             np.testing.assert_allclose(out, out.T, atol=1e-6)
 
     def test_negative_entries_rejected(self):
@@ -66,7 +68,7 @@ class TestNormalizeAdjacency:
             a = np.zeros((v, v), dtype=np.float32)
             for c, p in topo.edges:
                 a[c, p] = a[p, c] = 1.0
-            out = normalize_adjacency(a, add_self_loops=True)
+            out = normalize_adjacency(a)
             assert spectral_radius(out) <= 1.0 + 1e-6
 
 
@@ -74,8 +76,8 @@ class TestPartitionBranches:
     def test_self_branch_is_identity(self):
         for topo in (SkeletonTopology.ntu25(), SkeletonTopology.ucla20()):
             adj = partition_branches(topo)
-            np.testing.assert_allclose(adj[0], np.eye(topo.num_joints),
-                                       atol=1e-7)
+            assert adj.dtype == np.float32
+            np.testing.assert_array_equal(adj[0], np.eye(topo.num_joints, dtype=np.float32))
 
     def test_two_joint_chain_inward_single_edge(self):
         topo = SkeletonTopology(((1, 0),), root=0, num_joints=2)

@@ -219,10 +219,23 @@ def _zero_frame_sample(data_dir):
     save_tensor(str(sample), np.zeros((3, 0, 25), dtype=np.float32))
 
 
-@pytest.mark.parametrize("corrupt", [_not_json, _no_samples, _missing_sample,
-                                     _truncated_sample, _no_classes, _zero_frame_sample],
-                         ids=["not_json", "no_samples", "missing_sample",
-                              "truncated_sample", "no_classes", "zero_frame_sample"])
+def _first_sample(key, value):
+    """Set ``key`` of the manifest's first sample to ``value``."""
+    def corrupt(data_dir):
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["samples"][0][key] = value
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _not_json, _no_samples, _missing_sample, _truncated_sample, _no_classes,
+    _zero_frame_sample, _first_sample("label", "x"), _first_sample("label", 9),
+    _first_sample("label", -1), _first_sample("label", 1.5), _first_sample("label", True),
+    _first_sample("split", "tset"),
+], ids=["not_json", "no_samples", "missing_sample", "truncated_sample", "no_classes",
+        "zero_frame_sample", "label_string", "label_too_large", "label_negative",
+        "label_float", "label_bool", "split_unknown"])
 def test_corrupt_dataset_is_a_data_error(tmp_path, tiny_data, capsys, corrupt):
     data_dir = tmp_path / "data"
     shutil.copytree(tiny_data, data_dir)
@@ -237,7 +250,11 @@ def test_corrupt_dataset_is_a_data_error(tmp_path, tiny_data, capsys, corrupt):
 @pytest.mark.parametrize("dataset, message", [
     ({"noise": -1.0}, "noise must be >= 0, got -1.0"),
     ({"frames": 0}, "need at least 1 frame, got 0"),
-], ids=["negative_noise", "no_frames"])
+    ({"samples_per_class": 0}, "need at least 1 sample per class, got 0"),
+    ({"train_fraction": -0.5}, "dataset.train_fraction must be in [0, 1], got -0.5"),
+    ({"train_fraction": 1.5}, "dataset.train_fraction must be in [0, 1], got 1.5"),
+], ids=["negative_noise", "no_frames", "no_samples", "negative_train_fraction",
+        "train_fraction_above_one"])
 def test_unusable_synth_setting_is_a_config_error(tmp_path, capsys, dataset, message):
     config = _write_config(tmp_path / "run.yaml", {"dataset": dataset})
     capsys.readouterr()
@@ -541,6 +558,39 @@ def test_non_utf8_skeleton_file_is_a_data_error(tmp_path, ntu_data, capsys):
     assert code == cli.EXIT_DATA
     assert f"{raw / 'S001C001P001R005A001.skeleton'}: not UTF-8" in err
     assert "Traceback" not in err
+
+
+def test_non_finite_skeleton_coordinate_is_a_data_error(tmp_path, ntu_data, capsys):
+    raw = tmp_path / "raw"
+    shutil.copytree(ntu_data, raw)
+
+    def coords(t, b, j):   # frame 1, joint 3: line 36 of the file
+        return ("nan", 0.1, 0.2) if (t, j) == (1, 3) else (0.0, 0.1, 0.2)
+
+    (raw / "S001C001P001R005A001.skeleton").write_text(make_skeleton_text(3, coords=coords))
+    capsys.readouterr()
+    code = cli.main(["--config", _ntu_config(tmp_path / "ntu.yaml", raw, tmp_path / "cache"),
+                     "--out", str(tmp_path / "run"), "train", "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert (f"{raw / 'S001C001P001R005A001.skeleton'}: line 36: "
+            "non-finite joint coordinates: 'nan 0.1 0.2 ") in err
+    assert "Traceback" not in err
+
+
+def test_unusable_train_fraction_is_a_config_error_before_any_file_is_read(
+        tmp_path, ntu_data, capsys, monkeypatch):
+    scanned = []
+    monkeypatch.setattr(cli, "load_skeleton_dir", lambda *a: scanned.append(a))
+    config = _write_config(tmp_path / "ntu.yaml", {
+        "dataset": {"kind": "ntu_dir", "dir": str(ntu_data), "train_fraction": -0.25},
+        "preprocess": {"target_T": 8}})
+    capsys.readouterr()
+    code = cli.main(["--config", config, "--out", str(tmp_path / "run"), "train"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "dataset.train_fraction must be in [0, 1], got -0.25" in err
+    assert "Traceback" not in err and scanned == []
 
 
 @pytest.mark.parametrize("command", [

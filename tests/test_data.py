@@ -9,7 +9,7 @@ from spikegraph.data import (SkeletonSequence, SkeletonTopology,
                              load_skeleton_dir, manifest_hash, parse_ntu,
                              preprocess_sequences,
                              resample_frames, save_synth_dataset, synthesize)
-from spikegraph.tensor import (FormatError, InvalidInputError, load_tensor,
+from spikegraph.tensor import (FormatError, InvalidInputError, load_tensor, save_tensor,
                                tensor_from_bytes, tensor_to_bytes)
 
 
@@ -223,7 +223,7 @@ class TestPreprocess:
 
     def test_stacked_shapes_and_no_nans(self):
         seqs, _ = synthesize(3, samples_per_class=4, frames=20, seed=5)
-        bundle, labels = preprocess_sequences(seqs, target_t=16)
+        bundle, labels = preprocess_sequences(seqs, target_t=16, topo=SkeletonTopology.ntu25())
         assert labels.shape == (12,)
         for arr in bundle.values():
             assert arr.shape == (12, 3, 25, 16)
@@ -253,7 +253,7 @@ class TestPreprocess:
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            preprocess_sequences([], target_t=8)
+            preprocess_sequences([], target_t=8, topo=SkeletonTopology.ntu25())
 
     def test_mixed_joint_counts_rejected(self):
         seqs = synthesize(2, samples_per_class=1, frames=8, seed=6)[0]
@@ -298,7 +298,8 @@ class TestSkeletonDirLoader:
         again = load_skeleton_dir(str(data_dir), cache_dir=str(cache))
         np.testing.assert_array_equal(again[0].joints, seqs[0].joints)
 
-    def test_damaged_cache_entry_is_reparsed(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["truncated", "non_finite"])
+    def test_damaged_cache_entry_is_reparsed(self, tmp_path, damage):
         data_dir = tmp_path / "raw"
         data_dir.mkdir()
         text = make_skeleton_text(frames=3, coords=lambda t, b, j: (j * 0.3, t * 0.1, 1))
@@ -307,7 +308,10 @@ class TestSkeletonDirLoader:
         seqs = load_skeleton_dir(str(data_dir), cache_dir=str(cache))
         (blob,) = cache.glob("*.sgt")
         raw = blob.read_bytes()
-        blob.write_bytes(raw[:-4])
+        if damage == "truncated":
+            blob.write_bytes(raw[:-4])
+        else:
+            save_tensor(str(blob), np.full_like(seqs[0].joints, np.nan))
         again = load_skeleton_dir(str(data_dir), cache_dir=str(cache))
         np.testing.assert_array_equal(again[0].joints, seqs[0].joints)
         assert blob.read_bytes() == raw

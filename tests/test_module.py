@@ -9,7 +9,8 @@ from spikegraph.tensor import Tensor
 
 def _bn(momentum=0.2):
     rng = np.random.default_rng(0)
-    bn = BatchNorm(4, momentum=momentum)
+    bn = BatchNorm(4)
+    bn.momentum = momentum
     bn.gamma.data = rng.uniform(0.5, 1.5, 4).astype(np.float32)
     bn.beta.data = rng.normal(0.0, 0.5, 4).astype(np.float32)
     bn.running_mean[:] = rng.normal(0.0, 1.0, 4)
@@ -93,7 +94,7 @@ class TestSGD:
 
     def test_parameters_without_gradient_are_left_alone(self):
         p, q = Parameter(P0), Parameter(P0)
-        opt = SGD([p, q], lr=0.1)
+        opt = SGD([p, q], lr=0.1, momentum=0.9, weight_decay=1e-4)
         p.grad = G
         opt.step()
         np.testing.assert_array_equal(q.data, P0)
@@ -105,8 +106,8 @@ class TestAdam:
         # m_t / (1 - b1^t) and v_t / (1 - b2^t) are weighted means of the
         # gradients and their squares with weights b^(t-i) (1 - b)
         p = Parameter(P0)
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        got = _steps(Adam([p], lr=lr, betas=(b1, b2), eps=eps), p, GRADS)
+        lr, b1, b2, eps = 0.01, Adam.beta1, Adam.beta2, Adam.eps
+        got = _steps(Adam([p], lr=lr), p, GRADS)
         g = GRADS.astype(np.float64)
         want = P0.astype(np.float64)
         for t in range(1, 4):

@@ -333,7 +333,8 @@ def test_integer_currents_run_as_float32(name):
 def _bn(channels, momentum, seed):
     """A training-mode BatchNorm with non-identity gamma, beta and buffers."""
     rng = np.random.default_rng(seed)
-    bn = BatchNorm(channels, momentum=momentum)
+    bn = BatchNorm(channels)
+    bn.momentum = momentum
     bn.gamma.data = rng.uniform(0.5, 1.5, channels).astype(np.float32)
     bn.beta.data = rng.normal(0.0, 0.3, channels).astype(np.float32)
     bn.running_mean[:] = rng.normal(0.0, 0.3, channels)

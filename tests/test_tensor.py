@@ -13,6 +13,7 @@ import pytest
 
 from spikegraph import blocks, tensor
 from spikegraph.blocks import channel_map, graph_conv
+from spikegraph.module import BatchNorm
 from spikegraph.tensor import (FormatError, InvalidInputError, NumericalError, Tape, Tensor,
                                _bn_stats, _kernel_view,
                                add, backward, batch_norm, concat, conv2d,
@@ -32,6 +33,15 @@ def rand(*shape, seed=0, scale_=1.0):
 
 def zero_bias(cout):
     return Tensor(np.zeros(cout, dtype=np.float32))
+
+
+def batch_norm_module(c, gamma=None, beta=None, training=True):
+    """A ``module.BatchNorm`` over ``c`` channels in ``training`` mode, with
+    identity running statistics, holding ``gamma`` and ``beta`` if given."""
+    bn = BatchNorm(c).train(training)
+    if gamma is not None:
+        bn.gamma, bn.beta = gamma, beta
+    return bn
 
 
 def laid_out(a, layout):
@@ -263,63 +273,54 @@ class TestDepthwiseConv2d:
 
 
 class TestBatchNorm:
-    def _stats(self, c):
-        return np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
-
     def test_zero_input_zero_shift(self):
-        rm, rv = self._stats(3)
         x = Tensor(np.zeros((4, 3, 2, 2), dtype=np.float32))
-        out = batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, True)
+        out = batch_norm(x, batch_norm_module(3))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_unit_variance_pair(self):
-        rm, rv = self._stats(1)
         x = Tensor(np.array([-1.0, 1.0], dtype=np.float32).reshape(2, 1, 1, 1))
-        out = batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), rm, rv, True)
+        out = batch_norm(x, batch_norm_module(1))
         np.testing.assert_allclose(out.data.reshape(-1), [-1.0, 1.0], atol=1e-4)
 
     def test_gamma_zero_collapses_to_beta(self):
-        rm, rv = self._stats(2)
         x = Tensor(rand(5, 2, 3, 2, seed=14))
-        out = batch_norm(x, Tensor(np.zeros(2)), Tensor(np.full(2, 0.7)), rm, rv, True)
+        bn = batch_norm_module(2, Tensor(np.zeros(2)), Tensor(np.full(2, 0.7)))
+        out = batch_norm(x, bn)
         np.testing.assert_allclose(out.data, 0.7, rtol=1e-6)
 
     def test_batch_statistics_invariant(self):
-        rm, rv = self._stats(4)
         x = Tensor(rand(16, 4, 5, 3, seed=15, scale_=3.0))
-        out = batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), rm, rv, True)
+        out = batch_norm(x, batch_norm_module(4))
         mu = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
         assert np.all(np.abs(mu) < 1e-5)
         assert np.all(np.abs(var - 1.0) < 1e-4)
 
     def test_running_stats_update_and_eval(self):
-        rm, rv = self._stats(2)
+        bn = batch_norm_module(2)
+        rm, rv = bn.running_mean, bn.running_var
         x = rand(8, 2, 4, 3, seed=16, scale_=2.0)
-        batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, True)
+        batch_norm(Tensor(x), bn)
         mu = x.mean(axis=(0, 2, 3))
         np.testing.assert_allclose(rm, 0.1 * mu, rtol=1e-5, atol=1e-6)
-        out = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                         rm, rv, False)
+        out = batch_norm(Tensor(x), bn.eval())
         stat = (slice(None), None, None)
         expected = (x - rm[stat]) / np.sqrt(rv[stat] + 1e-5)
         np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-5)
 
     def test_zero_batch_rejected(self):
-        rm, rv = self._stats(2)
         with pytest.raises(InvalidInputError):
-            batch_norm(Tensor(np.zeros((0, 2, 3, 3), dtype=np.float32)),
-                       Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, True)
+            batch_norm(Tensor(np.zeros((0, 2, 3, 3), dtype=np.float32)), batch_norm_module(2))
 
     def test_eval_empty_batch_has_zero_gradients(self):
         """Eval mode takes a batch with no rows: x's gradient is empty and
         gamma's and beta's are zero sums."""
-        rm, rv = self._stats(2)
         x = Tensor(np.zeros((0, 2, 3, 3), dtype=np.float32), requires_grad=True)
         gamma = Tensor(np.ones(2), requires_grad=True)
         beta = Tensor(np.zeros(2), requires_grad=True)
         with Tape() as tape:
-            out = batch_norm(x, gamma, beta, rm, rv, False)
+            out = batch_norm(x, batch_norm_module(2, gamma, beta, training=False))
             backward(sum_(out), tape)
         assert out.shape == x.grad.shape == (0, 2, 3, 3)
         np.testing.assert_array_equal(gamma.grad, [0.0, 0.0])
@@ -354,12 +355,14 @@ class TestBatchNorm:
             x = Tensor(xd, requires_grad=True)
             gamma = Tensor(1.0 + 0.2 * rand(5, seed=26), requires_grad=True)
             beta = Tensor(0.3 * rand(5, seed=27), requires_grad=True)
-            rm, rv = 0.2 * rand(5, seed=28), 1.0 + np.abs(rand(5, seed=29))
+            bn = batch_norm_module(5, gamma, beta, training)
+            bn.running_mean[:] = 0.2 * rand(5, seed=28)
+            bn.running_var[:] = 1.0 + np.abs(rand(5, seed=29))
             with Tape() as tape:
-                out = batch_norm(x, gamma, beta, rm, rv, training)
+                out = batch_norm(x, bn)
                 backward(sum_(mul(out, Tensor(w.reshape(xd.shape)))), tape)
             runs.append([out.data.reshape(x4.shape), x.grad.reshape(x4.shape),
-                         gamma.grad, beta.grad, rm, rv])
+                         gamma.grad, beta.grad, bn.running_mean, bn.running_var])
         for got, want in zip(*runs):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         rm = 0.2 * rand(5, seed=28)
@@ -376,8 +379,7 @@ class TestBatchNorm:
         def f(x, g, b):
             # the linear term gives x a first-order effect: with the squares
             # alone the loss depends on x only through eps
-            rm, rv = self._stats(3)
-            y = batch_norm(x, g, b, rm, rv, True)
+            y = batch_norm(x, batch_norm_module(3, g, b))
             return add(sum_(mul(y, w)), sum_(mul(y, y)))
 
         report = grad_check(f, [Tensor(x0), Tensor(g0), Tensor(b0)], h=1e-4, tol=1e-4)
@@ -495,10 +497,8 @@ class TestBackward:
         m0 = rand(3, 2, seed=34)
 
         def f(x, w, g, b, m):
-            rm = np.zeros(3, dtype=np.float64)
-            rv = np.ones(3, dtype=np.float64)
             y = conv2d(x, w, zero_bias(3), stride=1, padding=1)
-            y = batch_norm(y, g, b, rm, rv, True)
+            y = batch_norm(y, batch_norm_module(3, g, b))
             y = mean(y, axis=(2, 3))
             return sum_(mul(matmul(y, m), matmul(y, m)))
 
@@ -891,9 +891,9 @@ class TestIntegerInput:
                                     stride=(1, 2), padding=(0, 1)), False),
         "depthwise_conv2d": (lambda x: depthwise_conv2d(x, Tensor(rand(3, 3, 3, seed=71)),
                                                         padding=1), False),
-        "batch_norm": (lambda x: batch_norm(x, Tensor(rand(3, seed=72)),
-                                            Tensor(rand(3, seed=73)), np.zeros(3, np.float32),
-                                            np.ones(3, np.float32), training=True), False),
+        "batch_norm": (lambda x: batch_norm(x, batch_norm_module(3, Tensor(rand(3, seed=72)),
+                                                                 Tensor(rand(3, seed=73)))),
+                       False),
         "lstm_cell": (lambda x: lstm_cell(x, Tensor(np.zeros((2, 3, 2), np.float32)),
                                           Tensor(np.zeros((2, 3, 2), np.float32)),
                                           Tensor(rand(2, 8, 5, seed=74)),
