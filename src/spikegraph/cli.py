@@ -92,16 +92,22 @@ def _load_splits(cfg: RunConfig, data_dir: str, *names: str):
     """(topology, class count, one (bundle, labels) per split in ``names``).
 
     Only the named splits are resampled and derived.  An empty test split
-    gives (None, None); an empty train split is an error.
+    gives (None, None); an empty train split is an error, and so is data
+    of another joint count than ``dataset.num_joints``.
     """
     kind = cfg.get("dataset.kind")
-    topo = SkeletonTopology.for_joint_count(cfg.get("dataset.num_joints"))
+    num_joints = cfg.get("dataset.num_joints")
+    topo = SkeletonTopology.for_joint_count(num_joints)
     if kind == "synth":
         train, test, manifest = load_dataset(data_dir)
         classes = manifest["classes"]
+        found = {manifest["num_joints"]}
+        source = "manifest " + os.path.join(data_dir, "manifest.json")
     elif kind == "ntu_dir":
         fraction = _train_fraction(cfg)
         sequences = load_skeleton_dir(data_dir, cfg.get("dataset.cache_dir"))
+        found = {s.num_joints for s in sequences}
+        source = f"skeleton dir {data_dir}"
         labels = sorted({s.label for s in sequences})
         classes = len(labels)
         remap = {lbl: i for i, lbl in enumerate(labels)}
@@ -111,6 +117,9 @@ def _load_splits(cfg: RunConfig, data_dir: str, *names: str):
         train, test = sequences[:cut], sequences[cut:]
     else:
         raise InvalidInputError(f"unknown dataset kind {kind!r}")
+    if found - {num_joints}:
+        raise InvalidInputError(f"dataset.num_joints is {num_joints}, but {source} "
+                                f"has sequences of {sorted(found)} joints")
     splits = {"train": train, "test": test}
     target_t = cfg.get("preprocess.target_T")
     return topo, classes, [

@@ -396,8 +396,9 @@ def save_synth_dataset(out_dir: str, sequences: Sequence[SkeletonSequence],
 def load_dataset(in_dir: str) -> tuple[list[SkeletonSequence], list[SkeletonSequence], dict]:
     """Load a saved dataset; returns (train split, test split, manifest).
 
-    Each sample needs an integer label in [0, classes) and the split
-    "train" or "test"; any other manifest entry is a ``FormatError``.
+    The manifest needs integer ``classes`` and ``num_joints``, and each
+    sample an integer label in [0, classes), the split "train" or "test"
+    and a blob of ``num_joints`` joints; anything else is a ``FormatError``.
     """
     manifest_path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -406,9 +407,10 @@ def load_dataset(in_dir: str) -> tuple[list[SkeletonSequence], list[SkeletonSequ
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        classes = manifest["classes"]
-        if not isinstance(classes, int):
-            raise FormatError(f"classes must be an integer, got {classes!r}")
+        classes, num_joints = manifest["classes"], manifest["num_joints"]
+        for name, value in (("classes", classes), ("num_joints", num_joints)):
+            if type(value) is not int:      # nor a bool
+                raise FormatError(f"{name} must be an integer, got {value!r}")
         for entry in manifest["samples"]:
             label, split = entry["label"], entry["split"]
             if type(label) is not int or not 0 <= label < classes:   # bool is not a label
@@ -418,8 +420,11 @@ def load_dataset(in_dir: str) -> tuple[list[SkeletonSequence], list[SkeletonSequ
                 raise FormatError(f"sample {entry['file']}: split must be "
                                   f"'train' or 'test', got {split!r}")
             joints = load_tensor(os.path.join(in_dir, entry["file"])).data
-            (train if split == "train" else test).append(
-                SkeletonSequence(joints=joints, label=label))
+            seq = SkeletonSequence(joints=joints, label=label)
+            if seq.num_joints != num_joints:
+                raise FormatError(f"sample {entry['file']} has {seq.num_joints} joints, "
+                                  f"the manifest declares {num_joints}")
+            (train if split == "train" else test).append(seq)
     except (ValueError, KeyError, TypeError, OSError) as err:
         raise FormatError(f"corrupt dataset {manifest_path}: {err!r}") from err
     return train, test, manifest

@@ -1,6 +1,7 @@
 """Skeleton spiking coding: lift a modality x[B, C, V, T] to spikes
-[S, B, D, V, T] by constant coding (the input repeated at each of the S
-spike steps) and a spiking 3x3 conv over the (V, T) plane."""
+[S, B, D, V, T] by a 3x3 conv over the (V, T) plane, run once per clip,
+then constant coding (its output repeated at each of the S spike steps)
+into spiking neurons."""
 
 from __future__ import annotations
 
@@ -9,14 +10,14 @@ import numpy as np
 from .module import BatchNorm, Module, Parameter, kaiming_normal
 from .neurons import LifConfig, bn_sn_layer
 from .profiler import record_cost
-from .tensor import InvalidInputError, Tensor, conv2d, repeat0, reshape
+from .tensor import InvalidInputError, Tensor, conv2d, repeat0
 
 KERNEL_SIZE = 3  # fixed by the encoder design
 
 
 class SscEncoder(Module):
-    """Repeat over spike steps -> 3x3 conv over the (V, T) plane -> BN ->
-    spiking neurons.
+    """3x3 conv over the (V, T) plane, once per clip -> repeat over spike
+    steps (constant coding) -> BN -> spiking neurons.
 
     Each modality owns an independent instance (separate weights).
     """
@@ -41,9 +42,5 @@ class SscEncoder(Module):
         if x.ndim != 4:
             raise InvalidInputError(f"SscEncoder expects [B, C, V, T], got {x.shape}")
         record_cost("encoder", self, x)
-        s = self.spike_steps
-        b = x.shape[0]
-        merged = reshape(repeat0(x, s), (s * b,) + x.shape[1:])
-        y = conv2d(merged, self.weight, self.bias, stride=1, padding=KERNEL_SIZE // 2)
-        # the conv keeps (V, T); its output splits S from B
-        return bn_sn_layer(reshape(y, (s, b, -1) + x.shape[-2:]), self.bn, self.lif)
+        y = conv2d(x, self.weight, self.bias, stride=1, padding=KERNEL_SIZE // 2)
+        return bn_sn_layer(repeat0(y, self.spike_steps), self.bn, self.lif)

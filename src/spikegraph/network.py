@@ -30,7 +30,7 @@ from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import active_fraction, record_cost
 from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, add, backward,
                      concat, conv2d, depthwise_conv2d, div, exp, log, max_, mean, mul,
-                     permute, relu, repeat0, reshape, scale, slice_, sqrt, sub, sum_)
+                     relu, repeat0, scale, slice_, sqrt, sub, sum_)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,18 @@ def plan_hash(plan: LayerPlan, num_classes: int, **constants) -> str:
         "classes": num_classes, **constants,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+_BOUNDS = {">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+           "in [0, 1)": lambda v: 0 <= v < 1}
+
+
+def _check_settings(**settings: tuple[float, str]) -> None:
+    """Raise ``InvalidInputError`` naming the first setting, given as
+    name=(value, bound), whose value is outside its bound (a ``_BOUNDS`` key)."""
+    for name, (value, bound) in settings.items():
+        if not _BOUNDS[bound](value):
+            raise InvalidInputError(f"{name} must be {bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +153,10 @@ def sdk_loss(y: Tensor, y_mm: Tensor) -> Tensor:
     return mean(sqrt(sum_(mul(diff, diff), axis=1)))
 
 
-def _flatten_per_sample(t: Tensor) -> Tensor:
-    """[S,B,D,V,T] -> [B, S*D*V*T]."""
-    if t.ndim != 5:
-        raise InvalidInputError(f"expected rank-5 feature tap, got {t.shape}")
-    moved = permute(t, (1, 0, 2, 3, 4))
-    return reshape(moved, (t.shape[1], -1))
-
-
 def fkd_loss(t_translated: Tensor, t_student: Tensor) -> Tensor:
-    """Mean cosine distance between flattened per-sample feature taps.
+    """Mean cosine distance between per-sample feature taps [S, B, D, V, T].
 
+    A sample's vector is its entries over (S, D, V, T), reduced in place.
     Samples where either vector is all zero contribute distance 1
     (cosine defined as 0); both vectors are normalized first, which makes
     the loss exactly scale-invariant for power-of-two scalings.
@@ -159,11 +164,13 @@ def fkd_loss(t_translated: Tensor, t_student: Tensor) -> Tensor:
     if t_translated.shape != t_student.shape:
         raise InvalidInputError(
             f"tap shapes differ: {t_translated.shape} vs {t_student.shape}")
-    a = _flatten_per_sample(t_translated)
-    b = _flatten_per_sample(t_student)
-    na = sqrt(sum_(mul(a, a), axis=1))
-    nb = sqrt(sum_(mul(b, b), axis=1))
-    dot = sum_(mul(a, b), axis=1)
+    if t_student.ndim != 5:
+        raise InvalidInputError(f"expected rank-5 feature tap, got {t_student.shape}")
+    a, b = t_translated, t_student
+    every_axis_but_b = (0, 2, 3, 4)
+    na = sqrt(sum_(mul(a, a), axis=every_axis_but_b))
+    nb = sqrt(sum_(mul(b, b), axis=every_axis_but_b))
+    dot = sum_(mul(a, b), axis=every_axis_but_b)
     valid = ((na.data > 0) & (nb.data > 0)).astype(np.float32)
     mask = Tensor(valid)
     denom = add(mul(mul(na, nb), mask), Tensor(1.0 - valid))
@@ -192,12 +199,15 @@ def total_loss(l_task: Tensor, l_sdk: Optional[Tensor],
 # ---------------------------------------------------------------------------
 
 class MkSgnModel(Module):
-    """4x SSC -> MI fusion -> 6 SA-SGC+STC blocks -> SN -> GAP -> FC head."""
+    """4x SSC -> MI fusion -> 6 SA-SGC+STC blocks -> SN -> GAP over steps,
+    joints and frames -> FC."""
 
     def __init__(self, num_classes: int, topo: SkeletonTopology, plan: LayerPlan,
                  lif: LifConfig, spike_steps: int, smic_hidden: int, smic_lr: float,
                  attention_scale: float, temporal_kernel: int, rng: np.random.Generator):
         super().__init__()
+        _check_settings(smic_hidden=(smic_hidden, ">= 1"), smic_lr=(smic_lr, "> 0"),
+                       attention_scale=(attention_scale, "> 0"))
         self.num_classes = num_classes
         self.topo = topo
         self.plan = plan
@@ -263,11 +273,9 @@ class MkSgnModel(Module):
             if i in STUDENT_TAP_LAYERS:
                 taps[i] = x
         final = sn_layer(x, self.lif)
-        pooled = mean(final, axis=(3, 4))           # [S, B, D]
-        s, b, d = pooled.shape
         record_cost("head", self.head, final)
-        logits = self.head(reshape(pooled, (s * b, d)))
-        logits = mean(reshape(logits, (s, b, self.num_classes)), axis=0)
+        # the FC is linear, so it maps the step mean once: [B, D] -> [B, U]
+        logits = self.head(mean(final, axis=(0, 3, 4)))
         info = {"rates": rates, "fusion_weights": weights}
         return logits, taps, info
 
@@ -450,9 +458,10 @@ class TrainSettings:
     seed: int                            # seeds the batch order
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_settings(epochs=(self.epochs, ">= 1"), batch_size=(self.batch_size, ">= 1"),
+                       lr=(self.lr, "> 0"), momentum=(self.momentum, "in [0, 1)"),
+                       weight_decay=(self.weight_decay, ">= 0"),
+                       lr_decay=(self.lr_decay, "> 0"))
 
 
 def run_epochs(step, optimizer, n: int, settings: TrainSettings,

@@ -9,6 +9,10 @@ padded, C-ordered kernels, kept unchanged, against which the
 channels-last kernels' outputs and gradients must stay byte-identical
 (the depthwise weight gradient, summed in another order, within a
 stated tolerance);
+``ssc_encoder`` is the encoder's earlier composition, kept unchanged,
+which repeats the clip over spike steps before its conv, against which
+the encoder's spikes and BatchNorm buffers must stay byte-identical (its
+gradients, summed in another order, within a stated tolerance);
 ``firing_rate`` is the binary-checked rate;
 ``grad_check`` compares analytic tape gradients with central finite
 differences; ``held`` lists what a backward closure holds and
@@ -74,6 +78,16 @@ def spike(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
 
     record_op((x,), (out,), backward)
     return out
+
+
+def ssc_encoder(enc, x: Tensor) -> Tensor:
+    """``SscEncoder.forward`` as it was: x[B, C, V, T] repeated over the S
+    spike steps, folded into the batch and run through the conv S times,
+    the conv's output split back into [S, B, D, V, T]."""
+    s, b = enc.spike_steps, x.shape[0]
+    merged = tensor.reshape(tensor.repeat0(x, s), (s * b,) + x.shape[1:])
+    y = tensor.conv2d(merged, enc.weight, enc.bias, stride=1, padding=1)
+    return neurons.bn_sn_layer(tensor.reshape(y, (s, b, -1) + x.shape[-2:]), enc.bn, enc.lif)
 
 
 def firing_rate(x: Tensor | np.ndarray) -> float:

@@ -219,6 +219,17 @@ def _zero_frame_sample(data_dir):
     save_tensor(str(sample), np.zeros((3, 0, 25), dtype=np.float32))
 
 
+def _no_num_joints(data_dir):
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    del manifest["num_joints"]
+    (data_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _twenty_joint_sample(data_dir):
+    sample = sorted((data_dir / "samples").iterdir())[0]
+    save_tensor(str(sample), np.zeros((3, 24, 20), dtype=np.float32))
+
+
 def _first_sample(key, value):
     """Set ``key`` of the manifest's first sample to ``value``."""
     def corrupt(data_dir):
@@ -232,10 +243,11 @@ def _first_sample(key, value):
     _not_json, _no_samples, _missing_sample, _truncated_sample, _no_classes,
     _zero_frame_sample, _first_sample("label", "x"), _first_sample("label", 9),
     _first_sample("label", -1), _first_sample("label", 1.5), _first_sample("label", True),
-    _first_sample("split", "tset"),
+    _first_sample("split", "tset"), _no_num_joints, _twenty_joint_sample,
 ], ids=["not_json", "no_samples", "missing_sample", "truncated_sample", "no_classes",
         "zero_frame_sample", "label_string", "label_too_large", "label_negative",
-        "label_float", "label_bool", "split_unknown"])
+        "label_float", "label_bool", "split_unknown", "no_num_joints",
+        "twenty_joint_sample"])
 def test_corrupt_dataset_is_a_data_error(tmp_path, tiny_data, capsys, corrupt):
     data_dir = tmp_path / "data"
     shutil.copytree(tiny_data, data_dir)
@@ -244,6 +256,21 @@ def test_corrupt_dataset_is_a_data_error(tmp_path, tiny_data, capsys, corrupt):
     code, err = _eval(tmp_path, str(data_dir), ckpt, capsys)
     assert code == cli.EXIT_DATA
     assert f"corrupt dataset {data_dir / 'manifest.json'}" in err
+    assert "Traceback" not in err
+    if corrupt is _twenty_joint_sample:
+        assert "sample samples/s_00000.sgt has 20 joints, the manifest declares 25" in err
+
+
+def test_skeleton_dir_of_another_joint_count_is_a_config_error(tmp_path, ntu_data, capsys):
+    config = _write_config(tmp_path / "ntu.yaml", {
+        "dataset": {"kind": "ntu_dir", "dir": str(ntu_data), "num_joints": 20},
+        "preprocess": {"target_T": 8}})
+    capsys.readouterr()
+    code = cli.main(["--config", config, "--out", str(tmp_path / "run"), "train"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert (f"dataset.num_joints is 20, but skeleton dir {ntu_data} has sequences "
+            "of [25] joints") in err
     assert "Traceback" not in err
 
 
@@ -351,10 +378,27 @@ def test_per_pair_estimator_checkpoint_is_rejected(tmp_path, tiny_data, capsys):
     ({"dataset": {"cache_dir": 5}}, "none", "dataset.cache_dir must be a string, got 5"),
     ({"kd": ["soft"]}, "none", "kd must be a string, got ['soft']"),
     ({"preprocess": 8}, "none", "preprocess must be a mapping, got 8"),
+    ({"optimizer": {"lr": 0}}, "none", "lr must be > 0, got 0"),
+    ({"optimizer": {"lr": -1}}, "none", "lr must be > 0, got -1"),
+    ({"optimizer": {"momentum": -5}}, "none", "momentum must be in [0, 1), got -5"),
+    ({"optimizer": {"momentum": 1}}, "none", "momentum must be in [0, 1), got 1"),
+    ({"optimizer": {"weight_decay": -1}}, "none", "weight_decay must be >= 0, got -1"),
+    ({"optimizer": {"lr_decay": -1}}, "none", "lr_decay must be > 0, got -1"),
+    ({"teacher": {"lr": -1}}, "soft", "lr must be > 0, got -1"),
+    ({"smf": {"smic_lr": -1}}, "none", "smic_lr must be > 0, got -1"),
+    ({"smf": {"smic_hidden": 0}}, "none", "smic_hidden must be >= 1, got 0"),
+    ({"blocks": {"attention_scale": 0}}, "none", "attention_scale must be > 0, got 0"),
+    ({"blocks": {"attention_scale": -1}}, "none", "attention_scale must be > 0, got -1"),
+    ({"dataset": {"num_joints": 20}}, "none",
+     "dataset.num_joints is 20, but manifest {data}/manifest.json has sequences of [25] "
+     "joints"),
 ], ids=["optimizer_epochs", "teacher_epochs", "batch_size", "even_temporal_kernel",
         "alpha_length", "beta_length", "gamma_length", "target_T", "batch_size_str",
         "classes_str", "epochs_float", "lr_bool", "lr_null", "attention_scale_inf",
-        "alpha_str", "alpha_nan", "cache_dir_int", "kd_list", "group_scalar"])
+        "alpha_str", "alpha_nan", "cache_dir_int", "kd_list", "group_scalar", "lr_zero",
+        "lr_negative", "momentum_negative", "momentum_one", "weight_decay_negative",
+        "lr_decay_negative", "teacher_lr_negative", "smic_lr_negative", "smic_hidden_zero",
+        "attention_scale_zero", "attention_scale_negative", "num_joints_mismatch"])
 def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, values, kd,
                                                 message):
     config = _write_config(tmp_path / "run.yaml", values)
@@ -363,7 +407,9 @@ def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, val
                      "--data", tiny_data, "--kd", kd])
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
-    assert message in err and "Traceback" not in err
+    assert message.format(data=tiny_data) in err and "Traceback" not in err
+    if "optimizer" in values:       # read before the output directory is made
+        assert not (tmp_path / "run").exists()
     assert not (tmp_path / "run" / "teacher.ckpt").exists()
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from spikegraph.encoding import SscEncoder
 from spikegraph.neurons import LifConfig
-from spikegraph.tensor import InvalidInputError, Tensor, repeat0
+from spikegraph.tensor import InvalidInputError, Tape, Tensor, backward, mul, repeat0, sum_
+import oracles
 from oracles import firing_rate
 
 
@@ -13,7 +14,8 @@ LIF = LifConfig()
 
 
 class TestSscExpand:
-    """The encoder's expansion over spike steps, ``repeat0``."""
+    """The encoder's expansion over spike steps, ``repeat0``, which codes
+    the conv's output."""
 
     def test_singleton_axis(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 25, 16)).astype(np.float32))
@@ -85,3 +87,47 @@ class TestSscEncoder:
         a = enc(x).data
         b = enc(x).data
         np.testing.assert_array_equal(a, b)
+
+
+class TestConvOncePerClip:
+    """The encoder runs its conv once per clip and repeats the output over
+    the spike steps.  Against the earlier composition, which repeated the
+    clip before the conv (``oracles.ssc_encoder``), at fixed weights: the
+    spikes and the BatchNorm running buffers are byte-equal, the weight
+    and bias gradients (the S copies' gradients are now summed before the
+    GEMM) are within 1e-5 of the largest entry of the encoder's gradient,
+    and the im2col the conv keeps for backward is 1/S of the reference's.
+    In training mode the bias gradient is 0 but for rounding, as the
+    BatchNorm subtracts the batch mean, so it is held to the weights'
+    scale."""
+
+    STEPS = 4
+
+    @staticmethod
+    def run(encode, seed, training):
+        rng = np.random.default_rng(seed)
+        enc = SscEncoder(3, TestConvOncePerClip.STEPS, 16, LIF, rng).train(training)
+        x = Tensor(rng.normal(size=(2, 3, 25, 16)).astype(np.float32))
+        with Tape() as tape:
+            out = encode(enc, x)
+            loss = sum_(mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
+            held = oracles.closure_bytes(tape)["conv2d"] - enc.weight.data.nbytes
+            backward(loss, tape)
+        return (out.data, enc.bn.running_mean, enc.bn.running_var, enc.weight.grad,
+                enc.bias.grad, held)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_repeat_before_conv(self, seed, training):
+        spikes, mean, var, gw, gb, cols = self.run(lambda enc, x: enc(x), seed, training)
+        r_spikes, r_mean, r_var, r_gw, r_gb, r_cols = self.run(oracles.ssc_encoder, seed,
+                                                               training)
+        assert spikes.dtype == np.uint8 and 0 < firing_rate(spikes) < 1
+        assert spikes.tobytes() == r_spikes.tobytes()
+        assert mean.tobytes() == r_mean.tobytes() and var.tobytes() == r_var.tobytes()
+        scale = max(np.abs(r_gw).max(), np.abs(r_gb).max())
+        for g, ref in ((gw, r_gw), (gb, r_gb)):
+            assert np.abs(g - ref).max() <= 1e-5 * scale
+        if training:
+            assert max(np.abs(gb).max(), np.abs(r_gb).max()) <= 1e-5 * scale
+        assert cols * self.STEPS == r_cols

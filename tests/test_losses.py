@@ -57,6 +57,11 @@ class TestFkdLoss:
         np.testing.assert_allclose(fkd_loss(Tensor(a), Tensor(b)).item(),
                                    np.mean(per_sample), rtol=1e-6)
 
+    def test_rank_four_tap_is_rejected(self):
+        tap = Tensor(rand(*self.SHAPE[1:], seed=9))
+        with pytest.raises(InvalidInputError, match="expected rank-5 feature tap"):
+            fkd_loss(tap, tap)
+
     @pytest.mark.parametrize("k", [-3, 1, 5])
     def test_exactly_invariant_under_power_of_two_scaling(self, k):
         a, b = rand(*self.SHAPE, seed=7), rand(*self.SHAPE, seed=8)

@@ -361,6 +361,39 @@ class TestKernelViews:
         assert [name for name, calls in channel.items() if any(v.copied for v in calls)] == []
 
 
+class TestHeadMapsTheStepMean:
+    """The FC maps the final spikes' mean over steps, joints and frames
+    once, as [B, D]: at the toy plan in eval mode its logits are within
+    1e-6 (relative to the largest) of running the FC on each step's
+    joint-and-frame mean, then taking the step mean, with the same argmax."""
+
+    def test_against_per_step_head(self, monkeypatch):
+        model = toy_trainer("none")[0].model.eval()
+        bundle, _ = small_set(model.topo)
+        batch = batch_tensors(bundle, np.arange(CLASSES))
+        finals, operands = [], []
+        sn_layer, matmul = network.sn_layer, module.matmul
+
+        def keep_final(x, lif):
+            finals.append(sn_layer(x, lif).data)
+            return Tensor(finals[-1])
+
+        def keep_operand(a, b):
+            operands.append(a.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(network, "sn_layer", keep_final)
+        monkeypatch.setattr(module, "matmul", keep_operand)
+        logits = model(batch)[0].data
+        (final,) = finals
+        assert final.any() and operands == [(CLASSES, model.plan.widths[-1])]
+        pooled = final.mean(axis=(3, 4), dtype=np.float32)           # [S, B, D]
+        w, b = model.head.weight.data, model.head.bias.data
+        want = np.mean([p @ w.T + b for p in pooled], axis=0, dtype=np.float32)
+        assert np.abs(logits - want).max() <= 1e-6 * np.abs(want).max()
+        assert (logits.argmax(axis=1) == want.argmax(axis=1)).all()
+
+
 def small_set(topo):
     seqs, _ = synthesize(classes=CLASSES, samples_per_class=1, num_joints=25,
                          frames=24, seed=1)
