@@ -71,7 +71,7 @@ def channel_map(x: Tensor, w: Tensor) -> Tensor:
         gx = np.moveaxis(np.tensordot(gm, wd, axes=([-1], [1])), -1, -3)
         return gx, gw
 
-    record_op((x, w), (out,), backward)
+    record_op((x, w), out, backward)
     return out
 
 
@@ -112,7 +112,7 @@ def graph_conv(x: Tensor, adj: np.ndarray, w: Tensor) -> Tensor:
         gx = gy.reshape(-1, k * d_out) @ wd.transpose(0, 2, 1).reshape(k * d_out, d)
         return np.moveaxis(gx.reshape(lead + (v, d)), (-2, -1), (-2, -3)), gw
 
-    record_op((x, w), (out,), backward)
+    record_op((x, w), out, backward)
     return out
 
 

@@ -79,6 +79,15 @@ DEFAULTS: dict[str, Any] = {
 # Keys set by default whose readers also take None, as "off".
 NULLABLE = ("optimizer.early_stop_train_acc", "kd")
 
+# The range of each setting that has one, checked with the types.
+BOUNDS = {"preprocess.batch_size": ">= 1", "smf.smic_hidden": ">= 1", "smf.smic_lr": "> 0",
+          "blocks.attention_scale": "> 0", "teacher.epochs": ">= 1", "teacher.lr": "> 0",
+          "optimizer.lr": "> 0", "optimizer.momentum": "in [0, 1)",
+          "optimizer.weight_decay": ">= 0", "optimizer.epochs": ">= 1",
+          "optimizer.lr_decay": "> 0"}
+_IN_RANGE = {">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+             "in [0, 1)": lambda v: 0 <= v < 1}
+
 
 def _is_number(value) -> bool:
     """An int that is not a bool, or a finite float."""
@@ -96,9 +105,10 @@ _KINDS = ((dict, "a mapping", lambda v: isinstance(v, dict)),
 
 
 def _problems(base: dict, override: dict, path: str = "") -> list[str]:
-    """Every key of ``override`` that ``base`` lacks, and every value whose
+    """Every key of ``override`` that ``base`` lacks, every value whose
     type differs from its default's (``_KINDS``; a None default is a path,
-    a string).  None stands where the default is None or in NULLABLE."""
+    a string) and every value outside its ``BOUNDS``.  None stands where
+    the default is None or in NULLABLE."""
     out = []
     for key, value in override.items():
         dotted = path + key
@@ -110,6 +120,8 @@ def _problems(base: dict, override: dict, path: str = "") -> list[str]:
             want, fits = next((w, f) for t, w, f in _KINDS if isinstance(base[key], t))
             if not fits(value):
                 out.append(f"{dotted} must be {want}, got {value!r}")
+            elif dotted in BOUNDS and not _IN_RANGE[BOUNDS[dotted]](value):
+                out.append(f"{dotted} must be {BOUNDS[dotted]}, got {value!r}")
     return out
 
 

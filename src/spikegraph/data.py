@@ -243,7 +243,8 @@ def synthesize(classes: int, samples_per_class: int = 50, num_joints: int = 25,
 
     Each class moves its own joint subset along its own axis at its own
     frequency, so class-conditional mean trajectories are well separated
-    relative to the noise scale.
+    relative to the noise scale; so there are at most as many classes as
+    joints.
     """
     if classes < 2:
         raise InvalidInputError(f"need at least 2 classes, got {classes}")
@@ -253,6 +254,9 @@ def synthesize(classes: int, samples_per_class: int = 50, num_joints: int = 25,
         raise InvalidInputError(f"need at least 1 frame, got {frames}")
     if noise < 0:
         raise InvalidInputError(f"noise must be >= 0, got {noise}")
+    if classes > num_joints:
+        raise InvalidInputError(f"dataset.classes is {classes}, more than dataset.num_joints "
+                                f"({num_joints}): each class moves joints of its own")
     topo = SkeletonTopology.for_joint_count(num_joints)
     rest = _rest_pose(topo)
     rng = np.random.default_rng(seed)
@@ -441,8 +445,9 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
                       ) -> list[SkeletonSequence]:
     """Scan a directory of `.skeleton` files; labels decoded from filenames.
 
-    A file whose name carries no ``A###`` class is a ``FormatError``,
-    raised before any file is read; so is a file that does not parse,
+    A directory with no ``.skeleton`` file, or a file whose name carries no
+    ``A###`` class, is a ``FormatError``, raised before any file is read;
+    so is a file that does not parse,
     non-finite coordinates included, named by its path.  Parsed joint
     tensors are cached as SGT1 blobs keyed by the file content hash when a
     cache directory is configured.  An entry that is missing, does not load
@@ -452,6 +457,8 @@ def load_skeleton_dir(data_dir: str, cache_dir: Optional[str] = None,
     if not os.path.isdir(data_dir):
         raise InvalidInputError(f"no such dataset directory: {data_dir}")
     names = sorted(n for n in os.listdir(data_dir) if n.endswith(".skeleton"))
+    if not names:
+        raise FormatError(f"no .skeleton file in dataset directory {data_dir}")
     labels = [label_from_filename(n) for n in names]
     if None in labels:
         raise FormatError(f"no A### action class in the name of "

@@ -2,7 +2,8 @@
 
 One recurrent estimator, stacked over the six unordered modality pairs
 (a leading pair axis on every weight), scores joint versus
-spike-step-shuffled concatenations of joint-pooled spikes; the
+spike-step-shuffled concatenations of joint-pooled spikes with an LSTM
+that runs over all frames as one op (``tensor.lstm``); the
 Donsker-Varadhan bound per pair fills a symmetric 4x4 matrix whose row
 averages are min-max scaled into fusion weights.  The estimator trains by
 gradient ascent on the bounds through its own optimizer, and a running
@@ -22,8 +23,7 @@ from .module import Adam, Module, Parameter, uniform_init
 from .neurons import LifConfig, sn_layer
 from .profiler import record_cost
 from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, add, backward,
-                     concat, exp, log, lstm_cell, matmul, mean, permute, reshape,
-                     scale, sub, sum_)
+                     exp, log, lstm, matmul, mean, permute, reshape, scale, sub, sum_)
 
 MODALITY_ORDER = ("bone", "joint", "bone_motion", "joint_motion")
 
@@ -52,9 +52,9 @@ class SmicNet(Module):
     """LSTM -> SN -> FC -> GAP scorer, stacked over modality pairs.
 
     Every weight has a leading pair axis, so the pairs share no parameter
-    and one batched forward scores them all.  The LSTM scans the frame
-    axis of joint-pooled inputs, batching the spike-step slices; hidden
-    states are binarized before the scalar head.
+    and one batched forward scores them all.  The LSTM runs over the frame
+    axis of joint-pooled inputs as one op, batching the spike-step slices;
+    hidden states [S, P, B, H, T] are binarized before the scalar head.
     """
 
     def __init__(self, pairs: int, in_channels: int, hidden: int, lif: LifConfig,
@@ -89,14 +89,8 @@ class SmicNet(Module):
                 f"SMIC expects {self.pairs} pairs of {self.in_channels} channels "
                 f"(two modalities), got {p} of {c}")
         frames = np.moveaxis(x, -1, 0).reshape(t, p, s * b, c)
-        h = Tensor(np.zeros((p, s * b, self.hidden), dtype=np.float32))
-        cstate = Tensor(np.zeros((p, s * b, self.hidden), dtype=np.float32))
-        hs = []
-        for xt in frames:
-            h, cstate = lstm_cell(Tensor(xt), h, cstate, self.w_ih, self.w_hh,
-                                  self.b_ih, self.b_hh)
-            hs.append(reshape(h, (p, s, b, self.hidden, 1)))
-        hidden_seq = permute(concat(hs, axis=-1), (1, 0, 2, 3, 4))   # [S,P,B,H,T]
+        h = lstm(Tensor(frames), self.w_ih, self.w_hh, self.b_ih, self.b_hh)  # [P,S*B,H,T]
+        hidden_seq = permute(reshape(h, (p, s, b, self.hidden, t)), (1, 0, 2, 3, 4))
         spikes = sn_layer(hidden_seq, self.lif)
         tokens = permute(spikes, (0, 1, 2, 4, 3))                    # [S,P,B,T,H]
         logits = add(matmul(tokens, reshape(self.fc_w, (p, 1, self.hidden, 1))),

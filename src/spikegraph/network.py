@@ -29,8 +29,8 @@ from .module import (BatchNorm, Linear, Module, Parameter, SGD,
 from .neurons import LifConfig, bn_sn_layer, sn_layer
 from .profiler import active_fraction, record_cost
 from .tensor import (InvalidInputError, NumericalError, Tape, Tensor, add, backward,
-                     concat, conv2d, depthwise_conv2d, div, exp, log, max_, mean, mul,
-                     relu, repeat0, scale, slice_, sqrt, sub, sum_)
+                     conv2d, depthwise_conv2d, div, exp, log, max_, mean, mul, relu,
+                     repeat0, scale, slice_, sqrt, sub, sum_)
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +67,6 @@ def plan_hash(plan: LayerPlan, num_classes: int, **constants) -> str:
         "classes": num_classes, **constants,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-_BOUNDS = {">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
-           "in [0, 1)": lambda v: 0 <= v < 1}
-
-
-def _check_settings(**settings: tuple[float, str]) -> None:
-    """Raise ``InvalidInputError`` naming the first setting, given as
-    name=(value, bound), whose value is outside its bound (a ``_BOUNDS`` key)."""
-    for name, (value, bound) in settings.items():
-        if not _BOUNDS[bound](value):
-            raise InvalidInputError(f"{name} must be {bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +194,6 @@ class MkSgnModel(Module):
                  lif: LifConfig, spike_steps: int, smic_hidden: int, smic_lr: float,
                  attention_scale: float, temporal_kernel: int, rng: np.random.Generator):
         super().__init__()
-        _check_settings(smic_hidden=(smic_hidden, ">= 1"), smic_lr=(smic_lr, "> 0"),
-                       attention_scale=(attention_scale, "> 0"))
         self.num_classes = num_classes
         self.topo = topo
         self.plan = plan
@@ -407,7 +393,8 @@ class FtmBranch(Module):
         shapes = {t.shape for t in taps}
         if len(shapes) != 1:
             raise InvalidInputError(f"teacher tap shapes differ: {sorted(shapes)}")
-        cat = concat(list(taps), axis=1)            # [B, 4C, V, T]
+        # the frozen teacher's detached taps record nothing: joined as data
+        cat = Tensor(np.concatenate([t.data for t in taps], axis=1))   # [B, 4C, V, T]
         if cat.shape[1] != self.cat_channels:
             raise InvalidInputError(
                 f"FTM expects {self.cat_channels} concatenated channels, "
@@ -444,7 +431,8 @@ class FtmModule(Module):
 
 @dataclass
 class TrainSettings:
-    """One training run's schedule; ``RunConfig`` builds both models' own."""
+    """One training run's schedule; ``RunConfig`` builds both models' own,
+    from settings it has range-checked (``config.BOUNDS``)."""
 
     lr: float
     momentum: float
@@ -456,12 +444,6 @@ class TrainSettings:
     kd: frozenset                        # subset of {"soft", "feature"}
     early_stop_train_acc: Optional[float]
     seed: int                            # seeds the batch order
-
-    def __post_init__(self):
-        _check_settings(epochs=(self.epochs, ">= 1"), batch_size=(self.batch_size, ">= 1"),
-                       lr=(self.lr, "> 0"), momentum=(self.momentum, "in [0, 1)"),
-                       weight_decay=(self.weight_decay, ">= 0"),
-                       lr_decay=(self.lr_decay, "> 0"))
 
 
 def run_epochs(step, optimizer, n: int, settings: TrainSettings,

@@ -78,7 +78,7 @@ def sn_layer(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
         gs = _kernel_view(g, order=order)[0]
         return (_from_view(_lif_backward(gs, h_hist, cfg, relaxed), x_shape, order),)
 
-    record_op((x,), (out,), backward)
+    record_op((x,), out, backward)
     return out
 
 
@@ -114,7 +114,7 @@ def bn_sn_layer(x: Tensor, bn, cfg: LifConfig) -> Tensor:
         gx, gg, gb = _bn_backward(gx, xv, mu, std, gamma_d, training, out=gx)
         return _from_view(gx, x_shape, order), gg, gb
 
-    record_op((x, gamma, beta), (out,), backward)
+    record_op((x, gamma, beta), out, backward)
     return out
 
 

@@ -1,12 +1,13 @@
 """Minimal dense-tensor kernel set with reverse-mode differentiation on a tape.
 
 The operator vocabulary is deliberately closed: matmul, conv2d (plus a
-depthwise variant), batch_norm, lstm_cell, elementwise arithmetic
+depthwise variant), batch_norm, lstm (a gated recurrence over every frame
+of a constant input), elementwise arithmetic
 (add/sub/mul/div/scale/exp/log/sqrt/relu), reductions (sum/mean/max)
-and shape ops (reshape/permute/concat/slice/repeat).
+and shape ops (reshape/permute/slice/repeat).
 Modules may register further ops through ``record_op`` (the spiking
-neurons live in ``neurons``).  Everything runs on numpy arrays, float32
-by default.
+neurons live in ``neurons``).  Every op, and so every record on the tape,
+has one output.  Everything runs on numpy arrays, float32 by default.
 
 Dtype rule: spikes are ``uint8`` (``neurons``), and an op that receives
 integer data computes in float32 where it does arithmetic, keeping the
@@ -27,7 +28,7 @@ per exit code of the command line: ``InvalidInputError`` (2: a bad
 argument, shape, setting or path), ``FormatError`` (3: stored data that does
 not parse) and ``NumericalError`` (4: a non-finite value).
 
-Retention rule of the tape: a record holds its inputs' and outputs'
+Retention rule of the tape: a record holds its inputs' and its output's
 gradient slots (``grad`` and ``requires_grad``), never a ``Tensor``, and a
 backward closure captures only the arrays, shapes and dtypes it reads.  So
 an activation lives while the forward code or a closure that reads it
@@ -42,13 +43,14 @@ the sweep starts and joined before it returns, also when it raises; it
 starts a thread only at the sweep's first job.  A backward closure hands
 a weight-gradient GEMM to it (``_later``) and may return the job, a
 ``Future``, in place of an input's gradient, so that the job runs while
-the sweep goes on.  The sweep keeps every gradient part of that input in
-sweep order and sums them in that order, as it sums arrays, once a
-record reads the slot or before ``backward`` returns; so gradients are
-the same bytes as when every part is an array.  No sweep waits for
-another's jobs, and a process forked after a sweep makes its own worker
-at its next one.  A job must only read arrays that no later closure
-writes.
+the sweep goes on.  A slot holds one gradient: an array, one job or None.
+A job that reaches an empty slot stays there until a record reads the
+slot or ``backward`` returns; a second part that reaches a slot holding a
+job waits for it and is summed after it, in sweep order, as arrays are; so
+gradients are the same bytes as when every part is an array.  No sweep
+waits for another's jobs, and a process forked after a sweep makes its
+own worker at its next one.  A job must only read arrays that no later
+closure writes.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ _ACTIVE_TAPE: ContextVar[Optional["Tape"]] = ContextVar("active_tape", default=N
 class _Slot:
     """The part of a ``Tensor`` that the tape and the sweep touch: its
     gradient and whether it needs one, never its data.  Within a sweep,
-    ``grad`` may be a list of parts still to sum (the sweep rule)."""
+    ``grad`` may be a job still running (the sweep rule)."""
 
     __slots__ = ("grad", "requires_grad")
 
@@ -94,16 +96,15 @@ class _Slot:
 
 
 class _Record:
-    """One recorded op: the slots of its inputs and outputs, the input
-    dtypes and the output shapes, dtypes and strides, and its backward."""
+    """One recorded op: the slots of its inputs and of its output, the
+    input gradient dtypes, and its backward."""
 
-    __slots__ = ("inputs", "in_dtypes", "outputs", "out_specs", "backward")
+    __slots__ = ("inputs", "in_dtypes", "output", "backward")
 
-    def __init__(self, inputs, outputs, backward):
+    def __init__(self, inputs, out, backward):
         self.inputs = tuple(t._slot for t in inputs)
         self.in_dtypes = tuple(_grad_dtype(t.data.dtype) for t in inputs)
-        self.outputs = tuple(t._slot for t in outputs)
-        self.out_specs = tuple(_spec(t.data) for t in outputs)
+        self.output = out._slot
         self.backward = backward
 
 
@@ -161,7 +162,7 @@ class Tape:
         return len(self._records)
 
     def _owns(self, t: "Tensor") -> bool:
-        return any(out is t._slot for rec in self._records for out in rec.outputs)
+        return any(rec.output is t._slot for rec in self._records)
 
 
 _active_tape = _ACTIVE_TAPE.get
@@ -186,27 +187,26 @@ def _ready(part):
     return part.result() if isinstance(part, Future) else part
 
 
-def record_op(inputs: Sequence["Tensor"], outputs: Sequence["Tensor"],
-              backward: Callable) -> None:
-    """Register an executed op on the active tape.
+def record_op(inputs: Sequence["Tensor"], out: "Tensor", backward: Callable) -> None:
+    """Register an executed op, with its one output ``out``, on the active
+    tape.
 
-    ``backward`` receives one upstream gradient array per output and must
+    ``backward`` receives the upstream gradient array of ``out`` and must
     return one gradient array (or None) per input.  Extension point for
     ops defined outside this module.
 
-    The record keeps the gradient slots of ``inputs`` and ``outputs``, not
-    the tensors, so it holds no array of theirs: ``backward`` must capture
-    the arrays, shapes and dtypes it reads, never a ``Tensor``.  An array
-    no closure names is freed as soon as the forward code drops it.  The
-    upstream gradients, and those ``backward`` should return, are float:
+    The record keeps the gradient slots of ``inputs`` and ``out``, not the
+    tensors, so it holds no array of theirs: ``backward`` must capture the
+    arrays, shapes and dtypes it reads, never a ``Tensor``.  An array no
+    closure names is freed as soon as the forward code drops it.  The
+    upstream gradient, and those ``backward`` should return, are float:
     float32 for an integer (spike) tensor.
     """
     requires = any(t.requires_grad for t in inputs)
-    for out in outputs:
-        out.requires_grad = requires
+    out.requires_grad = requires
     tape = _active_tape()
     if tape is not None and requires:
-        tape._records.append(_Record(inputs, outputs, backward))
+        tape._records.append(_Record(inputs, out, backward))
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +316,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         ad, bd = _as_float(ad), _as_float(bd)
     out = Tensor._wrap(ad + bd)
     sa, sb = a.shape, b.shape
-    record_op((a, b), (out,), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    record_op((a, b), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._wrap(_as_float(a.data) - _as_float(b.data))
     sa, sb = a.shape, b.shape
-    record_op((a, b), (out,), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+    record_op((a, b), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
@@ -335,7 +335,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g * _as_float(bd), ad.shape),
                 _unbroadcast(g * _as_float(ad), bd.shape))
 
-    record_op((a, b), (out,), backward)
+    record_op((a, b), out, backward)
     return out
 
 
@@ -347,28 +347,28 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g / bd, ad.shape),
                 _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
-    record_op((a, b), (out,), backward)
+    record_op((a, b), out, backward)
     return out
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     dtype = _grad_dtype(a.dtype)
     out = Tensor._wrap(np.multiply(a.data, dtype.type(c), dtype=dtype))
-    record_op((a,), (out,), lambda g: (g * c,))
+    record_op((a,), out, lambda g: (g * c,))
     return out
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(_as_float(a.data))
     out = Tensor._wrap(out_data)
-    record_op((a,), (out,), lambda g: (g * out_data,))
+    record_op((a,), out, lambda g: (g * out_data,))
     return out
 
 
 def log(a: Tensor) -> Tensor:
     ad = _as_float(a.data)
     out = Tensor._wrap(np.log(ad))
-    record_op((a,), (out,), lambda g: (g / ad,))
+    record_op((a,), out, lambda g: (g / ad,))
     return out
 
 
@@ -381,7 +381,7 @@ def sqrt(a: Tensor) -> Tensor:
         safe = np.where(out_data > 0, out_data, 1.0)
         return (np.where(out_data > 0, g / (2.0 * safe), 0.0).astype(out_data.dtype),)
 
-    record_op((a,), (out,), backward)
+    record_op((a,), out, backward)
     return out
 
 
@@ -391,7 +391,7 @@ def relu(a: Tensor) -> Tensor:
     ad = _as_float(a.data)
     out_data = np.maximum(ad, ad.dtype.type(0))
     out = Tensor._wrap(out_data)
-    record_op((a,), (out,), lambda g: (g * (out_data > 0),))
+    record_op((a,), out, lambda g: (g * (out_data > 0),))
     return out
 
 
@@ -421,7 +421,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(_as_float(ad), -1, -2), g)
         return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
-    record_op((a, b), (out,), backward)
+    record_op((a, b), out, backward)
     return out
 
 
@@ -516,7 +516,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
                 gx_cl[:, ri, ci] += gcols[:, ro, co, k]
         return gx, gw, _channel_sum(gt2d).astype(g.dtype)
 
-    record_op((x, w, bias), (out,), backward)
+    record_op((x, w, bias), out, backward)
     return out
 
 
@@ -567,7 +567,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding=0) -> Tensor:
                 gx_cl[:, ri, ci] += g_cl[:, ro, co] * w_cl[k // kw, k % kw]
         return gx, gw
 
-    record_op((x, w), (out,), backward)
+    record_op((x, w), out, backward)
     return out
 
 
@@ -689,7 +689,7 @@ def batch_norm(x: Tensor, bn) -> Tensor:
         gx, gg, gb = _bn_backward(gv, xv, mu, std, gamma_d, training)
         return _from_view(gx, x_shape, order), gg, gb
 
-    record_op((x, bn.gamma, bn.beta), (out,), backward)
+    record_op((x, bn.gamma, bn.beta), out, backward)
     return out
 
 
@@ -793,72 +793,72 @@ def _bn_backward(gv, xv, mu, std, gamma_d, training=True, out=None):
 
 
 # ---------------------------------------------------------------------------
-# lstm_cell
+# lstm
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              w_ih: Tensor, w_hh: Tensor,
-              b_ih: Tensor, b_hh: Tensor) -> tuple[Tensor, Tensor]:
-    """Gated recurrence step; gate order (input, forget, cell, output).
+def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor) -> Tensor:
+    """Gated recurrence over the frames of a constant x[T, ..., N, In],
+    from zero state, as one op; gate order (input, forget, cell, output).
 
-    x[..., N, In], h_prev/c_prev[..., N, H], w_ih[..., 4H, In],
-    w_hh[..., 4H, H], biases[..., 4H]; leading axes batch independent
-    cells, one weight set each.
+    w_ih[..., 4H, In], w_hh[..., 4H, H], biases[..., 4H]; the leading axes
+    batch independent cells, one weight set each.  Returns the hidden
+    state of every frame, h[..., N, H, T], frames innermost in memory.
+    Backward runs BPTT through the frames and sums each weight's gradient
+    over them, the last frame first; x gets none.
     """
-    N, In = x.shape[-2:]
-    H = h_prev.shape[-1]
-    lead = x.shape[:-2]
+    if x.requires_grad:
+        raise InvalidInputError("lstm takes a constant input")
+    if x.ndim < 3 or x.shape[0] == 0:
+        raise InvalidInputError(f"lstm expects x[T, ..., N, In] with T >= 1, got {x.shape}")
+    lead, (N, In), H = x.shape[1:-2], x.shape[-2:], w_hh.shape[-1]
     if w_ih.shape != lead + (4 * H, In) or w_hh.shape != lead + (4 * H, H) \
             or b_ih.shape != lead + (4 * H,) or b_hh.shape != lead + (4 * H,):
         raise InvalidInputError(
-            f"lstm_cell weight extents {w_ih.shape}/{w_hh.shape} do not match "
+            f"lstm weight extents {w_ih.shape}/{w_hh.shape} do not match "
             f"input {x.shape} / hidden {H}")
-    if h_prev.shape != lead + (N, H) or c_prev.shape != lead + (N, H):
-        raise InvalidInputError(
-            f"lstm_cell state extents {h_prev.shape}/{c_prev.shape} != {lead + (N, H)}")
-    xd, hd, cd = _as_float(x.data), h_prev.data, c_prev.data
-    w_ihd, w_hhd = w_ih.data, w_hh.data
-    z = (np.matmul(xd, np.swapaxes(w_ihd, -1, -2))
-         + np.matmul(hd, np.swapaxes(w_hhd, -1, -2))
-         + b_ih.data[..., None, :] + b_hh.data[..., None, :])
-    zi, zf, zg, zo = np.split(z, 4, axis=-1)
-    i = _sigmoid(zi)
-    f = _sigmoid(zf)
-    gcell = np.tanh(zg)
-    o = _sigmoid(zo)
-    c_data = f * cd + i * gcell
-    tc = np.tanh(c_data)
-    h_data = o * tc
-    h = Tensor._wrap(h_data.astype(xd.dtype))
-    c = Tensor._wrap(c_data.astype(xd.dtype))
+    xd, w_ihd, w_hhd = _as_float(x.data), w_ih.data, w_hh.data
+    h = c = np.zeros(lead + (N, H), dtype=xd.dtype)
+    h_seq = np.empty(lead + (N, H, x.shape[0]), dtype=xd.dtype)
+    saved = []                          # per frame: h, c before it and its gates
+    for t, xt in enumerate(xd):
+        z = (np.matmul(xt, np.swapaxes(w_ihd, -1, -2))
+             + np.matmul(h, np.swapaxes(w_hhd, -1, -2))
+             + b_ih.data[..., None, :] + b_hh.data[..., None, :])
+        zi, zf, zg, zo = np.split(z, 4, axis=-1)
+        i, f, gcell, o = _sigmoid(zi), _sigmoid(zf), np.tanh(zg), _sigmoid(zo)
+        c_next = f * c + i * gcell
+        tc = np.tanh(c_next)
+        saved.append((h, c, i, f, gcell, o, tc))
+        h, c = o * tc, c_next
+        h_seq[..., t] = h
+    out = Tensor._wrap(h_seq)
 
-    def backward(gh, gc):
-        gc_total = gc + gh * o * (1.0 - tc * tc)
-        go = gh * tc
-        gf = gc_total * cd
-        gi = gcell * gc_total
-        gg = i * gc_total
-        gc_prev = gc_total * f
-        gz = np.concatenate([
-            gi * i * (1.0 - i),
-            gf * f * (1.0 - f),
-            gg * (1.0 - gcell * gcell),
-            go * o * (1.0 - o),
-        ], axis=-1)
-        gz_t = np.swapaxes(gz, -1, -2)
-        gx = np.matmul(gz, w_ihd)
-        gh_prev = np.matmul(gz, w_hhd)
-        gw_ih = np.matmul(gz_t, xd)
-        gw_hh = np.matmul(gz_t, hd)
-        gb = gz.sum(axis=-2)
-        return gx, gh_prev, gc_prev, gw_ih, gw_hh, gb, gb.copy()
+    def backward(g):
+        grads = gh = None
+        gc = np.zeros(lead + (N, H), dtype=xd.dtype)     # no later frame reads the last c
+        for t in reversed(range(len(saved))):
+            hd, cd, i, f, gcell, o, tc = saved[t]
+            gh = g[..., t] if gh is None else gh + g[..., t]
+            gc_total = gc + gh * o * (1.0 - tc * tc)
+            gz = np.concatenate([
+                gcell * gc_total * i * (1.0 - i),
+                gc_total * cd * f * (1.0 - f),
+                i * gc_total * (1.0 - gcell * gcell),
+                gh * tc * o * (1.0 - o),
+            ], axis=-1)
+            gz_t = np.swapaxes(gz, -1, -2)
+            parts = np.matmul(gz_t, xd[t]), np.matmul(gz_t, hd), gz.sum(axis=-2)
+            grads = parts if grads is None else [a + b for a, b in zip(grads, parts)]
+            gh, gc = np.matmul(gz, w_hhd), gc_total * f
+        gw_ih, gw_hh, gb = grads
+        return gw_ih, gw_hh, gb, gb.copy()
 
-    record_op((x, h_prev, c_prev, w_ih, w_hh, b_ih, b_hh), (h, c), backward)
-    return h, c
+    record_op((w_ih, w_hh, b_ih, b_hh), out, backward)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +885,7 @@ def sum_(x: Tensor, axis=None, keepdims=False) -> Tensor:
                 g = np.expand_dims(g, a)
         return (np.broadcast_to(g, shape).astype(dtype),)
 
-    record_op((x,), (out,), backward)
+    record_op((x,), out, backward)
     return out
 
 
@@ -902,7 +902,7 @@ def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
                 g = np.expand_dims(g, a)
         return ((np.broadcast_to(g, shape) / n).astype(dtype),)
 
-    record_op((x,), (out,), backward)
+    record_op((x,), out, backward)
     return out
 
 
@@ -923,7 +923,7 @@ def max_(x: Tensor, axis=None, keepdims=False) -> Tensor:
                 g = np.expand_dims(g, a)
         return ((mask * (g / count)).astype(dtype),)
 
-    record_op((x,), (out,), backward)
+    record_op((x,), out, backward)
     return out
 
 
@@ -934,7 +934,7 @@ def max_(x: Tensor, axis=None, keepdims=False) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor._wrap(x.data.reshape(shape))
     x_shape = x.shape
-    record_op((x,), (out,), lambda g: (g.reshape(x_shape),))
+    record_op((x,), out, lambda g: (g.reshape(x_shape),))
     return out
 
 
@@ -942,25 +942,7 @@ def permute(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = Tensor._wrap(x.data.transpose(axes))
-    record_op((x,), (out,), lambda g: (g.transpose(inv),))
-    return out
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = Tensor._wrap(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        grads = []
-        for k in range(len(sizes)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[k], offsets[k + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
-
-    record_op(tuple(tensors), (out,), backward)
+    record_op((x,), out, lambda g: (g.transpose(inv),))
     return out
 
 
@@ -973,7 +955,7 @@ def slice_(x: Tensor, key) -> Tensor:
         gx[key] = g
         return (gx,)
 
-    record_op((x,), (out,), backward)
+    record_op((x,), out, backward)
     return out
 
 
@@ -984,7 +966,7 @@ def repeat0(x: Tensor, count: int) -> Tensor:
     m = x.data.transpose(order)
     out = Tensor._wrap(np.broadcast_to(m, (count,) + m.shape).copy()
                        .transpose(0, *(1 + np.argsort(order))))
-    record_op((x,), (out,), lambda g: (g.sum(axis=0),))
+    record_op((x,), out, lambda g: (g.sum(axis=0),))
     return out
 
 
@@ -997,17 +979,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     The loss must be scalar and produced by an op recorded on this tape.
     The sweep empties the tape: each record is popped as it is visited and
-    each output's ``grad`` is cleared once read, so a record's saved arrays
+    its output's ``grad`` is cleared once read, so a record's saved arrays
     and the gradient it consumed are freed as the sweep goes.  After a
     successful sweep only leaves (tensors no record on the tape produced)
     keep a ``grad``.  A backward closure must not write into its incoming
     gradient: the same array may reach several inputs.
 
     The records hold gradient slots, not tensors: the sweep reads nothing
-    of an op's inputs and outputs but their slots, the inputs' gradient
+    of an op's inputs and output but their slots and the inputs' gradient
     dtypes (each gradient is cast to its input's dtype, float32 for an
-    integer input) and the output layouts (an unused output of a
-    multi-output op gets zeros laid out as that output).
+    integer input).
 
     The sweep owns the worker thread that runs the jobs its closures hand
     on (the sweep rule), and joins it before this returns, also when the
@@ -1020,55 +1001,46 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise InvalidInputError("loss is not reachable from this tape's outputs")
     loss.grad = np.ones_like(loss.data)
     records = tape._records
-    pending: list[_Slot] = []
+    jobs: dict[_Slot, np.dtype] = {}        # slots holding a job -> their gradient dtype
     with ThreadPoolExecutor(1, thread_name_prefix="spikegraph-grad") as worker:
         token = _SWEEP_WORKER.set(worker)
         try:
             while records:
-                _sweep(records.pop(), pending)
+                _sweep(records.pop(), jobs)
         finally:
             _SWEEP_WORKER.reset(token)
-            for slot in pending:
-                _settle(slot)
+            for slot in list(jobs):
+                _wait(slot, jobs)
 
 
-def _sweep(rec: _Record, pending: list[_Slot]) -> None:
+def _sweep(rec: _Record, jobs: dict) -> None:
     """Back-propagate one popped record; what it held is freed on return.
 
-    A slot that receives a ``Future`` keeps its gradient parts as a list of
-    (part, dtype) in sweep order, and is added to ``pending``."""
-    for out in rec.outputs:
-        _settle(out)
-    gouts = [out.grad for out in rec.outputs]
-    for out in rec.outputs:
-        out.grad = None
-    if all(g is None for g in gouts):
+    A job reaching an empty slot stays there, entered in ``jobs``; any
+    other part is summed into the slot at once (the sweep rule)."""
+    g = _wait(rec.output, jobs)
+    rec.output.grad = None
+    if g is None:
         return
-    gouts = [_zeros_as(*spec) if g is None else g
-             for g, spec in zip(gouts, rec.out_specs)]
-    gins = rec.backward(*gouts)
+    gins = rec.backward(g)
     if not isinstance(gins, tuple):
         gins = (gins,)
-    for slot, dtype, g in zip(rec.inputs, rec.in_dtypes, gins):
-        if g is None or not slot.requires_grad:
+    for slot, dtype, part in zip(rec.inputs, rec.in_dtypes, gins):
+        if part is None or not slot.requires_grad:
             continue
-        if isinstance(g, Future) and not isinstance(slot.grad, list):
-            slot.grad = [] if slot.grad is None else [(slot.grad, dtype)]
-            pending.append(slot)
-        if isinstance(slot.grad, list):
-            slot.grad.append((g, dtype))
+        if isinstance(part, Future) and slot.grad is None:
+            slot.grad, jobs[slot] = part, dtype
         else:
-            _accumulate(slot, g, dtype)
+            _wait(slot, jobs)
+            _accumulate(slot, _ready(part), dtype)
 
 
-def _settle(slot: _Slot) -> None:
-    """Sum a slot's gradient parts in sweep order, waiting for each job."""
-    parts = slot.grad
-    if not isinstance(parts, list):
-        return
-    slot.grad = None
-    for g, dtype in parts:
-        _accumulate(slot, _ready(g), dtype)
+def _wait(slot: _Slot, jobs: dict) -> Optional[np.ndarray]:
+    """The slot's gradient, once the job it holds (if any) is done."""
+    if isinstance(slot.grad, Future):
+        part, slot.grad = slot.grad, None
+        _accumulate(slot, part.result(), jobs.pop(slot))
+    return slot.grad
 
 
 def _accumulate(slot: _Slot, g: np.ndarray, dtype) -> None:

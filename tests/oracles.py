@@ -13,6 +13,11 @@ stated tolerance);
 which repeats the clip over spike steps before its conv, against which
 the encoder's spikes and BatchNorm buffers must stay byte-identical (its
 gradients, summed in another order, within a stated tolerance);
+``lstm_cell`` is the earlier one-frame LSTM op on arrays, kept
+unchanged, and ``lstm_chain`` chains it over the frames and sums its
+gradients as the tape's sweep summed the chain's records, against which
+``tensor.lstm``'s output and one call's gradients must stay
+byte-identical;
 ``firing_rate`` is the binary-checked rate;
 ``grad_check`` compares analytic tape gradients with central finite
 differences; ``held`` lists what a backward closure holds and
@@ -76,7 +81,7 @@ def spike(x: Tensor, cfg: LifConfig, relaxed: bool = False) -> Tensor:
     def backward(g):
         return ((g * window / a).astype(x.data.dtype),)
 
-    record_op((x,), (out,), backward)
+    record_op((x,), out, backward)
     return out
 
 
@@ -88,6 +93,68 @@ def ssc_encoder(enc, x: Tensor) -> Tensor:
     merged = tensor.reshape(tensor.repeat0(x, s), (s * b,) + x.shape[1:])
     y = tensor.conv2d(merged, enc.weight, enc.bias, stride=1, padding=1)
     return neurons.bn_sn_layer(tensor.reshape(y, (s, b, -1) + x.shape[-2:]), enc.bn, enc.lif)
+
+
+def lstm_cell(xd, hd, cd, w_ihd, w_hhd, b_ihd, b_hhd):
+    """(h, c, backward) of one gated step on arrays, gate order (input,
+    forget, cell, output); ``backward(gh, gc)`` returns the gradients of
+    (h_prev, c_prev, w_ih, w_hh, b_ih, b_hh).  x[..., N, In],
+    h/c[..., N, H], w_ih[..., 4H, In], w_hh[..., 4H, H], biases[..., 4H]."""
+    z = (np.matmul(xd, np.swapaxes(w_ihd, -1, -2))
+         + np.matmul(hd, np.swapaxes(w_hhd, -1, -2))
+         + b_ihd[..., None, :] + b_hhd[..., None, :])
+    zi, zf, zg, zo = np.split(z, 4, axis=-1)
+    i = tensor._sigmoid(zi)
+    f = tensor._sigmoid(zf)
+    gcell = np.tanh(zg)
+    o = tensor._sigmoid(zo)
+    c_data = f * cd + i * gcell
+    tc = np.tanh(c_data)
+    h_data = o * tc
+
+    def backward(gh, gc):
+        gc_total = gc + gh * o * (1.0 - tc * tc)
+        go = gh * tc
+        gf = gc_total * cd
+        gi = gcell * gc_total
+        gg = i * gc_total
+        gc_prev = gc_total * f
+        gz = np.concatenate([
+            gi * i * (1.0 - i),
+            gf * f * (1.0 - f),
+            gg * (1.0 - gcell * gcell),
+            go * o * (1.0 - o),
+        ], axis=-1)
+        gz_t = np.swapaxes(gz, -1, -2)
+        gh_prev = np.matmul(gz, w_hhd)
+        gw_ih = np.matmul(gz_t, xd)
+        gw_hh = np.matmul(gz_t, hd)
+        gb = gz.sum(axis=-2)
+        return gh_prev, gc_prev, gw_ih, gw_hh, gb, gb.copy()
+
+    return h_data.astype(xd.dtype), c_data.astype(xd.dtype), backward
+
+
+def lstm_chain(x: np.ndarray, weights: Sequence[np.ndarray], g: np.ndarray):
+    """(h[..., N, H, T], the gradients of the four weights for the upstream
+    gradient ``g`` of h) of ``lstm_cell`` chained over the frames of
+    x[T, ..., N, In] from zero state.  As the tape's sweep did: the last
+    frame's c gradient is zeros, a frame's h gradient is what the next
+    frame's cell hands back plus its slice of ``g``, and each weight's
+    parts are summed from the last frame to the first."""
+    h = c = np.zeros(x.shape[1:-1] + (weights[1].shape[-1],), dtype=x.dtype)
+    hs, steps = [], []
+    for xt in x:
+        h, c, step = lstm_cell(xt, h, c, *weights)
+        hs.append(h)
+        steps.append(step)
+    grads = [None] * 4
+    gh_next, gc = None, np.zeros_like(c)
+    for t in range(len(steps) - 1, -1, -1):
+        gh = g[..., t] if gh_next is None else gh_next + g[..., t]
+        gh_next, gc, *parts = steps[t](gh, gc)
+        grads = [p if acc is None else acc + p for acc, p in zip(grads, parts)]
+    return np.stack(hs, axis=-1), grads
 
 
 def firing_rate(x: Tensor | np.ndarray) -> float:
@@ -209,7 +276,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride=1, padding=0) -> Tensor:
         gx = gxp[:, :, ph:ph + H, pw:pw + W] if (ph or pw) else gxp
         return gx, gw, g.sum(axis=(0, 2, 3))
 
-    record_op((x, w, bias), (out,), backward)
+    record_op((x, w, bias), out, backward)
     return out
 
 
@@ -247,7 +314,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
         gx = gxp[:, :, ph:ph + H, pw:pw + W] if (ph or pw) else gxp
         return gx, gw
 
-    record_op((x, w), (out,), backward)
+    record_op((x, w), out, backward)
     return out
 
 

@@ -280,8 +280,12 @@ def test_skeleton_dir_of_another_joint_count_is_a_config_error(tmp_path, ntu_dat
     ({"samples_per_class": 0}, "need at least 1 sample per class, got 0"),
     ({"train_fraction": -0.5}, "dataset.train_fraction must be in [0, 1], got -0.5"),
     ({"train_fraction": 1.5}, "dataset.train_fraction must be in [0, 1], got 1.5"),
+    ({"classes": 26}, "dataset.classes is 26, more than dataset.num_joints (25)"),
+    ({"classes": 21, "num_joints": 20},
+     "dataset.classes is 21, more than dataset.num_joints (20)"),
 ], ids=["negative_noise", "no_frames", "no_samples", "negative_train_fraction",
-        "train_fraction_above_one"])
+        "train_fraction_above_one", "more_classes_than_joints",
+        "more_classes_than_twenty_joints"])
 def test_unusable_synth_setting_is_a_config_error(tmp_path, capsys, dataset, message):
     config = _write_config(tmp_path / "run.yaml", {"dataset": dataset})
     capsys.readouterr()
@@ -354,9 +358,10 @@ def test_per_pair_estimator_checkpoint_is_rejected(tmp_path, tiny_data, capsys):
 
 
 @pytest.mark.parametrize("values, kd, message", [
-    ({"optimizer": {"epochs": 0}}, "none", "epochs must be >= 1, got 0"),
-    ({"teacher": {"epochs": 0}}, "soft", "epochs must be >= 1, got 0"),
-    ({"preprocess": {"batch_size": 0}}, "none", "batch_size must be >= 1, got 0"),
+    ({"optimizer": {"epochs": 0}}, "none", "optimizer.epochs must be >= 1, got 0"),
+    ({"teacher": {"epochs": 0}}, "soft", "teacher.epochs must be >= 1, got 0"),
+    ({"preprocess": {"batch_size": 0}}, "none",
+     "preprocess.batch_size must be >= 1, got 0"),
     ({"blocks": {"temporal_kernel": 4}}, "none",
      "temporal_kernel must be odd and >= 1, got 4"),
     ({"loss": {"alpha": [1, 1]}}, "soft", "loss.alpha must hold 4 weights, got 2"),
@@ -378,17 +383,23 @@ def test_per_pair_estimator_checkpoint_is_rejected(tmp_path, tiny_data, capsys):
     ({"dataset": {"cache_dir": 5}}, "none", "dataset.cache_dir must be a string, got 5"),
     ({"kd": ["soft"]}, "none", "kd must be a string, got ['soft']"),
     ({"preprocess": 8}, "none", "preprocess must be a mapping, got 8"),
-    ({"optimizer": {"lr": 0}}, "none", "lr must be > 0, got 0"),
-    ({"optimizer": {"lr": -1}}, "none", "lr must be > 0, got -1"),
-    ({"optimizer": {"momentum": -5}}, "none", "momentum must be in [0, 1), got -5"),
-    ({"optimizer": {"momentum": 1}}, "none", "momentum must be in [0, 1), got 1"),
-    ({"optimizer": {"weight_decay": -1}}, "none", "weight_decay must be >= 0, got -1"),
-    ({"optimizer": {"lr_decay": -1}}, "none", "lr_decay must be > 0, got -1"),
-    ({"teacher": {"lr": -1}}, "soft", "lr must be > 0, got -1"),
-    ({"smf": {"smic_lr": -1}}, "none", "smic_lr must be > 0, got -1"),
-    ({"smf": {"smic_hidden": 0}}, "none", "smic_hidden must be >= 1, got 0"),
-    ({"blocks": {"attention_scale": 0}}, "none", "attention_scale must be > 0, got 0"),
-    ({"blocks": {"attention_scale": -1}}, "none", "attention_scale must be > 0, got -1"),
+    ({"optimizer": {"lr": 0}}, "none", "optimizer.lr must be > 0, got 0"),
+    ({"optimizer": {"lr": -1}}, "none", "optimizer.lr must be > 0, got -1"),
+    ({"optimizer": {"momentum": -5}}, "none",
+     "optimizer.momentum must be in [0, 1), got -5"),
+    ({"optimizer": {"momentum": 1}}, "none",
+     "optimizer.momentum must be in [0, 1), got 1"),
+    ({"optimizer": {"weight_decay": -1}}, "none",
+     "optimizer.weight_decay must be >= 0, got -1"),
+    ({"optimizer": {"lr_decay": -1}}, "none",
+     "optimizer.lr_decay must be > 0, got -1"),
+    ({"teacher": {"lr": -1}}, "soft", "teacher.lr must be > 0, got -1"),
+    ({"smf": {"smic_lr": -1}}, "none", "smf.smic_lr must be > 0, got -1"),
+    ({"smf": {"smic_hidden": 0}}, "none", "smf.smic_hidden must be >= 1, got 0"),
+    ({"blocks": {"attention_scale": 0}}, "none",
+     "blocks.attention_scale must be > 0, got 0"),
+    ({"blocks": {"attention_scale": -1}}, "none",
+     "blocks.attention_scale must be > 0, got -1"),
     ({"dataset": {"num_joints": 20}}, "none",
      "dataset.num_joints is 20, but manifest {data}/manifest.json has sequences of [25] "
      "joints"),
@@ -411,6 +422,19 @@ def test_unusable_run_setting_is_a_config_error(tmp_path, tiny_data, capsys, val
     if "optimizer" in values:       # read before the output directory is made
         assert not (tmp_path / "run").exists()
     assert not (tmp_path / "run" / "teacher.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--epochs", "0"], "optimizer.epochs must be >= 1, got 0"),
+    (["--lr", "-1"], "optimizer.lr must be > 0, got -1.0"),
+], ids=["epochs", "lr"])
+def test_out_of_range_flag_names_its_key(tmp_path, tiny_data, capsys, flag, message):
+    capsys.readouterr()
+    code = cli.main(["--out", str(tmp_path / "run"), "train", "--data", tiny_data, *flag])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_null_is_taken_where_its_reader_handles_it(tmp_path):
@@ -485,7 +509,8 @@ def test_eval_rejects_a_batch_size_below_one(tmp_path, split_data, capsys, batch
                      "--out", str(tmp_path / "run"), "eval", str(ckpt), "--data", data_dir])
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
-    assert f"batch_size must be >= 1, got {batch_size}" in err and "Traceback" not in err
+    assert f"preprocess.batch_size must be >= 1, got {batch_size}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "run" / "eval.json").exists()
 
 
@@ -591,6 +616,19 @@ def test_unlabeled_skeleton_file_is_a_data_error(tmp_path, ntu_data, capsys, mon
     assert code == cli.EXIT_DATA
     assert "S001C001P001R005.skeleton" in err and "Traceback" not in err
     assert preprocessed == []
+
+
+def test_skeleton_dir_without_skeleton_files_is_a_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "notes.txt").write_text("no skeletons here")
+    capsys.readouterr()
+    code = cli.main(["--config", _ntu_config(tmp_path / "ntu.yaml", raw, tmp_path / "cache"),
+                     "--out", str(tmp_path / "run"), "train", "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert f"no .skeleton file in dataset directory {raw}" in err
+    assert "Traceback" not in err
 
 
 def test_non_utf8_skeleton_file_is_a_data_error(tmp_path, ntu_data, capsys):

@@ -198,6 +198,18 @@ class TestSynthesize:
         with pytest.raises(InvalidInputError, match=message):
             synthesize(2, samples_per_class=1, **kwargs)
 
+    @pytest.mark.parametrize("joints", [25, 20])
+    def test_every_class_moves_a_joint_at_one_class_per_joint(self, joints):
+        # K = V is the largest class count accepted; without noise a joint
+        # that does not move keeps one position in every frame
+        seqs, params = synthesize(joints, samples_per_class=1, num_joints=joints, noise=0.0)
+        for seq in seqs:
+            moving = np.flatnonzero(seq.joints.std(axis=1).max(axis=0) > 0.05)
+            assert moving.tolist() == params["class_params"][seq.label]["moving_joints"]
+            assert len(moving) >= 1
+        with pytest.raises(InvalidInputError, match="dataset.classes is .*dataset.num_joints"):
+            synthesize(joints + 1, samples_per_class=1, num_joints=joints)
+
     def test_zero_frame_sequence_rejected(self):
         with pytest.raises(InvalidInputError, match="T >= 1"):
             SkeletonSequence(np.zeros((3, 0, 25), dtype=np.float32))

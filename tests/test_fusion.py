@@ -225,6 +225,18 @@ class TestSmicNet:
         out = net(pooled((4, 3, 8, 5, 6), 20))
         np.testing.assert_allclose(out.data, c, rtol=1e-6)
 
+    def test_records_do_not_grow_with_frames(self):
+        # the LSTM runs over every frame as one op, so a forward records
+        # as many ops at T = 1 as at T = 16
+        net = SmicNet(2, 8, 16, LIF, np.random.default_rng(21))
+        counts = []
+        for t in (1, 4, 16):
+            x = np.concatenate([pooled((4, 3, 8, 5, t), 22 + k) for k in range(2)])
+            with Tape() as tape:
+                net(x)
+            counts.append(len(tape))
+        assert counts[0] == counts[1] == counts[2] > 0
+
     def test_wrong_channels_rejected(self):
         net = SmicNet(1, 8, 16, LIF, np.random.default_rng(21))
         with pytest.raises(InvalidInputError):

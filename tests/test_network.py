@@ -108,8 +108,8 @@ class TestTapeHoldsNoTensor:
     # every op that records, but relu, which runs only in the teacher,
     # outside any tape
     KINDS = {"add", "sub", "mul", "div", "scale", "exp", "log", "sqrt", "matmul",
-             "conv2d", "depthwise_conv2d", "batch_norm", "lstm_cell", "sum_", "mean",
-             "max_", "reshape", "permute", "concat", "slice_", "repeat0", "sn_layer",
+             "conv2d", "depthwise_conv2d", "batch_norm", "lstm", "sum_", "mean",
+             "max_", "reshape", "permute", "slice_", "repeat0", "sn_layer",
              "bn_sn_layer", "channel_map", "graph_conv"}
 
     def test_train_smf_and_train_kd_steps(self, monkeypatch):
@@ -117,9 +117,9 @@ class TestTapeHoldsNoTensor:
         spikes, lif_kinds = {}, set()       # each LIF record's backward -> its output
         sweep, record = tensor.backward, neurons.record_op
 
-        def spy(inputs, outputs, backward):
-            spikes[backward] = outputs[0].data
-            record(inputs, outputs, backward)
+        def spy(inputs, out, backward):
+            spikes[backward] = out.data
+            record(inputs, out, backward)
 
         def scan(loss, tape):
             tapes.append(len(tape))

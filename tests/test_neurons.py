@@ -12,7 +12,7 @@ from spikegraph.blocks import channel_map, graph_conv
 from spikegraph.module import BatchNorm
 from spikegraph.neurons import LifConfig, bn_sn_layer, sn_layer
 from spikegraph.tensor import (InvalidInputError, NumericalError, Tape, Tensor,
-                               add, backward, concat, conv2d, mean, mul, permute,
+                               add, backward, conv2d, mean, mul, permute,
                                record_op, reshape, sum_)
 from oracles import (V_RESET, _lif_backward, _lif_forward, channel_rows, firing_rate,
                      grad_check, lif_step, spike)
@@ -205,21 +205,19 @@ def _sn_layouts(s, rng):
     w = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
     adj = np.abs(rng.normal(size=(2, 5, 5))).astype(np.float32)
     wg = Tensor(rng.normal(0.0, 0.6, size=(2, 3, 4)).astype(np.float32))
-    frames = [Tensor(rng.normal(0.6, 1.0, size=(3, s, 2, 4, 1)).astype(np.float32))
-              for _ in range(6)]
     return {
         "contiguous": rng.normal(0.6, 1.0, size=(s, 2, 4, 5, 6)).astype(np.float32),
         "channel_map": channel_map(x, w).data,              # [S, B, V, T, C] in memory
         "graph_conv": graph_conv(x, adj, wg).data,          # [S, B, T, V, C] in memory
         # SMIC's spike input [S, P, B, H, T], laid out [P, S, B, H, T]
-        "smic": permute(concat(frames, axis=-1), (1, 0, 2, 3, 4)).data,
+        "smic": np.float32(rng.normal(0.6, 1.0, size=(3, s, 2, 4, 6))).transpose(1, 0, 2, 3, 4),
     }
 
 
 def _handing_on(t, g):
     """Identity op whose backward hands ``g`` on in its own memory order."""
     out = Tensor._wrap(t.data)
-    record_op((t,), (out,), lambda _: (g,))
+    record_op((t,), out, lambda _: (g,))
     return out
 
 

@@ -16,9 +16,9 @@ from spikegraph.blocks import channel_map, graph_conv
 from spikegraph.module import BatchNorm
 from spikegraph.tensor import (FormatError, InvalidInputError, NumericalError, Tape, Tensor,
                                _bn_stats, _kernel_view,
-                               add, backward, batch_norm, concat, conv2d,
+                               add, backward, batch_norm, conv2d,
                                depthwise_conv2d, div, exp, log,
-                               lstm_cell, matmul, max_, mean, mul, permute, record_op,
+                               lstm, matmul, max_, mean, mul, permute, record_op,
                                relu, reshape, repeat0, scale, slice_, sqrt,
                                sub, sum_, tensor_from_bytes,
                                tensor_to_bytes, load_tensor, save_tensor)
@@ -386,7 +386,7 @@ class TestBatchNorm:
         assert report.passed, report
 
 
-class TestLstmCell:
+class TestLstm:
     def _weights(self, in_f, hidden, seed=20, zero=False):
         if zero:
             return [Tensor(np.zeros(s, dtype=np.float32)) for s in
@@ -397,81 +397,103 @@ class TestLstmCell:
                 Tensor(rand(4 * hidden, seed=seed + 3))]
 
     def test_zero_fixed_point(self):
-        w = self._weights(3, 4, zero=True)
-        h, c = lstm_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                         Tensor(np.zeros((2, 4))), *w)
+        h = lstm(Tensor(np.zeros((3, 2, 3))), *self._weights(3, 4, zero=True))
+        assert h.shape == (2, 4, 3)
         np.testing.assert_array_equal(h.data, 0.0)
-        np.testing.assert_array_equal(c.data, 0.0)
 
     def test_saturated_forget_gate(self):
-        # with a huge forget bias f -> 1, so c ~ c_prev + i*g
+        # with a huge forget bias f -> 1, so c ~ c_prev + i*g, frame by frame
         in_f, hidden = 2, 3
         w_ih = Tensor(0.3 * rand(4 * hidden, in_f, seed=22))
         w_hh = Tensor(np.zeros((4 * hidden, hidden), dtype=np.float32))
         b = np.zeros(4 * hidden, dtype=np.float32)
         b[hidden:2 * hidden] = 50.0
-        x = Tensor(rand(4, in_f, seed=23))
-        c_prev = Tensor(rand(4, hidden, seed=24))
-        h, c = lstm_cell(x, Tensor(np.zeros((4, hidden))), c_prev,
-                         w_ih, w_hh, Tensor(b), Tensor(np.zeros(4 * hidden)))
-        z = x.data @ w_ih.data.T
-        zi, _, zg, _ = np.split(z, 4, axis=1)
-        expected_c = c_prev.data + (1 / (1 + np.exp(-zi))) * np.tanh(zg)
-        np.testing.assert_allclose(c.data, expected_c, atol=1e-3)
+        x = Tensor(rand(3, 4, in_f, seed=23))
+        h = lstm(x, w_ih, w_hh, Tensor(b), Tensor(np.zeros(4 * hidden)))
+        zi, _, zg, zo = np.split(x.data @ w_ih.data.T, 4, axis=-1)
+        c = np.cumsum((1 / (1 + np.exp(-zi))) * np.tanh(zg), axis=0)
+        expected_h = (1 / (1 + np.exp(-zo))) * np.tanh(c)             # [T, N, H]
+        np.testing.assert_allclose(h.data, np.moveaxis(expected_h, 0, -1), atol=1e-3)
 
     def test_gradient_matches_fd(self):
-        in_f, hidden, n = 3, 4, 2
-        leaves = [Tensor(rand(n, in_f, seed=25)), Tensor(rand(n, hidden, seed=26)),
-                  Tensor(rand(n, hidden, seed=27))] + self._weights(in_f, hidden, seed=28)
+        in_f, hidden, n, t = 3, 4, 2, 3
+        x = Tensor(rand(t, n, in_f, seed=25), dtype=np.float64)
 
-        def f(x, h0, c0, w_ih, w_hh, b_ih, b_hh):
-            h, c = lstm_cell(x, h0, c0, w_ih, w_hh, b_ih, b_hh)
-            return add(sum_(h), sum_(mul(c, c)))
+        def f(w_ih, w_hh, b_ih, b_hh):
+            h = lstm(x, w_ih, w_hh, b_ih, b_hh)
+            return add(sum_(h), sum_(mul(h, h)))
 
-        report = grad_check(f, leaves, h=1e-4, tol=1e-4)
+        report = grad_check(f, self._weights(in_f, hidden, seed=28), h=1e-4, tol=1e-4)
         assert report.passed, report
 
     def test_extent_mismatch(self):
         w = self._weights(3, 4)
         with pytest.raises(InvalidInputError):
-            lstm_cell(Tensor(rand(2, 5)), Tensor(np.zeros((2, 4))),
-                      Tensor(np.zeros((2, 4))), *w)
+            lstm(Tensor(rand(2, 2, 5)), *w)
+        with pytest.raises(InvalidInputError):
+            lstm(Tensor(np.zeros((0, 2, 3))), *w)
 
-    def _stacked(self, p, n, in_f, hidden, seed):
-        """Inputs and states [P, N, .] and weights [P, 4H, .] of p cells."""
-        leaves = [rand(p, n, in_f, seed=seed), rand(p, n, hidden, seed=seed + 1),
-                  rand(p, n, hidden, seed=seed + 2)]
-        per_cell = [[w.data for w in self._weights(in_f, hidden, seed=seed + 3 + 4 * k)]
+    def test_input_gets_no_gradient(self):
+        with pytest.raises(InvalidInputError, match="constant input"):
+            lstm(Tensor(rand(2, 2, 3), requires_grad=True), *self._weights(3, 4))
+
+    def _stacked(self, t, p, n, in_f, hidden, seed):
+        """Frames x[T, P, N, In] and weights [P, 4H, .] of p cells."""
+        per_cell = [[w.data for w in self._weights(in_f, hidden, seed=seed + 1 + 4 * k)]
                     for k in range(p)]
-        return [Tensor(a) for a in leaves + [np.stack(w) for w in zip(*per_cell)]]
+        return (Tensor(rand(t, p, n, in_f, seed=seed)),
+                [Tensor(np.stack(w)) for w in zip(*per_cell)])
 
     def test_leading_axis_batches_independent_cells(self):
-        # each slice of a batched cell is bit-identical to a cell of its own
-        p, n, in_f, hidden = 3, 5, 6, 4
-        leaves = self._stacked(p, n, in_f, hidden, seed=40)
+        # each slice of a batched call is bit-identical to a call of its own
+        t, p, n, in_f, hidden = 4, 3, 5, 6, 4
+        x, weights = self._stacked(t, p, n, in_f, hidden, seed=40)
 
-        def run(args):
-            args = [Tensor(a.data, requires_grad=True) for a in args]
+        def run(x, weights):
+            weights = [Tensor(w.data, requires_grad=True) for w in weights]
             with Tape() as tape:
-                h, c = lstm_cell(*args)
-                backward(add(sum_(mul(h, h)), sum_(c)), tape)
-            return [h.data, c.data] + [a.grad for a in args]
+                h = lstm(x, *weights)
+                backward(sum_(mul(h, h)), tape)
+            return [h.data] + [w.grad for w in weights]
 
-        batched = run(leaves)
+        batched = run(x, weights)
         for k in range(p):
-            single = run([Tensor(t.data[k]) for t in leaves])
+            single = run(Tensor(x.data[:, k]), [Tensor(w.data[k]) for w in weights])
             for got, want in zip(batched, single):
                 np.testing.assert_array_equal(got[k], want)
 
     def test_batched_gradient_matches_fd(self):
-        leaves = self._stacked(2, 3, 3, 2, seed=60)
+        x, weights = self._stacked(3, 2, 3, 3, 2, seed=60)
+        x = Tensor(x.data, dtype=np.float64)
 
         def f(*args):
-            h, c = lstm_cell(*args)
-            return add(sum_(h), sum_(mul(c, c)))
+            h = lstm(x, *args)
+            return add(sum_(h), sum_(mul(h, h)))
 
-        report = grad_check(f, leaves, h=1e-4, tol=1e-4)
+        report = grad_check(f, weights, h=1e-4, tol=1e-4)
         assert report.passed, report
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_chained_cell(self, seed):
+        """Output and one call's weight gradients are the bytes of the
+        one-frame cell chained over the frames (``oracles.lstm_chain``)."""
+        x, weights = self._stacked(6, 3, 4, 5, 3, seed=70 + 10 * seed)
+        g = rand(3, 4, 3, 6, seed=71 + 10 * seed)
+        weights = [Tensor(w.data, requires_grad=True) for w in weights]
+        with Tape() as tape:
+            h = lstm(x, *weights)
+            backward(sum_(mul(h, Tensor(g))), tape)
+        want_h, want_grads = oracles.lstm_chain(x.data, [w.data for w in weights], g)
+        assert h.data.strides == want_h.strides and h.data.tobytes() == want_h.tobytes()
+        for w, want in zip(weights, want_grads):
+            assert w.grad.dtype == want.dtype and w.grad.tobytes() == want.tobytes()
+
+    def test_integer_frames_compute_in_float32(self):
+        xd = np.random.default_rng(79).integers(0, 2, size=(3, 2, 5)).astype(np.uint8)
+        weights = self._weights(5, 2, seed=74)
+        got = lstm(Tensor(xd, dtype=np.uint8), *weights)
+        want = lstm(Tensor(xd.astype(np.float32)), *weights)
+        assert got.dtype == np.float32 and got.data.tobytes() == want.data.tobytes()
 
 
 class TestBackward:
@@ -542,12 +564,9 @@ def sweep_keeping_tape(loss, tape):
     the sweep ends."""
     loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape._records):
-        gouts = [out.grad for out in rec.outputs]
-        if all(g is None for g in gouts):
+        if rec.output.grad is None:
             continue
-        gouts = [np.zeros(shape, dtype) if g is None else g
-                 for g, (shape, dtype, _) in zip(gouts, rec.out_specs)]
-        gins = rec.backward(*gouts)
+        gins = rec.backward(rec.output.grad)
         for slot, dtype, g in zip(rec.inputs, rec.in_dtypes,
                                   gins if isinstance(gins, tuple) else (gins,)):
             if g is not None and slot.requires_grad:
@@ -559,23 +578,17 @@ class TestSweepFreesTape:
     @staticmethod
     def fan_out_graph(sweep):
         """Leaf gradients and intermediate outputs of a graph with fan-out:
-        ``add(x, x)``, a weight shared by two matmuls and an LSTM state
-        whose cell output is unused."""
+        ``add(x, x)`` and a weight shared by two matmuls."""
         rng = np.random.default_rng(47)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        w_ih = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
-        w_hh = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=12), requires_grad=True)
-        zeros = Tensor(np.zeros((4, 3)))
         with Tape() as tape:
             h = matmul(add(x, x), w)
             h = matmul(relu(h), w)
-            hs, _ = lstm_cell(h, zeros, zeros, w_ih, w_hh, b, b)
-            loss = sum_(mul(slice_(hs, (slice(1, 3),)), hs[1:3]))
-            outputs = [out for rec in tape._records for out in rec.outputs]
+            loss = sum_(mul(slice_(h, (slice(1, 3),)), h[1:3]))
+            outputs = [rec.output for rec in tape._records]
             sweep(loss, tape)
-        return [t.grad for t in (x, w, w_ih, w_hh, b)], outputs, tape
+        return [t.grad for t in (x, w)], outputs, tape
 
     def test_leaf_grads_bit_identical_and_tape_emptied(self):
         want, _, _ = self.fan_out_graph(sweep_keeping_tape)
@@ -692,7 +705,7 @@ class TestWeightGradientJobs:
 
         with Tape() as tape:
             x = Tensor._wrap(x0.data.copy())
-            record_op((x0,), (x,), diverging)
+            record_op((x0,), x, diverging)
             y = channel_map(x, w)
             loss = sum_(y)
             with pytest.raises(NumericalError):
@@ -720,7 +733,7 @@ class TestWeightGradientJobs:
 
             with Tape() as tape:
                 x = Tensor._wrap(x0.data.copy())
-                record_op((x0,), (x,), blocking)
+                record_op((x0,), x, blocking)
                 backward(sum_(x), tape)
 
         x0 = Tensor(rand(2, 4, 5, 3, seed=65), requires_grad=True)
@@ -738,7 +751,7 @@ class TestWeightGradientJobs:
             assert submitted.wait(20)
             with Tape() as tape:
                 x = Tensor._wrap(x0.data.copy())
-                record_op((x0,), (x,), first)
+                record_op((x0,), x, first)
                 loss = sum_(channel_map(x, w))
                 if raises:
                     with pytest.raises(NumericalError):
@@ -821,7 +834,6 @@ class TestTapeKeepsOnlyWhatBackwardReads:
         "reshape": lambda y, p: reshape(y, (2, -1)),
         "permute": lambda y, p: permute(y, (0, 2, 3, 1)),
         "slice_": lambda y, p: slice_(y, (slice(None), slice(1, 3))),
-        "concat": lambda y, p: concat([p["b"], y], axis=1),
         "repeat0": lambda y, p: repeat0(y, 3),
         "sum_": lambda y, p: sum_(y, axis=(1, 3)),
         "mean": lambda y, p: mean(y, axis=2),
@@ -883,7 +895,6 @@ class TestIntegerInput:
         "max_": (lambda x: max_(x, axis=3), False),
         "reshape": (lambda x: reshape(x, (6, -1)), True),
         "permute": (lambda x: permute(x, (0, 2, 3, 1)), True),
-        "concat": (lambda x: concat([x, x[:, :1]], axis=1), True),
         "slice_": (lambda x: slice_(x, (slice(None), slice(1, 3))), True),
         "repeat0": (lambda x: repeat0(x, 2), True),
         "matmul": (lambda x: matmul(x, permute(x, (0, 1, 3, 2))), False),
@@ -894,12 +905,6 @@ class TestIntegerInput:
         "batch_norm": (lambda x: batch_norm(x, batch_norm_module(3, Tensor(rand(3, seed=72)),
                                                                  Tensor(rand(3, seed=73)))),
                        False),
-        "lstm_cell": (lambda x: lstm_cell(x, Tensor(np.zeros((2, 3, 2), np.float32)),
-                                          Tensor(np.zeros((2, 3, 2), np.float32)),
-                                          Tensor(rand(2, 8, 5, seed=74)),
-                                          Tensor(rand(2, 8, 2, seed=75)),
-                                          Tensor(rand(2, 8, seed=76)),
-                                          Tensor(rand(2, 8, seed=77)))[0], False),
     }
 
     @staticmethod
@@ -914,8 +919,7 @@ class TestIntegerInput:
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_against_float(self, name):
         op, keeps = self.OPS[name]
-        shape = (2, 3, 5) if name == "lstm_cell" else (2, 3, 4, 5)
-        xd = np.random.default_rng(79).integers(1, 4, size=shape).astype(np.uint8)
+        xd = np.random.default_rng(79).integers(1, 4, size=(2, 3, 4, 5)).astype(np.uint8)
         out, grad = self.run(op, xd)
         ref, ref_grad = self.run(op, xd.astype(np.float32))
         assert out.dtype == (np.uint8 if keeps else np.float32)
@@ -1036,16 +1040,15 @@ class TestElementwiseAndShape:
         for gd in (g, g_cl):
             assert bwd(gd)[0].tobytes() == want.tobytes()
 
-    def test_concat_slice_repeat(self):
-        x0, y0 = rand(2, 3, seed=44), rand(2, 3, seed=45)
+    def test_slice_repeat(self):
+        x0 = rand(4, 3, seed=44)
 
-        def f(x, y):
-            c = concat([x, y], axis=0)
-            s = slice_(c, (slice(1, 3), slice(None)))
+        def f(x):
+            s = slice_(x, (slice(1, 3), slice(None)))
             r = repeat0(s, 2)
             return sum_(mul(r, r))
 
-        report = grad_check(f, [Tensor(x0), Tensor(y0)], h=1e-4, tol=1e-5)
+        report = grad_check(f, [Tensor(x0)], h=1e-4, tol=1e-5)
         assert report.passed, report
 
     def test_max_reduction_gradient(self):
